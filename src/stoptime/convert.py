@@ -12,18 +12,14 @@ from fractions import Fraction
 
 from .space import FilteredSpace, IncompatibleSpaces
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
-                    RandomizedST, ZERO, embed_pure, rn_derivative)
+                    RandomizedST, ZERO, embed_pure, prefix_sums)
 
 
 def delta_of_mixed(space: FilteredSpace, mu: MixedST) -> DistributionST:
     """Push the product of P and Lebesgue measure forward through mu."""
-    mass = {}
-    for w in space.outcomes:
-        section = mu.sections[w]
-        p = space.prob(w)
-        mass[w] = tuple(p * section.mass_of_index(j)
-                        for j in range(space.n_times))
-    return DistributionST(mass)
+    rows = mu.mass_rows(space.n_times)
+    return DistributionST({w: tuple(space.prob(w) * m for m in rows[w])
+                           for w in space.outcomes})
 
 
 def delta_of_randomized(space: FilteredSpace, rho: RandomizedST) -> DistributionST:
@@ -43,13 +39,14 @@ def delta_of_randomized(space: FilteredSpace, rho: RandomizedST) -> Distribution
 
 def randomized_of_distribution(space: FilteredSpace,
                                delta: DistributionST) -> RandomizedST:
-    """Cumulative conditional densities: the unique equivalent randomized time."""
-    paths = {w: [] for w in space.outcomes}
-    for j in range(space.n_times):
-        dens = rn_derivative(space, delta, j)
-        for w in space.outcomes:
-            paths[w].append(dens[w])
-    return RandomizedST({w: tuple(row) for w, row in paths.items()})
+    """Cumulative conditional densities: the unique equivalent randomized time.
+
+    Path entry j of outcome w is rn_derivative(space, delta, j)[w], read off
+    the one-pass prefix_sums table divided by P(w).
+    """
+    prefix = prefix_sums(space, delta)
+    return RandomizedST({w: tuple(c / space.prob(w) for c in prefix[w])
+                         for w in space.outcomes})
 
 
 def mixed_of_randomized(space: FilteredSpace, rho: RandomizedST) -> MixedST:
@@ -123,9 +120,8 @@ def equivalent(space: FilteredSpace, a, b) -> bool:
     pair = {type(a): a, type(b): b}
     if MixedST in pair and RandomizedST in pair:
         mu, rho = pair[MixedST], pair[RandomizedST]
-        by_cdf = all(
-            cdf_of_mixed(space, mu, w, j) == rho.paths[w][j]
-            for w in space.outcomes for j in range(space.n_times))
+        cdf = mu.cdf_rows(space.n_times)
+        by_cdf = all(cdf[w] == tuple(rho.paths[w]) for w in space.outcomes)
         if by_cdf != result:
             raise AssertionError(
                 "equivalence routes disagree: "

@@ -111,9 +111,8 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
     # interval representation from a path: equivalent, matching cumulatives
     mu_from_rho = convert.mixed_of_randomized(space, inst.randomized)
     ok = convert.equivalent(space, inst.randomized, mu_from_rho)
-    cdf_ok = all(
-        convert.cdf_of_mixed(space, mu_from_rho, w, j) == inst.randomized.paths[w][j]
-        for w in space.outcomes for j in range(space.n_times))
+    cdf = mu_from_rho.cdf_rows(space.n_times)
+    cdf_ok = all(cdf[w] == inst.randomized.paths[w] for w in space.outcomes)
     _row(results, name, "path_to_intervals", ok and cdf_ok,
          f"equivalent={ok} cdf_match={cdf_ok}")
 
@@ -129,10 +128,10 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
 
     # cumulative densities of the pushed-forward mass match the sections
     delta_mu = convert.delta_of_mixed(space, inst.mixed)
-    dens_ok = all(
-        rn_derivative(space, delta_mu, j)[w] == convert.cdf_of_mixed(
-            space, inst.mixed, w, j)
-        for w in space.outcomes for j in range(space.n_times))
+    dens = [rn_derivative(space, delta_mu, j) for j in range(space.n_times)]
+    cdf = inst.mixed.cdf_rows(space.n_times)
+    dens_ok = all(dens[j][w] == cdf[w][j]
+                  for w in space.outcomes for j in range(space.n_times))
     _row(results, name, "density_vs_cdf", dens_ok, "densities differ")
 
     # one payoff per equivalence class, through all routes
@@ -171,8 +170,9 @@ def _mutated_mixed(config, rng, inst):
     mutated = fuzz.corrupt_mixed(inst.space, inst.mixed)
     if mutated is not None:
         return mutated, inst.space
-    bounds = replace(config.bounds(), max_grid_points=max(
-        2, config.max_grid_points))
+    bounds = replace(config.bounds(),
+                     max_outcomes=max(2, config.max_outcomes),
+                     max_grid_points=max(2, config.max_grid_points))
     space = fuzz.random_space(rng, bounds, min_outcomes=2)
     rho = fuzz.random_randomized(rng, space, bounds)
     mu = convert.mixed_of_randomized(space, rho)

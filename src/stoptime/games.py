@@ -167,11 +167,11 @@ def game_payoff_symmetric(game: StoppingGame, mu1: MixedST,
                           mu2: MixedST) -> Fraction:
     """Direct triple expectation over (outcome, r1, r2) for two mixed times."""
     space = game.space
+    rows1 = mu1.mass_rows(space.n_times)
+    rows2 = mu2.mass_rows(space.n_times)
     total = ZERO
     for w in space.outcomes:
-        s1, s2 = mu1.sections[w], mu2.sections[w]
-        p1 = [s1.mass_of_index(j) for j in range(space.n_times)]
-        p2 = [s2.mass_of_index(j) for j in range(space.n_times)]
+        p1, p2 = rows1[w], rows2[w]
         inner = ZERO
         for j1, q1 in enumerate(p1):
             if q1 == 0:

@@ -102,14 +102,6 @@ class FilteredSpace:
             raise IndexOutOfRange(f"grid index {grid_index} out of range")
         return self.partitions[grid_index]
 
-    def is_event(self, grid_index: int, event: frozenset) -> bool:
-        """True iff the outcome set is a union of blocks of partitions[grid_index]."""
-        for block in self.partitions[grid_index]:
-            inter = block & event
-            if inter and inter != block:
-                return False
-        return True
-
 
 def check_space(outcomes, probs, grid, partitions) -> list:
     """Collect every violated invariant of the raw space inputs."""
@@ -261,14 +253,3 @@ class SubMeasure:
     def total(self) -> Fraction:
         return sum(self.mass.values(), Fraction(0))
 
-
-def check_submeasure(space: FilteredSpace, sub: SubMeasure) -> list:
-    violations = []
-    for w in space.outcomes:
-        m = sub.mass.get(w)
-        if m is None:
-            violations.append(Violation("MassMissing", f"no mass for {w!r}"))
-        elif m < 0 or m > space.prob(w):
-            violations.append(Violation(
-                "MassOutOfRange", f"mass({w!r}) = {m} not in [0, {space.prob(w)}]"))
-    return violations

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping
 
 from .space import (FilteredSpace, SubMeasure, Violation, _as_fraction)
@@ -31,7 +32,8 @@ class RStepFunction:
 
     Intervals are half-open [r_{i-1}, r_i); the point r = 1 belongs to the
     last interval.  breaks = (0, r_1, ..., 1), values has one entry per
-    interval.
+    interval.  mass_row and cdf_row give mass_of_index and cdf at every
+    grid index in one pass over the intervals.
     """
 
     breaks: tuple
@@ -98,6 +100,19 @@ class RStepFunction:
         """Lebesgue measure of {r : value(r) <= index}."""
         return sum((b - a for a, b in self.le_intervals(index)), ZERO)
 
+    def mass_row(self, n_times: int) -> tuple:
+        """(mass_of_index(0), ..., mass_of_index(n_times - 1)) in one pass."""
+        row = [ZERO] * n_times
+        for i, v in enumerate(self.values):
+            if 0 <= v < n_times:
+                row[v] += self.breaks[i + 1] - self.breaks[i]
+        return tuple(row)
+
+    def cdf_row(self, n_times: int) -> tuple:
+        """(cdf(0), ..., cdf(n_times - 1)): running sums of the mass row."""
+        return tuple(accumulate(self.mass_row(n_times),
+                                initial=self.cdf(-1)))[1:]
+
     def max_index(self) -> int:
         return max(self.values)
 
@@ -144,6 +159,25 @@ class MixedST:
     def canonical(self) -> "MixedST":
         return MixedST({w: s.canonical() for w, s in self.sections.items()})
 
+    def mass_rows(self, n_times: int) -> dict:
+        """Each section's mass_row, computed once per distinct section."""
+        return self._rows(RStepFunction.mass_row, n_times)
+
+    def cdf_rows(self, n_times: int) -> dict:
+        """Each section's cdf_row, computed once per distinct section."""
+        return self._rows(RStepFunction.cdf_row, n_times)
+
+    def _rows(self, row_of, n_times: int) -> dict:
+        # a lifted time repeats one section object per opponent-stop index
+        by_section = {}
+        out = {}
+        for w, s in self.sections.items():
+            row = by_section.get(id(s))
+            if row is None:
+                row = by_section[id(s)] = row_of(s, n_times)
+            out[w] = row
+        return out
+
 
 @dataclass(frozen=True)
 class RandomizedST:
@@ -165,11 +199,14 @@ class DistributionST:
             {w: tuple(_as_fraction(x) for x in row) for w, row in mass.items()})
 
 
-STOPPING_KINDS = (PureST, MixedST, RandomizedST, DistributionST)
+def _extra_violations(space, table, what) -> list:
+    return [Violation("ExtraOutcome",
+                      f"{what}: {w!r} is not an outcome of the space")
+            for w in table if w not in space._order]
 
 
 def _shape_violations(space, table, what) -> list:
-    out = []
+    out = _extra_violations(space, table, what)
     for w in space.outcomes:
         row = table.get(w)
         if row is None:
@@ -185,7 +222,7 @@ def _shape_violations(space, table, what) -> list:
 
 def validate_pure(space: FilteredSpace, sigma: PureST) -> list:
     """Empty iff {sigma <= t_j} is a union of level-j blocks for every j."""
-    violations = []
+    violations = _extra_violations(space, sigma.stop_index, "stop_index")
     for w in space.outcomes:
         j = sigma.stop_index.get(w)
         if j is None or not 0 <= j < space.n_times:
@@ -289,22 +326,24 @@ def validate_randomized(space: FilteredSpace, rho: RandomizedST) -> list:
 
 
 def validate_distribution(space: FilteredSpace, delta: DistributionST) -> list:
+    """Nonnegative rows with marginal P whose cumulative densities are
+    adapted; every check reads the one-pass prefix_sums table."""
     violations = _shape_violations(space, delta.mass, "mass")
     if violations:
         return violations
+    prefix = prefix_sums(space, delta)
     for w in space.outcomes:
-        row = delta.mass[w]
-        if any(x < 0 for x in row):
+        if any(x < 0 for x in delta.mass[w]):
             violations.append(Violation("NegativeMass", f"row of {w!r}"))
-        if sum(row) != space.prob(w):
+        if prefix[w][-1] != space.prob(w):
             violations.append(Violation(
                 "MarginalMismatch",
-                f"row of {w!r} sums to {sum(row, ZERO)}, P = {space.prob(w)}"))
+                f"row of {w!r} sums to {prefix[w][-1]}, P = {space.prob(w)}"))
     if violations:
         return violations
     for j in range(space.n_times):
         for block in space.partitions[j]:
-            dens = {sum(delta.mass[w][: j + 1], ZERO) / space.prob(w) for w in block}
+            dens = {prefix[w][j] / space.prob(w) for w in block}
             if len(dens) > 1:
                 violations.append(Violation(
                     "DensityNotAdapted",
@@ -320,6 +359,13 @@ def embed_pure(sigma: PureST) -> MixedST:
     """The constant-in-r embedding of a pure stopping time."""
     return MixedST({w: RStepFunction.constant(j)
                     for w, j in sigma.stop_index.items()})
+
+
+def prefix_sums(space: FilteredSpace, delta: DistributionST) -> dict:
+    """Every sub_measure at once: per outcome, the running sums of its row,
+    so entry j is delta({w} x [0, t_j])."""
+    return {w: tuple(accumulate(delta.mass[w], initial=ZERO))[1:]
+            for w in space.outcomes}
 
 
 def sub_measure(space: FilteredSpace, delta: DistributionST,

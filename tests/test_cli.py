@@ -138,3 +138,12 @@ def test_fuzz_small_campaign(files, capsys):
     lines = open(out).read().splitlines()
     assert lines[0] == "instance,check,status,witness"
     assert all(line.split(",")[2] == "pass" for line in lines[1:])
+
+
+def test_validate_pure_with_extra_outcome(files, tmp_path, capsys):
+    pure = tmp_path / "pure.json"
+    dump_json({"kind": "pure", "stop_index": {"w1": 1, "w2": 1, "zz": 0}}, pure)
+    assert main(["validate", str(pure), "--space", files["space"]]) == 1
+    out = capsys.readouterr().out
+    assert "ExtraOutcome" in out and "'zz'" in out
+    assert "valid\n" not in out

@@ -146,3 +146,26 @@ def test_nonuniqueness_witness(coin_space, coin_mixed, coin_mixed_flipped):
     assert delta_of_mixed(coin_space, coin_mixed) == delta_of_mixed(
         coin_space, coin_mixed_flipped)
     assert coin_mixed.canonical() != coin_mixed_flipped.canonical()
+
+
+def test_equivalent_cross_check_catches_a_wrong_cumulative_row(
+        coin_space, coin_mixed, coin_randomized, monkeypatch):
+    honest = MixedST.cdf_rows
+    rho_other = RandomizedST({"w1": (F(1, 3), F(1)), "w2": (F(1, 3), F(1))})
+
+    def planted(row_w1):
+        def cdf_rows(self, n_times):
+            rows = honest(self, n_times)
+            rows["w1"] = row_w1
+            return rows
+        return cdf_rows
+
+    # an equivalent pair whose cumulative row is wrong for one outcome
+    monkeypatch.setattr(MixedST, "cdf_rows", planted((F(1, 3), F(1))))
+    with pytest.raises(AssertionError, match="equivalence routes disagree"):
+        equivalent(coin_space, coin_mixed, coin_randomized)
+    # a non-equivalent pair whose cumulative row is planted to match
+    with pytest.raises(AssertionError, match="equivalence routes disagree"):
+        equivalent(coin_space, rho_other, MixedST(
+            {"w1": coin_mixed.sections["w1"],
+             "w2": RStepFunction((F(0), F(1, 3), F(1)), (0, 1))}))

@@ -1,8 +1,27 @@
+import types
+from fractions import Fraction
+
 import pytest
 
+from stoptime import convert, experiment, fuzz, times
 from stoptime.experiment import (CheckRow, ExperimentConfig, ExperimentReport,
-                                 check_instance, monte_carlo_rows,
+                                 _rng_for, check_instance, monte_carlo_rows,
                                  run_experiment)
+from stoptime.times import DistributionST
+
+
+def _first_instance(config, accept):
+    """(index, instance) of the first fuzzed instance that passes accept."""
+    for index in range(200):
+        inst = fuzz.random_instance(_rng_for(config.seed, index),
+                                    config.bounds())
+        if accept(inst):
+            return index, inst
+    raise AssertionError("no such instance in the first 200")
+
+
+def _status(rows, check):
+    return next(r.status for r in rows if r.check == check)
 
 
 def test_small_campaign_all_pass():
@@ -54,3 +73,52 @@ def test_config_rejects_bad_values():
         ExperimentConfig(n_instances=0)
     with pytest.raises(ValueError):
         ExperimentConfig(tv_tolerance=0.0)
+
+
+def test_single_outcome_bound_campaign_passes():
+    # the mutated-mixed check needs two outcomes; a bound of one must not crash
+    report = run_experiment(ExperimentConfig(max_outcomes=1, n_instances=20,
+                                             n_samples=1000,
+                                             tv_tolerance=0.05))
+    assert report.ok
+    assert len({r.instance for r in report.rows}) == 20 + 3
+
+
+def test_density_vs_cdf_fails_on_moved_mass(monkeypatch):
+    # one outcome: every block is a singleton, so the moved mass stays a
+    # valid stop law and only the density identity can catch it
+    config = ExperimentConfig(seed=2, max_outcomes=1)
+    index, _ = _first_instance(config, lambda i: i.space.n_times >= 2)
+    assert _status(check_instance(config, index), "density_vs_cdf") == "pass"
+
+    def moved(space, mu):
+        delta = convert.delta_of_mixed(space, mu)
+        w = space.outcomes[0]
+        row = list(delta.mass[w])
+        j = next(j for j, m in enumerate(row) if m > 0)
+        k = (j + 1) % len(row)
+        row[k], row[j] = row[k] + row[j], Fraction(0)
+        return DistributionST({**delta.mass, w: tuple(row)})
+
+    planted = types.SimpleNamespace(**vars(convert))
+    planted.delta_of_mixed = moved
+    monkeypatch.setattr(experiment, "convert", planted)
+    assert _status(check_instance(config, index), "density_vs_cdf") == "fail"
+
+
+def test_check_instance_prefix_work_is_linear(monkeypatch):
+    # the density check once took one sub_measure per (outcome, time) pair
+    config = ExperimentConfig(seed=5, max_outcomes=24, max_grid_points=8)
+    index, inst = _first_instance(
+        config, lambda i: len(i.space.outcomes) >= 16 and i.space.n_times >= 4)
+    calls = []
+    honest = times.sub_measure
+
+    def counted(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs["grid_index"])
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(times, "sub_measure", counted)
+    rows = check_instance(config, index)
+    assert all(r.status == "pass" for r in rows)
+    assert 0 < len(calls) <= 2 * inst.space.n_times

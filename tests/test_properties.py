@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (cdf_of_mixed, delta_of_mixed, delta_of_randomized,
-                      embed_pure, equivalent, mixed_of_randomized,
-                      randomized_of_distribution, rn_derivative,
+from stoptime import (MixedST, cdf_of_mixed, delta_of_mixed,
+                      delta_of_randomized, embed_pure, equivalent,
+                      mixed_of_randomized, prefix_sums,
+                      randomized_of_distribution, rn_derivative, sub_measure,
                       validate_distribution, validate_mixed,
                       validate_mixed_product, validate_mixed_sections,
                       validate_pure, validate_randomized)
@@ -114,3 +115,46 @@ def test_equivalence_is_an_equivalence_relation(seed):
 def test_embedded_pure_passes_mixed_validation(seed):
     inst, _ = make_instance(seed)
     assert validate_mixed(inst.space, embed_pure(inst.pure)) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_section_rows_match_per_index_queries(seed):
+    inst, _ = make_instance(seed)
+    space = inst.space
+    n = space.n_times
+    # lifted layout: one shared section object per (outcome, opponent stop)
+    lifted = MixedST({(w, s): inst.mixed.sections[w]
+                      for w in space.outcomes for s in range(n)})
+    for mu in (inst.mixed, inst.mixed2, lifted):
+        mass, cdf = mu.mass_rows(n), mu.cdf_rows(n)
+        assert set(mass) == set(cdf) == set(mu.sections)
+        for w, section in mu.sections.items():
+            assert mass[w] == tuple(section.mass_of_index(j) for j in range(n))
+            assert cdf[w] == tuple(section.cdf(j) for j in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_prefix_table_matches_sub_measure(seed):
+    inst, _ = make_instance(seed)
+    space = inst.space
+    for delta in (inst.distribution, delta_of_mixed(space, inst.mixed2)):
+        table = prefix_sums(space, delta)
+        assert set(table) == set(space.outcomes)
+        for j in range(space.n_times):
+            sub = sub_measure(space, delta, j)
+            assert {w: row[j] for w, row in table.items()} == sub.mass
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_randomized_of_distribution_matches_rn_derivative(seed):
+    inst, _ = make_instance(seed)
+    space = inst.space
+    for delta in (inst.distribution, delta_of_mixed(space, inst.mixed2)):
+        rho = randomized_of_distribution(space, delta)
+        for j in range(space.n_times):
+            dens = rn_derivative(space, delta, j)
+            for w in space.outcomes:
+                assert rho.paths[w][j] == dens[w]

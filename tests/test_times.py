@@ -35,6 +35,24 @@ def test_step_function_value_and_masses():
     assert s.cdf(2) == 1
 
 
+def test_step_function_rows_in_one_pass():
+    s = RStepFunction((F(0), F(1, 4), H, F(1)), (2, -1, 0))
+    # the value -1 is off the grid: no mass row entry, but inside every cdf
+    assert s.mass_row(3) == (H, F(0), F(1, 4))
+    assert s.cdf_row(3) == (F(3, 4), F(3, 4), F(1))
+    assert s.cdf_row(3) == tuple(s.cdf(j) for j in range(3))
+    assert s.mass_row(2) == (H, F(0))
+
+
+def test_mixed_rows_shared_sections():
+    shared = RStepFunction((F(0), H, F(1)), (0, 1))
+    mu = MixedST({"a": shared, "b": shared,
+                  "c": RStepFunction.constant(1)})
+    assert mu.mass_rows(2) == {"a": (H, H), "b": (H, H), "c": (F(0), F(1))}
+    assert mu.cdf_rows(2) == {"a": (H, F(1)), "b": (H, F(1)),
+                              "c": (F(0), F(1))}
+
+
 def test_canonical_merges_equal_neighbours():
     s = RStepFunction((F(0), F(1, 4), H, F(1)), (1, 1, 0))
     c = s.canonical()
@@ -60,6 +78,25 @@ def test_pure_invalid_on_coarse_block(coin_space_coarse):
 
 def test_pure_index_out_of_range(coin_space):
     assert validate_pure(coin_space, PureST({"w1": 0, "w2": 7}))
+
+
+def test_extra_outcome_rejected_by_every_validator(coin_space, coin_mixed,
+                                                   coin_randomized, coin_delta):
+    def extra(table, row):
+        return {**table, "zz": row}
+
+    reports = (
+        validate_pure(coin_space, PureST({"w1": 0, "w2": 1, "zz": 0})),
+        validate_mixed(coin_space, MixedST(extra(
+            coin_mixed.sections, RStepFunction.constant(0)))),
+        validate_randomized(coin_space, RandomizedST(extra(
+            coin_randomized.paths, (F(1), F(1))))),
+        validate_distribution(coin_space, DistributionST(extra(
+            coin_delta.mass, (F(0), F(0))))),
+    )
+    for report in reports:
+        assert [v.code for v in report] == ["ExtraOutcome"]
+        assert "'zz'" in report[0].detail
 
 
 # ---------------------------------------------------------------------------
