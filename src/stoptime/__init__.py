@@ -11,8 +11,9 @@ from .space import (AdaptedProcess, FilteredSpace, IncompatibleSpaces,
                     SpaceError, SubMeasure, Violation, atom_of, build_space,
                     check_space, validate_adapted)
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
-                    RandomizedST, embed_pure, prefix_sums, rn_derivative,
-                    sub_measure, validate_distribution, validate_mixed,
+                    RandomizedST, densities, embed_pure, fraction_dot,
+                    over_common, prefix_sums, rn_derivative, sub_measure,
+                    validate_distribution, validate_mixed,
                     validate_mixed_product, validate_mixed_sections,
                     validate_pure, validate_randomized)
 from .convert import (cdf_of_mixed, delta_of_mixed, delta_of_randomized,

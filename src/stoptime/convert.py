@@ -8,32 +8,33 @@ as a redundant cross-check whenever it applies.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .space import FilteredSpace, IncompatibleSpaces
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
-                    RandomizedST, ZERO, embed_pure, prefix_sums)
+                    RandomizedST, ZERO, densities, embed_pure, over_common)
 
 
 def delta_of_mixed(space: FilteredSpace, mu: MixedST) -> DistributionST:
     """Push the product of P and Lebesgue measure forward through mu."""
-    rows = mu.mass_rows(space.n_times)
-    return DistributionST({w: tuple(space.prob(w) * m for m in rows[w])
-                           for w in space.outcomes})
+    rows = mu.mass_numerators(space.n_times)
+    mass = {}
+    for w, p in zip(space.outcomes, space.probs):
+        _, row, d = rows[w]
+        num, den = p.numerator, p.denominator * d
+        mass[w] = tuple(Fraction(num * n, den) for n in row)
+    return DistributionST(mass)
 
 
 def delta_of_randomized(space: FilteredSpace, rho: RandomizedST) -> DistributionST:
     """Joint mass from a cumulative path; the jump at time 0 is included."""
     mass = {}
-    for w in space.outcomes:
-        row = rho.paths[w]
-        p = space.prob(w)
-        prev = ZERO
-        out = []
-        for x in row:
-            out.append(p * (x - prev))
-            prev = x
-        mass[w] = tuple(out)
+    for w, p in zip(space.outcomes, space.probs):
+        nums, d = over_common(rho.paths[w])
+        num, den = p.numerator, p.denominator * d
+        mass[w] = tuple(Fraction(num * (x - prev), den)
+                        for prev, x in zip((0,) + nums, nums))
     return DistributionST(mass)
 
 
@@ -42,11 +43,9 @@ def randomized_of_distribution(space: FilteredSpace,
     """Cumulative conditional densities: the unique equivalent randomized time.
 
     Path entry j of outcome w is rn_derivative(space, delta, j)[w], read off
-    the one-pass prefix_sums table divided by P(w).
+    the one-pass densities table.
     """
-    prefix = prefix_sums(space, delta)
-    return RandomizedST({w: tuple(c / space.prob(w) for c in prefix[w])
-                         for w in space.outcomes})
+    return RandomizedST(densities(space, delta))
 
 
 def mixed_of_randomized(space: FilteredSpace, rho: RandomizedST) -> MixedST:
@@ -59,13 +58,16 @@ def mixed_of_randomized(space: FilteredSpace, rho: RandomizedST) -> MixedST:
     sections = {}
     for w in space.outcomes:
         row = rho.paths[w]
+        nums, _ = over_common(row)
         breaks = [ZERO]
         values = []
-        for v in sorted(set(row)):
-            if v > breaks[-1]:
-                breaks.append(v)
-                # smallest index whose path value covers this interval
-                values.append(next(j for j, x in enumerate(row) if x >= v))
+        for v in sorted(set(nums)):
+            if v > 0:
+                # smallest index whose path value covers this interval; its
+                # path value is v itself
+                j = bisect_left(nums, v)
+                breaks.append(row[j])
+                values.append(j)
         sections[w] = RStepFunction(tuple(breaks), tuple(values)).canonical()
     return MixedST(sections)
 

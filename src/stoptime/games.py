@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 
 from .space import AdaptedProcess, FilteredSpace
-from .times import (DistributionST, MixedST, PureST, RandomizedST, ZERO,
-                    validate_distribution)
+from .times import (DistributionST, MixedST, PureST, RandomizedST,
+                    fraction_dot, validate_distribution)
 from .problems import StoppingProblem, payoff
 
 
@@ -76,17 +77,7 @@ def _first_stopper_reward(xp, yp, zp, my_index, opp_index, w):
 
 def lift(game: StoppingGame, delta2: DistributionST) -> LiftedProblem:
     """The stopping problem Player 1 faces when Player 2 stops per delta2."""
-    bad = validate_distribution(game.space, delta2)
-    if bad:
-        raise ValueError(f"opponent stop mass invalid: {bad[0]}")
-    atoms, space = _lifted_space(game, delta2)
-    values = {}
-    for (w, s) in space.outcomes:
-        values[(w, s)] = tuple(
-            _first_stopper_reward(game.x, game.y, game.z, j, s, w)
-            for j in range(game.space.n_times))
-    problem = StoppingProblem(space, AdaptedProcess(values))
-    return LiftedProblem(game, delta2, atoms, space, problem)
+    return _lift(game, delta2, game.x, game.y)
 
 
 def lift_player2(game: StoppingGame, delta1: DistributionST) -> LiftedProblem:
@@ -94,17 +85,24 @@ def lift_player2(game: StoppingGame, delta1: DistributionST) -> LiftedProblem:
 
     X and Y swap roles because the lifted coordinate is now Player 1's stop.
     """
-    bad = validate_distribution(game.space, delta1)
+    return _lift(game, delta1, game.y, game.x)
+
+
+def _lift(game: StoppingGame, delta: DistributionST, first: AdaptedProcess,
+          second: AdaptedProcess) -> LiftedProblem:
+    """Lift against the opponent mass delta; first is paid when the lifted
+    player stops strictly first, second when the opponent does."""
+    bad = validate_distribution(game.space, delta)
     if bad:
         raise ValueError(f"opponent stop mass invalid: {bad[0]}")
-    atoms, space = _lifted_space(game, delta1)
+    atoms, space = _lifted_space(game, delta)
     values = {}
     for (w, s) in space.outcomes:
         values[(w, s)] = tuple(
-            _first_stopper_reward(game.y, game.x, game.z, j, s, w)
+            _first_stopper_reward(first, second, game.z, j, s, w)
             for j in range(game.space.n_times))
     problem = StoppingProblem(space, AdaptedProcess(values))
-    return LiftedProblem(game, delta1, atoms, space, problem)
+    return LiftedProblem(game, delta, atoms, space, problem)
 
 
 def lift_pure(sigma: PureST, lifted_space: FilteredSpace) -> PureST:
@@ -129,10 +127,9 @@ def lift_distribution(delta: DistributionST, base: FilteredSpace,
     """Reweight the conditional stop law of each base outcome by the
     lifted atom masses."""
     mass = {}
-    for (w, s) in lifted_space.outcomes:
-        p = lifted_space.prob((w, s))
-        pw = base.prob(w)
-        mass[(w, s)] = tuple(p * m / pw for m in delta.mass[w])
+    for (w, s), p in zip(lifted_space.outcomes, lifted_space.probs):
+        scale = p / base.prob(w)
+        mass[(w, s)] = tuple(scale * m for m in delta.mass[w])
     return DistributionST(mass)
 
 
@@ -165,21 +162,32 @@ def game_payoff_player2_view(game: StoppingGame, delta1: DistributionST,
 
 def game_payoff_symmetric(game: StoppingGame, mu1: MixedST,
                           mu2: MixedST) -> Fraction:
-    """Direct triple expectation over (outcome, r1, r2) for two mixed times."""
+    """Direct triple expectation over (outcome, r1, r2) for two mixed times.
+
+    Per outcome the section masses are the integers n1, n2 of
+    mass_numerators over denominators d1, d2.  The index pair (j1, j2)
+    weighs n1[j1] * n2[j2] / (d1 * d2) and pays X(j1) if j1 < j2, Y(j2) if
+    j1 > j2 and Z(j1) on a tie, so each reward entry collects one integer
+    weight built from running sums of n1 and n2.
+    """
     space = game.space
-    rows1 = mu1.mass_rows(space.n_times)
-    rows2 = mu2.mass_rows(space.n_times)
-    total = ZERO
-    for w in space.outcomes:
-        p1, p2 = rows1[w], rows2[w]
-        inner = ZERO
-        for j1, q1 in enumerate(p1):
-            if q1 == 0:
-                continue
-            for j2, q2 in enumerate(p2):
-                if q2 == 0:
-                    continue
-                inner += q1 * q2 * _first_stopper_reward(
-                    game.x, game.y, game.z, j1, j2, w)
-        total += space.prob(w) * inner
-    return total
+    rows1 = mu1.mass_numerators(space.n_times)
+    rows2 = mu2.mass_numerators(space.n_times)
+    scales, inner = [], []
+    for w, p in zip(space.outcomes, space.probs):
+        _, n1, d1 = rows1[w]
+        _, n2, d2 = rows2[w]
+        after2 = _mass_after(n2)  # Player 2 stops strictly later than j
+        after1 = _mass_after(n1)  # Player 1 stops strictly later than j
+        weights = ([a * b for a, b in zip(n1, after2)]
+                   + [a * b for a, b in zip(n2, after1)]
+                   + [a * b for a, b in zip(n1, n2)])
+        rewards = chain(game.x.values[w], game.y.values[w], game.z.values[w])
+        scales.append(p / (d1 * d2))
+        inner.append(fraction_dot(weights, rewards))
+    return fraction_dot(scales, inner)
+
+
+def _mass_after(row) -> list:
+    """Entry j: the sum of row[j + 1:]."""
+    return list(accumulate(reversed(row), initial=0))[-2::-1]

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .space import AdaptedProcess, FilteredSpace
-from .times import (DistributionST, MixedST, PureST, RandomizedST, ZERO)
+from .times import (DistributionST, MixedST, PureST, RandomizedST,
+                    fraction_dot, over_common)
 
 
 @dataclass(frozen=True)
@@ -28,39 +29,44 @@ class StoppingProblem:
 
 def payoff_pure(problem: StoppingProblem, sigma: PureST) -> Fraction:
     space, R = problem.space, problem.reward
-    return sum((space.prob(w) * R.at(w, sigma.stop_index[w])
-                for w in space.outcomes), ZERO)
+    return fraction_dot(space.probs, (R.at(w, sigma.stop_index[w])
+                                      for w in space.outcomes))
 
 
 def payoff_mixed(problem: StoppingProblem, mu: MixedST) -> Fraction:
+    """Sum over outcomes of P(w) / d times the integer interval lengths
+    (over the section's common denominator d) against the rewards."""
     space, R = problem.space, problem.reward
-    total = ZERO
-    for w in space.outcomes:
+    scales, inner = [], []
+    for w, p in zip(space.outcomes, space.probs):
         s = mu.sections[w]
-        inner = sum(((s.breaks[i + 1] - s.breaks[i]) * R.at(w, v)
-                     for i, v in enumerate(s.values)), ZERO)
-        total += space.prob(w) * inner
-    return total
+        nums, d = over_common(s.breaks)
+        row = R.values[w]
+        scales.append(p / d)
+        inner.append(fraction_dot((b - a for a, b in zip(nums, nums[1:])),
+                                  (row[v] for v in s.values)))
+    return fraction_dot(scales, inner)
 
 
 def payoff_randomized(problem: StoppingProblem, rho: RandomizedST) -> Fraction:
-    """Stieltjes sum against the path increments; the jump at time 0 counts."""
+    """Stieltjes sum against the path increments; the jump at time 0 counts.
+
+    The increments are integers over the path's common denominator d."""
     space, R = problem.space, problem.reward
-    total = ZERO
-    for w in space.outcomes:
-        prev = ZERO
-        inner = ZERO
-        for j, x in enumerate(rho.paths[w]):
-            inner += R.at(w, j) * (x - prev)
-            prev = x
-        total += space.prob(w) * inner
-    return total
+    scales, inner = [], []
+    for w, p in zip(space.outcomes, space.probs):
+        nums, d = over_common(rho.paths[w])
+        increments = (x - prev for prev, x in zip((0,) + nums, nums))
+        scales.append(p / d)
+        inner.append(fraction_dot(increments, R.values[w]))
+    return fraction_dot(scales, inner)
 
 
 def payoff_distribution(problem: StoppingProblem, delta: DistributionST) -> Fraction:
     space, R = problem.space, problem.reward
-    return sum((delta.mass[w][j] * R.at(w, j)
-                for w in space.outcomes for j in range(space.n_times)), ZERO)
+    return fraction_dot(
+        (m for w in space.outcomes for m in delta.mass[w]),
+        (r for w in space.outcomes for r in R.values[w]))
 
 
 def payoff(problem: StoppingProblem, eta) -> Fraction:

@@ -1,4 +1,9 @@
-"""JSON serialization: rationals travel as "p/q" or integer strings."""
+"""JSON serialization: rationals travel as "p/q" or integer strings.
+
+Loaders check every document's types before building anything: tables
+are objects, rows are lists, outcome labels are strings, and stop
+indices and section values are integers; a mismatch raises InputError.
+"""
 
 from __future__ import annotations
 
@@ -31,6 +36,34 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer"}
+
+
+def _expect(x, kind: type, what: str):
+    """x itself if its JSON type is kind (dict, list, str or int)."""
+    if not isinstance(x, kind) or isinstance(x, bool):
+        raise InputError(
+            f"{what} must be {_TYPE_NAMES[kind]}, not {type(x).__name__}")
+    return x
+
+
+def _list(doc: dict, key: str) -> list:
+    return _expect(_require(doc, key), list, repr(key))
+
+
+def _table(doc: dict, key: str) -> dict:
+    return _expect(_require(doc, key), dict, repr(key))
+
+
+def _row(row, what: str) -> tuple:
+    return tuple(parse_fraction(x) for x in _expect(row, list, what))
+
+
+def _label(w) -> str:
+    return _expect(w, str, "outcome label")
+
+
 def space_to_dict(space: FilteredSpace) -> dict:
     return {
         "grid": [format_fraction(t) for t in space.grid],
@@ -43,11 +76,12 @@ def space_to_dict(space: FilteredSpace) -> dict:
 
 def space_from_dict(doc: dict) -> FilteredSpace:
     return build_space(
-        outcomes=list(_require(doc, "outcomes")),
-        probs=[parse_fraction(p) for p in _require(doc, "probs")],
-        grid=[parse_fraction(t) for t in _require(doc, "grid")],
-        partitions=[[frozenset(b) for b in part]
-                    for part in _require(doc, "partitions")],
+        outcomes=[_label(w) for w in _list(doc, "outcomes")],
+        probs=[parse_fraction(p) for p in _list(doc, "probs")],
+        grid=[parse_fraction(t) for t in _list(doc, "grid")],
+        partitions=[[frozenset(_label(w) for w in _expect(b, list, "block"))
+                     for b in _expect(part, list, "partition")]
+                    for part in _list(doc, "partitions")],
     )
 
 
@@ -57,9 +91,8 @@ def process_to_dict(process: AdaptedProcess) -> dict:
 
 
 def process_from_dict(doc: dict) -> AdaptedProcess:
-    values = _require(doc, "values")
-    return AdaptedProcess({w: tuple(parse_fraction(x) for x in row)
-                           for w, row in values.items()})
+    return AdaptedProcess({w: _row(row, f"values row of {w!r}")
+                           for w, row in _table(doc, "values").items()})
 
 
 def stopping_time_to_dict(eta) -> dict:
@@ -84,32 +117,38 @@ def stopping_time_to_dict(eta) -> dict:
 def stopping_time_from_dict(doc: dict):
     kind = _require(doc, "kind")
     if kind == "pure":
-        return PureST({w: int(j) for w, j in _require(doc, "stop_index").items()})
+        return PureST({w: _expect(j, int, f"stop index of {w!r}")
+                       for w, j in _table(doc, "stop_index").items()})
     if kind == "mixed":
         sections = {}
-        for w, s in _require(doc, "sections").items():
+        for w, s in _table(doc, "sections").items():
             try:
+                s = _expect(s, dict, "section")
                 sections[w] = RStepFunction(
-                    tuple(parse_fraction(r) for r in _require(s, "breaks")),
-                    tuple(int(v) for v in _require(s, "values")))
+                    _row(_list(s, "breaks"), "breaks"),
+                    tuple(_expect(v, int, "section value")
+                          for v in _list(s, "values")))
             except ValueError as e:
                 raise InputError(f"bad section for {w!r}: {e}") from None
         return MixedST(sections)
     if kind == "randomized":
-        return RandomizedST({w: tuple(parse_fraction(x) for x in row)
-                             for w, row in _require(doc, "paths").items()})
+        return RandomizedST({w: _row(row, f"path of {w!r}")
+                             for w, row in _table(doc, "paths").items()})
     if kind == "distribution":
-        return DistributionST({w: tuple(parse_fraction(x) for x in row)
-                               for w, row in _require(doc, "mass").items()})
+        return DistributionST({w: _row(row, f"mass row of {w!r}")
+                               for w, row in _table(doc, "mass").items()})
     raise InputError(f"unknown stopping-time kind {kind!r}")
 
 
 def load_json(path) -> dict:
+    """The JSON object in the file at path; any other document is an
+    InputError."""
     try:
         with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError, RecursionError) as e:
         raise InputError(f"{path}: {e}") from None
+    return _expect(doc, dict, f"{path}: the document")
 
 
 def dump_json(doc: dict, path) -> None:

@@ -12,15 +12,45 @@ All four kinds live on a FilteredSpace and take values on its grid:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Mapping
 
 from .space import (FilteredSpace, SubMeasure, Violation, _as_fraction)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# exact-arithmetic kernel: int numerators, one normalisation per result
+
+def over_common(row) -> tuple:
+    """(numerators, d): the row as Python ints over one common denominator.
+
+    d is the lcm of the entries' denominators, so row[i] == Fraction(
+    numerators[i], d) for every i; an empty row gives ((), 1).
+    """
+    d = lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (d // x.denominator) for x in row), d
+
+
+def fraction_dot(xs, ys) -> Fraction:
+    """sum(x * y) over paired entries, exactly, as one normalised Fraction.
+
+    Entries may be Fractions or ints.  Integer products are summed per
+    product denominator, and the per-denominator sums meet over their lcm,
+    so the result is normalised once instead of once per + and *.
+    """
+    by_den = {}
+    for x, y in zip(xs, ys, strict=True):
+        d = x.denominator * y.denominator
+        by_den[d] = by_den.get(d, 0) + x.numerator * y.numerator
+    d = lcm(*by_den)
+    return Fraction(sum(n * (d // k) for k, n in by_den.items()), d)
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +104,8 @@ class RStepFunction:
         r = _as_fraction(r)
         if not ZERO <= r <= ONE:
             raise ValueError("r must lie in [0,1]")
-        for i in range(len(self.values)):
-            if r < self.breaks[i + 1]:
-                return self.values[i]
-        return self.values[-1]
+        i = bisect_right(self.breaks, r) - 1
+        return self.values[min(i, len(self.values) - 1)]
 
     def mass_of_index(self, index: int) -> Fraction:
         """Lebesgue measure of {r : value(r) == index}."""
@@ -102,16 +130,27 @@ class RStepFunction:
 
     def mass_row(self, n_times: int) -> tuple:
         """(mass_of_index(0), ..., mass_of_index(n_times - 1)) in one pass."""
-        row = [ZERO] * n_times
-        for i, v in enumerate(self.values):
-            if 0 <= v < n_times:
-                row[v] += self.breaks[i + 1] - self.breaks[i]
-        return tuple(row)
+        _, row, d = self.mass_numerators(n_times)
+        return tuple(Fraction(n, d) for n in row)
 
     def cdf_row(self, n_times: int) -> tuple:
         """(cdf(0), ..., cdf(n_times - 1)): running sums of the mass row."""
-        return tuple(accumulate(self.mass_row(n_times),
-                                initial=self.cdf(-1)))[1:]
+        below, row, d = self.mass_numerators(n_times)
+        return tuple(Fraction(n, d) for n in accumulate(row, initial=below))[1:]
+
+    def mass_numerators(self, n_times: int) -> tuple:
+        """(below, row, d) in ints: the interval lengths over the breaks'
+        common denominator d, summed per grid index into row, so
+        mass_of_index(j) == row[j] / d, and over values < 0 into below."""
+        nums, d = over_common(self.breaks)
+        below = 0
+        row = [0] * n_times
+        for i, v in enumerate(self.values):
+            if v < 0:
+                below += nums[i + 1] - nums[i]
+            elif v < n_times:
+                row[v] += nums[i + 1] - nums[i]
+        return below, row, d
 
     def max_index(self) -> int:
         return max(self.values)
@@ -162,6 +201,10 @@ class MixedST:
     def mass_rows(self, n_times: int) -> dict:
         """Each section's mass_row, computed once per distinct section."""
         return self._rows(RStepFunction.mass_row, n_times)
+
+    def mass_numerators(self, n_times: int) -> dict:
+        """Each section's mass_numerators, computed once per distinct section."""
+        return self._rows(RStepFunction.mass_numerators, n_times)
 
     def cdf_rows(self, n_times: int) -> dict:
         """Each section's cdf_row, computed once per distinct section."""
@@ -279,8 +322,11 @@ def validate_mixed_product(space: FilteredSpace, mu: MixedST) -> list:
             members = sorted(block, key=lambda w: space._order[w])
             ref = mu.sections[members[0]].le_intervals(j)
             for w in members[1:]:
-                d = symmetric_difference_measure(ref, mu.sections[w].le_intervals(j))
-                if d != 0:
+                # le_intervals are maximal, merged, positive-length [a, b)
+                # pairs, so lambda(A symdiff B) = 0 iff the tuples are equal
+                other = mu.sections[w].le_intervals(j)
+                if other != ref:
+                    d = symmetric_difference_measure(ref, other)
                     violations.append(Violation(
                         "NotJointlyMeasurable",
                         f"level {j}, block {sorted(map(str, block))}: "
@@ -327,28 +373,36 @@ def validate_randomized(space: FilteredSpace, rho: RandomizedST) -> list:
 
 def validate_distribution(space: FilteredSpace, delta: DistributionST) -> list:
     """Nonnegative rows with marginal P whose cumulative densities are
-    adapted; every check reads the one-pass prefix_sums table."""
+    adapted; every check reads the integer densities table of
+    _density_terms, compared by cross-multiplication."""
     violations = _shape_violations(space, delta.mass, "mass")
     if violations:
         return violations
-    prefix = prefix_sums(space, delta)
+    terms = _density_terms(space, delta)
     for w in space.outcomes:
-        if any(x < 0 for x in delta.mass[w]):
+        nums, cum, a, b = terms[w]
+        if any(n < 0 for n in nums):
             violations.append(Violation("NegativeMass", f"row of {w!r}"))
-        if prefix[w][-1] != space.prob(w):
+        if cum[-1] * a != b:
+            total = Fraction(cum[-1] * space.prob(w).numerator, b)
             violations.append(Violation(
                 "MarginalMismatch",
-                f"row of {w!r} sums to {prefix[w][-1]}, P = {space.prob(w)}"))
+                f"row of {w!r} sums to {total}, P = {space.prob(w)}"))
     if violations:
         return violations
     for j in range(space.n_times):
         for block in space.partitions[j]:
-            dens = {prefix[w][j] / space.prob(w) for w in block}
-            if len(dens) > 1:
-                violations.append(Violation(
-                    "DensityNotAdapted",
-                    f"level {j}, block {sorted(map(str, block))}: "
-                    "cumulative densities differ"))
+            members = iter(block)
+            _, ref_cum, ref_a, ref_b = terms[next(members)]
+            ref = ref_cum[j] * ref_a
+            for w in members:
+                _, cum, a, b = terms[w]
+                if cum[j] * a * ref_b != ref * b:
+                    violations.append(Violation(
+                        "DensityNotAdapted",
+                        f"level {j}, block {sorted(map(str, block))}: "
+                        "cumulative densities differ"))
+                    break
     return violations
 
 
@@ -366,6 +420,27 @@ def prefix_sums(space: FilteredSpace, delta: DistributionST) -> dict:
     so entry j is delta({w} x [0, t_j])."""
     return {w: tuple(accumulate(delta.mass[w], initial=ZERO))[1:]
             for w in space.outcomes}
+
+
+def _density_terms(space: FilteredSpace, delta: DistributionST) -> dict:
+    """Per outcome (nums, cum, a, b) in ints: the row's numerators over its
+    common denominator d, their running sums, a = P(w).denominator and
+    b = d * P(w).numerator, so the cumulative density at index j is
+    cum[j] * a / b."""
+    out = {}
+    for w, p in zip(space.outcomes, space.probs):
+        nums, d = over_common(delta.mass[w])
+        out[w] = (nums, tuple(accumulate(nums)), p.denominator,
+                  d * p.numerator)
+    return out
+
+
+def densities(space: FilteredSpace, delta: DistributionST) -> dict:
+    """Every rn_derivative at once: per outcome, entry j is
+    delta({w} x [0, t_j]) / P(w), built from integer running sums and
+    normalised once per entry."""
+    return {w: tuple(Fraction(c * a, b) for c in cum)
+            for w, (_, cum, a, b) in _density_terms(space, delta).items()}
 
 
 def sub_measure(space: FilteredSpace, delta: DistributionST,

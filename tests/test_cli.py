@@ -1,6 +1,12 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stoptime import demo
 from stoptime.cli import main
@@ -147,3 +153,100 @@ def test_validate_pure_with_extra_outcome(files, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ExtraOutcome" in out and "'zz'" in out
     assert "valid\n" not in out
+
+
+SPACE_DOC = {"grid": ["0", "1"], "outcomes": ["w1", "w2"],
+             "probs": ["1/2", "1/2"],
+             "partitions": [[["w1", "w2"]], [["w1"], ["w2"]]]}
+
+
+@pytest.mark.parametrize("doc, with_space", [
+    (dict(SPACE_DOC, outcomes=5), False),
+    (dict(SPACE_DOC, outcomes=[["a"], "b"]), False),
+    ({"kind": "pure", "stop_index": {"w1": [1], "w2": 1}}, True),
+    ({"kind": "mixed", "sections": {"w1": 5, "w2": 5}}, True),
+    ({"kind": "randomized", "paths": 7}, True),
+    ({"values": 3}, False),
+    ({"kind": "distribution", "mass": {"w1": "10", "w2": ["0", "1/2"]}}, True),
+], ids=["outcomes-int", "outcomes-list-label", "pure-list-index",
+        "mixed-int-section", "randomized-int-paths", "process-int-values",
+        "mass-string-row"])
+def test_malformed_document_is_an_input_error(doc, with_space, files,
+                                              tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    dump_json(doc, path)
+    argv = ["validate", str(path)]
+    if with_space:
+        argv += ["--space", files["space"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _value_paths(doc, prefix=()):
+    """Every key or index path to a value inside a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _value_paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def _valid_documents():
+    space = demo.coin_space()
+    docs = {"space": space_to_dict(space),
+            "process": {"values": {"w1": ["0", "1"], "w2": ["1/2", "1"]}},
+            "pure": {"kind": "pure", "stop_index": {"w1": 0, "w2": 1}}}
+    for name, eta in (("mixed", demo.coin_mixed()),
+                      ("randomized", demo.coin_randomized()),
+                      ("distribution", demo.coin_uniform_delta())):
+        docs[name] = stopping_time_to_dict(eta)
+    return docs
+
+
+VALID_DOCS = _valid_documents()
+JSON_VALUES = st.one_of(
+    st.integers(-3, 3), st.text(max_size=4),
+    st.lists(st.integers(-1, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["w1", "w2", "x"]), st.integers(0, 2),
+                    max_size=2),
+    st.none())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(VALID_DOCS)), st.data(), JSON_VALUES)
+def test_validate_exit_code_on_retyped_documents(name, data, value):
+    """Swap one value of a valid document for another JSON type: validate
+    answers 0, 1 or 2 and raises nothing."""
+    paths = list(_value_paths(VALID_DOCS[name]))
+    path = data.draw(st.sampled_from(paths))
+    broken = _replaced(VALID_DOCS[name], path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        space = os.path.join(tmp, "space.json")
+        doc = os.path.join(tmp, "doc.json")
+        dump_json(broken if name == "space" else VALID_DOCS["space"], space)
+        dump_json(broken if name != "space" else VALID_DOCS["mixed"], doc)
+        runs = [["validate", doc, "--space", space]]
+        if name == "space":
+            runs.append(["validate", space])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes = [main(argv) for argv in runs]
+    assert set(codes) <= {0, 1, 2}
+    assert "Traceback" not in err.getvalue()

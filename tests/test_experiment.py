@@ -1,3 +1,4 @@
+import hashlib
 import types
 from fractions import Fraction
 
@@ -122,3 +123,16 @@ def test_check_instance_prefix_work_is_linear(monkeypatch):
     rows = check_instance(config, index)
     assert all(r.status == "pass" for r in rows)
     assert 0 < len(calls) <= 2 * inst.space.n_times
+
+
+# SHA-256 of the seed-7 report below, recorded before the exact core moved
+# to integer numerators; any change to a row, witness or ordering shows here.
+GOLDEN_SEED_7_SHA256 = (
+    "36bf70edbd996f812c83fa2f7862b8a8e1ca77d5e05a83ae1fcb3919196355a1")
+
+
+def test_golden_csv_seed_7():
+    report = run_experiment(ExperimentConfig(seed=7, n_instances=60,
+                                             n_samples=1000, tv_tolerance=1.0))
+    digest = hashlib.sha256(report.to_csv().encode()).hexdigest()
+    assert digest == GOLDEN_SEED_7_SHA256

@@ -1,0 +1,234 @@
+"""The integer-numerator kernel against the plain Fraction definitions it
+replaces, on hand-picked and fuzzed inputs."""
+
+from fractions import Fraction
+from math import lcm
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from stoptime import (DistributionST, MixedST, RStepFunction, RandomizedST,
+                      densities, fraction_dot, fuzz, mixed_of_randomized,
+                      over_common, rn_derivative, validate_distribution,
+                      validate_mixed_product)
+from stoptime.space import Violation
+from stoptime.times import ZERO, symmetric_difference_measure
+
+seeds = st.integers(min_value=0, max_value=2**63 - 1)
+bounds = st.sampled_from([fuzz.FuzzBounds(),
+                          fuzz.FuzzBounds(max_outcomes=16, max_grid_points=8,
+                                          max_breaks=16, max_denominator=97)])
+
+# large primes, so denominators are pairwise coprime and the lcm is big
+PRIMES = (1_000_003, 998_244_353, 2**61 - 1, 2**89 - 1, 10**18 + 9)
+exact = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=1000),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.sampled_from(PRIMES)))
+
+
+def make_instance(seed, fuzz_bounds):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return fuzz.random_instance(rng, fuzz_bounds), rng
+
+
+# ---------------------------------------------------------------------------
+# fraction_dot and over_common
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(exact, exact), max_size=40))
+def test_fraction_dot_matches_fraction_sum(pairs):
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    got = fraction_dot(xs, ys)
+    assert type(got) is Fraction
+    assert got == sum((x * y for x, y in pairs), Fraction(0))
+
+
+def test_fraction_dot_edge_cases():
+    assert fraction_dot([], []) == 0
+    assert fraction_dot(iter(()), iter(())) == 0
+    assert fraction_dot([2, -3], [5, 7]) == -11
+    big = [Fraction(1, p) for p in PRIMES]
+    assert fraction_dot(big, [1] * len(big)) == sum(big, Fraction(0))
+    assert fraction_dot([Fraction(1, 3), Fraction(-1, 3)], [1, 1]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(exact, max_size=40))
+def test_over_common_round_trips(row):
+    nums, d = over_common(row)
+    assert all(type(n) is int for n in nums) and type(d) is int
+    assert d == lcm(*(Fraction(x).denominator for x in row))
+    assert tuple(Fraction(n, d) for n in nums) == tuple(row)
+
+
+def test_over_common_empty_row():
+    assert over_common(()) == ((), 1)
+
+
+# ---------------------------------------------------------------------------
+# step functions: bisect lookup and integer rows
+
+def linear_value_at(s: RStepFunction, r) -> int:
+    """The seed's value_at: first interval whose right end exceeds r."""
+    for i in range(len(s.values)):
+        if r < s.breaks[i + 1]:
+            return s.values[i]
+    return s.values[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, bounds, st.lists(st.fractions(0, 1, max_denominator=200),
+                               max_size=10))
+def test_value_at_matches_linear_definition(seed, fuzz_bounds, points):
+    inst, _ = make_instance(seed, fuzz_bounds)
+    for s in list(inst.mixed.sections.values()) + [RStepFunction.constant(3)]:
+        # every break, r = 0, r = 1 and points strictly inside
+        for r in set(s.breaks) | set(points) | {ZERO, Fraction(1)}:
+            assert s.value_at(r) == linear_value_at(s, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, bounds)
+def test_mass_numerators_match_mass_row(seed, fuzz_bounds):
+    inst, _ = make_instance(seed, fuzz_bounds)
+    n = inst.space.n_times
+    for s in inst.mixed2.sections.values():
+        below, row, d = s.mass_numerators(n)
+        assert tuple(Fraction(x, d) for x in row) == s.mass_row(n)
+        assert Fraction(below, d) == s.cdf(-1)
+    shifted = RStepFunction.make([0, Fraction(1, 3), 1], [-1, 1])
+    assert shifted.mass_numerators(2) == (1, [0, 2], 3)
+    assert shifted.cdf_row(2) == (Fraction(1, 3), 1)
+
+
+# ---------------------------------------------------------------------------
+# conversions: bisect inverse and the densities table
+
+def linear_mixed_of_randomized(space, rho: RandomizedST) -> MixedST:
+    """The seed's mixed_of_randomized, with its linear next(...) search."""
+    sections = {}
+    for w in space.outcomes:
+        row = rho.paths[w]
+        breaks = [ZERO]
+        values = []
+        for v in sorted(set(row)):
+            if v > breaks[-1]:
+                breaks.append(v)
+                values.append(next(j for j, x in enumerate(row) if x >= v))
+        sections[w] = RStepFunction(tuple(breaks), tuple(values)).canonical()
+    return MixedST(sections)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, bounds)
+def test_mixed_of_randomized_matches_linear_definition(seed, fuzz_bounds):
+    inst, _ = make_instance(seed, fuzz_bounds)
+    for rho in (inst.randomized, inst.randomized2):
+        assert (mixed_of_randomized(inst.space, rho)
+                == linear_mixed_of_randomized(inst.space, rho))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, bounds)
+def test_densities_match_rn_derivative(seed, fuzz_bounds):
+    inst, _ = make_instance(seed, fuzz_bounds)
+    space = inst.space
+    table = densities(space, inst.distribution)
+    for j in range(space.n_times):
+        dens = rn_derivative(space, inst.distribution, j)
+        assert {w: row[j] for w, row in table.items()} == dens
+
+
+# ---------------------------------------------------------------------------
+# validators: integer and tuple comparisons against the Fraction definitions
+
+def naive_validate_distribution(space, delta) -> list:
+    """The seed's distribution validator on Fraction prefix sums (shape
+    checks omitted: the inputs below are well shaped)."""
+    violations = []
+    prefix = {w: [sum(delta.mass[w][: j + 1], ZERO)
+                  for j in range(space.n_times)] for w in space.outcomes}
+    for w in space.outcomes:
+        if any(x < 0 for x in delta.mass[w]):
+            violations.append(Violation("NegativeMass", f"row of {w!r}"))
+        if prefix[w][-1] != space.prob(w):
+            violations.append(Violation(
+                "MarginalMismatch",
+                f"row of {w!r} sums to {prefix[w][-1]}, P = {space.prob(w)}"))
+    if violations:
+        return violations
+    for j in range(space.n_times):
+        for block in space.partitions[j]:
+            if len({prefix[w][j] / space.prob(w) for w in block}) > 1:
+                violations.append(Violation(
+                    "DensityNotAdapted",
+                    f"level {j}, block {sorted(map(str, block))}: "
+                    "cumulative densities differ"))
+    return violations
+
+
+def _broken_masses(space, delta, rng) -> list:
+    """The valid mass plus three corruptions: mass moved in time (breaks
+    adaptedness when the outcome shares a block), a negative entry with the
+    marginal kept, and a marginal off by a tiny amount."""
+    w = space.outcomes[int(rng.integers(len(space.outcomes)))]
+    row = list(delta.mass[w])
+    out = [delta]
+    if len(row) >= 2:
+        moved = [ZERO] * (len(row) - 1) + [sum(row, ZERO)]
+        negative = [row[0] - 1, row[1] + 1] + row[2:]
+        out += [DistributionST({**delta.mass, w: tuple(moved)}),
+                DistributionST({**delta.mass, w: tuple(negative)})]
+    off = row[:-1] + [row[-1] + Fraction(1, 10**12)]
+    out.append(DistributionST({**delta.mass, w: tuple(off)}))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, bounds)
+def test_validate_distribution_matches_fraction_definition(seed, fuzz_bounds):
+    inst, rng = make_instance(seed, fuzz_bounds)
+    for delta in _broken_masses(inst.space, inst.distribution, rng):
+        assert (validate_distribution(inst.space, delta)
+                == naive_validate_distribution(inst.space, delta))
+
+
+def measure_validate_mixed_product(space, mu) -> list:
+    """The seed's product validator: the measure of the symmetric
+    difference, not the interval tuples, decides (range checks omitted)."""
+    violations = []
+    for j in range(space.n_times):
+        for block in space.partitions[j]:
+            members = sorted(block, key=lambda w: space._order[w])
+            ref = mu.sections[members[0]].le_intervals(j)
+            for w in members[1:]:
+                d = symmetric_difference_measure(
+                    ref, mu.sections[w].le_intervals(j))
+                if d != 0:
+                    violations.append(Violation(
+                        "NotJointlyMeasurable",
+                        f"level {j}, block {sorted(map(str, block))}: "
+                        f"sections differ on measure {d}"))
+                    break
+    return violations
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, bounds)
+def test_product_validator_tuple_test_matches_measure(seed, fuzz_bounds):
+    inst, _ = make_instance(seed, fuzz_bounds)
+    space = inst.space
+    family = [inst.mixed, inst.mixed2]
+    mutated = fuzz.corrupt_mixed(space, inst.mixed)
+    if mutated is not None:
+        family.append(mutated)
+    for mu in family:
+        assert (validate_mixed_product(space, mu)
+                == measure_validate_mixed_product(space, mu))
+        for j in range(space.n_times):
+            sets = [s.le_intervals(j) for s in mu.sections.values()]
+            for a in sets[:4]:
+                for b in sets:
+                    assert (a != b) == (symmetric_difference_measure(a, b) != 0)

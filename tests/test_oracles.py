@@ -1,0 +1,141 @@
+"""Independent oracles: the plain Fraction formulas for the payoffs and the
+symmetric game value, written out here so that the library's integer
+routes are compared with code they share nothing with."""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from stoptime import (StoppingGame, StoppingProblem, delta_of_mixed, experiment,
+                      fuzz, game_payoff_symmetric, lift, lift_stopping_time,
+                      payoff_distribution, payoff_mixed, payoff_pure,
+                      payoff_randomized, problems)
+from stoptime.experiment import ExperimentConfig, check_instance
+
+ZERO = Fraction(0)
+seeds = st.integers(min_value=0, max_value=2**63 - 1)
+bounds = st.sampled_from([fuzz.FuzzBounds(),
+                          fuzz.FuzzBounds(max_outcomes=16, max_grid_points=8,
+                                          max_breaks=16, max_denominator=97)])
+
+
+def oracle_pure(problem, sigma):
+    space, R = problem.space, problem.reward
+    return sum((space.prob(w) * R.at(w, sigma.stop_index[w])
+                for w in space.outcomes), ZERO)
+
+
+def oracle_mixed(problem, mu):
+    space, R = problem.space, problem.reward
+    total = ZERO
+    for w in space.outcomes:
+        s = mu.sections[w]
+        inner = sum(((s.breaks[i + 1] - s.breaks[i]) * R.at(w, v)
+                     for i, v in enumerate(s.values)), ZERO)
+        total += space.prob(w) * inner
+    return total
+
+
+def oracle_randomized(problem, rho):
+    space, R = problem.space, problem.reward
+    total = ZERO
+    for w in space.outcomes:
+        prev = ZERO
+        inner = ZERO
+        for j, x in enumerate(rho.paths[w]):
+            inner += R.at(w, j) * (x - prev)
+            prev = x
+        total += space.prob(w) * inner
+    return total
+
+
+def oracle_distribution(problem, delta):
+    space, R = problem.space, problem.reward
+    return sum((delta.mass[w][j] * R.at(w, j)
+                for w in space.outcomes for j in range(space.n_times)), ZERO)
+
+
+def oracle_symmetric(game, mu1, mu2):
+    """Triple expectation over (outcome, r1, r2) from per-index masses."""
+    space = game.space
+    total = ZERO
+    for w in space.outcomes:
+        s1, s2 = mu1.sections[w], mu2.sections[w]
+        inner = ZERO
+        for j1 in range(space.n_times):
+            q1 = s1.mass_of_index(j1)
+            for j2 in range(space.n_times):
+                q2 = s2.mass_of_index(j2)
+                if j1 < j2:
+                    r = game.x.at(w, j1)
+                elif j1 > j2:
+                    r = game.y.at(w, j2)
+                else:
+                    r = game.z.at(w, j1)
+                inner += q1 * q2 * r
+        total += space.prob(w) * inner
+    return total
+
+
+def make_instance(seed, fuzz_bounds):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return fuzz.random_instance(rng, fuzz_bounds)
+
+
+def assert_payoffs_match_oracles(problem, pure, mixed, randomized, delta):
+    assert payoff_pure(problem, pure) == oracle_pure(problem, pure)
+    assert payoff_mixed(problem, mixed) == oracle_mixed(problem, mixed)
+    assert (payoff_randomized(problem, randomized)
+            == oracle_randomized(problem, randomized))
+    assert (payoff_distribution(problem, delta)
+            == oracle_distribution(problem, delta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, bounds)
+def test_payoffs_match_fraction_oracles(seed, fuzz_bounds):
+    inst = make_instance(seed, fuzz_bounds)
+    problem = StoppingProblem(inst.space, inst.reward)
+    assert_payoffs_match_oracles(problem, inst.pure, inst.mixed,
+                                 inst.randomized, inst.distribution)
+    # the second family is not equivalent to the first: other values
+    assert (payoff_randomized(problem, inst.randomized2)
+            == oracle_randomized(problem, inst.randomized2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, bounds)
+def test_lifted_payoffs_match_fraction_oracles(seed, fuzz_bounds):
+    inst = make_instance(seed, fuzz_bounds)
+    game = StoppingGame(inst.space, inst.x, inst.y, inst.z)
+    lifted = lift(game, delta_of_mixed(inst.space, inst.mixed2))
+    lifted_times = [lift_stopping_time(eta, inst.space, lifted.space)
+                    for eta in (inst.pure, inst.mixed, inst.randomized,
+                                inst.distribution)]
+    assert_payoffs_match_oracles(lifted.problem, *lifted_times)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, bounds)
+def test_symmetric_game_matches_fraction_oracle(seed, fuzz_bounds):
+    inst = make_instance(seed, fuzz_bounds)
+    game = StoppingGame(inst.space, inst.x, inst.y, inst.z)
+    for mu1, mu2 in ((inst.mixed, inst.mixed2), (inst.mixed2, inst.mixed),
+                     (inst.mixed, inst.mixed)):
+        assert (game_payoff_symmetric(game, mu1, mu2)
+                == oracle_symmetric(game, mu1, mu2))
+
+
+def test_payoff_invariance_fails_on_planted_defect(monkeypatch):
+    config = ExperimentConfig(seed=5)
+    rows = check_instance(config, 0)
+    assert next(r.status for r in rows
+                if r.check == "payoff_invariance") == "pass"
+    exact = problems.payoff_randomized
+    monkeypatch.setattr(experiment.problems, "payoff_randomized",
+                        lambda problem, rho: exact(problem, rho)
+                        + Fraction(1, 10**9))
+    rows = check_instance(config, 0)
+    assert next(r.status for r in rows
+                if r.check == "payoff_invariance") == "fail"
