@@ -12,7 +12,7 @@ from .space import (AdaptedProcess, FilteredSpace, IncompatibleSpaces,
                     check_space, validate_adapted)
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
                     RandomizedST, densities, embed_pure, fraction_dot,
-                    over_common, prefix_sums, rn_derivative, sub_measure,
+                    over_common, rn_derivative, sub_measure, validate,
                     validate_distribution, validate_mixed,
                     validate_mixed_product, validate_mixed_sections,
                     validate_pure, validate_randomized)
@@ -24,7 +24,7 @@ from .problems import (StoppingProblem, payoff, payoff_distribution,
                        payoff_mixed, payoff_pure, payoff_randomized)
 from .games import (LiftedProblem, StoppingGame, game_payoff_player2_view,
                     game_payoff_symmetric, game_payoff_via_lift, lift,
-                    lift_mixed, lift_randomized, lift_stopping_time)
+                    lift_distribution, lift_mixed, lift_randomized)
 from .sampling import (EmptySamples, SampleRecord, empirical_delta,
                        sample_many, sample_stop)
 from .experiment import ExperimentConfig, ExperimentReport, run_experiment

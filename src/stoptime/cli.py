@@ -19,9 +19,7 @@ from .serialize import (InputError, dump_json, load_json, process_from_dict,
                         space_from_dict, stopping_time_from_dict,
                         stopping_time_to_dict)
 from .space import SpaceError
-from .times import (DistributionST, MixedST, PureST, RandomizedST,
-                    validate_distribution, validate_mixed, validate_pure,
-                    validate_randomized)
+from .times import validate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -35,24 +33,21 @@ def _seed(args) -> int:
     return args.seed
 
 
+def _exact(x: Fraction) -> str:
+    return f"{x} ({float(x):.10g})"
+
+
 def _load_space(path):
     return space_from_dict(load_json(path))
 
 
-def _load_stop(path):
-    return stopping_time_from_dict(load_json(path))
-
-
-def _validate_stop(space, eta):
-    if isinstance(eta, PureST):
-        return validate_pure(space, eta)
-    if isinstance(eta, MixedST):
-        return validate_mixed(space, eta)
-    if isinstance(eta, RandomizedST):
-        return validate_randomized(space, eta)
-    if isinstance(eta, DistributionST):
-        return validate_distribution(space, eta)
-    raise InputError("unknown stopping-time object")
+def _load_valid_stop(path, space):
+    """The stopping time in the file; an InputError unless it is valid."""
+    eta = stopping_time_from_dict(load_json(path))
+    bad = validate(space, eta)
+    if bad:
+        raise InputError(f"{path}: invalid stopping time: {bad[0]}")
+    return eta
 
 
 def cmd_validate(args) -> int:
@@ -61,7 +56,7 @@ def cmd_validate(args) -> int:
         if args.space is None:
             raise InputError("validating a stopping time needs --space")
         space = _load_space(args.space)
-        report = _validate_stop(space, stopping_time_from_dict(doc))
+        report = validate(space, stopping_time_from_dict(doc))
     elif "partitions" in doc:
         space_from_dict(doc)
         report = []
@@ -80,19 +75,13 @@ def cmd_validate(args) -> int:
 
 def cmd_convert(args) -> int:
     space = _load_space(args.space)
-    eta = _load_stop(args.file)
-    bad = _validate_stop(space, eta)
-    if bad:
-        raise InputError(f"input stopping time invalid: {bad[0]}")
-    delta = convert.to_distribution(space, eta)
+    delta = convert.to_distribution(space, _load_valid_stop(args.file, space))
     if args.to == "distribution":
         out = delta
     elif args.to == "randomized":
         out = convert.randomized_of_distribution(space, delta)
-    elif args.to == "mixed":
+    else:  # argparse restricts --to to the three kinds
         out = convert.mixed_of_distribution(space, delta)
-    else:
-        raise InputError(f"cannot convert to {args.to!r}")
     doc = stopping_time_to_dict(out)
     if args.output:
         dump_json(doc, args.output)
@@ -104,12 +93,8 @@ def cmd_convert(args) -> int:
 
 def cmd_equiv(args) -> int:
     space = _load_space(args.space)
-    a = _load_stop(args.a)
-    b = _load_stop(args.b)
-    for eta, path in ((a, args.a), (b, args.b)):
-        bad = _validate_stop(space, eta)
-        if bad:
-            raise InputError(f"{path}: invalid stopping time: {bad[0]}")
+    a = _load_valid_stop(args.a, space)
+    b = _load_valid_stop(args.b, space)
     if convert.equivalent(space, a, b):
         print("equivalent")
         return EXIT_OK
@@ -122,12 +107,9 @@ def cmd_payoff(args) -> int:
     space = _load_space(args.space)
     reward = process_from_dict(load_json(args.reward))
     problem = problems.StoppingProblem(space, reward)
-    eta = _load_stop(args.stop)
-    bad = _validate_stop(space, eta)
-    if bad:
-        raise InputError(f"invalid stopping time: {bad[0]}")
+    eta = _load_valid_stop(args.stop, space)
     value = problems.payoff(problem, eta)
-    print(f"{value} ({float(value):.10g})")
+    print(_exact(value))
     if args.check_kuhn:
         delta = convert.to_distribution(space, eta)
         routes = {
@@ -151,33 +133,23 @@ def cmd_game(args) -> int:
         process_from_dict(load_json(args.x)),
         process_from_dict(load_json(args.y)),
         process_from_dict(load_json(args.z)))
-    tau1 = _load_stop(args.p1)
-    tau2 = _load_stop(args.p2)
-    for eta, path in ((tau1, args.p1), (tau2, args.p2)):
-        bad = _validate_stop(space, eta)
-        if bad:
-            raise InputError(f"{path}: invalid stopping time: {bad[0]}")
+    tau1 = _load_valid_stop(args.p1, space)
+    tau2 = _load_valid_stop(args.p2, space)
+    delta1 = convert.to_distribution(space, tau1)
     delta2 = convert.to_distribution(space, tau2)
-    if args.route in ("lift", "both"):
-        via_lift = games.game_payoff_via_lift(game, tau1, delta2)
-    if args.route in ("symmetric", "both"):
-        mu1 = convert.mixed_of_distribution(
-            space, convert.to_distribution(space, tau1))
-        mu2 = convert.mixed_of_distribution(space, delta2)
-        symmetric = games.game_payoff_symmetric(game, mu1, mu2)
     if args.route == "p2view":
-        delta1 = convert.to_distribution(space, tau1)
         value = games.game_payoff_player2_view(game, delta1, tau2)
-        print(f"{value} ({float(value):.10g})")
+    if args.route in ("lift", "both"):
+        value = via_lift = games.game_payoff_via_lift(game, tau1, delta2)
+    if args.route in ("symmetric", "both"):
+        value = symmetric = games.game_payoff_symmetric(
+            game, convert.mixed_of_distribution(space, delta1),
+            convert.mixed_of_distribution(space, delta2))
+    if args.route != "both":
+        print(_exact(value))
         return EXIT_OK
-    if args.route == "lift":
-        print(f"{via_lift} ({float(via_lift):.10g})")
-        return EXIT_OK
-    if args.route == "symmetric":
-        print(f"{symmetric} ({float(symmetric):.10g})")
-        return EXIT_OK
-    print(f"lift:      {via_lift} ({float(via_lift):.10g})")
-    print(f"symmetric: {symmetric} ({float(symmetric):.10g})")
+    print(f"lift:      {_exact(via_lift)}")
+    print(f"symmetric: {_exact(symmetric)}")
     if via_lift != symmetric:
         print("routes disagree")
         return EXIT_CHECK_FAILED
@@ -186,17 +158,13 @@ def cmd_game(args) -> int:
 
 def cmd_sample(args) -> int:
     space = _load_space(args.space)
-    eta = _load_stop(args.stop)
-    bad = _validate_stop(space, eta)
-    if bad:
-        raise InputError(f"invalid stopping time: {bad[0]}")
+    eta = _load_valid_stop(args.stop, space)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_seed(args))))
     samples = sampling.sample_many(space, eta, rng, args.n)
     reference = None
     if args.ref:
-        reference = _load_stop(args.ref)
-        if not isinstance(reference, DistributionST):
-            reference = convert.to_distribution(space, reference)
+        reference = convert.to_distribution(
+            space, stopping_time_from_dict(load_json(args.ref)))
     freq, tv = sampling.empirical_delta(space, samples, reference)
     for (w, j), f in sorted(freq.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
         print(f"{w},{space.grid[j]},{f:.6f}")

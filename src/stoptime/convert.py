@@ -2,8 +2,10 @@
 
 Two random stopping times are equivalent when they induce the same joint
 mass on outcomes x grid times.  Every kind is normalized to a
-DistributionST; the mixed<->randomized cumulative criterion is evaluated
-as a redundant cross-check whenever it applies.
+DistributionST by to_distribution, the one place that maps a kind to its
+table, and equivalence compares those masses.  The mixed<->randomized
+cumulative criterion (cdf rows against paths) is not run here; the fuzz
+campaign checks it against the joint-mass route.
 """
 
 from __future__ import annotations
@@ -86,23 +88,24 @@ def cdf_of_mixed(space: FilteredSpace, mu: MixedST, outcome,
 
 
 def to_distribution(space: FilteredSpace, eta) -> DistributionST:
-    """Normalize any stopping-time kind to its joint mass."""
+    """Normalize any stopping-time kind to its joint mass; IncompatibleSpaces
+    when the kind's table covers other outcomes than the space."""
     if isinstance(eta, PureST):
-        eta = embed_pure(eta)
+        _same_outcomes(space, eta.stop_index, eta)
+        return delta_of_mixed(space, embed_pure(eta))
     if isinstance(eta, MixedST):
+        _same_outcomes(space, eta.sections, eta)
         return delta_of_mixed(space, eta)
     if isinstance(eta, RandomizedST):
+        _same_outcomes(space, eta.paths, eta)
         return delta_of_randomized(space, eta)
     if isinstance(eta, DistributionST):
+        _same_outcomes(space, eta.mass, eta)
         return eta
     raise TypeError(f"not a stopping time: {type(eta).__name__}")
 
 
-def _check_shape(space: FilteredSpace, eta):
-    table = (eta.stop_index if isinstance(eta, PureST)
-             else eta.sections if isinstance(eta, MixedST)
-             else eta.paths if isinstance(eta, RandomizedST)
-             else eta.mass)
+def _same_outcomes(space: FilteredSpace, table, eta):
     if set(table) != set(space.outcomes):
         raise IncompatibleSpaces(
             f"{type(eta).__name__} outcomes {sorted(map(str, table))} "
@@ -111,24 +114,7 @@ def _check_shape(space: FilteredSpace, eta):
 
 def equivalent(space: FilteredSpace, a, b) -> bool:
     """True iff a and b induce the same joint mass, entry for entry."""
-    _check_shape(space, a)
-    _check_shape(space, b)
-    da = to_distribution(space, a)
-    db = to_distribution(space, b)
-    result = all(da.mass[w] == db.mass[w] for w in space.outcomes)
-
-    # cumulative criterion for a mixed/randomized pair; must agree with
-    # the joint-mass route
-    pair = {type(a): a, type(b): b}
-    if MixedST in pair and RandomizedST in pair:
-        mu, rho = pair[MixedST], pair[RandomizedST]
-        cdf = mu.cdf_rows(space.n_times)
-        by_cdf = all(cdf[w] == tuple(rho.paths[w]) for w in space.outcomes)
-        if by_cdf != result:
-            raise AssertionError(
-                "equivalence routes disagree: "
-                f"joint-mass={result} cumulative={by_cdf}")
-    return result
+    return first_difference(space, a, b) is None
 
 
 def first_difference(space: FilteredSpace, a, b):

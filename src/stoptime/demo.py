@@ -21,27 +21,22 @@ QUARTER = Fraction(1, 4)
 
 def coin_space() -> FilteredSpace:
     """Two outcomes, uniform P, grid {0, 1}, singleton blocks throughout."""
-    return build_space(
-        outcomes=("w1", "w2"),
-        probs=(HALF, HALF),
-        grid=(0, 1),
-        partitions=(
-            (frozenset({"w1"}), frozenset({"w2"})),
-            (frozenset({"w1"}), frozenset({"w2"})),
-        ),
-    )
+    return _coin_space((frozenset({"w1"}), frozenset({"w2"})))
 
 
 def coin_space_coarse() -> FilteredSpace:
     """Same space but with no information at time 0 (one block)."""
+    return _coin_space((frozenset({"w1", "w2"}),))
+
+
+def _coin_space(level_0) -> FilteredSpace:
+    """The two-outcome uniform space on grid {0, 1} whose time-0 partition
+    is level_0; time 1 reveals the outcome."""
     return build_space(
         outcomes=("w1", "w2"),
         probs=(HALF, HALF),
         grid=(0, 1),
-        partitions=(
-            (frozenset({"w1", "w2"}),),
-            (frozenset({"w1"}), frozenset({"w2"})),
-        ),
+        partitions=(level_0, (frozenset({"w1"}), frozenset({"w2"}))),
     )
 
 

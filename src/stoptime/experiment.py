@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import convert, demo, fuzz, games, problems, sampling
-from .space import FilteredSpace
-from .times import (MixedST, embed_pure, rn_derivative, validate_distribution,
-                    validate_mixed_product, validate_mixed_sections,
-                    validate_pure, validate_randomized)
+from .times import (embed_pure, rn_derivative, validate,
+                    validate_mixed_product, validate_mixed_sections)
 
 CSV_HEADER = "instance,check,status,witness"
 
@@ -41,8 +40,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_instances < 1 or self.n_samples < 1 or self.jobs < 1:
             raise ValueError("counts must be positive")
-        if self.tv_tolerance <= 0:
-            raise ValueError("tv_tolerance must be positive")
+        if not 0 < self.tv_tolerance < math.inf:
+            raise ValueError("tv_tolerance must be positive and finite")
+        self.bounds()  # FuzzBounds rejects bad bounds here, not per instance
 
     def bounds(self) -> fuzz.FuzzBounds:
         return fuzz.FuzzBounds(
@@ -99,12 +99,8 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
     results: list = []
 
     # every generated object passes its validator
-    reports = {
-        "pure": validate_pure(space, inst.pure),
-        "mixed": validate_mixed_product(space, inst.mixed),
-        "randomized": validate_randomized(space, inst.randomized),
-        "distribution": validate_distribution(space, inst.distribution),
-    }
+    kinds = ("pure", "mixed", "randomized", "distribution")
+    reports = {k: validate(space, getattr(inst, k)) for k in kinds}
     bad = {k: v for k, v in reports.items() if v}
     _row(results, name, "validators", not bad, f"invalid: {bad}")
 
@@ -149,9 +145,11 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
          f"values={[str(v) for v in vals.values()]} "
          f"pure={pure_val} embedded={emb_val}")
 
-    # the two mixed validators agree, on the valid and on a mutated instance
-    agree_valid = (bool(validate_mixed_sections(space, inst.mixed))
-                   == bool(validate_mixed_product(space, inst.mixed)))
+    # the two mixed validators agree, on valid times and on a mutated instance
+    agree_valid = all(
+        bool(validate_mixed_sections(space, mu))
+        == bool(validate_mixed_product(space, mu))
+        for mu in (inst.mixed, embed_pure(inst.pure)))
     mutated, mspace = _mutated_mixed(config, rng, inst)
     sec = validate_mixed_sections(mspace, mutated)
     prod = validate_mixed_product(mspace, mutated)
@@ -194,30 +192,33 @@ def _game_checks(name: str, inst: fuzz.Instance) -> list:
          via_lift == symmetric == p2view,
          f"lift={via_lift} symmetric={symmetric} p2view={p2view}")
 
-    # equivalent strategies of Player 1 cannot change the payoff
-    via_rho = games.game_payoff_via_lift(game, inst.randomized, delta2)
-    via_delta = games.game_payoff_via_lift(game, inst.distribution, delta2)
-    _row(results, name, "game_strategy_equivalence",
-         via_lift == via_rho == via_delta,
-         f"mixed={via_lift} randomized={via_rho} distribution={via_delta}")
-
-    # lifting preserves equivalence of the base pair
+    # equivalent strategies of Player 1 cannot change the payoff: each
+    # kind's own payoff route on one lifted problem, and the API route
     lifted = games.lift(game, delta2)
     mu_l = games.lift_mixed(inst.mixed, lifted.space)
     rho_l = games.lift_randomized(inst.randomized, lifted.space)
+    delta_l = games.lift_distribution(inst.distribution, space, lifted.space)
+    vals = (problems.payoff_mixed(lifted.problem, mu_l),
+            problems.payoff_randomized(lifted.problem, rho_l),
+            problems.payoff_distribution(lifted.problem, delta_l))
+    _row(results, name, "game_strategy_equivalence",
+         vals[0] == vals[1] == vals[2] == via_lift,
+         "mixed={} randomized={} distribution={} lift={}".format(
+             *vals, via_lift))
+
+    # lifting preserves equivalence of the base pair, by joint mass and by
+    # the cumulative criterion (cdf rows against paths)
+    cdf = mu_l.cdf_rows(space.n_times)
+    cdf_ok = all(cdf[a] == rho_l.paths[a] for a in lifted.space.outcomes)
     _row(results, name, "lift_preserves_equivalence",
-         convert.equivalent(lifted.space, mu_l, rho_l),
-         "lifted pair not equivalent")
+         convert.equivalent(lifted.space, mu_l, rho_l) and cdf_ok,
+         f"lifted pair not equivalent (cdf_match={cdf_ok})")
 
     # zero-sum sanity: negating all payoff tables negates the value
-    neg = games.StoppingGame(
-        space,
+    neg = games.StoppingGame(space, *(
         games.AdaptedProcess({w: tuple(-v for v in row)
-                              for w, row in inst.x.values.items()}),
-        games.AdaptedProcess({w: tuple(-v for v in row)
-                              for w, row in inst.y.values.items()}),
-        games.AdaptedProcess({w: tuple(-v for v in row)
-                              for w, row in inst.z.values.items()}))
+                              for w, row in p.values.items()})
+        for p in (inst.x, inst.y, inst.z)))
     neg_val = games.game_payoff_symmetric(neg, inst.mixed, inst.mixed2)
     _row(results, name, "zero_sum_negation", neg_val == -symmetric,
          f"negated={neg_val} original={symmetric}")

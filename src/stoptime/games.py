@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 
+from .convert import to_distribution
 from .space import AdaptedProcess, FilteredSpace
-from .times import (DistributionST, MixedST, PureST, RandomizedST,
-                    fraction_dot, validate_distribution)
-from .problems import StoppingProblem, payoff
+from .times import (DistributionST, MixedST, RandomizedST, fraction_dot,
+                    over_common, validate_distribution)
+from .problems import StoppingProblem, payoff_distribution
 
 
 @dataclass(frozen=True)
@@ -105,11 +106,6 @@ def _lift(game: StoppingGame, delta: DistributionST, first: AdaptedProcess,
     return LiftedProblem(game, delta, atoms, space, problem)
 
 
-def lift_pure(sigma: PureST, lifted_space: FilteredSpace) -> PureST:
-    return PureST({(w, s): sigma.stop_index[w]
-                   for (w, s) in lifted_space.outcomes})
-
-
 def lift_mixed(mu: MixedST, lifted_space: FilteredSpace) -> MixedST:
     """Sections constant in the opponent-stop coordinate."""
     return MixedST({(w, s): mu.sections[w] for (w, s) in lifted_space.outcomes})
@@ -125,39 +121,35 @@ def lift_randomized(rho: RandomizedST,
 def lift_distribution(delta: DistributionST, base: FilteredSpace,
                       lifted_space: FilteredSpace) -> DistributionST:
     """Reweight the conditional stop law of each base outcome by the
-    lifted atom masses."""
+    lifted atom masses.  Each base row is taken once as integers over a
+    common denominator d, so an entry is one scaled integer over d."""
+    rows = {w: over_common(delta.mass[w]) for w in base.outcomes}
     mass = {}
     for (w, s), p in zip(lifted_space.outcomes, lifted_space.probs):
+        nums, d = rows[w]
         scale = p / base.prob(w)
-        mass[(w, s)] = tuple(scale * m for m in delta.mass[w])
+        num, den = scale.numerator, scale.denominator * d
+        mass[(w, s)] = tuple(Fraction(num * n, den) for n in nums)
     return DistributionST(mass)
-
-
-def lift_stopping_time(tau, base: FilteredSpace, lifted_space: FilteredSpace):
-    if isinstance(tau, PureST):
-        return lift_pure(tau, lifted_space)
-    if isinstance(tau, MixedST):
-        return lift_mixed(tau, lifted_space)
-    if isinstance(tau, RandomizedST):
-        return lift_randomized(tau, lifted_space)
-    if isinstance(tau, DistributionST):
-        return lift_distribution(tau, base, lifted_space)
-    raise TypeError(f"not a stopping time: {type(tau).__name__}")
 
 
 def game_payoff_via_lift(game: StoppingGame, tau1,
                          delta2: DistributionST) -> Fraction:
-    """Player 1's payoff: evaluate the lifted stopping time on the lifted
-    problem."""
-    lifted = lift(game, delta2)
-    return payoff(lifted.problem, lift_stopping_time(tau1, game.space, lifted.space))
+    """Player 1's payoff: the joint mass of tau1 (any kind), reweighted onto
+    the lifted space, priced on the lifted problem."""
+    return _lifted_payoff(lift(game, delta2), tau1)
 
 
 def game_payoff_player2_view(game: StoppingGame, delta1: DistributionST,
                              tau2) -> Fraction:
     """Same payoff computed from Player 2's perspective."""
-    lifted = lift_player2(game, delta1)
-    return payoff(lifted.problem, lift_stopping_time(tau2, game.space, lifted.space))
+    return _lifted_payoff(lift_player2(game, delta1), tau2)
+
+
+def _lifted_payoff(lifted: LiftedProblem, tau) -> Fraction:
+    base = lifted.base.space
+    return payoff_distribution(lifted.problem, lift_distribution(
+        to_distribution(base, tau), base, lifted.space))
 
 
 def game_payoff_symmetric(game: StoppingGame, mu1: MixedST,

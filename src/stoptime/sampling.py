@@ -12,7 +12,7 @@ representation, and all three target the same joint law:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,13 +32,6 @@ class SampleRecord:
     replicate: int
 
 
-def _draw_outcomes(space: FilteredSpace, rng: np.random.Generator,
-                   n: int) -> np.ndarray:
-    probs = np.array([float(p) for p in space.probs])
-    probs /= probs.sum()
-    return rng.choice(len(space.outcomes), size=n, p=probs)
-
-
 def sample_many(space: FilteredSpace, eta, rng: np.random.Generator,
                 n: int) -> list:
     """n independent draws of (outcome, stop index) under the law of eta."""
@@ -46,50 +39,52 @@ def sample_many(space: FilteredSpace, eta, rng: np.random.Generator,
         raise EmptySamples("need at least one sample")
     if isinstance(eta, PureST):
         eta = embed_pure(eta)
-    which = _draw_outcomes(space, rng, n)
-    indices = np.empty(n, dtype=np.int64)
-
     if isinstance(eta, MixedST):
-        rs = rng.random(n)
-        for i, w in enumerate(space.outcomes):
-            mask = which == i
-            if not mask.any():
-                continue
-            s = eta.sections[w]
-            breaks = np.array([float(r) for r in s.breaks])
-            values = np.array(s.values, dtype=np.int64)
-            iv = np.searchsorted(breaks, rs[mask], side="right") - 1
-            indices[mask] = values[np.clip(iv, 0, len(values) - 1)]
+        stop_indices = _section_indices
     elif isinstance(eta, RandomizedST):
-        rs = rng.random(n)
-        for i, w in enumerate(space.outcomes):
-            mask = which == i
-            if not mask.any():
-                continue
-            path = np.array([float(x) for x in eta.paths[w]])
-            indices[mask] = np.searchsorted(path, rs[mask], side="left")
+        stop_indices = _path_indices
     elif isinstance(eta, DistributionST):
-        rs = rng.random(n)
-        for i, w in enumerate(space.outcomes):
-            mask = which == i
-            if not mask.any():
-                continue
-            row = np.array([float(x) for x in eta.mass[w]])
-            cdf = np.cumsum(row / row.sum())
-            indices[mask] = np.searchsorted(cdf, rs[mask], side="left")
+        stop_indices = _mass_indices
     else:
         raise TypeError(f"not a samplable stopping time: {type(eta).__name__}")
-
+    probs = np.array([float(p) for p in space.probs])
+    which = rng.choice(len(space.outcomes), size=n, p=probs / probs.sum())
+    rs = rng.random(n)
+    indices = np.empty(n, dtype=np.int64)
+    for i, w in enumerate(space.outcomes):
+        mask = which == i
+        if mask.any():
+            indices[mask] = stop_indices(eta, w, rs[mask])
     indices = np.clip(indices, 0, space.n_times - 1)
     return [SampleRecord(space.outcomes[int(i)], int(j), rep)
             for rep, (i, j) in enumerate(zip(which, indices))]
 
 
+def _section_indices(mu: MixedST, w, rs: np.ndarray) -> np.ndarray:
+    """The section value at each r."""
+    s = mu.sections[w]
+    breaks = np.array([float(r) for r in s.breaks])
+    values = np.array(s.values, dtype=np.int64)
+    iv = np.searchsorted(breaks, rs, side="right") - 1
+    return values[np.clip(iv, 0, len(values) - 1)]
+
+
+def _path_indices(rho: RandomizedST, w, rs: np.ndarray) -> np.ndarray:
+    """The generalized inverse of the cumulative path at each r."""
+    path = np.array([float(x) for x in rho.paths[w]])
+    return np.searchsorted(path, rs, side="left")
+
+
+def _mass_indices(delta: DistributionST, w, rs: np.ndarray) -> np.ndarray:
+    """The inverse of the outcome's conditional stop cdf at each r."""
+    row = np.array([float(x) for x in delta.mass[w]])
+    return np.searchsorted(np.cumsum(row / row.sum()), rs, side="left")
+
+
 def sample_stop(space: FilteredSpace, eta, rng: np.random.Generator,
                 replicate: int = 0) -> SampleRecord:
     """A single draw; see sample_many for the per-kind procedure."""
-    rec = sample_many(space, eta, rng, 1)[0]
-    return SampleRecord(rec.outcome, rec.grid_index, replicate)
+    return replace(sample_many(space, eta, rng, 1)[0], replicate=replicate)
 
 
 def empirical_delta(space: FilteredSpace, samples,

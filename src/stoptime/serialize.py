@@ -2,7 +2,8 @@
 
 Loaders check every document's types before building anything: tables
 are objects, rows are lists, outcome labels are strings, and stop
-indices and section values are integers; a mismatch raises InputError.
+indices and section values are integers; a mismatch, or a key the
+document's kind does not define, raises InputError.
 """
 
 from __future__ import annotations
@@ -28,6 +29,14 @@ def parse_fraction(s) -> Fraction:
 
 def format_fraction(x: Fraction) -> str:
     return str(x)
+
+
+def _keys(doc: dict, allowed: tuple, what: str) -> dict:
+    """doc itself if it has no keys outside allowed."""
+    extra = sorted(set(doc) - set(allowed))
+    if extra:
+        raise InputError(f"{what}: unexpected key(s) {extra}")
+    return doc
 
 
 def _require(doc: dict, key: str):
@@ -75,6 +84,7 @@ def space_to_dict(space: FilteredSpace) -> dict:
 
 
 def space_from_dict(doc: dict) -> FilteredSpace:
+    _keys(doc, ("grid", "outcomes", "probs", "partitions"), "space")
     return build_space(
         outcomes=[_label(w) for w in _list(doc, "outcomes")],
         probs=[parse_fraction(p) for p in _list(doc, "probs")],
@@ -91,6 +101,7 @@ def process_to_dict(process: AdaptedProcess) -> dict:
 
 
 def process_from_dict(doc: dict) -> AdaptedProcess:
+    _keys(doc, ("values",), "process")
     return AdaptedProcess({w: _row(row, f"values row of {w!r}")
                            for w, row in _table(doc, "values").items()})
 
@@ -114,16 +125,25 @@ def stopping_time_to_dict(eta) -> dict:
     raise TypeError(f"not a stopping time: {type(eta).__name__}")
 
 
+_TABLE_KEYS = {"pure": "stop_index", "mixed": "sections",
+               "randomized": "paths", "distribution": "mass"}
+
+
 def stopping_time_from_dict(doc: dict):
-    kind = _require(doc, "kind")
+    kind = _expect(_require(doc, "kind"), str, "'kind'")
+    if kind not in _TABLE_KEYS:
+        raise InputError(f"unknown stopping-time kind {kind!r}")
+    key = _TABLE_KEYS[kind]
+    table = _table(_keys(doc, ("kind", key), f"{kind} stopping time"), key)
     if kind == "pure":
         return PureST({w: _expect(j, int, f"stop index of {w!r}")
-                       for w, j in _table(doc, "stop_index").items()})
+                       for w, j in table.items()})
     if kind == "mixed":
         sections = {}
-        for w, s in _table(doc, "sections").items():
+        for w, s in table.items():
             try:
-                s = _expect(s, dict, "section")
+                s = _keys(_expect(s, dict, "section"), ("breaks", "values"),
+                          "section")
                 sections[w] = RStepFunction(
                     _row(_list(s, "breaks"), "breaks"),
                     tuple(_expect(v, int, "section value")
@@ -133,11 +153,9 @@ def stopping_time_from_dict(doc: dict):
         return MixedST(sections)
     if kind == "randomized":
         return RandomizedST({w: _row(row, f"path of {w!r}")
-                             for w, row in _table(doc, "paths").items()})
-    if kind == "distribution":
-        return DistributionST({w: _row(row, f"mass row of {w!r}")
-                               for w, row in _table(doc, "mass").items()})
-    raise InputError(f"unknown stopping-time kind {kind!r}")
+                             for w, row in table.items()})
+    return DistributionST({w: _row(row, f"mass row of {w!r}")
+                           for w, row in table.items()})
 
 
 def load_json(path) -> dict:

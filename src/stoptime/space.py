@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping
 
 Outcome = Hashable
 Block = frozenset
@@ -96,11 +96,6 @@ class FilteredSpace:
             if outcome in block:
                 return block
         raise AssertionError("partition invariant broken")
-
-    def blocks(self, grid_index: int) -> tuple:
-        if not 0 <= grid_index < len(self.grid):
-            raise IndexOutOfRange(f"grid index {grid_index} out of range")
-        return self.partitions[grid_index]
 
 
 def check_space(outcomes, probs, grid, partitions) -> list:

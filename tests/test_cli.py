@@ -250,3 +250,78 @@ def test_validate_exit_code_on_retyped_documents(name, data, value):
             codes = [main(argv) for argv in runs]
     assert set(codes) <= {0, 1, 2}
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_fuzz_non_finite_tolerance_is_an_input_error(tolerance, capsys):
+    assert main(["fuzz", "--instances", "1", "--samples", "10",
+                 "--tv-tolerance", tolerance]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("doc, with_space", [
+    ({"kind": "pure", "stop_index": {"w1": 0, "w2": 1}, "typo_key": 1}, True),
+    ({"kind": "mixed", "sections": {
+        "w1": {"breaks": ["0", "1"], "values": [0], "extra": []},
+        "w2": {"breaks": ["0", "1"], "values": [1]}}}, True),
+    ({"kind": "randomized", "paths": {"w1": ["1", "1"], "w2": ["1", "1"]},
+      "mass": {}}, True),
+    ({"kind": "distribution", "mass": {"w1": ["1/4", "1/4"],
+                                       "w2": ["1/4", "1/4"]}, "note": ""},
+     True),
+    (dict(SPACE_DOC, comment="x"), False),
+    ({"values": {"w1": ["0", "1"]}, "unit": "s"}, False),
+], ids=["pure", "mixed-section", "randomized", "distribution", "space",
+        "process"])
+def test_unknown_key_is_an_input_error(doc, with_space, files, tmp_path,
+                                       capsys):
+    path = tmp_path / "doc.json"
+    dump_json(doc, path)
+    argv = ["validate", str(path)]
+    if with_space:
+        argv += ["--space", files["space"]]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "valid" not in out
+    assert err.startswith("error:") and "unexpected key" in err
+
+
+# argv templates per subcommand; {space}, {process}, {stop} and {other}
+# name files holding a space, a process and two stopping times
+SUBCOMMANDS = {
+    "convert": ("convert", "{stop}", "--to", "mixed", "--space", "{space}"),
+    "equiv": ("equiv", "{stop}", "{other}", "--space", "{space}"),
+    "payoff": ("payoff", "--space", "{space}", "--reward", "{process}",
+               "--stop", "{stop}", "--check-kuhn"),
+    "game": ("game", "--space", "{space}", "--x", "{process}",
+             "--y", "{process}", "--z", "{process}", "--p1", "{stop}",
+             "--p2", "{other}"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(VALID_DOCS)), data=st.data(),
+       value=JSON_VALUES)
+def test_subcommand_exit_code_on_retyped_documents(command, name, data,
+                                                   value):
+    """The same retyped documents fed to convert, equiv, payoff and game:
+    each answers 0, 1 or 2 and raises nothing."""
+    paths = list(_value_paths(VALID_DOCS[name]))
+    path = data.draw(st.sampled_from(paths))
+    broken = _replaced(VALID_DOCS[name], path, value)
+    role = name if name in ("space", "process") else "stop"
+    docs = {"space": VALID_DOCS["space"], "process": VALID_DOCS["process"],
+            "stop": VALID_DOCS["mixed"], "other": VALID_DOCS["randomized"],
+            role: broken}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for key, doc in docs.items():
+            files[key] = os.path.join(tmp, f"{key}.json")
+            dump_json(doc, files[key])
+        argv = [arg.format(**files) for arg in SUBCOMMANDS[command]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in {0, 1, 2}
+    assert "Traceback" not in err.getvalue()

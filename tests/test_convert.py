@@ -1,3 +1,4 @@
+import types
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,10 @@ from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
                       delta_of_randomized, embed_pure, equivalent,
                       first_difference, mixed_of_distribution,
                       mixed_of_randomized, randomized_of_distribution,
-                      validate_mixed, validate_randomized)
+                      validate_mixed, validate_mixed_sections,
+                      validate_randomized)
+from stoptime import convert, experiment, fuzz
+from stoptime.experiment import ExperimentConfig, _rng_for, check_instance
 from stoptime.space import IncompatibleSpaces
 
 F = Fraction
@@ -73,6 +77,7 @@ def test_mixed_of_randomized_coin(coin_space, coin_randomized, coin_mixed):
     mu = mixed_of_randomized(coin_space, coin_randomized)
     assert mu == coin_mixed.canonical()
     assert validate_mixed(coin_space, mu) == []
+    assert validate_mixed_sections(coin_space, mu) == []
 
 
 def test_mixed_of_randomized_stop_now(coin_space):
@@ -148,24 +153,42 @@ def test_nonuniqueness_witness(coin_space, coin_mixed, coin_mixed_flipped):
     assert coin_mixed.canonical() != coin_mixed_flipped.canonical()
 
 
-def test_equivalent_cross_check_catches_a_wrong_cumulative_row(
-        coin_space, coin_mixed, coin_randomized, monkeypatch):
-    honest = MixedST.cdf_rows
-    rho_other = RandomizedST({"w1": (F(1, 3), F(1)), "w2": (F(1, 3), F(1))})
+def test_path_to_intervals_row_catches_a_wrong_cumulative_row(monkeypatch):
+    """Each criterion of the fuzz row alone fails it: a wrong cumulative row
+    for an equivalent pair, and a pair of other laws whose cumulative rows
+    are planted to match the paths."""
+    config = ExperimentConfig(seed=5)
+    inst = fuzz.random_instance(_rng_for(config.seed, 0), config.bounds())
 
-    def planted(row_w1):
+    def status(planted_mixed):
+        planted = types.SimpleNamespace(**vars(convert))
+        planted.mixed_of_randomized = planted_mixed
+        monkeypatch.setattr(experiment, "convert", planted)
+        rows = check_instance(config, 0)
+        return next(r.status for r in rows if r.check == "path_to_intervals")
+
+    class WrongRow(MixedST):
         def cdf_rows(self, n_times):
-            rows = honest(self, n_times)
-            rows["w1"] = row_w1
+            rows = super().cdf_rows(n_times)
+            w = next(iter(rows))
+            rows[w] = (F(0),) * n_times
             return rows
-        return cdf_rows
 
-    # an equivalent pair whose cumulative row is wrong for one outcome
-    monkeypatch.setattr(MixedST, "cdf_rows", planted((F(1, 3), F(1))))
-    with pytest.raises(AssertionError, match="equivalence routes disagree"):
-        equivalent(coin_space, coin_mixed, coin_randomized)
-    # a non-equivalent pair whose cumulative row is planted to match
-    with pytest.raises(AssertionError, match="equivalence routes disagree"):
-        equivalent(coin_space, rho_other, MixedST(
-            {"w1": coin_mixed.sections["w1"],
-             "w2": RStepFunction((F(0), F(1, 3), F(1)), (0, 1))}))
+    class MatchingRows(MixedST):
+        def cdf_rows(self, n_times):
+            return dict(inst.randomized.paths)
+
+    def honest(space, rho):
+        return WrongRow(convert.mixed_of_randomized(space, rho).sections)
+
+    def late(space, rho):
+        return MatchingRows({w: RStepFunction.constant(space.last_index)
+                             for w in space.outcomes})
+
+    assert status(convert.mixed_of_randomized) == "pass"
+    assert equivalent(inst.space, inst.randomized, honest(inst.space,
+                                                          inst.randomized))
+    assert status(honest) == "fail"
+    assert not equivalent(inst.space, inst.randomized,
+                          late(inst.space, inst.randomized))
+    assert status(late) == "fail"

@@ -76,6 +76,17 @@ def test_config_rejects_bad_values():
         ExperimentConfig(tv_tolerance=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_outcomes", 0), ("max_grid_points", 0), ("max_breaks", -1),
+    ("max_denominator", 0), ("tv_tolerance", float("nan")),
+    ("tv_tolerance", float("inf"))])
+def test_config_rejects_bad_bounds_when_built(field, value):
+    # bad fuzz bounds once surfaced only inside check_instance, and a NaN
+    # tolerance failed every Monte Carlo row instead of the input
+    with pytest.raises(ValueError):
+        ExperimentConfig(**{field: value})
+
+
 def test_single_outcome_bound_campaign_passes():
     # the mutated-mixed check needs two outcomes; a bound of one must not crash
     report = run_experiment(ExperimentConfig(max_outcomes=1, n_instances=20,
@@ -136,3 +147,63 @@ def test_golden_csv_seed_7():
                                              n_samples=1000, tv_tolerance=1.0))
     digest = hashlib.sha256(report.to_csv().encode()).hexdigest()
     assert digest == GOLDEN_SEED_7_SHA256
+
+
+def _golden_values(n_instances: int) -> list:
+    """Exact values of every route on the first seed-7 instances: each
+    kind's joint mass and payoff, every payoff and game route, every
+    validator's violations, and seeded sample draws."""
+    from stoptime import demo, games, problems, sampling
+    from stoptime.convert import to_distribution
+
+    config = ExperimentConfig(seed=7)
+    validators = (times.validate_pure, times.validate_mixed,
+                  times.validate_mixed_sections, times.validate_mixed_product,
+                  times.validate_randomized, times.validate_distribution)
+    out = []
+    for index in range(n_instances):
+        rng = _rng_for(config.seed, index)
+        inst = fuzz.random_instance(rng, config.bounds())
+        space = inst.space
+        kinds = (inst.pure, inst.mixed, inst.randomized, inst.distribution,
+                 inst.mixed2, inst.randomized2)
+        out.append([to_distribution(space, eta) for eta in kinds])
+        problem = problems.StoppingProblem(space, inst.reward)
+        out.append([problems.payoff(problem, eta) for eta in kinds])
+        out.append([problems.payoff_pure(problem, inst.pure),
+                    problems.payoff_mixed(problem, inst.mixed),
+                    problems.payoff_randomized(problem, inst.randomized),
+                    problems.payoff_distribution(problem, inst.distribution)])
+        game = games.StoppingGame(space, inst.x, inst.y, inst.z)
+        delta1 = to_distribution(space, inst.mixed)
+        delta2 = to_distribution(space, inst.mixed2)
+        out.append([games.game_payoff_via_lift(game, eta, delta2)
+                    for eta in (inst.mixed, inst.randomized,
+                                inst.distribution)])
+        out.append(games.game_payoff_symmetric(game, inst.mixed, inst.mixed2))
+        out.append(games.game_payoff_player2_view(game, delta1, inst.mixed2))
+        mutated, mspace = experiment._mutated_mixed(config, rng, inst)
+        for check in validators:
+            eta = {times.validate_pure: inst.pure,
+                   times.validate_randomized: inst.randomized,
+                   times.validate_distribution: inst.distribution}.get(
+                       check, inst.mixed)
+            out.append(check(space, eta))
+        out.append([check(mspace, mutated) for check in validators[1:4]])
+    coin = demo.coin_space()
+    for i, eta in enumerate((demo.coin_mixed(), demo.coin_randomized(),
+                             demo.coin_uniform_delta())):
+        out.append(sampling.sample_many(coin, eta, _rng_for(7, i), 50))
+    return out
+
+
+# SHA-256 of the str() of _golden_values(20), recorded before the per-kind
+# dispatches and inline cross-checks left the library path.
+GOLDEN_VALUES_SEED_7_SHA256 = (
+    "19ec26ea7160365bf8989b78b9e87e17421aca4fb3af201e9a9b30348cc8d8d4")
+
+
+def test_golden_values_seed_7():
+    text = "\n".join(str(v) for v in _golden_values(20))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        GOLDEN_VALUES_SEED_7_SHA256)

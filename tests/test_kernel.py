@@ -91,12 +91,13 @@ def test_value_at_matches_linear_definition(seed, fuzz_bounds, points):
 
 @settings(max_examples=60, deadline=None)
 @given(seeds, bounds)
-def test_mass_numerators_match_mass_row(seed, fuzz_bounds):
+def test_mass_numerators_match_mass_of_index(seed, fuzz_bounds):
     inst, _ = make_instance(seed, fuzz_bounds)
     n = inst.space.n_times
     for s in inst.mixed2.sections.values():
         below, row, d = s.mass_numerators(n)
-        assert tuple(Fraction(x, d) for x in row) == s.mass_row(n)
+        assert (tuple(Fraction(x, d) for x in row)
+                == tuple(s.mass_of_index(j) for j in range(n)))
         assert Fraction(below, d) == s.cdf(-1)
     shifted = RStepFunction.make([0, Fraction(1, 3), 1], [-1, 1])
     assert shifted.mass_numerators(2) == (1, [0, 2], 3)

@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (StoppingGame, StoppingProblem, delta_of_mixed, experiment,
-                      fuzz, game_payoff_symmetric, lift, lift_stopping_time,
+from stoptime import (PureST, StoppingGame, StoppingProblem, delta_of_mixed,
+                      experiment, fuzz, game_payoff_symmetric, lift,
+                      lift_distribution, lift_mixed, lift_randomized,
                       payoff_distribution, payoff_mixed, payoff_pure,
                       payoff_randomized, problems)
 from stoptime.experiment import ExperimentConfig, check_instance
@@ -110,10 +111,13 @@ def test_lifted_payoffs_match_fraction_oracles(seed, fuzz_bounds):
     inst = make_instance(seed, fuzz_bounds)
     game = StoppingGame(inst.space, inst.x, inst.y, inst.z)
     lifted = lift(game, delta_of_mixed(inst.space, inst.mixed2))
-    lifted_times = [lift_stopping_time(eta, inst.space, lifted.space)
-                    for eta in (inst.pure, inst.mixed, inst.randomized,
-                                inst.distribution)]
-    assert_payoffs_match_oracles(lifted.problem, *lifted_times)
+    # the pure time, like the others, is constant in the opponent's stop
+    pure = PureST({(w, s): inst.pure.stop_index[w]
+                   for w, s in lifted.space.outcomes})
+    assert_payoffs_match_oracles(
+        lifted.problem, pure, lift_mixed(inst.mixed, lifted.space),
+        lift_randomized(inst.randomized, lifted.space),
+        lift_distribution(inst.distribution, inst.space, lifted.space))
 
 
 @settings(max_examples=40, deadline=None)

@@ -89,7 +89,10 @@ def test_linearity_and_bounds_fuzzed():
                      zip(inst.reward.values[w], inst.x.values[w]))
             for w in inst.space.outcomes})
         pc = StoppingProblem(inst.space, combo)
-        for eta in (inst.mixed, inst.randomized, inst.distribution):
-            va, vb, vc = payoff(pa, eta), payoff(pb, eta), payoff(pc, eta)
+        for route, eta in ((payoff_pure, inst.pure),
+                           (payoff_mixed, inst.mixed),
+                           (payoff_randomized, inst.randomized),
+                           (payoff_distribution, inst.distribution)):
+            va, vb, vc = route(pa, eta), route(pb, eta), route(pc, eta)
             assert vc == 3 * va - H * vb
             assert inst.reward.min_value() <= va <= inst.reward.max_value()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stoptime import (MixedST, cdf_of_mixed, delta_of_mixed,
                       delta_of_randomized, embed_pure, equivalent,
-                      mixed_of_randomized, prefix_sums,
+                      densities, mixed_of_randomized,
                       randomized_of_distribution, rn_derivative, sub_measure,
                       validate_distribution, validate_mixed,
                       validate_mixed_product, validate_mixed_sections,
@@ -28,6 +28,7 @@ def test_generated_instances_pass_their_validators(seed):
     inst, _ = make_instance(seed)
     assert validate_pure(inst.space, inst.pure) == []
     assert validate_mixed(inst.space, inst.mixed) == []
+    assert validate_mixed_sections(inst.space, inst.mixed) == []
     assert validate_randomized(inst.space, inst.randomized) == []
     assert validate_distribution(inst.space, inst.distribution) == []
 
@@ -114,7 +115,9 @@ def test_equivalence_is_an_equivalence_relation(seed):
 @given(seeds)
 def test_embedded_pure_passes_mixed_validation(seed):
     inst, _ = make_instance(seed)
-    assert validate_mixed(inst.space, embed_pure(inst.pure)) == []
+    mu = embed_pure(inst.pure)
+    assert validate_mixed(inst.space, mu) == []
+    assert validate_mixed_sections(inst.space, mu) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,24 +130,28 @@ def test_section_rows_match_per_index_queries(seed):
     lifted = MixedST({(w, s): inst.mixed.sections[w]
                       for w in space.outcomes for s in range(n)})
     for mu in (inst.mixed, inst.mixed2, lifted):
-        mass, cdf = mu.mass_rows(n), mu.cdf_rows(n)
+        mass, cdf = mu.mass_numerators(n), mu.cdf_rows(n)
         assert set(mass) == set(cdf) == set(mu.sections)
         for w, section in mu.sections.items():
-            assert mass[w] == tuple(section.mass_of_index(j) for j in range(n))
+            _, row, d = mass[w]
+            assert ([Fraction(x, d) for x in row]
+                    == [section.mass_of_index(j) for j in range(n)])
             assert cdf[w] == tuple(section.cdf(j) for j in range(n))
 
 
 @settings(max_examples=60, deadline=None)
 @given(seeds)
 def test_prefix_table_matches_sub_measure(seed):
+    # the one-pass table times P is every sub_measure at once
     inst, _ = make_instance(seed)
     space = inst.space
     for delta in (inst.distribution, delta_of_mixed(space, inst.mixed2)):
-        table = prefix_sums(space, delta)
+        table = densities(space, delta)
         assert set(table) == set(space.outcomes)
         for j in range(space.n_times):
             sub = sub_measure(space, delta, j)
-            assert {w: row[j] for w, row in table.items()} == sub.mass
+            assert {w: row[j] * space.prob(w)
+                    for w, row in table.items()} == sub.mass
 
 
 @settings(max_examples=60, deadline=None)

@@ -38,17 +38,24 @@ def test_step_function_value_and_masses():
 def test_step_function_rows_in_one_pass():
     s = RStepFunction((F(0), F(1, 4), H, F(1)), (2, -1, 0))
     # the value -1 is off the grid: no mass row entry, but inside every cdf
-    assert s.mass_row(3) == (H, F(0), F(1, 4))
+    assert tuple(s.mass_of_index(j) for j in range(3)) == (H, F(0), F(1, 4))
+    assert s.mass_numerators(3) == (1, [2, 0, 1], 4)
     assert s.cdf_row(3) == (F(3, 4), F(3, 4), F(1))
     assert s.cdf_row(3) == tuple(s.cdf(j) for j in range(3))
-    assert s.mass_row(2) == (H, F(0))
+    assert s.mass_numerators(2) == (1, [2, 0], 4)
 
 
 def test_mixed_rows_shared_sections():
     shared = RStepFunction((F(0), H, F(1)), (0, 1))
     mu = MixedST({"a": shared, "b": shared,
                   "c": RStepFunction.constant(1)})
-    assert mu.mass_rows(2) == {"a": (H, H), "b": (H, H), "c": (F(0), F(1))}
+    rows = mu.mass_numerators(2)
+    assert rows == {"a": (0, [1, 1], 2), "b": (0, [1, 1], 2),
+                    "c": (0, [0, 1], 1)}
+    assert rows["a"] is rows["b"]  # one row per distinct section
+    assert {w: tuple(F(x, d) for x in row) for w, (_, row, d) in rows.items()
+            } == {w: tuple(s.mass_of_index(j) for j in range(2))
+                  for w, s in mu.sections.items()}
     assert mu.cdf_rows(2) == {"a": (H, F(1)), "b": (H, F(1)),
                               "c": (F(0), F(1))}
 
@@ -89,6 +96,8 @@ def test_extra_outcome_rejected_by_every_validator(coin_space, coin_mixed,
         validate_pure(coin_space, PureST({"w1": 0, "w2": 1, "zz": 0})),
         validate_mixed(coin_space, MixedST(extra(
             coin_mixed.sections, RStepFunction.constant(0)))),
+        validate_mixed_sections(coin_space, MixedST(extra(
+            coin_mixed.sections, RStepFunction.constant(0)))),
         validate_randomized(coin_space, RandomizedST(extra(
             coin_randomized.paths, (F(1), F(1))))),
         validate_distribution(coin_space, DistributionST(extra(
@@ -103,9 +112,10 @@ def test_extra_outcome_rejected_by_every_validator(coin_space, coin_mixed,
 # mixed
 
 def test_mixed_valid(coin_space, coin_mixed, coin_mixed_flipped):
-    assert validate_mixed(coin_space, coin_mixed) == []
-    # flipping the randomizer on one outcome stays valid under full info
-    assert validate_mixed(coin_space, coin_mixed_flipped) == []
+    for mu in (coin_mixed, coin_mixed_flipped):
+        # flipping the randomizer on one outcome stays valid under full info
+        assert validate_mixed(coin_space, mu) == []
+        assert validate_mixed_sections(coin_space, mu) == []
 
 
 def test_mixed_flipped_invalid_on_coarse_space(coin_space_coarse,
@@ -118,12 +128,14 @@ def test_mixed_flipped_invalid_on_coarse_space(coin_space_coarse,
 
 def test_mixed_plain_still_valid_on_coarse_space(coin_space_coarse, coin_mixed):
     assert validate_mixed(coin_space_coarse, coin_mixed) == []
+    assert validate_mixed_sections(coin_space_coarse, coin_mixed) == []
 
 
 def test_mixed_section_off_grid(coin_space):
     mu = MixedST({"w1": RStepFunction.constant(5),
                   "w2": RStepFunction.constant(0)})
     assert validate_mixed(coin_space, mu)
+    assert validate_mixed_sections(coin_space, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +200,7 @@ def test_embed_pure_constant_sections(coin_space):
     mu = embed_pure(PureST({"w1": 0, "w2": 1}))
     assert mu.sections["w1"] == RStepFunction.constant(0)
     assert validate_mixed(coin_space, mu) == []
+    assert validate_mixed_sections(coin_space, mu) == []
 
 
 def test_embed_pure_pushes_point_masses(coin_space):
