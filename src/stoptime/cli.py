@@ -18,7 +18,7 @@ from .experiment import ExperimentConfig, run_experiment
 from .serialize import (InputError, dump_json, load_json, process_from_dict,
                         space_from_dict, stopping_time_from_dict,
                         stopping_time_to_dict)
-from .space import SpaceError
+from .space import SpaceError, row_violations
 from .times import validate
 
 EXIT_OK = 0
@@ -61,8 +61,9 @@ def cmd_validate(args) -> int:
         space_from_dict(doc)
         report = []
     elif "values" in doc:
-        process_from_dict(doc)
-        report = []
+        process = process_from_dict(doc)
+        report = [] if args.space is None else row_violations(
+            _load_space(args.space), process.values, "values")
     else:
         raise InputError("unrecognized document (no kind/partitions/values)")
     for v in report:
@@ -159,12 +160,12 @@ def cmd_game(args) -> int:
 def cmd_sample(args) -> int:
     space = _load_space(args.space)
     eta = _load_valid_stop(args.stop, space)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_seed(args))))
-    samples = sampling.sample_many(space, eta, rng, args.n)
     reference = None
     if args.ref:
         reference = convert.to_distribution(
-            space, stopping_time_from_dict(load_json(args.ref)))
+            space, _load_valid_stop(args.ref, space))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_seed(args))))
+    samples = sampling.sample_many(space, eta, rng, args.n)
     freq, tv = sampling.empirical_delta(space, samples, reference)
     for (w, j), f in sorted(freq.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
         print(f"{w},{space.grid[j]},{f:.6f}")
@@ -205,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a space, process, or stopping time")
     p.add_argument("file")
-    p.add_argument("--space", help="space file (required for stopping times)")
+    p.add_argument("--space", help="space file (required for stopping times; "
+                   "checks a process's rows against it)")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("convert", help="convert a stopping time to another kind")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-from .space import FilteredSpace, IncompatibleSpaces
+from .space import FilteredSpace, require_rows
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
                     RandomizedST, ZERO, densities, embed_pure, over_common)
 
@@ -89,27 +89,21 @@ def cdf_of_mixed(space: FilteredSpace, mu: MixedST, outcome,
 
 def to_distribution(space: FilteredSpace, eta) -> DistributionST:
     """Normalize any stopping-time kind to its joint mass; IncompatibleSpaces
-    when the kind's table covers other outcomes than the space."""
+    when the kind's table fails the space's row check (other outcomes, or
+    rows of another length than the grid)."""
     if isinstance(eta, PureST):
-        _same_outcomes(space, eta.stop_index, eta)
+        require_rows(space, eta.stop_index, "PureST")
         return delta_of_mixed(space, embed_pure(eta))
     if isinstance(eta, MixedST):
-        _same_outcomes(space, eta.sections, eta)
+        require_rows(space, eta.sections, "MixedST")
         return delta_of_mixed(space, eta)
     if isinstance(eta, RandomizedST):
-        _same_outcomes(space, eta.paths, eta)
+        require_rows(space, eta.paths, "RandomizedST")
         return delta_of_randomized(space, eta)
     if isinstance(eta, DistributionST):
-        _same_outcomes(space, eta.mass, eta)
+        require_rows(space, eta.mass, "DistributionST")
         return eta
     raise TypeError(f"not a stopping time: {type(eta).__name__}")
-
-
-def _same_outcomes(space: FilteredSpace, table, eta):
-    if set(table) != set(space.outcomes):
-        raise IncompatibleSpaces(
-            f"{type(eta).__name__} outcomes {sorted(map(str, table))} "
-            f"do not match the space")
 
 
 def equivalent(space: FilteredSpace, a, b) -> bool:

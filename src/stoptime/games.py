@@ -6,9 +6,10 @@ single-agent stopping problem on a lifted space whose outcomes are
 Player 1 stops strictly first, Y when Player 2 stops strictly first, and
 Z on a tie, always evaluated at the time of the first stopper.
 
-Lifted atoms of zero mass are recorded on the LiftedProblem but dropped
-from the evaluation space, which requires strictly positive atoms; they
-carry no payoff mass.
+The lifted space is built by build_space from the positive-mass atoms
+only: an atom of zero mass carries no payoff mass and is not recorded.
+Its level-j partition pulls the base partition back: a base block
+becomes the lifted atoms of its outcomes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 
 from .convert import to_distribution
-from .space import AdaptedProcess, FilteredSpace
+from .space import AdaptedProcess, FilteredSpace, build_space, require_rows
 from .times import (DistributionST, MixedST, RandomizedST, fraction_dot,
                     over_common, validate_distribution)
 from .problems import StoppingProblem, payoff_distribution
@@ -33,10 +34,7 @@ class StoppingGame:
 
     def __post_init__(self):
         for name, table in (("x", self.x), ("y", self.y), ("z", self.z)):
-            for w in self.space.outcomes:
-                row = table.values.get(w)
-                if row is None or len(row) != self.space.n_times:
-                    raise ValueError(f"{name} row for {w!r} missing or wrong length")
+            require_rows(self.space, table.values, name)
 
 
 @dataclass(frozen=True)
@@ -44,36 +42,21 @@ class LiftedProblem:
     """The single-agent problem one player faces given the other's stop mass."""
 
     base: StoppingGame
-    opponent: DistributionST
-    atoms: tuple           # every (outcome, stop index) pair, zero mass included
     space: FilteredSpace   # positive-mass atoms only
     problem: StoppingProblem
 
 
-def _lifted_space(game: StoppingGame, delta: DistributionST) -> tuple:
-    base = game.space
-    atoms = tuple((w, s) for w in base.outcomes for s in range(base.n_times))
-    pos = tuple(a for a in atoms if delta.mass[a[0]][a[1]] > 0)
-    probs = tuple(delta.mass[w][s] for w, s in pos)
-    partitions = []
-    for j in range(base.n_times):
-        level = []
-        for block in base.partitions[j]:
-            lifted = frozenset(a for a in pos if a[0] in block)
-            if lifted:
-                level.append(lifted)
-        partitions.append(tuple(level))
-    space = FilteredSpace(outcomes=pos, probs=probs, grid=base.grid,
-                          partitions=tuple(partitions))
-    return atoms, space
-
-
-def _first_stopper_reward(xp, yp, zp, my_index, opp_index, w):
-    if my_index < opp_index:
-        return xp.at(w, my_index)
-    if my_index > opp_index:
-        return yp.at(w, opp_index)
-    return zp.at(w, my_index)
+def _lifted_space(base: FilteredSpace, delta: DistributionST) -> FilteredSpace:
+    """Outcomes (w, s) with delta(w, s) > 0 (delta is validated, so a
+    nonzero entry is positive); every base outcome has one, since its row
+    sums to P(w) > 0, so no lifted block is empty."""
+    atoms = {w: [(w, s) for s, m in enumerate(delta.mass[w]) if m]
+             for w in base.outcomes}
+    outcomes = [a for w in base.outcomes for a in atoms[w]]
+    return build_space(
+        outcomes, [delta.mass[w][s] for w, s in outcomes], base.grid,
+        [[[a for w in block for a in atoms[w]] for block in part]
+         for part in base.partitions])
 
 
 def lift(game: StoppingGame, delta2: DistributionST) -> LiftedProblem:
@@ -96,14 +79,15 @@ def _lift(game: StoppingGame, delta: DistributionST, first: AdaptedProcess,
     bad = validate_distribution(game.space, delta)
     if bad:
         raise ValueError(f"opponent stop mass invalid: {bad[0]}")
-    atoms, space = _lifted_space(game, delta)
-    values = {}
-    for (w, s) in space.outcomes:
-        values[(w, s)] = tuple(
-            _first_stopper_reward(first, second, game.z, j, s, w)
-            for j in range(game.space.n_times))
-    problem = StoppingProblem(space, AdaptedProcess(values))
-    return LiftedProblem(game, delta, atoms, space, problem)
+    space = _lifted_space(game.space, delta)
+    n = space.n_times
+    first, second, tie = first.values, second.values, game.z.values
+    # before the opponent's stop s the lifted player is first, at s a tie,
+    # after s the opponent was first and the reward is frozen at s
+    values = {(w, s): first[w][:s] + (tie[w][s],) + (second[w][s],) * (n - s - 1)
+              for w, s in space.outcomes}
+    return LiftedProblem(game, space,
+                         StoppingProblem(space, AdaptedProcess(values)))
 
 
 def lift_mixed(mu: MixedST, lifted_space: FilteredSpace) -> MixedST:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .space import AdaptedProcess, FilteredSpace
+from .space import AdaptedProcess, FilteredSpace, require_rows
 from .times import (DistributionST, MixedST, PureST, RandomizedST,
                     fraction_dot, over_common)
 
@@ -21,10 +21,7 @@ class StoppingProblem:
     reward: AdaptedProcess
 
     def __post_init__(self):
-        for w in self.space.outcomes:
-            row = self.reward.values.get(w)
-            if row is None or len(row) != self.space.n_times:
-                raise ValueError(f"reward row for {w!r} missing or wrong length")
+        require_rows(self.space, self.reward.values, "reward")
 
 
 def payoff_pure(problem: StoppingProblem, sigma: PureST) -> Fraction:

@@ -2,14 +2,18 @@
 
 The filtration is stored as one partition of the outcome set per grid
 time; measurability of a random variable at time t_j means constancy on
-the blocks of partitions[j].  All probabilities, times, and process
-values are `fractions.Fraction`, so every check in this package is exact.
+the blocks of partitions[j]; unadapted_blocks is the one walk that asks
+it, and row_violations the one check of a per-outcome table's shape.
+All probabilities, times, and process values are `fractions.Fraction`,
+so every check in this package is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Hashable, Mapping
 
 Outcome = Hashable
@@ -50,7 +54,7 @@ def _as_fraction(x) -> Fraction:
 def _canonical_partition(blocks, order: dict) -> tuple:
     """Sort blocks by their earliest outcome so equal partitions compare equal."""
     return tuple(sorted((frozenset(b) for b in blocks),
-                        key=lambda b: min(order[w] for w in b)))
+                        key=lambda b: min(map(order.__getitem__, b))))
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,18 @@ class FilteredSpace:
     def prob(self, outcome) -> Fraction:
         return self.probs[self._order[outcome]]
 
+    @cached_property
+    def _shared_blocks(self) -> tuple:
+        """(j, block, first, rest) per level-j block of two or more outcomes,
+        members in space order: each block is sorted once per space."""
+        out = []
+        for j, part in enumerate(self.partitions):
+            for block in part:
+                if len(block) > 1:
+                    first, *rest = sorted(block, key=self._order.__getitem__)
+                    out.append((j, block, first, rest))
+        return tuple(out)
+
     def atom_of(self, grid_index: int, outcome) -> Block:
         """The block of partitions[grid_index] containing the outcome."""
         if not 0 <= grid_index < len(self.grid):
@@ -118,7 +134,9 @@ def check_space(outcomes, probs, grid, partitions) -> list:
         for w, p in zip(outcomes, probs):
             if p <= 0:
                 violations.append(Violation("NonPositiveProb", f"P({w!r}) = {p}"))
-        if sum(probs) != 1:
+        # the probs sum to 1 iff their numerators over the lcm d sum to d
+        d = lcm(*(p.denominator for p in probs))
+        if sum(p.numerator * (d // p.denominator) for p in probs) != d:
             violations.append(Violation(
                 "ProbsNotSummingToOne", f"sum is {sum(probs)}"))
 
@@ -220,23 +238,50 @@ class AdaptedProcess:
         return max(max(row) for row in self.values.values())
 
 
+def row_violations(space: FilteredSpace, table: Mapping, what: str) -> list:
+    """ExtraOutcome per key that is not an outcome, then RowMissing per
+    outcome without a row and RowShapeMismatch per row whose length is not
+    n_times (a row without a length, such as a stop index, need only exist)."""
+    out = [Violation("ExtraOutcome",
+                     f"{what}: {w!r} is not an outcome of the space")
+           for w in table if w not in space._order]
+    for w in space.outcomes:
+        row = table.get(w)
+        if row is None:
+            out.append(Violation("RowMissing", f"{what}: no row for {w!r}"))
+        elif hasattr(row, "__len__") and len(row) != space.n_times:
+            out.append(Violation(
+                "RowShapeMismatch", f"{what}: row for {w!r} has length {len(row)}"))
+    return out
+
+
+def require_rows(space: FilteredSpace, table: Mapping, what: str) -> None:
+    """Raise IncompatibleSpaces with every row violation of the table."""
+    bad = row_violations(space, table, what)
+    if bad:
+        raise IncompatibleSpaces("; ".join(map(str, bad)))
+
+
+def unadapted_blocks(space: FilteredSpace, same):
+    """Yield (j, block, first, w) for every level-j block on which a
+    per-outcome quantity is not constant: first is the block's earliest
+    outcome and w the earliest one with same(j, first, w) false.
+    Singleton blocks are skipped; members are walked in space order."""
+    for j, block, first, rest in space._shared_blocks:
+        for w in rest:
+            if not same(j, first, w):
+                yield j, block, first, w
+                break
+
+
 def validate_adapted(space: FilteredSpace, process: AdaptedProcess) -> list:
     """Report every (level, block) on which the process is not constant."""
-    violations = []
-    for w in space.outcomes:
-        row = process.values.get(w)
-        if row is None or len(row) != space.n_times:
-            violations.append(Violation(
-                "ProcessShapeMismatch", f"row for {w!r} missing or wrong length"))
-            return violations
-    for j in range(space.n_times):
-        for block in space.partitions[j]:
-            vals = {process.values[w][j] for w in block}
-            if len(vals) > 1:
-                violations.append(Violation(
-                    "NotConstantOnBlock",
-                    f"level {j}, block {sorted(map(str, block))}: values differ"))
-    return violations
+    values = process.values
+    return row_violations(space, values, "values") or [
+        Violation("NotConstantOnBlock",
+                  f"level {j}, block {sorted(map(str, block))}: values differ")
+        for j, block, _, _ in unadapted_blocks(
+            space, lambda j, a, b: values[a][j] == values[b][j])]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from itertools import accumulate
 from math import lcm
 from typing import Mapping
 
-from .space import (FilteredSpace, SubMeasure, Violation, _as_fraction)
+from .space import (FilteredSpace, SubMeasure, Violation, _as_fraction,
+                    row_violations, unadapted_blocks)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -230,51 +231,26 @@ class DistributionST:
             {w: tuple(_as_fraction(x) for x in row) for w, row in mass.items()})
 
 
-def _extra_violations(space, table, what) -> list:
-    return [Violation("ExtraOutcome",
-                      f"{what}: {w!r} is not an outcome of the space")
-            for w in table if w not in space._order]
-
-
-def _shape_violations(space, table, what) -> list:
-    out = _extra_violations(space, table, what)
-    for w in space.outcomes:
-        row = table.get(w)
-        if row is None:
-            out.append(Violation("RowMissing", f"{what}: no row for {w!r}"))
-        elif hasattr(row, "__len__") and len(row) != space.n_times:
-            out.append(Violation(
-                "RowShapeMismatch", f"{what}: row for {w!r} has length {len(row)}"))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # validators
 
 def validate_pure(space: FilteredSpace, sigma: PureST) -> list:
     """Empty iff {sigma <= t_j} is a union of level-j blocks for every j."""
-    violations = _extra_violations(space, sigma.stop_index, "stop_index")
-    for w in space.outcomes:
-        j = sigma.stop_index.get(w)
-        if j is None or not 0 <= j < space.n_times:
-            violations.append(Violation(
-                "StopIndexOutOfRange", f"stop index for {w!r} is {j}"))
-    if violations:
-        return violations
-    for j in range(space.n_times):
-        event = frozenset(w for w in space.outcomes if sigma.stop_index[w] <= j)
-        for block in space.partitions[j]:
-            inter = block & event
-            if inter and inter != block:
-                violations.append(Violation(
-                    "NotStoppingTime",
-                    f"level {j}: {{stop<=t_{j}}} cuts block {sorted(map(str, block))}"))
-    return violations
+    stop = sigma.stop_index
+    violations = row_violations(space, stop, "stop_index") + [
+        Violation("StopIndexOutOfRange", f"stop index for {w!r} is {stop[w]}")
+        for w in space.outcomes
+        if stop.get(w) is not None and not 0 <= stop[w] < space.n_times]
+    return violations or [
+        Violation("NotStoppingTime",
+                  f"level {j}: {{stop<=t_{j}}} cuts block {sorted(map(str, block))}")
+        for j, block, _, _ in unadapted_blocks(
+            space, lambda j, a, b: (stop[a] <= j) == (stop[b] <= j))]
 
 
 def _section_violations(space: FilteredSpace, mu: MixedST) -> list:
     """The shape checks, then every section value on the grid."""
-    violations = _shape_violations(space, mu.sections, "sections")
+    violations = row_violations(space, mu.sections, "sections")
     if violations:
         return violations
     return [Violation("SectionIndexOutOfRange",
@@ -304,22 +280,16 @@ def validate_mixed_product(space: FilteredSpace, mu: MixedST) -> list:
     violations = _section_violations(space, mu)
     if violations:
         return violations
-    for j in range(space.n_times):
-        for block in space.partitions[j]:
-            members = sorted(block, key=lambda w: space._order[w])
-            ref = mu.sections[members[0]].le_intervals(j)
-            for w in members[1:]:
-                # le_intervals are maximal, merged, positive-length [a, b)
-                # pairs, so lambda(A symdiff B) = 0 iff the tuples are equal
-                other = mu.sections[w].le_intervals(j)
-                if other != ref:
-                    d = symmetric_difference_measure(ref, other)
-                    violations.append(Violation(
-                        "NotJointlyMeasurable",
-                        f"level {j}, block {sorted(map(str, block))}: "
-                        f"sections differ on measure {d}"))
-                    break
-    return violations
+    # le_intervals are maximal, merged, positive-length [a, b) pairs, so
+    # lambda(A symdiff B) = 0 iff the tuples are equal
+    le = {w: [s.le_intervals(j) for j in range(space.n_times)]
+          for w, s in mu.sections.items()}
+    return [Violation("NotJointlyMeasurable",
+                      f"level {j}, block {sorted(map(str, block))}: "
+                      "sections differ on measure "
+                      f"{symmetric_difference_measure(le[a][j], le[w][j])}")
+            for j, block, a, w in unadapted_blocks(
+                space, lambda j, a, b: le[a][j] == le[b][j])]
 
 
 def validate_mixed(space: FilteredSpace, mu: MixedST) -> list:
@@ -330,11 +300,12 @@ def validate_mixed(space: FilteredSpace, mu: MixedST) -> list:
 
 
 def validate_randomized(space: FilteredSpace, rho: RandomizedST) -> list:
-    violations = _shape_violations(space, rho.paths, "paths")
+    paths = rho.paths
+    violations = row_violations(space, paths, "paths")
     if violations:
         return violations
     for w in space.outcomes:
-        row = rho.paths[w]
+        row = paths[w]
         if any(x < 0 or x > 1 for x in row):
             violations.append(Violation(
                 "ValueOutOfRange", f"path of {w!r} leaves [0,1]"))
@@ -343,21 +314,18 @@ def validate_randomized(space: FilteredSpace, rho: RandomizedST) -> list:
         if row[-1] != 1:
             violations.append(Violation(
                 "TerminalNotOne", f"path of {w!r} ends at {row[-1]}"))
-    for j in range(space.n_times):
-        for block in space.partitions[j]:
-            vals = {rho.paths[w][j] for w in block}
-            if len(vals) > 1:
-                violations.append(Violation(
-                    "NotAdapted",
-                    f"level {j}, block {sorted(map(str, block))}: path values differ"))
-    return violations
+    return violations + [
+        Violation("NotAdapted",
+                  f"level {j}, block {sorted(map(str, block))}: path values differ")
+        for j, block, _, _ in unadapted_blocks(
+            space, lambda j, a, b: paths[a][j] == paths[b][j])]
 
 
 def validate_distribution(space: FilteredSpace, delta: DistributionST) -> list:
     """Nonnegative rows with marginal P whose cumulative densities are
     adapted; every check reads the integer densities table of
     _density_terms, compared by cross-multiplication."""
-    violations = _shape_violations(space, delta.mass, "mass")
+    violations = row_violations(space, delta.mass, "mass")
     if violations:
         return violations
     terms = _density_terms(space, delta)
@@ -372,20 +340,16 @@ def validate_distribution(space: FilteredSpace, delta: DistributionST) -> list:
                 f"row of {w!r} sums to {total}, P = {space.prob(w)}"))
     if violations:
         return violations
-    for j in range(space.n_times):
-        for block in space.partitions[j]:
-            members = iter(block)
-            _, ref_cum, ref_a, ref_b = terms[next(members)]
-            ref = ref_cum[j] * ref_a
-            for w in members:
-                _, cum, a, b = terms[w]
-                if cum[j] * a * ref_b != ref * b:
-                    violations.append(Violation(
-                        "DensityNotAdapted",
-                        f"level {j}, block {sorted(map(str, block))}: "
-                        "cumulative densities differ"))
-                    break
-    return violations
+
+    def same(j, u, w):
+        _, cu, au, bu = terms[u]
+        _, cw, aw, bw = terms[w]
+        return cu[j] * au * bw == cw[j] * aw * bu
+
+    return [Violation("DensityNotAdapted",
+                      f"level {j}, block {sorted(map(str, block))}: "
+                      "cumulative densities differ")
+            for j, block, _, _ in unadapted_blocks(space, same)]
 
 
 def validate(space: FilteredSpace, eta) -> list:

@@ -325,3 +325,57 @@ def test_subcommand_exit_code_on_retyped_documents(command, name, data,
             code = main(argv)
     assert code in {0, 1, 2}
     assert "Traceback" not in err.getvalue()
+
+
+def test_sample_rejects_invalid_reference(files, tmp_path, capsys):
+    ref = tmp_path / "ref.json"
+    dump_json({"kind": "distribution",
+               "mass": {"w1": ["1", "-1/2"], "w2": ["0", "0"]}}, ref)
+    assert main(["sample", "--space", files["space"], "--stop", files["mixed"],
+                 "--n", "1000", "--ref", str(ref)]) == 2
+    out, err = capsys.readouterr()
+    assert "tv," not in out
+    assert err.startswith("error:") and "invalid stopping time" in err
+
+
+def _reward_with_extra_row(tmp_path):
+    path = tmp_path / "extra.json"
+    dump_json({"values": {"w1": ["0", "1"], "w2": ["0", "1"],
+                          "zz": ["5", "5"]}}, path)
+    return str(path)
+
+
+def test_payoff_rejects_reward_with_extra_outcome(files, tmp_path, capsys):
+    assert main(["payoff", "--space", files["space"],
+                 "--reward", _reward_with_extra_row(tmp_path),
+                 "--stop", files["mixed"]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "ExtraOutcome" in err and "'zz'" in err
+
+
+def test_game_rejects_table_with_extra_outcome(files, tmp_path, capsys):
+    assert main(["game", "--space", files["space"],
+                 "--x", _reward_with_extra_row(tmp_path),
+                 "--y", files["reward"], "--z", files["reward"],
+                 "--p1", files["mixed"], "--p2", files["randomized"]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "ExtraOutcome" in err and "x: 'zz'" in err
+
+
+def test_validate_process_rows_against_space(files, tmp_path, capsys):
+    short = tmp_path / "short.json"
+    dump_json({"values": {"w1": ["0"], "w2": ["0", "1"]}}, short)
+    assert main(["validate", str(short), "--space", files["space"]]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["RowShapeMismatch: values: row for 'w1' "
+                                "has length 1"]
+    # the rejection validate now reports is the one payoff makes
+    assert main(["payoff", "--space", files["space"], "--reward", str(short),
+                 "--stop", files["mixed"]]) == 2
+    capsys.readouterr()
+    # without --space only the document itself is checked
+    assert main(["validate", str(short)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert main(["validate", files["reward"], "--space", files["space"]]) == 0

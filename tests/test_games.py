@@ -42,7 +42,6 @@ def test_lift_point_mass_at_horizon(coin_game, coin_space):
     lifted = lift(coin_game, delta2)
     # two positive atoms, both with opponent stop at the horizon
     assert set(lifted.space.outcomes) == {("w1", 1), ("w2", 1)}
-    assert len(lifted.atoms) == 4
     # before the horizon Player 1 is first (X); at the horizon a tie (Z)
     assert lifted.problem.reward.at(("w1", 1), 0) == F(10)
     assert lifted.problem.reward.at(("w1", 1), 1) == F(31)

@@ -7,10 +7,12 @@ from math import lcm
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (DistributionST, MixedST, RStepFunction, RandomizedST,
-                      densities, fraction_dot, fuzz, mixed_of_randomized,
-                      over_common, rn_derivative, validate_distribution,
-                      validate_mixed_product)
+from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
+                      RandomizedST, densities, fraction_dot, fuzz,
+                      mixed_of_randomized, over_common, rn_derivative,
+                      validate_adapted, validate_distribution,
+                      validate_mixed_product, validate_pure,
+                      validate_randomized)
 from stoptime.space import Violation
 from stoptime.times import ZERO, symmetric_difference_measure
 
@@ -233,3 +235,109 @@ def test_product_validator_tuple_test_matches_measure(seed, fuzz_bounds):
             for a in sets[:4]:
                 for b in sets:
                     assert (a != b) == (symmetric_difference_measure(a, b) != 0)
+
+
+# ---------------------------------------------------------------------------
+# the shared block walk against the seed's per-validator block loops
+
+def naive_validate_pure(space, sigma) -> list:
+    """The seed's pure validator: the event {sigma <= t_j} as a set, cut
+    against every level-j block (shape checks omitted: the inputs below
+    are well shaped)."""
+    violations = []
+    for w in space.outcomes:
+        j = sigma.stop_index[w]
+        if not 0 <= j < space.n_times:
+            violations.append(Violation(
+                "StopIndexOutOfRange", f"stop index for {w!r} is {j}"))
+    if violations:
+        return violations
+    for j in range(space.n_times):
+        event = frozenset(w for w in space.outcomes if sigma.stop_index[w] <= j)
+        for block in space.partitions[j]:
+            inter = block & event
+            if inter and inter != block:
+                violations.append(Violation(
+                    "NotStoppingTime",
+                    f"level {j}: {{stop<=t_{j}}} cuts block {sorted(map(str, block))}"))
+    return violations
+
+
+def naive_validate_randomized(space, rho) -> list:
+    """The seed's randomized validator: value checks, then the set of path
+    values per level-j block (shape checks omitted)."""
+    violations = []
+    for w in space.outcomes:
+        row = rho.paths[w]
+        if any(x < 0 or x > 1 for x in row):
+            violations.append(Violation(
+                "ValueOutOfRange", f"path of {w!r} leaves [0,1]"))
+        if any(b < a for a, b in zip(row, row[1:])):
+            violations.append(Violation("NotMonotone", f"path of {w!r} decreases"))
+        if row[-1] != 1:
+            violations.append(Violation(
+                "TerminalNotOne", f"path of {w!r} ends at {row[-1]}"))
+    for j in range(space.n_times):
+        for block in space.partitions[j]:
+            if len({rho.paths[w][j] for w in block}) > 1:
+                violations.append(Violation(
+                    "NotAdapted",
+                    f"level {j}, block {sorted(map(str, block))}: path values differ"))
+    return violations
+
+
+def naive_validate_adapted(space, process) -> list:
+    """The seed's adaptedness check: the set of values per level-j block
+    (shape checks omitted)."""
+    violations = []
+    for j in range(space.n_times):
+        for block in space.partitions[j]:
+            if len({process.values[w][j] for w in block}) > 1:
+                violations.append(Violation(
+                    "NotConstantOnBlock",
+                    f"level {j}, block {sorted(map(str, block))}: values differ"))
+    return violations
+
+
+def _moved_stops(space, sigma, rng) -> list:
+    """The pure time, plus one outcome's stop index moved to every other
+    grid index and one past the grid.  The outcome shares the level-0
+    block (the fuzz spaces' root) with every other, so a move usually cuts
+    a block."""
+    w = space.outcomes[int(rng.integers(len(space.outcomes)))]
+    return [sigma] + [PureST({**sigma.stop_index, w: k})
+                      for k in range(space.n_times + 1)
+                      if k != sigma.stop_index[w]]
+
+
+def _moved_paths(space, rho, rng) -> list:
+    """The paths, plus one outcome's path value at one index moved: to a
+    block mate's value at another index, halved and set to 2."""
+    w = space.outcomes[int(rng.integers(len(space.outcomes)))]
+    j = int(rng.integers(space.n_times))
+    row = rho.paths[w]
+    mate = rho.paths[space.outcomes[-1]]
+    out = [rho]
+    for value in (mate[-1 - j], row[j] / 2, Fraction(2)):
+        moved = row[:j] + (value,) + row[j + 1:]
+        out.append(RandomizedST({**rho.paths, w: moved}))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, bounds)
+def test_validators_match_seed_block_loops(seed, fuzz_bounds):
+    inst, rng = make_instance(seed, fuzz_bounds)
+    space = inst.space
+    for sigma in _moved_stops(space, inst.pure, rng):
+        assert validate_pure(space, sigma) == naive_validate_pure(space, sigma)
+    for rho in (_moved_paths(space, inst.randomized, rng)
+                + _moved_paths(space, inst.randomized2, rng)):
+        assert (validate_randomized(space, rho)
+                == naive_validate_randomized(space, rho))
+    # the fuzz rewards are not adapted; the adapted draw is
+    adapted = fuzz.random_process(rng, space, fuzz_bounds, adapted=True)
+    assert validate_adapted(space, adapted) == []
+    for process in (inst.reward, inst.x, adapted):
+        assert (validate_adapted(space, process)
+                == naive_validate_adapted(space, process))

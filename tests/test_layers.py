@@ -1,14 +1,21 @@
 """The benchmark's traced run wraps the layer functions named in
 benchmarks/spans.py::LAYERS; each name must resolve in its module, so a
-rename or deletion fails here instead of breaking the traced run."""
+rename or deletion fails here instead of breaking the traced run.
+
+The filtration is read in one place: spaces are made by build_space and
+level partitions are indexed only in space.py (and by the fuzz
+generators), so a bypass of either fails here too."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "benchmarks" / "spans.py"
+SRC = ROOT / "src" / "stoptime"
 
 
 def _layers() -> dict:
@@ -26,3 +33,19 @@ def test_every_layer_name_resolves(module):
     mod = importlib.import_module(f"stoptime.{module}")
     for name in LAYERS[module]:
         assert callable(getattr(mod, name, None)), f"stoptime.{module}.{name}"
+
+
+def _uses(pattern: str, allowed: set) -> list:
+    """file:line of every match of pattern in a library module not allowed."""
+    return [f"{path.name}:{n}"
+            for path in sorted(SRC.glob("*.py")) if path.name not in allowed
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(pattern, line)]
+
+
+def test_spaces_are_built_by_build_space():
+    assert _uses(r"\bFilteredSpace\s*\(", {"space.py"}) == []
+
+
+def test_partitions_indexed_only_in_space_and_fuzz():
+    assert _uses(r"\.partitions\s*\[", {"space.py", "fuzz.py"}) == []

@@ -7,12 +7,13 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (PureST, StoppingGame, StoppingProblem, delta_of_mixed,
-                      experiment, fuzz, game_payoff_symmetric, lift,
-                      lift_distribution, lift_mixed, lift_randomized,
+from stoptime import (FilteredSpace, PureST, StoppingGame, StoppingProblem,
+                      delta_of_mixed, experiment, fuzz, game_payoff_symmetric,
+                      lift, lift_distribution, lift_mixed, lift_randomized,
                       payoff_distribution, payoff_mixed, payoff_pure,
                       payoff_randomized, problems)
 from stoptime.experiment import ExperimentConfig, check_instance
+from stoptime.games import lift_player2
 
 ZERO = Fraction(0)
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
@@ -79,6 +80,29 @@ def oracle_symmetric(game, mu1, mu2):
     return total
 
 
+def first_stopper_reward(first, second, tie, w, my_index, opp_index):
+    """The seed's per-index rule: first is paid when the lifted player stops
+    strictly first, second (at the opponent's stop) when the opponent does,
+    tie on a tie."""
+    if my_index < opp_index:
+        return first.at(w, my_index)
+    if my_index > opp_index:
+        return second.at(w, opp_index)
+    return tie.at(w, my_index)
+
+
+def seed_lifted_space(base, delta):
+    """The seed's lifted space, built directly: positive-mass atoms, and
+    each base block pulled back to the atoms of its outcomes."""
+    pos = tuple((w, s) for w in base.outcomes for s in range(base.n_times)
+                if delta.mass[w][s] > 0)
+    partitions = tuple(
+        tuple(frozenset(a for a in pos if a[0] in block) for block in part)
+        for part in base.partitions)
+    return FilteredSpace(outcomes=pos, probs=tuple(delta.mass[w][s] for w, s in pos),
+                         grid=base.grid, partitions=partitions)
+
+
 def make_instance(seed, fuzz_bounds):
     rng = np.random.Generator(np.random.PCG64(seed))
     return fuzz.random_instance(rng, fuzz_bounds)
@@ -118,6 +142,25 @@ def test_lifted_payoffs_match_fraction_oracles(seed, fuzz_bounds):
         lifted.problem, pure, lift_mixed(inst.mixed, lifted.space),
         lift_randomized(inst.randomized, lifted.space),
         lift_distribution(inst.distribution, inst.space, lifted.space))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, bounds)
+def test_lifted_rewards_match_first_stopper_rule(seed, fuzz_bounds):
+    inst = make_instance(seed, fuzz_bounds)
+    space = inst.space
+    game = StoppingGame(space, inst.x, inst.y, inst.z)
+    for lift_fn, mu, first, second in ((lift, inst.mixed2, game.x, game.y),
+                                       (lift_player2, inst.mixed, game.y, game.x)):
+        delta = delta_of_mixed(space, mu)
+        lifted = lift_fn(game, delta)
+        assert lifted.space == seed_lifted_space(space, delta)
+        rows = lifted.problem.reward.values
+        assert set(rows) == set(lifted.space.outcomes)
+        for w, s in lifted.space.outcomes:
+            assert rows[(w, s)] == tuple(
+                first_stopper_reward(first, second, game.z, w, j, s)
+                for j in range(space.n_times))
 
 
 @settings(max_examples=40, deadline=None)
