@@ -8,12 +8,12 @@ harness.
 """
 
 from .space import (AdaptedProcess, FilteredSpace, IncompatibleSpaces,
-                    SpaceError, SubMeasure, Violation, atom_of, build_space,
+                    SpaceError, SubMeasure, Violation, build_space,
                     check_space, validate_adapted)
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
-                    RandomizedST, densities, embed_pure, fraction_dot,
-                    over_common, rn_derivative, sub_measure, validate,
-                    validate_distribution, validate_mixed,
+                    RandomizedST, common_refinement, densities, embed_pure,
+                    fraction_dot, over_common, rn_derivative, sub_measure,
+                    validate, validate_distribution, validate_mixed,
                     validate_mixed_product, validate_mixed_sections,
                     validate_pure, validate_randomized)
 from .convert import (cdf_of_mixed, delta_of_mixed, delta_of_randomized,
@@ -24,9 +24,9 @@ from .problems import (StoppingProblem, payoff, payoff_distribution,
                        payoff_mixed, payoff_pure, payoff_randomized)
 from .games import (LiftedProblem, StoppingGame, game_payoff_player2_view,
                     game_payoff_symmetric, game_payoff_via_lift, lift,
-                    lift_distribution, lift_mixed, lift_randomized)
-from .sampling import (EmptySamples, SampleRecord, empirical_delta,
-                       sample_many, sample_stop)
+                    lift_distribution, lift_mixed, lift_randomized,
+                    payoff_on_lift)
+from .sampling import EmptySamples, SampleRecord, empirical_delta, sample_many
 from .experiment import ExperimentConfig, ExperimentReport, run_experiment
 
 __version__ = "0.1.0"

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import convert, demo, fuzz, games, problems, sampling
-from .times import (embed_pure, rn_derivative, validate,
-                    validate_mixed_product, validate_mixed_sections)
+from .times import (densities, embed_pure, validate, validate_mixed_product,
+                    validate_mixed_sections)
 
 CSV_HEADER = "instance,check,status,witness"
 
@@ -124,10 +124,9 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
 
     # cumulative densities of the pushed-forward mass match the sections
     delta_mu = convert.delta_of_mixed(space, inst.mixed)
-    dens = [rn_derivative(space, delta_mu, j) for j in range(space.n_times)]
+    dens = densities(space, delta_mu)
     cdf = inst.mixed.cdf_rows(space.n_times)
-    dens_ok = all(dens[j][w] == cdf[w][j]
-                  for w in space.outcomes for j in range(space.n_times))
+    dens_ok = all(dens[w] == cdf[w] for w in space.outcomes)
     _row(results, name, "density_vs_cdf", dens_ok, "densities differ")
 
     # one payoff per equivalence class, through all routes
@@ -170,7 +169,8 @@ def _mutated_mixed(config, rng, inst):
         return mutated, inst.space
     bounds = replace(config.bounds(),
                      max_outcomes=max(2, config.max_outcomes),
-                     max_grid_points=max(2, config.max_grid_points))
+                     max_grid_points=max(2, min(config.max_grid_points,
+                                                fuzz.MAX_CELLS // 2)))
     space = fuzz.random_space(rng, bounds, min_outcomes=2)
     rho = fuzz.random_randomized(rng, space, bounds)
     mu = convert.mixed_of_randomized(space, rho)
@@ -182,9 +182,10 @@ def _game_checks(name: str, inst: fuzz.Instance) -> list:
     results: list = []
     game = games.StoppingGame(space, inst.x, inst.y, inst.z)
     delta2 = convert.delta_of_mixed(space, inst.mixed2)
+    lifted = games.lift(game, delta2)
 
     # both evaluation routes and both perspectives give one value
-    via_lift = games.game_payoff_via_lift(game, inst.mixed, delta2)
+    via_lift = games.payoff_on_lift(lifted, inst.mixed)
     symmetric = games.game_payoff_symmetric(game, inst.mixed, inst.mixed2)
     delta1 = convert.delta_of_mixed(space, inst.mixed)
     p2view = games.game_payoff_player2_view(game, delta1, inst.mixed2)
@@ -193,8 +194,7 @@ def _game_checks(name: str, inst: fuzz.Instance) -> list:
          f"lift={via_lift} symmetric={symmetric} p2view={p2view}")
 
     # equivalent strategies of Player 1 cannot change the payoff: each
-    # kind's own payoff route on one lifted problem, and the API route
-    lifted = games.lift(game, delta2)
+    # kind's own payoff route on the same lifted problem, and the lift route
     mu_l = games.lift_mixed(inst.mixed, lifted.space)
     rho_l = games.lift_randomized(inst.randomized, lifted.space)
     delta_l = games.lift_distribution(inst.distribution, space, lifted.space)

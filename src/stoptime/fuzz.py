@@ -17,13 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
 from .convert import delta_of_randomized, mixed_of_randomized
 from .space import AdaptedProcess, FilteredSpace, build_space
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
-                    RandomizedST, ONE, ZERO)
+                    RandomizedST, ONE, ZERO, common_refinement)
+
+
+# largest outcomes x grid points an instance may reach (128 x 32)
+MAX_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -37,6 +42,9 @@ class FuzzBounds:
         if min(self.max_outcomes, self.max_grid_points,
                self.max_breaks, self.max_denominator) < 1:
             raise ValueError("all bounds must be >= 1")
+        if self.max_outcomes * self.max_grid_points > MAX_CELLS:
+            raise ValueError(
+                f"max_outcomes * max_grid_points must be <= {MAX_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -131,21 +139,14 @@ def shuffle_sections(rng: np.random.Generator, space: FilteredSpace,
     """Rearrange the common interval refinement of all sections with one
     shared permutation.  This preserves the stop law and joint
     measurability; skipped when it would exceed the break budget."""
-    cuts = sorted({r for s in mu.sections.values() for r in s.breaks})
-    n_iv = len(cuts) - 1
+    n_iv = len({r for s in mu.sections.values() for r in s.breaks}) - 1
     if n_iv < 2 or n_iv > max_breaks:
         return mu
-    perm = list(rng.permutation(n_iv))
-    lengths = [cuts[i + 1] - cuts[i] for i in perm]
-    breaks = [ZERO]
-    for length in lengths:
-        breaks.append(breaks[-1] + length)
-    sections = {}
-    for w, s in mu.sections.items():
-        mids = [(cuts[i] + cuts[i + 1]) / 2 for i in perm]
-        values = [s.value_at(r) for r in mids]
-        sections[w] = RStepFunction(tuple(breaks), tuple(values)).canonical()
-    return MixedST(sections)
+    pieces = common_refinement(mu.sections)
+    moved = [pieces[i] for i in rng.permutation(n_iv)]
+    breaks = tuple(accumulate((b - a for a, b, _ in moved), initial=ZERO))
+    return MixedST({w: RStepFunction(breaks, tuple(v[w] for _, _, v in moved))
+                    .canonical() for w in mu.sections})
 
 
 def random_process(rng: np.random.Generator, space: FilteredSpace,

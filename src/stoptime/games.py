@@ -119,18 +119,19 @@ def lift_distribution(delta: DistributionST, base: FilteredSpace,
 
 def game_payoff_via_lift(game: StoppingGame, tau1,
                          delta2: DistributionST) -> Fraction:
-    """Player 1's payoff: the joint mass of tau1 (any kind), reweighted onto
-    the lifted space, priced on the lifted problem."""
-    return _lifted_payoff(lift(game, delta2), tau1)
+    """Player 1's payoff against Player 2's stop mass delta2."""
+    return payoff_on_lift(lift(game, delta2), tau1)
 
 
 def game_payoff_player2_view(game: StoppingGame, delta1: DistributionST,
                              tau2) -> Fraction:
     """Same payoff computed from Player 2's perspective."""
-    return _lifted_payoff(lift_player2(game, delta1), tau2)
+    return payoff_on_lift(lift_player2(game, delta1), tau2)
 
 
-def _lifted_payoff(lifted: LiftedProblem, tau) -> Fraction:
+def payoff_on_lift(lifted: LiftedProblem, tau) -> Fraction:
+    """The lifted player's payoff: the joint mass of tau (any kind),
+    reweighted onto the lifted space, priced on the lifted problem."""
     base = lifted.base.space
     return payoff_distribution(lifted.problem, lift_distribution(
         to_distribution(base, tau), base, lifted.space))

@@ -12,11 +12,10 @@ representation, and all three target the same joint law:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .convert import to_distribution
 from .space import FilteredSpace
 from .times import DistributionST, MixedST, PureST, RandomizedST, embed_pure
 
@@ -81,12 +80,6 @@ def _mass_indices(delta: DistributionST, w, rs: np.ndarray) -> np.ndarray:
     return np.searchsorted(np.cumsum(row / row.sum()), rs, side="left")
 
 
-def sample_stop(space: FilteredSpace, eta, rng: np.random.Generator,
-                replicate: int = 0) -> SampleRecord:
-    """A single draw; see sample_many for the per-kind procedure."""
-    return replace(sample_many(space, eta, rng, 1)[0], replicate=replicate)
-
-
 def empirical_delta(space: FilteredSpace, samples,
                     reference: DistributionST = None):
     """Frequency table over (outcome, grid index), and when a reference
@@ -104,11 +97,3 @@ def empirical_delta(space: FilteredSpace, samples,
     tv = 0.5 * sum(abs(freq[(w, j)] - float(reference.mass[w][j]))
                    for w in space.outcomes for j in range(space.n_times))
     return freq, tv
-
-
-def tv_between(space: FilteredSpace, eta_a, eta_b) -> float:
-    """Exact TV between the stop laws of two stopping times, as a float."""
-    da = to_distribution(space, eta_a)
-    db = to_distribution(space, eta_b)
-    return 0.5 * sum(abs(float(da.mass[w][j]) - float(db.mass[w][j]))
-                     for w in space.outcomes for j in range(space.n_times))

@@ -14,10 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Hashable, Mapping
-
-Outcome = Hashable
-Block = frozenset
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -53,8 +50,7 @@ def _as_fraction(x) -> Fraction:
 
 def _canonical_partition(blocks, order: dict) -> tuple:
     """Sort blocks by their earliest outcome so equal partitions compare equal."""
-    return tuple(sorted((frozenset(b) for b in blocks),
-                        key=lambda b: min(map(order.__getitem__, b))))
+    return tuple(sorted(blocks, key=lambda b: min(map(order.__getitem__, b))))
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,7 @@ class FilteredSpace:
                     out.append((j, block, first, rest))
         return tuple(out)
 
-    def atom_of(self, grid_index: int, outcome) -> Block:
+    def atom_of(self, grid_index: int, outcome) -> frozenset:
         """The block of partitions[grid_index] containing the outcome."""
         if not 0 <= grid_index < len(self.grid):
             raise IndexOutOfRange(f"grid index {grid_index} out of range")
@@ -115,9 +111,9 @@ class FilteredSpace:
 
 
 def check_space(outcomes, probs, grid, partitions) -> list:
-    """Collect every violated invariant of the raw space inputs."""
+    """Collect every violated invariant of the space inputs, given as
+    build_space normalises them: Fraction probs and grid, frozenset blocks."""
     violations = []
-    outcomes = tuple(outcomes)
     if len(outcomes) == 0:
         violations.append(Violation("EmptyOutcomes", "need at least one outcome"))
         return violations
@@ -126,13 +122,12 @@ def check_space(outcomes, probs, grid, partitions) -> list:
         return violations
     universe = frozenset(outcomes)
 
-    probs = tuple(_as_fraction(p) for p in probs)
     if len(probs) != len(outcomes):
         violations.append(Violation(
             "ProbShapeMismatch", f"{len(probs)} probs for {len(outcomes)} outcomes"))
     else:
         for w, p in zip(outcomes, probs):
-            if p <= 0:
+            if p.numerator <= 0:
                 violations.append(Violation("NonPositiveProb", f"P({w!r}) = {p}"))
         # the probs sum to 1 iff their numerators over the lcm d sum to d
         d = lcm(*(p.denominator for p in probs))
@@ -140,7 +135,6 @@ def check_space(outcomes, probs, grid, partitions) -> list:
             violations.append(Violation(
                 "ProbsNotSummingToOne", f"sum is {sum(probs)}"))
 
-    grid = tuple(_as_fraction(t) for t in grid)
     if len(grid) == 0:
         violations.append(Violation("EmptyGrid", "need at least one grid time"))
     else:
@@ -151,7 +145,6 @@ def check_space(outcomes, probs, grid, partitions) -> list:
                 violations.append(Violation(
                     "GridNotIncreasing", f"t_{j} = {grid[j]} <= t_{j-1} = {grid[j-1]}"))
 
-    partitions = tuple(tuple(frozenset(b) for b in part) for part in partitions)
     if len(partitions) != len(grid):
         violations.append(Violation(
             "PartitionShapeMismatch",
@@ -183,23 +176,21 @@ def check_space(outcomes, probs, grid, partitions) -> list:
 def build_space(outcomes, probs, grid, partitions) -> FilteredSpace:
     """Validate the inputs and return a canonical FilteredSpace.
 
-    Raises SpaceError carrying the full list of violations otherwise.
+    Raises SpaceError carrying the full list of violations otherwise.  The
+    inputs are normalised once, here, before check_space reads them.
     """
+    outcomes = tuple(outcomes)
+    probs = tuple(_as_fraction(p) for p in probs)
+    grid = tuple(_as_fraction(t) for t in grid)
+    partitions = tuple(tuple(frozenset(b) for b in part) for part in partitions)
     violations = check_space(outcomes, probs, grid, partitions)
     if violations:
         raise SpaceError(violations)
-    outcomes = tuple(outcomes)
     order = {w: i for i, w in enumerate(outcomes)}
     return FilteredSpace(
-        outcomes=outcomes,
-        probs=tuple(_as_fraction(p) for p in probs),
-        grid=tuple(_as_fraction(t) for t in grid),
+        outcomes=outcomes, probs=probs, grid=grid,
         partitions=tuple(_canonical_partition(part, order) for part in partitions),
     )
-
-
-def atom_of(space: FilteredSpace, grid_index: int, outcome) -> Block:
-    return space.atom_of(grid_index, outcome)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ All four kinds live on a FilteredSpace and take values on its grid:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -100,14 +99,6 @@ class RStepFunction:
                 values.append(v)
         return RStepFunction(tuple(breaks), tuple(values))
 
-    def value_at(self, r) -> int:
-        """Section value at r in [0,1]; r = 1 uses the last interval."""
-        r = _as_fraction(r)
-        if not ZERO <= r <= ONE:
-            raise ValueError("r must lie in [0,1]")
-        i = bisect_right(self.breaks, r) - 1
-        return self.values[min(i, len(self.values) - 1)]
-
     def mass_of_index(self, index: int) -> Fraction:
         """Lebesgue measure of {r : value(r) == index}."""
         return sum((self.breaks[i + 1] - self.breaks[i]
@@ -149,6 +140,28 @@ class RStepFunction:
         return below, row, d
 
 
+def common_refinement(sections: Mapping) -> list:
+    """(a, b, {w: value}) for each interval [a, b) of the coarsest partition
+    of [0,1] refining every section's breaks, in order.  Breaks are keyed
+    as ints over their lcm denominator, each cut by its index, and each
+    section's values spread over the cut intervals they cover."""
+    d = lcm(*(r.denominator for s in sections.values() for r in s.breaks))
+    keys = [[r.numerator * (d // r.denominator) for r in s.breaks]
+            for s in sections.values()]
+    cut_at = {k: r for s, ks in zip(sections.values(), keys)
+              for k, r in zip(ks, s.breaks)}
+    cuts = sorted(cut_at)
+    index = {k: i for i, k in enumerate(cuts)}
+    rows = []
+    for s, ks in zip(sections.values(), keys):
+        row = []
+        for k, v in zip(ks[1:], s.values):
+            row += [v] * (index[k] - len(row))
+        rows.append(row)
+    return [(cut_at[a], cut_at[b], dict(zip(sections, values)))
+            for a, b, values in zip(cuts, cuts[1:], zip(*rows))]
+
+
 def interval_intersection_measure(xs, ys) -> Fraction:
     """Measure of the intersection of two sorted disjoint interval unions."""
     total = ZERO
@@ -178,10 +191,6 @@ def symmetric_difference_measure(xs, ys) -> Fraction:
 @dataclass(frozen=True)
 class PureST:
     stop_index: Mapping
-
-    @staticmethod
-    def make(stop_index: Mapping) -> "PureST":
-        return PureST({w: int(j) for w, j in stop_index.items()})
 
 
 @dataclass(frozen=True)
@@ -225,11 +234,6 @@ class RandomizedST:
 class DistributionST:
     mass: Mapping
 
-    @staticmethod
-    def make(mass: Mapping) -> "DistributionST":
-        return DistributionST(
-            {w: tuple(_as_fraction(x) for x in row) for w, row in mass.items()})
-
 
 # ---------------------------------------------------------------------------
 # validators
@@ -260,18 +264,12 @@ def _section_violations(space: FilteredSpace, mu: MixedST) -> list:
 
 
 def validate_mixed_sections(space: FilteredSpace, mu: MixedST) -> list:
-    """Section-wise check: every r-interval representative is a pure stopping time."""
-    violations = _section_violations(space, mu)
-    if violations:
-        return violations
-    cuts = sorted({r for s in mu.sections.values() for r in s.breaks})
-    for a, b in zip(cuts, cuts[1:]):
-        rep = (a + b) / 2
-        sigma = PureST({w: s.value_at(rep) for w, s in mu.sections.items()})
-        for v in validate_pure(space, sigma):
-            violations.append(Violation(
-                "SectionNotStoppingTime", f"r in [{a},{b}): {v.detail}"))
-    return violations
+    """Section-wise check: on every interval of the sections' common
+    refinement, the values form a pure stopping time."""
+    return _section_violations(space, mu) or [
+        Violation("SectionNotStoppingTime", f"r in [{a},{b}): {v.detail}")
+        for a, b, values in common_refinement(mu.sections)
+        for v in validate_pure(space, PureST(values))]
 
 
 def validate_mixed_product(space: FilteredSpace, mu: MixedST) -> list:

@@ -8,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoptime import demo
+from stoptime import cli, demo
 from stoptime.cli import main
 from stoptime.serialize import (dump_json, space_to_dict,
                                 stopping_time_to_dict)
@@ -158,6 +158,16 @@ def test_validate_pure_with_extra_outcome(files, tmp_path, capsys):
 SPACE_DOC = {"grid": ["0", "1"], "outcomes": ["w1", "w2"],
              "probs": ["1/2", "1/2"],
              "partitions": [[["w1", "w2"]], [["w1"], ["w2"]]]}
+
+
+def test_fuzz_bound_over_the_cap_is_an_input_error(monkeypatch, capsys):
+    # the config is rejected when built; the campaign must never start
+    def never(config):
+        raise AssertionError("campaign started")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    assert main(["fuzz", "--max-outcomes", "100000000"]) == 2
+    assert "max_outcomes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc, with_space", [

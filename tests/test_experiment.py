@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from stoptime import convert, experiment, fuzz, times
+from stoptime import build_space, convert, experiment, fuzz, times
 from stoptime.experiment import (CheckRow, ExperimentConfig, ExperimentReport,
                                  _rng_for, check_instance, monte_carlo_rows,
                                  run_experiment)
@@ -87,6 +87,28 @@ def test_config_rejects_bad_bounds_when_built(field, value):
         ExperimentConfig(**{field: value})
 
 
+def test_config_caps_outcomes_times_grid_points():
+    # an uncapped bound let one instance grow until memory ran out
+    ExperimentConfig(max_outcomes=128, max_grid_points=32)
+    ExperimentConfig(max_outcomes=1, max_grid_points=fuzz.MAX_CELLS)
+    for outcomes, points in ((129, 32), (128, 33), (100_000_000, 6)):
+        with pytest.raises(ValueError, match="max_outcomes"):
+            ExperimentConfig(max_outcomes=outcomes, max_grid_points=points)
+
+
+def test_mutated_bounds_stay_under_the_cap():
+    # a single-outcome bound draws the mutated time on two outcomes, which
+    # must not push an accepted grid bound over the cap
+    config = ExperimentConfig(max_outcomes=1, max_grid_points=fuzz.MAX_CELLS)
+    space = build_space(("w",), (1,), (0, 1), ([{"w"}], [{"w"}]))
+    inst = types.SimpleNamespace(
+        space=space, mixed=times.embed_pure(times.PureST({"w": 0})))
+    mutated, mspace = experiment._mutated_mixed(config, _rng_for(0, 0), inst)
+    assert len(mspace.outcomes) == 2
+    assert len(mspace.outcomes) * mspace.n_times <= fuzz.MAX_CELLS
+    assert times.validate_mixed_sections(mspace, mutated)
+
+
 def test_single_outcome_bound_campaign_passes():
     # the mutated-mixed check needs two outcomes; a bound of one must not crash
     report = run_experiment(ExperimentConfig(max_outcomes=1, n_instances=20,
@@ -133,7 +155,7 @@ def test_check_instance_prefix_work_is_linear(monkeypatch):
     monkeypatch.setattr(times, "sub_measure", counted)
     rows = check_instance(config, index)
     assert all(r.status == "pass" for r in rows)
-    assert 0 < len(calls) <= 2 * inst.space.n_times
+    assert calls == []  # the densities table is read once instead
 
 
 # SHA-256 of the seed-7 report below, recorded before the exact core moved

@@ -8,11 +8,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
-                      RandomizedST, densities, fraction_dot, fuzz,
-                      mixed_of_randomized, over_common, rn_derivative,
-                      validate_adapted, validate_distribution,
-                      validate_mixed_product, validate_pure,
-                      validate_randomized)
+                      RandomizedST, common_refinement, densities,
+                      fraction_dot, fuzz, mixed_of_randomized, over_common,
+                      rn_derivative, validate_adapted, validate_distribution,
+                      validate_mixed_product, validate_mixed_sections,
+                      validate_pure, validate_randomized)
 from stoptime.space import Violation
 from stoptime.times import ZERO, symmetric_difference_measure
 
@@ -70,7 +70,7 @@ def test_over_common_empty_row():
 
 
 # ---------------------------------------------------------------------------
-# step functions: bisect lookup and integer rows
+# step functions: the common refinement and integer rows
 
 def linear_value_at(s: RStepFunction, r) -> int:
     """The seed's value_at: first interval whose right end exceeds r."""
@@ -80,15 +80,98 @@ def linear_value_at(s: RStepFunction, r) -> int:
     return s.values[-1]
 
 
+@st.composite
+def shared_break_sections(draw):
+    """Sections drawing their breaks from one shared pool plus a few of
+    their own, with values in 0..2 so that equal neighbours (sections that
+    are not canonical) are common."""
+    unit = st.fractions(0, 1, max_denominator=60)
+    pool = draw(st.lists(unit, max_size=8))
+    sections = {}
+    for i in range(draw(st.integers(1, 5))):
+        inner = set(draw(st.lists(st.sampled_from(pool), max_size=6))
+                    if pool else ())
+        inner |= set(draw(st.lists(unit, max_size=2)))
+        breaks = (ZERO, *sorted(inner - {0, 1}), Fraction(1))
+        values = draw(st.lists(st.integers(0, 2), min_size=len(breaks) - 1,
+                               max_size=len(breaks) - 1))
+        sections[f"w{i}"] = RStepFunction(breaks, tuple(values))
+    if draw(st.booleans()):
+        sections["shared"] = sections["w0"]  # one section object twice
+    return sections
+
+
+fuzzed_sections = st.builds(
+    lambda seed, b: make_instance(seed, b)[0].mixed.sections, seeds, bounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(shared_break_sections(), fuzzed_sections))
+def test_common_refinement_matches_linear_definition(sections):
+    pieces = common_refinement(sections)
+    # the pieces tile [0,1] in order
+    assert pieces[0][0] == 0 and pieces[-1][1] == 1
+    assert all(a < b for a, b, _ in pieces)
+    assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+    # every break is a cut and every cut is a break: the coarsest refinement
+    cuts = {a for a, _, _ in pieces} | {pieces[-1][1]}
+    assert cuts == {r for s in sections.values() for r in s.breaks}
+    for a, b, values in pieces:
+        mid = (a + b) / 2
+        assert list(values) == list(sections)
+        assert values == {w: linear_value_at(s, mid)
+                          for w, s in sections.items()}
+
+
+def midpoint_validate_mixed_sections(space, mu: MixedST) -> list:
+    """The seed's section-wise check: one pure time per cut interval, read
+    at the interval's midpoint (shape and range checks omitted: the inputs
+    below are well shaped)."""
+    cuts = sorted({r for s in mu.sections.values() for r in s.breaks})
+    violations = []
+    for a, b in zip(cuts, cuts[1:]):
+        sigma = PureST({w: linear_value_at(s, (a + b) / 2)
+                        for w, s in mu.sections.items()})
+        violations += [Violation("SectionNotStoppingTime",
+                                 f"r in [{a},{b}): {v.detail}")
+                       for v in validate_pure(space, sigma)]
+    return violations
+
+
+def midpoint_shuffle_sections(rng, mu: MixedST, max_breaks: int) -> MixedST:
+    """The seed's shuffle, reading each section at the permuted midpoints."""
+    cuts = sorted({r for s in mu.sections.values() for r in s.breaks})
+    n_iv = len(cuts) - 1
+    if n_iv < 2 or n_iv > max_breaks:
+        return mu
+    perm = list(rng.permutation(n_iv))
+    breaks = [ZERO]
+    for i in perm:
+        breaks.append(breaks[-1] + cuts[i + 1] - cuts[i])
+    return MixedST({w: RStepFunction(tuple(breaks), tuple(
+        linear_value_at(s, (cuts[i] + cuts[i + 1]) / 2) for i in perm))
+        .canonical() for w, s in mu.sections.items()})
+
+
 @settings(max_examples=60, deadline=None)
-@given(seeds, bounds, st.lists(st.fractions(0, 1, max_denominator=200),
-                               max_size=10))
-def test_value_at_matches_linear_definition(seed, fuzz_bounds, points):
-    inst, _ = make_instance(seed, fuzz_bounds)
-    for s in list(inst.mixed.sections.values()) + [RStepFunction.constant(3)]:
-        # every break, r = 0, r = 1 and points strictly inside
-        for r in set(s.breaks) | set(points) | {ZERO, Fraction(1)}:
-            assert s.value_at(r) == linear_value_at(s, r)
+@given(seeds, bounds)
+def test_section_walk_matches_midpoint_readers(seed, fuzz_bounds):
+    inst, rng = make_instance(seed, fuzz_bounds)
+    space = inst.space
+    corrupt = fuzz.corrupt_mixed(space, inst.mixed)
+    # the same verdicts and texts, and the same shuffle from the same
+    # RNG state, leaving the stream where the seed's shuffle left it
+    for mu in (inst.mixed, inst.mixed2, corrupt):
+        if mu is None:
+            continue
+        assert (validate_mixed_sections(space, mu)
+                == midpoint_validate_mixed_sections(space, mu))
+        state = rng.bit_generator.state
+        want = midpoint_shuffle_sections(rng, mu, 64)
+        after = rng.bit_generator.state
+        rng.bit_generator.state = state
+        assert fuzz.shuffle_sections(rng, space, mu, 64) == want
+        assert rng.bit_generator.state == after
 
 
 @settings(max_examples=60, deadline=None)

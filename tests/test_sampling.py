@@ -3,9 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stoptime import (EmptySamples, PureST, SampleRecord, empirical_delta,
-                      sample_many, sample_stop)
-from stoptime.sampling import tv_between
+from stoptime import (EmptySamples, PureST, SampleRecord, common_refinement,
+                      empirical_delta, sample_many)
 
 F = Fraction
 
@@ -22,15 +21,9 @@ def test_pure_embedding_is_deterministic_given_outcome(coin_space):
 
 def test_mixed_section_value_below_break(coin_space, coin_mixed):
     # r = 0.3 lies in the first interval, so the stop index is 0
-    assert coin_mixed.sections["w1"].value_at(F(3, 10)) == 0
-
-
-def test_sample_stop_single(coin_space, coin_mixed):
-    rec = sample_stop(coin_space, coin_mixed, rng(1), replicate=5)
-    assert isinstance(rec, SampleRecord)
-    assert rec.replicate == 5
-    assert rec.outcome in coin_space.outcomes
-    assert 0 <= rec.grid_index <= 1
+    a, b, values = common_refinement(coin_mixed.sections)[0]
+    assert a <= F(3, 10) < b
+    assert values["w1"] == 0
 
 
 def test_three_samplers_hit_the_same_law(coin_space, coin_mixed,
@@ -66,7 +59,3 @@ def test_empirical_delta_concentrated(coin_space, coin_delta):
 def test_empirical_delta_empty(coin_space, coin_delta):
     with pytest.raises(EmptySamples):
         empirical_delta(coin_space, [], coin_delta)
-
-
-def test_tv_between_exact(coin_space, coin_mixed, coin_mixed_flipped):
-    assert tv_between(coin_space, coin_mixed, coin_mixed_flipped) == 0.0

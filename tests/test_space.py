@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from stoptime import (AdaptedProcess, SpaceError, atom_of, build_space,
-                      check_space, validate_adapted)
+from stoptime import (AdaptedProcess, SpaceError, build_space, check_space,
+                      validate_adapted)
 from stoptime.space import IndexOutOfRange
 
 F = Fraction
@@ -34,6 +34,9 @@ def test_nonpositive_prob_and_bad_grid():
         ((frozenset({"w1", "w2"}),),) * 2)}
     assert "NonPositiveProb" in codes
     assert "GridNotIncreasing" in codes
+    zero = check_space(("w1", "w2"), (F(1), F(0)), (F(0), F(1)),
+                       ((frozenset({"w1", "w2"}),),) * 2)
+    assert [v.code for v in zero] == ["NonPositiveProb"]
 
 
 def test_not_a_partition():
@@ -51,17 +54,17 @@ def test_refinement_violated():
 
 
 def test_atom_of_fine_and_coarse(coin_space, coin_space_coarse):
-    assert atom_of(coin_space, 0, "w1") == frozenset({"w1"})
-    assert atom_of(coin_space_coarse, 0, "w1") == frozenset({"w1", "w2"})
-    assert atom_of(coin_space_coarse, 0, "w2") == frozenset({"w1", "w2"})
-    assert atom_of(coin_space_coarse, 1, "w2") == frozenset({"w2"})
+    assert coin_space.atom_of(0, "w1") == frozenset({"w1"})
+    assert coin_space_coarse.atom_of(0, "w1") == frozenset({"w1", "w2"})
+    assert coin_space_coarse.atom_of(0, "w2") == frozenset({"w1", "w2"})
+    assert coin_space_coarse.atom_of(1, "w2") == frozenset({"w2"})
 
 
 def test_atom_of_bad_index(coin_space):
     with pytest.raises(IndexOutOfRange):
-        atom_of(coin_space, 5, "w1")
+        coin_space.atom_of(5, "w1")
     with pytest.raises(IndexOutOfRange):
-        atom_of(coin_space, 0, "nope")
+        coin_space.atom_of(0, "nope")
 
 
 def test_build_space_deterministic(coin_space):

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
-                      RandomizedST, delta_of_mixed, embed_pure, rn_derivative,
-                      sub_measure, validate_distribution, validate_mixed,
+                      RandomizedST, common_refinement, delta_of_mixed,
+                      embed_pure, rn_derivative, sub_measure,
+                      validate_distribution, validate_mixed,
                       validate_mixed_product, validate_mixed_sections,
                       validate_pure, validate_randomized)
 
@@ -26,9 +27,8 @@ def test_step_function_shape_checks():
 
 def test_step_function_value_and_masses():
     s = RStepFunction((F(0), H, F(1)), (0, 2))
-    assert s.value_at(F(3, 10)) == 0
-    assert s.value_at(H) == 2
-    assert s.value_at(1) == 2  # the point r = 1 uses the last interval
+    # [0, 1/2) carries 0, and [1/2, 1] carries 2 including the point r = 1
+    assert common_refinement({"w": s}) == [(0, H, {"w": 0}), (H, 1, {"w": 2})]
     assert s.mass_of_index(0) == H
     assert s.mass_of_index(1) == 0
     assert s.cdf(1) == H
