@@ -96,10 +96,11 @@ def cmd_equiv(args) -> int:
     space = _load_space(args.space)
     a = _load_valid_stop(args.a, space)
     b = _load_valid_stop(args.b, space)
-    if convert.equivalent(space, a, b):
+    diff = convert.first_difference(space, a, b)
+    if diff is None:
         print("equivalent")
         return EXIT_OK
-    w, t, ma, mb = convert.first_difference(space, a, b)
+    w, t, ma, mb = diff
     print(f"not equivalent: outcome {w} time {t}: {ma} != {mb}")
     return EXIT_CHECK_FAILED
 
@@ -113,12 +114,12 @@ def cmd_payoff(args) -> int:
     print(_exact(value))
     if args.check_kuhn:
         delta = convert.to_distribution(space, eta)
+        rho = convert.randomized_of_distribution(space, delta)
         routes = {
             "distribution": problems.payoff_distribution(problem, delta),
-            "randomized": problems.payoff_randomized(
-                problem, convert.randomized_of_distribution(space, delta)),
+            "randomized": problems.payoff_randomized(problem, rho),
             "mixed": problems.payoff_mixed(
-                problem, convert.mixed_of_distribution(space, delta)),
+                problem, convert.mixed_of_randomized(space, rho)),
         }
         if any(v != value for v in routes.values()):
             print(f"route mismatch: {routes}")
@@ -138,17 +139,17 @@ def cmd_game(args) -> int:
     tau2 = _load_valid_stop(args.p2, space)
     delta1 = convert.to_distribution(space, tau1)
     delta2 = convert.to_distribution(space, tau2)
-    if args.route == "p2view":
-        value = games.game_payoff_player2_view(game, delta1, tau2)
-    if args.route in ("lift", "both"):
-        value = via_lift = games.game_payoff_via_lift(game, tau1, delta2)
-    if args.route in ("symmetric", "both"):
-        value = symmetric = games.game_payoff_symmetric(
+    routes = {
+        "lift": lambda: games.game_payoff_via_lift(game, delta1, delta2),
+        "symmetric": lambda: games.game_payoff_symmetric(
             game, convert.mixed_of_distribution(space, delta1),
-            convert.mixed_of_distribution(space, delta2))
+            convert.mixed_of_distribution(space, delta2)),
+        "p2view": lambda: games.game_payoff_player2_view(game, delta1, delta2),
+    }
     if args.route != "both":
-        print(_exact(value))
+        print(_exact(routes[args.route]()))
         return EXIT_OK
+    via_lift, symmetric = routes["lift"](), routes["symmetric"]()
     print(f"lift:      {_exact(via_lift)}")
     print(f"symmetric: {_exact(symmetric)}")
     if via_lift != symmetric:

@@ -10,7 +10,6 @@ campaign checks it against the joint-mass route.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 
 from .space import FilteredSpace, require_rows
@@ -56,21 +55,18 @@ def mixed_of_randomized(space: FilteredSpace, rho: RandomizedST) -> MixedST:
     The section value at r is the smallest grid index whose path value
     reaches r; at a break equal to a path value the smaller index applies,
     which costs nothing in measure and makes the cumulative identity exact.
+    Index j opens an interval where its path value rises above the last
+    break, so the values rise strictly: the section is canonical as built.
     """
     sections = {}
     for w in space.outcomes:
-        row = rho.paths[w]
-        nums, _ = over_common(row)
         breaks = [ZERO]
         values = []
-        for v in sorted(set(nums)):
-            if v > 0:
-                # smallest index whose path value covers this interval; its
-                # path value is v itself
-                j = bisect_left(nums, v)
-                breaks.append(row[j])
+        for j, x in enumerate(rho.paths[w]):
+            if x > breaks[-1]:
+                breaks.append(x)
                 values.append(j)
-        sections[w] = RStepFunction(tuple(breaks), tuple(values)).canonical()
+        sections[w] = RStepFunction(tuple(breaks), tuple(values))
     return MixedST(sections)
 
 
@@ -116,7 +112,9 @@ def first_difference(space: FilteredSpace, a, b):
     da = to_distribution(space, a)
     db = to_distribution(space, b)
     for w in space.outcomes:
-        for j in range(space.n_times):
-            if da.mass[w][j] != db.mass[w][j]:
-                return (w, space.grid[j], da.mass[w][j], db.mass[w][j])
+        ra, rb = da.mass[w], db.mass[w]
+        if ra != rb:
+            for t, x, y in zip(space.grid, ra, rb):
+                if x != y:
+                    return (w, t, x, y)
     return None

@@ -12,12 +12,14 @@ import concurrent.futures
 import io
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
 from . import convert, demo, fuzz, games, problems, sampling
-from .times import (densities, embed_pure, validate, validate_mixed_product,
-                    validate_mixed_sections)
+from .times import (DistributionST, densities, embed_pure, validate,
+                    validate_mixed_product, validate_mixed_sections)
 
 CSV_HEADER = "instance,check,status,witness"
 
@@ -123,8 +125,8 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
          f"round={round_ok} unique={unique_ok}")
 
     # cumulative densities of the pushed-forward mass match the sections
-    delta_mu = convert.delta_of_mixed(space, inst.mixed)
-    dens = densities(space, delta_mu)
+    delta1 = convert.delta_of_mixed(space, inst.mixed)
+    dens = densities(space, delta1)
     cdf = inst.mixed.cdf_rows(space.n_times)
     dens_ok = all(dens[w] == cdf[w] for w in space.outcomes)
     _row(results, name, "density_vs_cdf", dens_ok, "densities differ")
@@ -138,7 +140,8 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
     }
     pay_ok = len(set(vals.values())) == 1
     pure_val = problems.payoff_pure(problem, inst.pure)
-    emb_val = problems.payoff_mixed(problem, embed_pure(inst.pure))
+    embedded = embed_pure(inst.pure)
+    emb_val = problems.payoff_mixed(problem, embedded)
     pure_ok = pure_val == emb_val
     _row(results, name, "payoff_invariance", pay_ok and pure_ok,
          f"values={[str(v) for v in vals.values()]} "
@@ -146,9 +149,9 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
 
     # the two mixed validators agree, on valid times and on a mutated instance
     agree_valid = all(
-        bool(validate_mixed_sections(space, mu))
-        == bool(validate_mixed_product(space, mu))
-        for mu in (inst.mixed, embed_pure(inst.pure)))
+        bool(validate_mixed_sections(space, mu)) == bool(product)
+        for mu, product in ((inst.mixed, reports["mixed"]),
+                            (embedded, validate_mixed_product(space, embedded))))
     mutated, mspace = _mutated_mixed(config, rng, inst)
     sec = validate_mixed_sections(mspace, mutated)
     prod = validate_mixed_product(mspace, mutated)
@@ -157,7 +160,7 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
          f"valid_agree={agree_valid} mutated: sections={bool(sec)} "
          f"product={bool(prod)}")
 
-    results.extend(_game_checks(name, inst))
+    results.extend(_game_checks(name, inst, delta1))
     return results
 
 
@@ -177,7 +180,8 @@ def _mutated_mixed(config, rng, inst):
     return fuzz.corrupt_mixed(space, mu), space
 
 
-def _game_checks(name: str, inst: fuzz.Instance) -> list:
+def _game_checks(name: str, inst: fuzz.Instance,
+                 delta1: DistributionST) -> list:
     space = inst.space
     results: list = []
     game = games.StoppingGame(space, inst.x, inst.y, inst.z)
@@ -185,10 +189,9 @@ def _game_checks(name: str, inst: fuzz.Instance) -> list:
     lifted = games.lift(game, delta2)
 
     # both evaluation routes and both perspectives give one value
-    via_lift = games.payoff_on_lift(lifted, inst.mixed)
+    via_lift = games.payoff_on_lift(lifted, delta1)
     symmetric = games.game_payoff_symmetric(game, inst.mixed, inst.mixed2)
-    delta1 = convert.delta_of_mixed(space, inst.mixed)
-    p2view = games.game_payoff_player2_view(game, delta1, inst.mixed2)
+    p2view = games.game_payoff_player2_view(game, delta1, delta2)
     _row(results, name, "game_routes_agree",
          via_lift == symmetric == p2view,
          f"lift={via_lift} symmetric={symmetric} p2view={p2view}")
@@ -246,19 +249,14 @@ def monte_carlo_rows(config: ExperimentConfig) -> list:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    rows: list = []
+    # bound per call: a check_instance replaced at run time is the one used
+    check = partial(check_instance, config)
+    indices = range(config.n_instances)
     if config.jobs == 1:
-        for i in range(config.n_instances):
-            rows.extend(check_instance(config, i))
-    else:
+        rows = list(chain.from_iterable(map(check, indices)))
+    else:  # pool.map, like map, keeps instance order
         with concurrent.futures.ProcessPoolExecutor(config.jobs) as pool:
-            futures = {pool.submit(check_instance, config, i): i
-                       for i in range(config.n_instances)}
-            collected = {}
-            for fut in concurrent.futures.as_completed(futures):
-                collected[futures[fut]] = fut.result()
-        for i in range(config.n_instances):
-            rows.extend(collected[i])
+            rows = list(chain.from_iterable(pool.map(check, indices)))
     rows.extend(monte_carlo_rows(config))
     rows.sort(key=lambda r: (_instance_key(r.instance), r.check))
     n_failed = sum(1 for r in rows if r.status != "pass")

@@ -12,7 +12,9 @@ representation, and all three target the same joint law:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +26,7 @@ class EmptySamples(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(NamedTuple):
     outcome: object
     grid_index: int
     replicate: int
@@ -55,8 +56,8 @@ def sample_many(space: FilteredSpace, eta, rng: np.random.Generator,
         if mask.any():
             indices[mask] = stop_indices(eta, w, rs[mask])
     indices = np.clip(indices, 0, space.n_times - 1)
-    return [SampleRecord(space.outcomes[int(i)], int(j), rep)
-            for rep, (i, j) in enumerate(zip(which, indices))]
+    return list(map(SampleRecord, map(space.outcomes.__getitem__, which.tolist()),
+                    indices.tolist(), range(n)))
 
 
 def _section_indices(mu: MixedST, w, rs: np.ndarray) -> np.ndarray:
@@ -84,14 +85,14 @@ def empirical_delta(space: FilteredSpace, samples,
                     reference: DistributionST = None):
     """Frequency table over (outcome, grid index), and when a reference
     stop law is given, the total-variation distance to it."""
-    samples = list(samples)
-    if not samples:
+    counts = Counter(map(attrgetter("outcome", "grid_index"), samples))
+    n = counts.total()
+    if not n:
         raise EmptySamples("no samples given")
-    freq = {(w, j): 0.0 for w in space.outcomes for j in range(space.n_times)}
-    for rec in samples:
-        freq[(rec.outcome, rec.grid_index)] += 1.0
-    n = float(len(samples))
-    freq = {k: v / n for k, v in freq.items()}
+    freq = {(w, j): counts.pop((w, j), 0) / n
+            for w in space.outcomes for j in range(space.n_times)}
+    if counts:  # a cell outside the space
+        raise KeyError(next(iter(counts)))
     if reference is None:
         return freq, None
     tv = 0.5 * sum(abs(freq[(w, j)] - float(reference.mass[w][j]))

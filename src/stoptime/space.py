@@ -10,7 +10,7 @@ so every check in this package is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -36,10 +36,6 @@ class SpaceError(ValueError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-class IndexOutOfRange(IndexError):
-    pass
-
-
 class IncompatibleSpaces(ValueError):
     """Two objects do not live on the same filtered space."""
 
@@ -63,14 +59,6 @@ class FilteredSpace:
     grid: tuple
     partitions: tuple
 
-    # index of each outcome, for canonical ordering and fast lookups
-    _order: dict = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        if self._order is None:
-            object.__setattr__(
-                self, "_order", {w: i for i, w in enumerate(self.outcomes)})
-
     @property
     def n_times(self) -> int:
         return len(self.grid)
@@ -87,6 +75,11 @@ class FilteredSpace:
         return self.probs[self._order[outcome]]
 
     @cached_property
+    def _order(self) -> dict:
+        """The index of each outcome, for canonical ordering and lookups."""
+        return {w: i for i, w in enumerate(self.outcomes)}
+
+    @cached_property
     def _shared_blocks(self) -> tuple:
         """(j, block, first, rest) per level-j block of two or more outcomes,
         members in space order: each block is sorted once per space."""
@@ -97,17 +90,6 @@ class FilteredSpace:
                     first, *rest = sorted(block, key=self._order.__getitem__)
                     out.append((j, block, first, rest))
         return tuple(out)
-
-    def atom_of(self, grid_index: int, outcome) -> frozenset:
-        """The block of partitions[grid_index] containing the outcome."""
-        if not 0 <= grid_index < len(self.grid):
-            raise IndexOutOfRange(f"grid index {grid_index} out of range")
-        if outcome not in self._order:
-            raise IndexOutOfRange(f"unknown outcome {outcome!r}")
-        for block in self.partitions[grid_index]:
-            if outcome in block:
-                return block
-        raise AssertionError("partition invariant broken")
 
 
 def check_space(outcomes, probs, grid, partitions) -> list:
@@ -221,12 +203,6 @@ class AdaptedProcess:
     def time_process(space: FilteredSpace) -> "AdaptedProcess":
         """The deterministic process whose value at t_j is t_j."""
         return AdaptedProcess({w: tuple(space.grid) for w in space.outcomes})
-
-    def min_value(self) -> Fraction:
-        return min(min(row) for row in self.values.values())
-
-    def max_value(self) -> Fraction:
-        return max(max(row) for row in self.values.values())
 
 
 def row_violations(space: FilteredSpace, table: Mapping, what: str) -> list:

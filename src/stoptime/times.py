@@ -79,11 +79,6 @@ class RStepFunction:
                 raise ValueError("breaks must be strictly increasing")
 
     @staticmethod
-    def make(breaks, values) -> "RStepFunction":
-        return RStepFunction(tuple(_as_fraction(r) for r in breaks),
-                             tuple(int(v) for v in values))
-
-    @staticmethod
     def constant(index: int) -> "RStepFunction":
         return RStepFunction((ZERO, ONE), (int(index),))
 

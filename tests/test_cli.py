@@ -8,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoptime import cli, demo
+from stoptime import cli, convert, demo
 from stoptime.cli import main
 from stoptime.serialize import (dump_json, space_to_dict,
                                 stopping_time_to_dict)
@@ -87,6 +87,27 @@ def test_equiv_false_prints_witness(files, tmp_path, capsys):
                  "--space", files["space"]]) == 1
     out = capsys.readouterr().out
     assert "w1" in out and "1/4" in out and "1/6" in out
+
+
+def test_equiv_normalises_each_argument_once(files, tmp_path, monkeypatch,
+                                             capsys):
+    # equiv once asked equivalent and then first_difference, so a pair
+    # that differs was normalised four times
+    other = tmp_path / "other.json"
+    dump_json({"kind": "randomized",
+               "paths": {"w1": ["1/3", "1"], "w2": ["1/3", "1"]}}, other)
+    calls = []
+    honest = convert.to_distribution
+
+    def counted(space, eta):
+        calls.append(eta)
+        return honest(space, eta)
+
+    monkeypatch.setattr(convert, "to_distribution", counted)
+    assert main(["equiv", files["mixed"], str(other),
+                 "--space", files["space"]]) == 1
+    assert "not equivalent" in capsys.readouterr().out
+    assert len(calls) == 2
 
 
 def test_payoff_prints_exact_and_decimal(files, capsys):

@@ -126,13 +126,18 @@ def test_equivalent_across_kinds(coin_space, coin_mixed, coin_mixed_flipped,
     assert equivalent(coin_space, coin_delta, coin_delta)
 
 
-def test_equivalent_detects_difference(coin_space, coin_mixed):
+def test_equivalent_detects_difference(coin_space, coin_mixed,
+                                       three_grid_space):
     rho = RandomizedST({"w1": (F(1, 3), F(1)), "w2": (F(1, 3), F(1))})
     assert validate_randomized(coin_space, rho) == []
     assert not equivalent(coin_space, coin_mixed, rho)
     w, t, ma, mb = first_difference(coin_space, coin_mixed, rho)
     assert (w, t) == ("w1", F(0))
     assert (ma, mb) == (F(1, 4), F(1, 6))
+    # rows that agree at time 0: the witness is the first differing time
+    later = first_difference(three_grid_space, PureST({"w": 1}),
+                             PureST({"w": 2}))
+    assert later == ("w", H, F(1), F(0))
 
 
 def test_equivalent_pure_enters_via_embedding(coin_space):

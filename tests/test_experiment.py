@@ -1,5 +1,6 @@
 import hashlib
 import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,25 @@ def test_check_instance_prefix_work_is_linear(monkeypatch):
     rows = check_instance(config, index)
     assert all(r.status == "pass" for r in rows)
     assert calls == []  # the densities table is read once instead
+
+
+def test_check_instance_converts_each_mixed_time_once(monkeypatch):
+    # check_instance once pushed inst.mixed forward three times and
+    # inst.mixed2 twice; the later rows now read the first joint mass
+    config = ExperimentConfig(seed=5, max_outcomes=32, max_grid_points=8)
+    index, _ = _first_instance(config, lambda i: len(i.space.outcomes) >= 16)
+    converted = []  # held, so no id is reused while check_instance runs
+    honest = convert.delta_of_mixed
+
+    def counted(space, mu):
+        converted.append(mu)
+        return honest(space, mu)
+
+    monkeypatch.setattr(convert, "delta_of_mixed", counted)
+    rows = check_instance(config, index)
+    assert all(r.status == "pass" for r in rows)
+    assert len(converted) >= 2
+    assert max(Counter(map(id, converted)).values()) == 1
 
 
 # SHA-256 of the seed-7 report below, recorded before the exact core moved

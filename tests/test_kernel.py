@@ -184,7 +184,7 @@ def test_mass_numerators_match_mass_of_index(seed, fuzz_bounds):
         assert (tuple(Fraction(x, d) for x in row)
                 == tuple(s.mass_of_index(j) for j in range(n)))
         assert Fraction(below, d) == s.cdf(-1)
-    shifted = RStepFunction.make([0, Fraction(1, 3), 1], [-1, 1])
+    shifted = RStepFunction((ZERO, Fraction(1, 3), Fraction(1)), (-1, 1))
     assert shifted.mass_numerators(2) == (1, [0, 2], 3)
     assert shifted.cdf_row(2) == (Fraction(1, 3), 1)
 
@@ -212,8 +212,10 @@ def linear_mixed_of_randomized(space, rho: RandomizedST) -> MixedST:
 def test_mixed_of_randomized_matches_linear_definition(seed, fuzz_bounds):
     inst, _ = make_instance(seed, fuzz_bounds)
     for rho in (inst.randomized, inst.randomized2):
-        assert (mixed_of_randomized(inst.space, rho)
-                == linear_mixed_of_randomized(inst.space, rho))
+        mu = mixed_of_randomized(inst.space, rho)
+        assert mu == linear_mixed_of_randomized(inst.space, rho)
+        # canonical as built: no two adjacent intervals share a value
+        assert all(s == s.canonical() for s in mu.sections.values())
 
 
 @settings(max_examples=60, deadline=None)

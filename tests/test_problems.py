@@ -95,4 +95,5 @@ def test_linearity_and_bounds_fuzzed():
                            (payoff_distribution, inst.distribution)):
             va, vb, vc = route(pa, eta), route(pb, eta), route(pc, eta)
             assert vc == 3 * va - H * vb
-            assert inst.reward.min_value() <= va <= inst.reward.max_value()
+            rows = inst.reward.values.values()
+            assert min(map(min, rows)) <= va <= max(map(max, rows))

@@ -56,6 +56,21 @@ def test_empirical_delta_concentrated(coin_space, coin_delta):
     assert tv == 0.75
 
 
+def test_empirical_delta_reads_a_one_shot_iterable(coin_space, coin_delta):
+    samples = sample_many(coin_space, coin_delta, rng(5), 500)
+    from_list = empirical_delta(coin_space, samples, coin_delta)
+    assert empirical_delta(coin_space, (r for r in samples),
+                           coin_delta) == from_list
+
+
+def test_empirical_delta_rejects_a_cell_outside_the_space(coin_space):
+    with pytest.raises(KeyError):
+        empirical_delta(coin_space, [SampleRecord("w1", 0, 0),
+                                     SampleRecord("w3", 0, 1)])
+    with pytest.raises(KeyError):
+        empirical_delta(coin_space, [SampleRecord("w1", 2, 0)])
+
+
 def test_empirical_delta_empty(coin_space, coin_delta):
     with pytest.raises(EmptySamples):
         empirical_delta(coin_space, [], coin_delta)

