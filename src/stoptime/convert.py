@@ -23,9 +23,9 @@ def delta_of_mixed(space: FilteredSpace, mu: MixedST) -> DistributionST:
     mass = {}
     for w, p in zip(space.outcomes, space.probs):
         _, row, d = rows[w]
-        num, den = p.numerator, p.denominator * d
-        mass[w] = tuple(Fraction(num * n, den) for n in row)
-    return DistributionST(mass)
+        num = p.numerator
+        mass[w] = [num * n for n in row], p.denominator * d
+    return DistributionST.from_rows(mass)
 
 
 def delta_of_randomized(space: FilteredSpace, rho: RandomizedST) -> DistributionST:
@@ -33,10 +33,10 @@ def delta_of_randomized(space: FilteredSpace, rho: RandomizedST) -> Distribution
     mass = {}
     for w, p in zip(space.outcomes, space.probs):
         nums, d = over_common(rho.paths[w])
-        num, den = p.numerator, p.denominator * d
-        mass[w] = tuple(Fraction(num * (x - prev), den)
-                        for prev, x in zip((0,) + nums, nums))
-    return DistributionST(mass)
+        num = p.numerator
+        mass[w] = ([num * (x - prev) for prev, x in zip((0,) + nums, nums)],
+                   p.denominator * d)
+    return DistributionST.from_rows(mass)
 
 
 def randomized_of_distribution(space: FilteredSpace,
@@ -97,7 +97,7 @@ def to_distribution(space: FilteredSpace, eta) -> DistributionST:
         require_rows(space, eta.paths, "RandomizedST")
         return delta_of_randomized(space, eta)
     if isinstance(eta, DistributionST):
-        require_rows(space, eta.mass, "DistributionST")
+        require_rows(space, eta.numerators(), "DistributionST")
         return eta
     raise TypeError(f"not a stopping time: {type(eta).__name__}")
 
@@ -108,13 +108,15 @@ def equivalent(space: FilteredSpace, a, b) -> bool:
 
 
 def first_difference(space: FilteredSpace, a, b):
-    """The first differing (outcome, time, mass_a, mass_b), or None."""
+    """The first differing (outcome, time, mass_a, mass_b), or None; rows
+    are compared as canonical int tuples, Fractions built for the witness."""
     da = to_distribution(space, a)
     db = to_distribution(space, b)
     for w in space.outcomes:
-        ra, rb = da.mass[w], db.mass[w]
+        ra, rb = da.rows[w], db.rows[w]
         if ra != rb:
-            for t, x, y in zip(space.grid, ra, rb):
-                if x != y:
-                    return (w, t, x, y)
+            (na, ka), (nb, kb) = ra, rb
+            for t, x, y in zip(space.grid, na, nb):
+                if x * kb != y * ka:
+                    return (w, t, Fraction(x, ka), Fraction(y, kb))
     return None

@@ -117,8 +117,7 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
     # joint-mass round trip and uniqueness of the path representation
     rho_back = convert.randomized_of_distribution(space, inst.distribution)
     delta_back = convert.delta_of_randomized(space, rho_back)
-    round_ok = all(delta_back.mass[w] == inst.distribution.mass[w]
-                   for w in space.outcomes)
+    round_ok = delta_back == inst.distribution
     unique_ok = all(rho_back.paths[w] == inst.randomized.paths[w]
                     for w in space.outcomes)
     _row(results, name, "mass_round_trip", round_ok and unique_ok,
@@ -197,13 +196,14 @@ def _game_checks(name: str, inst: fuzz.Instance,
          f"lift={via_lift} symmetric={symmetric} p2view={p2view}")
 
     # equivalent strategies of Player 1 cannot change the payoff: each
-    # kind's own payoff route on the same lifted problem, and the lift route
+    # kind's own payoff route on the same lifted problem, and the lift route;
+    # the distribution entry reuses via_lift when its rows equal delta1's
     mu_l = games.lift_mixed(inst.mixed, lifted.space)
     rho_l = games.lift_randomized(inst.randomized, lifted.space)
-    delta_l = games.lift_distribution(inst.distribution, space, lifted.space)
     vals = (problems.payoff_mixed(lifted.problem, mu_l),
             problems.payoff_randomized(lifted.problem, rho_l),
-            problems.payoff_distribution(lifted.problem, delta_l))
+            via_lift if inst.distribution == delta1
+            else games.payoff_on_lift(lifted, inst.distribution))
     _row(results, name, "game_strategy_equivalence",
          vals[0] == vals[1] == vals[2] == via_lift,
          "mixed={} randomized={} distribution={} lift={}".format(

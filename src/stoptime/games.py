@@ -21,7 +21,7 @@ from itertools import accumulate, chain
 from .convert import to_distribution
 from .space import AdaptedProcess, FilteredSpace, build_space, require_rows
 from .times import (DistributionST, MixedST, RandomizedST, fraction_dot,
-                    over_common, validate_distribution)
+                    validate_distribution)
 from .problems import StoppingProblem, payoff_distribution
 
 
@@ -50,11 +50,13 @@ def _lifted_space(base: FilteredSpace, delta: DistributionST) -> FilteredSpace:
     """Outcomes (w, s) with delta(w, s) > 0 (delta is validated, so a
     nonzero entry is positive); every base outcome has one, since its row
     sums to P(w) > 0, so no lifted block is empty."""
-    atoms = {w: [(w, s) for s, m in enumerate(delta.mass[w]) if m]
+    rows = delta.rows
+    atoms = {w: [(w, s) for s, n in enumerate(rows[w][0]) if n]
              for w in base.outcomes}
     outcomes = [a for w in base.outcomes for a in atoms[w]]
     return build_space(
-        outcomes, [delta.mass[w][s] for w, s in outcomes], base.grid,
+        outcomes, [Fraction(rows[w][0][s], rows[w][1]) for w, s in outcomes],
+        base.grid,
         [[[a for w in block for a in atoms[w]] for block in part]
          for part in base.partitions])
 
@@ -105,16 +107,15 @@ def lift_randomized(rho: RandomizedST,
 def lift_distribution(delta: DistributionST, base: FilteredSpace,
                       lifted_space: FilteredSpace) -> DistributionST:
     """Reweight the conditional stop law of each base outcome by the
-    lifted atom masses.  Each base row is taken once as integers over a
-    common denominator d, so an entry is one scaled integer over d."""
-    rows = {w: over_common(delta.mass[w]) for w in base.outcomes}
+    lifted atom masses: the row of (w, s) is the base row (nums, d) of w
+    times p(w, s) / P(w), in ints over one denominator."""
     mass = {}
     for (w, s), p in zip(lifted_space.outcomes, lifted_space.probs):
-        nums, d = rows[w]
-        scale = p / base.prob(w)
-        num, den = scale.numerator, scale.denominator * d
-        mass[(w, s)] = tuple(Fraction(num * n, den) for n in nums)
-    return DistributionST(mass)
+        nums, d = delta.rows[w]
+        q = base.prob(w)
+        num = p.numerator * q.denominator
+        mass[(w, s)] = [num * n for n in nums], p.denominator * q.numerator * d
+    return DistributionST.from_rows(mass)
 
 
 def game_payoff_via_lift(game: StoppingGame, tau1,

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .space import AdaptedProcess, FilteredSpace, require_rows
 from .times import (DistributionST, MixedST, PureST, RandomizedST,
-                    fraction_dot, over_common)
+                    fraction_dot, fraction_sum, over_common)
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,12 @@ def payoff_pure(problem: StoppingProblem, sigma: PureST) -> Fraction:
 
 def payoff_mixed(problem: StoppingProblem, mu: MixedST) -> Fraction:
     """Sum over outcomes of P(w) / d times the integer interval lengths
-    (over the section's common denominator d) against the rewards."""
+    (the section's break_ints, over d) against the rewards."""
     space, R = problem.space, problem.reward
     scales, inner = [], []
     for w, p in zip(space.outcomes, space.probs):
         s = mu.sections[w]
-        nums, d = over_common(s.breaks)
+        nums, d = s.break_ints
         row = R.values[w]
         scales.append(p / d)
         inner.append(fraction_dot((b - a for a, b in zip(nums, nums[1:])),
@@ -60,10 +60,17 @@ def payoff_randomized(problem: StoppingProblem, rho: RandomizedST) -> Fraction:
 
 
 def payoff_distribution(problem: StoppingProblem, delta: DistributionST) -> Fraction:
+    """Each row's ints n over d against the rewards r: n * r.numerator summed
+    per denominator d * r.denominator over all rows, normalised once."""
     space, R = problem.space, problem.reward
-    return fraction_dot(
-        (m for w in space.outcomes for m in delta.mass[w]),
-        (r for w in space.outcomes for r in R.values[w]))
+    by_den = {}
+    for w in space.outcomes:
+        nums, d = delta.rows[w]
+        for n, r in zip(nums, R.values[w], strict=True):
+            if n:
+                k = d * r.denominator
+                by_den[k] = by_den.get(k, 0) + n * r.numerator
+    return fraction_sum(by_den)
 
 
 def payoff(problem: StoppingProblem, eta) -> Fraction:

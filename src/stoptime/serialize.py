@@ -22,6 +22,8 @@ class InputError(ValueError):
 
 def parse_fraction(s) -> Fraction:
     try:
+        if "e" in str(s).lower():  # Fraction would expand 10**exponent exactly
+            raise ValueError("exponents are not accepted; write p/q")
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad rational {s!r}: {e}") from None
@@ -118,10 +120,10 @@ def stopping_time_to_dict(eta) -> dict:
         return {"kind": "randomized", "paths": {
             w: [format_fraction(x) for x in row]
             for w, row in eta.paths.items()}}
-    if isinstance(eta, DistributionST):
+    if isinstance(eta, DistributionST):  # from the rows: no view is kept
         return {"kind": "distribution", "mass": {
-            w: [format_fraction(x) for x in row]
-            for w, row in eta.mass.items()}}
+            w: [format_fraction(Fraction(n, d)) for n in nums]
+            for w, (nums, d) in eta.rows.items()}}
     raise TypeError(f"not a stopping time: {type(eta).__name__}")
 
 

@@ -7,16 +7,18 @@ All four kinds live on a FilteredSpace and take values on its grid:
                     interval [0,1] to grid indices.
 * RandomizedST   -- per outcome, a nondecreasing cumulative path on the
                     grid ending at 1.
-* DistributionST -- an exact joint mass on outcomes x grid with marginal P.
+* DistributionST -- an exact joint mass on outcomes x grid with marginal P,
+                    held as canonical int rows; .mass is its Fraction view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
-from math import lcm
-from typing import Mapping
+from math import gcd, lcm
 
 from .space import (FilteredSpace, SubMeasure, Violation, _as_fraction,
                     row_violations, unadapted_blocks)
@@ -49,6 +51,11 @@ def fraction_dot(xs, ys) -> Fraction:
     for x, y in zip(xs, ys, strict=True):
         d = x.denominator * y.denominator
         by_den[d] = by_den.get(d, 0) + x.numerator * y.numerator
+    return fraction_sum(by_den)
+
+
+def fraction_sum(by_den: dict) -> Fraction:
+    """sum(n / k for k, n in by_den.items()) as one normalised Fraction."""
     d = lcm(*by_den)
     return Fraction(sum(n * (d // k) for k, n in by_den.items()), d)
 
@@ -62,21 +69,24 @@ class RStepFunction:
 
     Intervals are half-open [r_{i-1}, r_i); the point r = 1 belongs to the
     last interval.  breaks = (0, r_1, ..., 1), values has one entry per
-    interval.  mass_numerators and cdf_row give mass_of_index and cdf at
-    every grid index in one pass over the intervals.
+    interval.  break_ints is (nums, d), the breaks as ints over their lcm
+    denominator, made once here.  mass_numerators and cdf_row give
+    mass_of_index and cdf at every grid index in one pass over the intervals.
     """
 
     breaks: tuple
     values: tuple
+    break_ints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.breaks) != len(self.values) + 1:
             raise ValueError("breaks/values length mismatch")
-        if self.breaks[0] != 0 or self.breaks[-1] != 1:
+        nums, d = over_common(self.breaks)
+        if nums[0] != 0 or nums[-1] != d:
             raise ValueError("breaks must run from 0 to 1")
-        for a, b in zip(self.breaks, self.breaks[1:]):
-            if b <= a:
-                raise ValueError("breaks must be strictly increasing")
+        if any(b <= a for a, b in zip(nums, nums[1:])):
+            raise ValueError("breaks must be strictly increasing")
+        object.__setattr__(self, "break_ints", (nums, d))
 
     @staticmethod
     def constant(index: int) -> "RStepFunction":
@@ -124,7 +134,7 @@ class RStepFunction:
         """(below, row, d) in ints: the interval lengths over the breaks'
         common denominator d, summed per grid index into row, so
         mass_of_index(j) == row[j] / d, and over values < 0 into below."""
-        nums, d = over_common(self.breaks)
+        nums, d = self.break_ints
         below = 0
         row = [0] * n_times
         for i, v in enumerate(self.values):
@@ -140,9 +150,9 @@ def common_refinement(sections: Mapping) -> list:
     of [0,1] refining every section's breaks, in order.  Breaks are keyed
     as ints over their lcm denominator, each cut by its index, and each
     section's values spread over the cut intervals they cover."""
-    d = lcm(*(r.denominator for s in sections.values() for r in s.breaks))
-    keys = [[r.numerator * (d // r.denominator) for r in s.breaks]
-            for s in sections.values()]
+    d = lcm(*(s.break_ints[1] for s in sections.values()))
+    keys = [[n * (d // k) for n in nums]
+            for nums, k in (s.break_ints for s in sections.values())]
     cut_at = {k: r for s, ks in zip(sections.values(), keys)
               for k, r in zip(ks, s.breaks)}
     cuts = sorted(cut_at)
@@ -225,9 +235,43 @@ class RandomizedST:
             {w: tuple(_as_fraction(x) for x in row) for w, row in paths.items()})
 
 
-@dataclass(frozen=True)
 class DistributionST:
-    mass: Mapping
+    """An exact joint mass: rows[w] is the row of outcome w as canonical
+    ints (nums, d), entry j being nums[j] / d with gcd(d, *nums) == 1, so
+    two rows are equal iff their tuples are.  DistributionST(mass) takes
+    Fraction (or int) rows, whose over_common is already canonical;
+    from_rows takes int rows (nums, d) and divides each by gcd(d, *nums).
+    mass is the Fraction view, built on first read."""
+
+    def __init__(self, mass: Mapping):
+        self.rows = {w: over_common(row) for w, row in mass.items()}
+
+    @classmethod
+    def from_rows(cls, rows: Mapping) -> "DistributionST":
+        delta = cls.__new__(cls)
+        delta.rows = {}
+        for w, (nums, d) in rows.items():
+            g = gcd(d, *nums)
+            delta.rows[w] = tuple(n // g for n in nums), d // g
+        return delta
+
+    @cached_property
+    def mass(self) -> dict:
+        return {w: tuple(Fraction(n, d) for n in nums)
+                for w, (nums, d) in self.rows.items()}
+
+    def numerators(self) -> dict:
+        """{w: nums}: the table the row-shape checks read."""
+        return {w: nums for w, (nums, _) in self.rows.items()}
+
+    def __eq__(self, other):
+        return (self.rows == other.rows if isinstance(other, DistributionST)
+                else NotImplemented)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"DistributionST(mass={self.mass!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +362,7 @@ def validate_distribution(space: FilteredSpace, delta: DistributionST) -> list:
     """Nonnegative rows with marginal P whose cumulative densities are
     adapted; every check reads the integer densities table of
     _density_terms, compared by cross-multiplication."""
-    violations = row_violations(space, delta.mass, "mass")
+    violations = row_violations(space, delta.numerators(), "mass")
     if violations:
         return violations
     terms = _density_terms(space, delta)
@@ -368,13 +412,12 @@ def embed_pure(sigma: PureST) -> MixedST:
 
 
 def _density_terms(space: FilteredSpace, delta: DistributionST) -> dict:
-    """Per outcome (nums, cum, a, b) in ints: the row's numerators over its
-    common denominator d, their running sums, a = P(w).denominator and
-    b = d * P(w).numerator, so the cumulative density at index j is
-    cum[j] * a / b."""
+    """Per outcome (nums, cum, a, b) in ints: the row (nums, d), the running
+    sums of nums, a = P(w).denominator and b = d * P(w).numerator, so the
+    cumulative density at index j is cum[j] * a / b."""
     out = {}
     for w, p in zip(space.outcomes, space.probs):
-        nums, d = over_common(delta.mass[w])
+        nums, d = delta.rows[w]
         out[w] = (nums, tuple(accumulate(nums)), p.denominator,
                   d * p.numerator)
     return out
@@ -393,8 +436,9 @@ def sub_measure(space: FilteredSpace, delta: DistributionST,
     """The measure A |-> delta(A x [0, t_j]) restricted to atoms."""
     if not 0 <= grid_index < space.n_times:
         raise IndexError(f"grid index {grid_index} out of range")
-    return SubMeasure({w: sum(delta.mass[w][: grid_index + 1], ZERO)
-                       for w in space.outcomes})
+    rows = delta.rows
+    return SubMeasure({w: Fraction(sum(rows[w][0][: grid_index + 1]),
+                                   rows[w][1]) for w in space.outcomes})
 
 
 def rn_derivative(space: FilteredSpace, delta: DistributionST,

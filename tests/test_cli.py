@@ -199,9 +199,11 @@ def test_fuzz_bound_over_the_cap_is_an_input_error(monkeypatch, capsys):
     ({"kind": "randomized", "paths": 7}, True),
     ({"values": 3}, False),
     ({"kind": "distribution", "mass": {"w1": "10", "w2": ["0", "1/2"]}}, True),
+    ({"kind": "distribution", "mass": {"w1": ["1e3", "0"], "w2": ["0", "1/2"]}},
+     True),
 ], ids=["outcomes-int", "outcomes-list-label", "pure-list-index",
         "mixed-int-section", "randomized-int-paths", "process-int-values",
-        "mass-string-row"])
+        "mass-string-row", "mass-exponent"])
 def test_malformed_document_is_an_input_error(doc, with_space, files,
                                               tmp_path, capsys):
     path = tmp_path / "doc.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import types
 from collections import Counter
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from stoptime import build_space, convert, experiment, fuzz, times
+from stoptime import build_space, convert, experiment, fuzz, games, times
 from stoptime.experiment import (CheckRow, ExperimentConfig, ExperimentReport,
                                  _rng_for, check_instance, monte_carlo_rows,
                                  run_experiment)
@@ -176,6 +177,49 @@ def test_check_instance_converts_each_mixed_time_once(monkeypatch):
     assert all(r.status == "pass" for r in rows)
     assert len(converted) >= 2
     assert max(Counter(map(id, converted)).values()) == 1
+
+
+def test_game_checks_lift_twice_per_sound_instance(monkeypatch):
+    # the distribution entry of game_strategy_equivalence once lifted
+    # inst.distribution a third time although its rows equal delta1's
+    config = ExperimentConfig(seed=5, max_outcomes=32, max_grid_points=8)
+    index, _ = _first_instance(config, lambda i: len(i.space.outcomes) >= 16)
+    lifted = []
+    honest = games.lift_distribution
+
+    def counted(*args, **kwargs):
+        lifted.append(args[0])
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(games, "lift_distribution", counted)
+    rows = check_instance(config, index)
+    assert all(r.status == "pass" for r in rows)
+    assert len(lifted) == 2
+
+
+def test_game_strategy_equivalence_fails_on_a_planted_distribution(
+        monkeypatch):
+    # when inst.distribution differs from delta1 it is lifted and priced on
+    # its own, so a wrong joint mass still fails the row
+    config = ExperimentConfig(seed=5, max_outcomes=32, max_grid_points=8)
+    index, inst = _first_instance(config,
+                                  lambda i: len(i.space.outcomes) >= 16)
+    space = inst.space
+    lifted = games.lift(games.StoppingGame(space, inst.x, inst.y, inst.z),
+                        convert.delta_of_mixed(space, inst.mixed2))
+    assert games.payoff_on_lift(lifted, inst.distribution) != 0
+    honest = fuzz.random_instance
+
+    def doubled(*args, **kwargs):
+        inst = honest(*args, **kwargs)
+        return dataclasses.replace(inst, distribution=DistributionST(
+            {w: tuple(2 * m for m in row)
+             for w, row in inst.distribution.mass.items()}))
+
+    monkeypatch.setattr(fuzz, "random_instance", doubled)
+    rows = check_instance(config, index)
+    assert _status(rows, "game_strategy_equivalence") == "fail"
+    assert _status(rows, "game_routes_agree") == "pass"
 
 
 # SHA-256 of the seed-7 report below, recorded before the exact core moved

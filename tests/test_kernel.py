@@ -1,16 +1,18 @@
 """The integer-numerator kernel against the plain Fraction definitions it
 replaces, on hand-picked and fuzzed inputs."""
 
+import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
-                      RandomizedST, common_refinement, densities,
-                      fraction_dot, fuzz, mixed_of_randomized, over_common,
-                      rn_derivative, validate_adapted, validate_distribution,
+                      RandomizedST, common_refinement, convert, densities,
+                      fraction_dot, fuzz, games, mixed_of_randomized,
+                      over_common, problems, rn_derivative, times,
+                      validate_adapted, validate_distribution,
                       validate_mixed_product, validate_mixed_sections,
                       validate_pure, validate_randomized)
 from stoptime.space import Violation
@@ -67,6 +69,110 @@ def test_over_common_round_trips(row):
 
 def test_over_common_empty_row():
     assert over_common(()) == ((), 1)
+
+
+# ---------------------------------------------------------------------------
+# the joint mass as canonical int rows
+
+rows_of = st.one_of(st.lists(exact, max_size=12),
+                    st.lists(st.sampled_from([0, Fraction(0)]), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_of, rows_of, st.integers(1, 10**6))
+def test_canonical_rows_round_trip_and_compare(a, b, k):
+    delta = DistributionST({"w": a})
+    nums, d = delta.rows["w"]
+    assert all(type(n) is int for n in nums) and type(d) is int and d > 0
+    assert gcd(d, *nums) == 1
+    assert delta.rows["w"] == over_common(a)
+    assert delta.mass["w"] == tuple(Fraction(x) for x in a)
+    # the same row over a k-fold denominator reduces to the same tuple
+    scaled = DistributionST.from_rows({"w": ([k * n for n in nums], k * d)})
+    assert scaled.rows == delta.rows and scaled == delta
+    bumped = [x + 1 for x in a[:1]] + a[1:]
+    for other in (b, [Fraction(x) for x in a], bumped):
+        equal = tuple(map(Fraction, other)) == tuple(map(Fraction, a))
+        other_delta = DistributionST({"w": other})
+        assert (other_delta.rows == delta.rows) == equal
+        assert (other_delta == delta) == equal
+
+
+def test_canonical_rows_edge_cases():
+    F = Fraction
+    assert DistributionST({"w": (F(0), 0)}).rows == {"w": ((0, 0), 1)}
+    assert DistributionST({"w": ()}).rows == {"w": ((), 1)}
+    assert DistributionST({"w": (F(-1, 4), F(3, 4))}).rows == {
+        "w": ((-1, 3), 4)}
+    assert DistributionST.from_rows({"w": ([0, 0], 6)}).rows == {
+        "w": ((0, 0), 1)}
+    assert DistributionST.from_rows({"w": ([-2, 4], 6)}).rows == {
+        "w": ((-1, 2), 3)}
+    delta = DistributionST({"w": [F(1, 2), 0]})
+    assert delta.mass == {"w": (F(1, 2), F(0))}
+    assert repr(delta) == (
+        "DistributionST(mass={'w': (Fraction(1, 2), Fraction(0, 1))})")
+    assert delta != {"w": (F(1, 2), F(0))}
+
+
+def _lifted(inst):
+    space = inst.space
+    game = games.StoppingGame(space, inst.x, inst.y, inst.z)
+    return games.lift(game, convert.delta_of_mixed(space, inst.mixed2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, bounds)
+def test_every_producer_writes_canonical_rows(seed, fuzz_bounds):
+    inst, _ = make_instance(seed, fuzz_bounds)
+    space = inst.space
+    delta1 = convert.delta_of_mixed(space, inst.mixed)
+    lifted = _lifted(inst)
+    for delta in (delta1, convert.delta_of_randomized(space, inst.randomized),
+                  convert.to_distribution(space, inst.pure),
+                  games.lift_distribution(delta1, space, lifted.space)):
+        for w, row in delta.rows.items():
+            assert row == over_common(delta.mass[w])
+
+
+def _count_over_common(monkeypatch) -> list:
+    """Every later over_common call's argument, through each stoptime
+    module's binding of the name."""
+    calls = []
+    honest = times.over_common
+
+    def counted(row):
+        calls.append(row)
+        return honest(row)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "stoptime"
+                and getattr(module, "over_common", None) is honest):
+            monkeypatch.setattr(module, "over_common", counted)
+    return calls
+
+
+def test_hot_path_reads_int_rows(monkeypatch):
+    # lift_distribution, payoff_distribution and first_difference once
+    # split each Fraction row back into ints; payoff_mixed converted every
+    # lifted atom's breaks although a lifted section repeats per stop
+    rng = np.random.Generator(np.random.PCG64(11))
+    inst = next(i for i in (fuzz.random_instance(rng, fuzz.FuzzBounds(
+        max_outcomes=32, max_grid_points=8, max_breaks=16))
+        for _ in range(200)) if len(i.space.outcomes) >= 16)
+    space = inst.space
+    delta1 = convert.delta_of_mixed(space, inst.mixed)
+    lifted = _lifted(inst)
+    mu_l = games.lift_mixed(inst.mixed, lifted.space)
+    calls = _count_over_common(monkeypatch)
+    delta_l = games.lift_distribution(delta1, space, lifted.space)
+    problems.payoff_distribution(lifted.problem, delta_l)
+    assert convert.first_difference(space, delta1, inst.distribution) is None
+    assert convert.first_difference(lifted.space, delta_l, delta_l) is None
+    assert calls == []
+    problems.payoff_mixed(lifted.problem, mu_l)
+    assert len(calls) <= len({id(s) for s in mu_l.sections.values()})
+    assert len(lifted.space.outcomes) > len(space.outcomes)
 
 
 # ---------------------------------------------------------------------------

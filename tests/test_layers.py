@@ -49,3 +49,10 @@ def test_spaces_are_built_by_build_space():
 
 def test_partitions_indexed_only_in_space_and_fuzz():
     assert _uses(r"\.partitions\s*\[", {"space.py", "fuzz.py"}) == []
+
+
+def test_mass_view_read_only_where_fractions_are_the_output():
+    # the library reads a joint mass as its canonical int rows; the
+    # Fraction view .mass is for sampling's floats and the view itself
+    # (a class's own self.mass, such as SubMeasure's, is not the view)
+    assert _uses(r"(?<!self)\.mass\b", {"sampling.py", "times.py"}) == []

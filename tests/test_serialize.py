@@ -21,6 +21,15 @@ def test_parse_fraction():
         parse_fraction("1/0")
 
 
+def test_parse_fraction_rejects_exponents():
+    # Fraction("1e-999999999") expands the power of ten exactly and runs
+    # for hours; rationals travel as "p/q" or integer strings
+    for text in ("1e3", "2E-1", "-5e0", 1e-05):
+        with pytest.raises(InputError):
+            parse_fraction(text)
+    assert parse_fraction("0.25") == F(1, 4)
+
+
 def test_space_round_trip(coin_space):
     assert space_from_dict(space_to_dict(coin_space)) == coin_space
 
