@@ -26,7 +26,8 @@ from .games import (LiftedProblem, StoppingGame, game_payoff_player2_view,
                     game_payoff_symmetric, game_payoff_via_lift, lift,
                     lift_distribution, lift_mixed, lift_randomized,
                     payoff_on_lift)
-from .sampling import EmptySamples, SampleRecord, empirical_delta, sample_many
+from .sampling import (EmptySamples, SampleRecord, empirical_delta,
+                       frequencies, sample_counts, sample_many)
 from .experiment import ExperimentConfig, ExperimentReport, run_experiment
 
 __version__ = "0.1.0"

@@ -166,8 +166,8 @@ def cmd_sample(args) -> int:
         reference = convert.to_distribution(
             space, _load_valid_stop(args.ref, space))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_seed(args))))
-    samples = sampling.sample_many(space, eta, rng, args.n)
-    freq, tv = sampling.empirical_delta(space, samples, reference)
+    counts = sampling.sample_counts(space, eta, rng, args.n)
+    freq, tv = sampling.frequencies(space, counts, reference)
     for (w, j), f in sorted(freq.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
         print(f"{w},{space.grid[j]},{f:.6f}")
     if tv is not None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .space import FilteredSpace, require_rows
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
-                    RandomizedST, ZERO, densities, embed_pure, over_common)
+                    RandomizedST, ZERO, densities, embed_pure)
 
 
 def delta_of_mixed(space: FilteredSpace, mu: MixedST) -> DistributionST:
@@ -30,12 +30,12 @@ def delta_of_mixed(space: FilteredSpace, mu: MixedST) -> DistributionST:
 
 def delta_of_randomized(space: FilteredSpace, rho: RandomizedST) -> DistributionST:
     """Joint mass from a cumulative path; the jump at time 0 is included."""
+    increments = rho.increments()
     mass = {}
     for w, p in zip(space.outcomes, space.probs):
-        nums, d = over_common(rho.paths[w])
+        row, d = increments[w]
         num = p.numerator
-        mass[w] = ([num * (x - prev) for prev, x in zip((0,) + nums, nums)],
-                   p.denominator * d)
+        mass[w] = [num * x for x in row], p.denominator * d
     return DistributionST.from_rows(mass)
 
 

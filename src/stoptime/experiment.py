@@ -230,7 +230,7 @@ def _game_checks(name: str, inst: fuzz.Instance,
 
 def monte_carlo_rows(config: ExperimentConfig) -> list:
     """Sample the three representations of the uniform two-state stop law
-    and compare each empirical table to the exact one."""
+    and compare each table of draw counts to the exact one."""
     space = demo.coin_space()
     reference = demo.coin_uniform_delta()
     stoppers = {
@@ -241,8 +241,8 @@ def monte_carlo_rows(config: ExperimentConfig) -> list:
     results: list = []
     for i, (label, eta) in enumerate(sorted(stoppers.items())):
         rng = _rng_for(config.seed, MC_STREAM + i)
-        samples = sampling.sample_many(space, eta, rng, config.n_samples)
-        _, tv = sampling.empirical_delta(space, samples, reference)
+        counts = sampling.sample_counts(space, eta, rng, config.n_samples)
+        _, tv = sampling.frequencies(space, counts, reference)
         _row(results, label, "tv_within_tolerance", tv <= config.tv_tolerance,
              f"tv={tv:.6f} tolerance={config.tv_tolerance}")
     return results

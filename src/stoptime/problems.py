@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .space import AdaptedProcess, FilteredSpace, require_rows
 from .times import (DistributionST, MixedST, PureST, RandomizedST,
-                    fraction_dot, fraction_sum, over_common)
+                    fraction_dot, fraction_sum)
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,12 @@ def payoff_randomized(problem: StoppingProblem, rho: RandomizedST) -> Fraction:
 
     The increments are integers over the path's common denominator d."""
     space, R = problem.space, problem.reward
+    increments = rho.increments()
     scales, inner = [], []
     for w, p in zip(space.outcomes, space.probs):
-        nums, d = over_common(rho.paths[w])
-        increments = (x - prev for prev, x in zip((0,) + nums, nums))
+        row, d = increments[w]
         scales.append(p / d)
-        inner.append(fraction_dot(increments, R.values[w]))
+        inner.append(fraction_dot(row, R.values[w]))
     return fraction_dot(scales, inner)
 
 

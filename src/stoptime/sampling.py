@@ -8,6 +8,8 @@ representation, and all three target the same joint law:
 * randomized:   draw r uniform and apply the generalized inverse of the
                 cumulative path;
 * distribution: draw the grid index from the outcome's conditional row.
+
+sample_counts tallies the draws as an outcomes x grid count array.
 """
 
 from __future__ import annotations
@@ -35,17 +37,29 @@ class SampleRecord(NamedTuple):
 def sample_many(space: FilteredSpace, eta, rng: np.random.Generator,
                 n: int) -> list:
     """n independent draws of (outcome, stop index) under the law of eta."""
+    which, indices = _draw(space, eta, rng, n)
+    return list(map(SampleRecord, map(space.outcomes.__getitem__, which.tolist()),
+                    indices.tolist(), range(n)))
+
+
+def sample_counts(space: FilteredSpace, eta, rng: np.random.Generator,
+                  n: int) -> np.ndarray:
+    """sample_many's draws as an outcomes x grid int64 count array."""
+    which, indices = _draw(space, eta, rng, n)
+    t = space.n_times
+    return np.bincount(which * t + indices,
+                       minlength=len(space.outcomes) * t).reshape(-1, t)
+
+
+def _draw(space: FilteredSpace, eta, rng: np.random.Generator, n: int):
+    """(which, indices): outcome positions and stop indices of n draws."""
     if n <= 0:
         raise EmptySamples("need at least one sample")
     if isinstance(eta, PureST):
         eta = embed_pure(eta)
-    if isinstance(eta, MixedST):
-        stop_indices = _section_indices
-    elif isinstance(eta, RandomizedST):
-        stop_indices = _path_indices
-    elif isinstance(eta, DistributionST):
-        stop_indices = _mass_indices
-    else:
+    stop_indices = {MixedST: _section_indices, RandomizedST: _path_indices,
+                    DistributionST: _mass_indices}.get(type(eta))
+    if stop_indices is None:
         raise TypeError(f"not a samplable stopping time: {type(eta).__name__}")
     probs = np.array([float(p) for p in space.probs])
     which = rng.choice(len(space.outcomes), size=n, p=probs / probs.sum())
@@ -55,9 +69,7 @@ def sample_many(space: FilteredSpace, eta, rng: np.random.Generator,
         mask = which == i
         if mask.any():
             indices[mask] = stop_indices(eta, w, rs[mask])
-    indices = np.clip(indices, 0, space.n_times - 1)
-    return list(map(SampleRecord, map(space.outcomes.__getitem__, which.tolist()),
-                    indices.tolist(), range(n)))
+    return which, np.clip(indices, 0, space.n_times - 1)
 
 
 def _section_indices(mu: MixedST, w, rs: np.ndarray) -> np.ndarray:
@@ -83,16 +95,25 @@ def _mass_indices(delta: DistributionST, w, rs: np.ndarray) -> np.ndarray:
 
 def empirical_delta(space: FilteredSpace, samples,
                     reference: DistributionST = None):
-    """Frequency table over (outcome, grid index), and when a reference
-    stop law is given, the total-variation distance to it."""
-    counts = Counter(map(attrgetter("outcome", "grid_index"), samples))
-    n = counts.total()
+    """frequencies of the records' counts; KeyError on a cell off the space."""
+    tally = Counter(map(attrgetter("outcome", "grid_index"), samples))
+    counts = np.array([[tally.pop((w, j), 0) for j in range(space.n_times)]
+                       for w in space.outcomes], dtype=np.int64)
+    if tally:  # a cell outside the space
+        raise KeyError(next(iter(tally)))
+    return frequencies(space, counts, reference)
+
+
+def frequencies(space: FilteredSpace, counts: np.ndarray,
+                reference: DistributionST = None):
+    """Frequency table over (outcome, grid index) from an outcomes x grid
+    count array, and the total-variation distance to a reference stop law."""
+    rows = counts.tolist()
+    n = sum(map(sum, rows))
     if not n:
         raise EmptySamples("no samples given")
-    freq = {(w, j): counts.pop((w, j), 0) / n
-            for w in space.outcomes for j in range(space.n_times)}
-    if counts:  # a cell outside the space
-        raise KeyError(next(iter(counts)))
+    freq = {(w, j): c / n
+            for w, row in zip(space.outcomes, rows) for j, c in enumerate(row)}
     if reference is None:
         return freq, None
     tv = 0.5 * sum(abs(freq[(w, j)] - float(reference.mass[w][j]))

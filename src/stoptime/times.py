@@ -20,8 +20,8 @@ from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 
-from .space import (FilteredSpace, SubMeasure, Violation, _as_fraction,
-                    row_violations, unadapted_blocks)
+from .space import (FilteredSpace, SubMeasure, Violation, row_violations,
+                    unadapted_blocks)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -109,12 +109,15 @@ class RStepFunction:
         return sum((self.breaks[i + 1] - self.breaks[i]
                     for i, v in enumerate(self.values) if v == index), ZERO)
 
-    def le_intervals(self, index: int) -> tuple:
-        """{r : value(r) <= index} as a sorted tuple of disjoint [a, b) pairs."""
+    def le_intervals(self, index: int, d: int = None) -> tuple:
+        """{r : value(r) <= index} as a sorted tuple of disjoint [a, b) pairs;
+        given d, a multiple of the breaks' denominator, as ints over d."""
+        nums, k = self.break_ints
+        breaks = self.breaks if d is None else [n * (d // k) for n in nums]
         out = []
         for i, v in enumerate(self.values):
             if v <= index:
-                a, b = self.breaks[i], self.breaks[i + 1]
+                a, b = breaks[i], breaks[i + 1]
                 if out and out[-1][1] == a:
                     out[-1] = (out[-1][0], b)
                 else:
@@ -143,6 +146,14 @@ class RStepFunction:
             elif v < n_times:
                 row[v] += nums[i + 1] - nums[i]
         return below, row, d
+
+
+def per_object(table: Mapping, fn) -> dict:
+    """{k: fn(v)} for every entry, fn called once per distinct value object:
+    a lifted time repeats one section or path object per opponent stop."""
+    distinct = {id(v): v for v in table.values()}
+    done = {i: fn(v) for i, v in distinct.items()}
+    return {k: done[id(v)] for k, v in table.items()}
 
 
 def common_refinement(sections: Mapping) -> list:
@@ -207,32 +218,24 @@ class MixedST:
 
     def mass_numerators(self, n_times: int) -> dict:
         """Each section's mass_numerators, computed once per distinct section."""
-        return self._rows(RStepFunction.mass_numerators, n_times)
+        return per_object(self.sections, lambda s: s.mass_numerators(n_times))
 
     def cdf_rows(self, n_times: int) -> dict:
         """Each section's cdf_row, computed once per distinct section."""
-        return self._rows(RStepFunction.cdf_row, n_times)
-
-    def _rows(self, row_of, n_times: int) -> dict:
-        # a lifted time repeats one section object per opponent-stop index
-        by_section = {}
-        out = {}
-        for w, s in self.sections.items():
-            row = by_section.get(id(s))
-            if row is None:
-                row = by_section[id(s)] = row_of(s, n_times)
-            out[w] = row
-        return out
+        return per_object(self.sections, lambda s: s.cdf_row(n_times))
 
 
 @dataclass(frozen=True)
 class RandomizedST:
     paths: Mapping
 
-    @staticmethod
-    def make(paths: Mapping) -> "RandomizedST":
-        return RandomizedST(
-            {w: tuple(_as_fraction(x) for x in row) for w, row in paths.items()})
+    def increments(self) -> dict:
+        """{w: (row, d)}: each path's increments, the jump at time 0 included,
+        as ints over its common denominator d, once per distinct path."""
+        def jumps(path):
+            nums, d = over_common(path)
+            return [x - prev for prev, x in zip((0,) + nums, nums)], d
+        return per_object(self.paths, jumps)
 
 
 class DistributionST:
@@ -317,14 +320,16 @@ def validate_mixed_product(space: FilteredSpace, mu: MixedST) -> list:
     violations = _section_violations(space, mu)
     if violations:
         return violations
-    # le_intervals are maximal, merged, positive-length [a, b) pairs, so
-    # lambda(A symdiff B) = 0 iff the tuples are equal
-    le = {w: [s.le_intervals(j) for j in range(space.n_times)]
-          for w, s in mu.sections.items()}
+    # maximal positive-length runs with the breaks as ints over their lcm
+    # denominator d, so lambda(A symdiff B) = 0 iff the tuples are equal
+    sections = mu.sections
+    d = lcm(*(s.break_ints[1] for s in sections.values()))
+    le = per_object(sections, lambda s: [s.le_intervals(j, d)
+                                         for j in range(space.n_times)])
     return [Violation("NotJointlyMeasurable",
                       f"level {j}, block {sorted(map(str, block))}: "
                       "sections differ on measure "
-                      f"{symmetric_difference_measure(le[a][j], le[w][j])}")
+                      f"{symmetric_difference_measure(le[a][j], le[w][j]) / d}")
             for j, block, a, w in unadapted_blocks(
                 space, lambda j, a, b: le[a][j] == le[b][j])]
 

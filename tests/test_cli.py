@@ -5,10 +5,11 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoptime import cli, convert, demo
+from stoptime import cli, convert, demo, sampling
 from stoptime.cli import main
 from stoptime.serialize import (dump_json, space_to_dict,
                                 stopping_time_to_dict)
@@ -146,6 +147,21 @@ def test_sample_with_reference(files, capsys):
     assert out.count("\n") == 5  # four atoms plus the TV line
     tv = float(out.strip().splitlines()[-1].split(",")[1])
     assert tv < 0.05
+
+
+def test_sample_prints_the_record_path(files, capsys, monkeypatch):
+    # the draws are tallied as counts; the lines are those of the records
+    monkeypatch.delenv("STOPTIME_SEED", raising=False)
+    assert main(["sample", "--space", files["space"], "--stop", files["mixed"],
+                 "--n", "2000", "--seed", "3", "--ref", files["delta"]]) == 0
+    space = demo.coin_space()
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
+    records = sampling.sample_many(space, demo.coin_mixed(), rng, 2000)
+    freq, tv = sampling.empirical_delta(space, records,
+                                        demo.coin_uniform_delta())
+    expected = [f"{w},{space.grid[j]},{f:.6f}"
+                for (w, j), f in sorted(freq.items())] + [f"tv,{tv:.6f}"]
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_sample_seed_env_override(files, capsys, monkeypatch):

@@ -64,6 +64,39 @@ def test_monte_carlo_rows_pass_at_default_size():
     assert all(r.status == "pass" for r in rows)
 
 
+def test_monte_carlo_rows_tally_counts_not_records(monkeypatch):
+    # the rows once drew one SampleRecord per draw; their TVs must stay the
+    # record path's floats, bit for bit
+    from stoptime import demo, sampling
+
+    space, reference = demo.coin_space(), demo.coin_uniform_delta()
+    # in the rows' label order: mc_distribution, mc_mixed, mc_randomized
+    stoppers = (reference, demo.coin_mixed(), demo.coin_randomized())
+    configs = [ExperimentConfig(seed=seed, n_samples=20_000)
+               for seed in range(5)]
+    expected = [sampling.empirical_delta(space, sampling.sample_many(
+        space, eta, _rng_for(config.seed, experiment.MC_STREAM + i),
+        config.n_samples), reference)[1]
+        for config in configs for i, eta in enumerate(stoppers)]
+
+    def no_records(*args):
+        raise AssertionError("monte_carlo_rows drew SampleRecords")
+
+    tvs = []
+    honest = sampling.frequencies
+
+    def spy(*args):
+        freq, tv = honest(*args)
+        tvs.append(tv)
+        return freq, tv
+
+    monkeypatch.setattr(sampling, "sample_many", no_records)
+    monkeypatch.setattr(sampling, "frequencies", spy)
+    for config in configs:
+        assert len(monte_carlo_rows(config)) == 3
+    assert tvs == expected
+
+
 def test_failure_is_reported_with_witness():
     report = ExperimentReport(
         (CheckRow("0", "demo", "fail", "expected 1, got 2"),), 1)

@@ -175,6 +175,30 @@ def test_hot_path_reads_int_rows(monkeypatch):
     assert len(lifted.space.outcomes) > len(space.outcomes)
 
 
+def test_lifted_paths_are_converted_once(monkeypatch):
+    # a lifted randomized time repeats one path object per opponent stop;
+    # delta_of_randomized and payoff_randomized once split every lifted
+    # atom's path into ints
+    rng = np.random.Generator(np.random.PCG64(5))
+    inst = next(i for i in (fuzz.random_instance(rng, fuzz.FuzzBounds(
+        max_outcomes=32, max_grid_points=8, max_breaks=16))
+        for _ in range(200)) if len(i.space.outcomes) >= 16)
+    lifted = _lifted(inst)
+    rho_l = games.lift_randomized(inst.randomized, lifted.space)
+    distinct = len({id(p) for p in rho_l.paths.values()})
+    assert distinct < len(lifted.space.outcomes)
+    calls = _count_over_common(monkeypatch)
+    delta_l = convert.delta_of_randomized(lifted.space, rho_l)
+    assert len(calls) <= distinct
+    calls.clear()
+    value = problems.payoff_randomized(lifted.problem, rho_l)
+    assert len(calls) <= distinct
+    assert value == games.payoff_on_lift(lifted, inst.randomized)
+    assert delta_l == games.lift_distribution(
+        convert.delta_of_randomized(inst.space, inst.randomized), inst.space,
+        lifted.space)
+
+
 # ---------------------------------------------------------------------------
 # step functions: the common refinement and integer rows
 

@@ -4,7 +4,8 @@ rename or deletion fails here instead of breaking the traced run.
 
 The filtration is read in one place: spaces are made by build_space and
 level partitions are indexed only in space.py (and by the fuzz
-generators), so a bypass of either fails here too."""
+generators), so a bypass of either fails here too.  Library callers of
+the sampler tally draws as counts, never as one record per draw."""
 
 import importlib
 import importlib.util
@@ -56,3 +57,9 @@ def test_mass_view_read_only_where_fractions_are_the_output():
     # Fraction view .mass is for sampling's floats and the view itself
     # (a class's own self.mass, such as SubMeasure's, is not the view)
     assert _uses(r"(?<!self)\.mass\b", {"sampling.py", "times.py"}) == []
+
+
+def test_library_callers_tally_draws_as_counts():
+    # the Monte Carlo rows and `stoptime sample` read sample_counts; one
+    # record per draw is built only inside sampling.py
+    assert _uses(r"\b(sample_many|SampleRecord)\s*\(", {"sampling.py"}) == []

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stoptime import (EmptySamples, PureST, SampleRecord, common_refinement,
-                      empirical_delta, sample_many)
+                      empirical_delta, frequencies, fuzz, sample_counts,
+                      sample_many)
 
 F = Fraction
 
@@ -74,3 +76,56 @@ def test_empirical_delta_rejects_a_cell_outside_the_space(coin_space):
 def test_empirical_delta_empty(coin_space, coin_delta):
     with pytest.raises(EmptySamples):
         empirical_delta(coin_space, [], coin_delta)
+
+
+# ---------------------------------------------------------------------------
+# counts: the same draws as the records, tallied into one array
+
+def tally(space, records) -> np.ndarray:
+    """The outcomes x grid count array of a record list, one cell at a time."""
+    row = {w: i for i, w in enumerate(space.outcomes)}
+    counts = np.zeros((len(space.outcomes), space.n_times), dtype=np.int64)
+    for rec in records:
+        counts[row[rec.outcome], rec.grid_index] += 1
+    return counts
+
+
+def assert_counts_match_records(space, eta, seed, n, reference):
+    records = sample_many(space, eta, rng(seed), n)
+    counts = sample_counts(space, eta, rng(seed), n)
+    assert counts.dtype == np.int64
+    assert counts.shape == (len(space.outcomes), space.n_times)
+    assert np.array_equal(counts, tally(space, records))
+    assert (frequencies(space, counts, reference)
+            == empirical_delta(space, records, reference))
+    assert frequencies(space, counts) == empirical_delta(space, records)
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed", "randomized", "delta"])
+def test_counts_tally_the_records_on_the_coin(kind, coin_space, coin_mixed,
+                                              coin_randomized, coin_delta):
+    eta = {"pure": PureST({"w1": 0, "w2": 1}), "mixed": coin_mixed,
+           "randomized": coin_randomized, "delta": coin_delta}[kind]
+    for seed, n in ((3, 1), (4, 17), (5, 5000)):
+        assert_counts_match_records(coin_space, eta, seed, n, coin_delta)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 2000))
+def test_counts_tally_the_records_on_fuzzed_instances(seed, n):
+    inst = fuzz.random_instance(rng(seed), fuzz.FuzzBounds(
+        max_outcomes=12, max_grid_points=6))
+    for eta in (inst.pure, inst.mixed, inst.randomized, inst.distribution):
+        assert_counts_match_records(inst.space, eta, seed + 1, n,
+                                    inst.distribution)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_counts_empty(coin_space, coin_delta, n):
+    with pytest.raises(EmptySamples):
+        sample_counts(coin_space, coin_delta, rng(), n)
+
+
+def test_frequencies_of_no_counts(coin_space, coin_delta):
+    with pytest.raises(EmptySamples):
+        frequencies(coin_space, np.zeros((2, 2), dtype=np.int64), coin_delta)
