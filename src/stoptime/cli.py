@@ -34,7 +34,12 @@ def _seed(args) -> int:
 
 
 def _exact(x: Fraction) -> str:
-    return f"{x} ({float(x):.10g})"
+    """The exact value, then its float; inf or -inf beyond float range."""
+    try:
+        approx = f"{float(x):.10g}"
+    except OverflowError:
+        approx = "inf" if x > 0 else "-inf"
+    return f"{x} ({approx})"
 
 
 def _load_space(path):
@@ -63,7 +68,7 @@ def cmd_validate(args) -> int:
     elif "values" in doc:
         process = process_from_dict(doc)
         report = [] if args.space is None else row_violations(
-            _load_space(args.space), process.values, "values")
+            _load_space(args.space), process.numerators(), "values")
     else:
         raise InputError("unrecognized document (no kind/partitions/values)")
     for v in report:

@@ -8,12 +8,13 @@ before serialization.
 
 from __future__ import annotations
 
-import concurrent.futures
+import concurrent.futures  # its process pool loads on first use
 import io
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -210,17 +211,27 @@ def _game_checks(name: str, inst: fuzz.Instance,
              *vals, via_lift))
 
     # lifting preserves equivalence of the base pair, by joint mass and by
-    # the cumulative criterion (cdf rows against paths)
-    cdf = mu_l.cdf_rows(space.n_times)
-    cdf_ok = all(cdf[a] == rho_l.paths[a] for a in lifted.space.outcomes)
+    # the cumulative criterion (cdf rows against paths): running sums of
+    # the section masses over d against those of the path increments over
+    # k, compared as ints by cross-multiplication
+    masses = mu_l.mass_numerators(space.n_times)
+    jumps = rho_l.increments()
+
+    def same_cdf(a):
+        (below, row, d), (inc, k) = masses[a], jumps[a]
+        cdf = list(accumulate(row, initial=below))[1:]
+        return (len(cdf) == len(inc)
+                and all(c * k == x * d for c, x in zip(cdf, accumulate(inc))))
+
+    cdf_ok = all(map(same_cdf, lifted.space.outcomes))
     _row(results, name, "lift_preserves_equivalence",
          convert.equivalent(lifted.space, mu_l, rho_l) and cdf_ok,
          f"lifted pair not equivalent (cdf_match={cdf_ok})")
 
     # zero-sum sanity: negating all payoff tables negates the value
     neg = games.StoppingGame(space, *(
-        games.AdaptedProcess({w: tuple(-v for v in row)
-                              for w, row in p.values.items()})
+        games.AdaptedProcess.from_rows({w: ([-n for n in nums], d)
+                                        for w, (nums, d) in p.rows.items()})
         for p in (inst.x, inst.y, inst.z)))
     neg_val = games.game_payoff_symmetric(neg, inst.mixed, inst.mixed2)
     _row(results, name, "zero_sum_negation", neg_val == -symmetric,
@@ -252,10 +263,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     # bound per call: a check_instance replaced at run time is the one used
     check = partial(check_instance, config)
     indices = range(config.n_instances)
-    if config.jobs == 1:
+    # no more workers than instances or cores: the pool starts them all
+    workers = min(config.jobs, config.n_instances, os.cpu_count() or 1)
+    if workers == 1:
         rows = list(chain.from_iterable(map(check, indices)))
     else:  # pool.map, like map, keeps instance order
-        with concurrent.futures.ProcessPoolExecutor(config.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             rows = list(chain.from_iterable(pool.map(check, indices)))
     rows.extend(monte_carlo_rows(config))
     rows.sort(key=lambda r: (_instance_key(r.instance), r.check))

@@ -18,17 +18,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 
 import numpy as np
 
 from .convert import delta_of_randomized, mixed_of_randomized
 from .space import AdaptedProcess, FilteredSpace, build_space
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
-                    RandomizedST, ONE, ZERO, common_refinement)
+                    RandomizedST, ZERO, common_refinement)
 
 
 # largest outcomes x grid points an instance may reach (128 x 32)
 MAX_CELLS = 4096
+
+# lcm(1, ..., 8): random_process's values are ints over it
+DRAW_DENOMINATOR = 840
 
 
 @dataclass(frozen=True)
@@ -63,11 +67,6 @@ class Instance:
     z: AdaptedProcess
     mixed2: MixedST
     randomized2: RandomizedST
-
-
-def unit_fraction(rng: np.random.Generator, max_den: int) -> Fraction:
-    den = int(rng.integers(1, max_den + 1))
-    return Fraction(int(rng.integers(0, den + 1)), den)
 
 
 def random_space(rng: np.random.Generator, bounds: FuzzBounds,
@@ -120,17 +119,25 @@ def random_pure(rng: np.random.Generator, space: FilteredSpace) -> PureST:
 
 def random_randomized(rng: np.random.Generator, space: FilteredSpace,
                       bounds: FuzzBounds) -> RandomizedST:
-    """Build paths from block-constant per-level stop fractions."""
+    """Build paths from block-constant per-level stop fractions h: each
+    step leaves (1 - path)(1 - h) to go, carried as a reduced int pair."""
     paths = {w: [] for w in space.outcomes}
-    prev = {w: ZERO for w in space.outcomes}
+    rest = {w: (1, 1) for w in space.outcomes}  # 1 - path, as (num, den)
     for j in range(space.n_times):
         last = j == space.last_index
         for block in space.partitions[j]:
-            h = ONE if last else unit_fraction(rng, bounds.max_denominator)
+            if last:  # h = num / den
+                num, den = 1, 1
+            else:
+                den = int(rng.integers(1, bounds.max_denominator + 1))
+                num = int(rng.integers(0, den + 1))
             for w in block:
-                value = prev[w] + (ONE - prev[w]) * h
-                paths[w].append(value)
-                prev[w] = value
+                a, b = rest[w]
+                a, b = a * (den - num), b * den
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                rest[w] = a, b
+                paths[w].append(Fraction(b - a, b))
     return RandomizedST({w: tuple(row) for w, row in paths.items()})
 
 
@@ -151,11 +158,14 @@ def shuffle_sections(rng: np.random.Generator, space: FilteredSpace,
 
 def random_process(rng: np.random.Generator, space: FilteredSpace,
                    bounds: FuzzBounds, adapted: bool = False) -> AdaptedProcess:
-    """A bounded rational table; block-constant per level when adapted."""
+    """A bounded rational table; block-constant per level when adapted.
+    Each value is a numerator over a denominator from 1 to 8, written as an
+    int over their common multiple DRAW_DENOMINATOR."""
     def draw():
         den = int(rng.integers(1, 9))
-        return Fraction(int(rng.integers(-bounds.max_denominator,
-                                         bounds.max_denominator + 1)), den)
+        num = int(rng.integers(-bounds.max_denominator,
+                               bounds.max_denominator + 1))
+        return num * (DRAW_DENOMINATOR // den)
 
     values = {w: [None] * space.n_times for w in space.outcomes}
     for j in range(space.n_times):
@@ -167,7 +177,8 @@ def random_process(rng: np.random.Generator, space: FilteredSpace,
         else:
             for w in space.outcomes:
                 values[w][j] = draw()
-    return AdaptedProcess({w: tuple(row) for w, row in values.items()})
+    return AdaptedProcess.from_rows(
+        {w: (row, DRAW_DENOMINATOR) for w, row in values.items()})
 
 
 def random_instance(rng: np.random.Generator,

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
+from math import lcm
+from operator import mul
 
 from .convert import to_distribution
 from .space import AdaptedProcess, FilteredSpace, build_space, require_rows
-from .times import (DistributionST, MixedST, RandomizedST, fraction_dot,
-                    validate_distribution)
+from .times import (DistributionST, MixedST, RandomizedST, add_term,
+                    fraction_sum, int_dot, validate_distribution)
 from .problems import StoppingProblem, payoff_distribution
 
 
@@ -34,7 +36,7 @@ class StoppingGame:
 
     def __post_init__(self):
         for name, table in (("x", self.x), ("y", self.y), ("z", self.z)):
-            require_rows(self.space, table.values, name)
+            require_rows(self.space, table.numerators(), name)
 
 
 @dataclass(frozen=True)
@@ -83,13 +85,20 @@ def _lift(game: StoppingGame, delta: DistributionST, first: AdaptedProcess,
         raise ValueError(f"opponent stop mass invalid: {bad[0]}")
     space = _lifted_space(game.space, delta)
     n = space.n_times
-    first, second, tie = first.values, second.values, game.z.values
     # before the opponent's stop s the lifted player is first, at s a tie,
-    # after s the opponent was first and the reward is frozen at s
-    values = {(w, s): first[w][:s] + (tie[w][s],) + (second[w][s],) * (n - s - 1)
-              for w, s in space.outcomes}
-    return LiftedProblem(game, space,
-                         StoppingProblem(space, AdaptedProcess(values)))
+    # after s the opponent was first and the reward is frozen at s; the
+    # three base rows of w meet over d = lcm of their denominators
+    scaled = {}
+    rows = {}
+    for w, s in space.outcomes:
+        if w not in scaled:
+            tables = (first.rows[w], game.z.rows[w], second.rows[w])
+            d = lcm(*(k for _, k in tables))
+            scaled[w] = [[x * (d // k) for x in nums] for nums, k in tables], d
+        (f, t, g), d = scaled[w]
+        rows[(w, s)] = f[:s] + [t[s]] + [g[s]] * (n - s - 1), d
+    return LiftedProblem(game, space, StoppingProblem(
+        space, AdaptedProcess.from_rows(rows)))
 
 
 def lift_mixed(mu: MixedST, lifted_space: FilteredSpace) -> MixedST:
@@ -146,24 +155,25 @@ def game_payoff_symmetric(game: StoppingGame, mu1: MixedST,
     mass_numerators over denominators d1, d2.  The index pair (j1, j2)
     weighs n1[j1] * n2[j2] / (d1 * d2) and pays X(j1) if j1 < j2, Y(j2) if
     j1 > j2 and Z(j1) on a tie, so each reward entry collects one integer
-    weight built from running sums of n1 and n2.
+    weight built from running sums of n1 and n2, and each table's weights
+    meet its int row over that row's own denominator.
     """
     space = game.space
     rows1 = mu1.mass_numerators(space.n_times)
     rows2 = mu2.mass_numerators(space.n_times)
-    scales, inner = [], []
+    x, y, z = game.x.rows, game.y.rows, game.z.rows
+    by_den = {}
     for w, p in zip(space.outcomes, space.probs):
         _, n1, d1 = rows1[w]
         _, n2, d2 = rows2[w]
         after2 = _mass_after(n2)  # Player 2 stops strictly later than j
         after1 = _mass_after(n1)  # Player 1 stops strictly later than j
-        weights = ([a * b for a, b in zip(n1, after2)]
-                   + [a * b for a, b in zip(n2, after1)]
-                   + [a * b for a, b in zip(n1, n2)])
-        rewards = chain(game.x.values[w], game.y.values[w], game.z.values[w])
-        scales.append(p / (d1 * d2))
-        inner.append(fraction_dot(weights, rewards))
-    return fraction_dot(scales, inner)
+        k = p.denominator * d1 * d2
+        for weights, (r, d_r) in ((list(map(mul, n1, after2)), x[w]),
+                                  (list(map(mul, n2, after1)), y[w]),
+                                  (list(map(mul, n1, n2)), z[w])):
+            add_term(by_den, k * d_r, p.numerator * int_dot(weights, r))
+    return fraction_sum(by_den)
 
 
 def _mass_after(row) -> list:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .space import AdaptedProcess, FilteredSpace, require_rows
 from .times import (DistributionST, MixedST, PureST, RandomizedST,
-                    fraction_dot, fraction_sum)
+                    add_term, fraction_sum, int_dot)
 
 
 @dataclass(frozen=True)
@@ -21,55 +21,64 @@ class StoppingProblem:
     reward: AdaptedProcess
 
     def __post_init__(self):
-        require_rows(self.space, self.reward.values, "reward")
+        require_rows(self.space, self.reward.numerators(), "reward")
+
+
+# Each route sums ints per denominator with add_term: with P(w) = p, the
+# reward row of w as ints over d_R and the stop weights of w as ints over
+# d, outcome w adds p.numerator * (weights . reward ints) under the key
+# p.denominator * d * d_R; fraction_sum normalises the value once.
 
 
 def payoff_pure(problem: StoppingProblem, sigma: PureST) -> Fraction:
-    space, R = problem.space, problem.reward
-    return fraction_dot(space.probs, (R.at(w, sigma.stop_index[w])
-                                      for w in space.outcomes))
+    space, rewards = problem.space, problem.reward.rows
+    stop = sigma.stop_index
+    by_den = {}
+    for w, p in zip(space.outcomes, space.probs):
+        r, d_r = rewards[w]
+        add_term(by_den, p.denominator * d_r, p.numerator * r[stop[w]])
+    return fraction_sum(by_den)
 
 
 def payoff_mixed(problem: StoppingProblem, mu: MixedST) -> Fraction:
-    """Sum over outcomes of P(w) / d times the integer interval lengths
-    (the section's break_ints, over d) against the rewards."""
-    space, R = problem.space, problem.reward
-    scales, inner = [], []
+    """The integer interval lengths of each section (its break_ints, over
+    d) against the rewards at the interval values."""
+    space, rewards = problem.space, problem.reward.rows
+    by_den = {}
     for w, p in zip(space.outcomes, space.probs):
         s = mu.sections[w]
         nums, d = s.break_ints
-        row = R.values[w]
-        scales.append(p / d)
-        inner.append(fraction_dot((b - a for a, b in zip(nums, nums[1:])),
-                                  (row[v] for v in s.values)))
-    return fraction_dot(scales, inner)
+        r, d_r = rewards[w]
+        lengths = [b - a for a, b in zip(nums, nums[1:])]
+        add_term(by_den, p.denominator * d * d_r,
+                 p.numerator * int_dot(lengths, [r[v] for v in s.values]))
+    return fraction_sum(by_den)
 
 
 def payoff_randomized(problem: StoppingProblem, rho: RandomizedST) -> Fraction:
     """Stieltjes sum against the path increments; the jump at time 0 counts.
 
     The increments are integers over the path's common denominator d."""
-    space, R = problem.space, problem.reward
+    space, rewards = problem.space, problem.reward.rows
     increments = rho.increments()
-    scales, inner = [], []
+    by_den = {}
     for w, p in zip(space.outcomes, space.probs):
         row, d = increments[w]
-        scales.append(p / d)
-        inner.append(fraction_dot(row, R.values[w]))
-    return fraction_dot(scales, inner)
+        r, d_r = rewards[w]
+        add_term(by_den, p.denominator * d * d_r,
+                 p.numerator * int_dot(row, r))
+    return fraction_sum(by_den)
 
 
 def payoff_distribution(problem: StoppingProblem, delta: DistributionST) -> Fraction:
-    """Each row's ints n over d against the rewards r: n * r.numerator summed
-    per denominator d * r.denominator over all rows, normalised once."""
-    space, R = problem.space, problem.reward
+    """Each row's ints over d against the reward ints over d_R, summed per
+    d * d_R over all rows (the mass already carries P)."""
+    rewards = problem.reward.rows
     by_den = {}
-    for w in space.outcomes:
+    for w in problem.space.outcomes:
         nums, d = delta.rows[w]
-        for n, r in zip(nums, R.values[w], strict=True):
-            if n:
-                k = d * r.denominator
-                by_den[k] = by_den.get(k, 0) + n * r.numerator
+        r, d_r = rewards[w]
+        add_term(by_den, d * d_r, int_dot(nums, r))
     return fraction_sum(by_den)
 
 

@@ -4,8 +4,11 @@ The filtration is stored as one partition of the outcome set per grid
 time; measurability of a random variable at time t_j means constancy on
 the blocks of partitions[j]; unadapted_blocks is the one walk that asks
 it, and row_violations the one check of a per-outcome table's shape.
-All probabilities, times, and process values are `fractions.Fraction`,
-so every check in this package is exact.
+Probabilities and times are `fractions.Fraction`.  Per-outcome tables of
+values (a process here, a joint mass in times) are CanonicalRows: each
+row is held once as Python ints over one reduced denominator, and their
+Fraction views are built only for output.  So every check in this package
+is exact.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping
 
 
@@ -42,6 +45,47 @@ class IncompatibleSpaces(ValueError):
 
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def over_common(row) -> tuple:
+    """(numerators, d): the row as Python ints over one common denominator.
+
+    d is the lcm of the entries' denominators, so row[i] == Fraction(
+    numerators[i], d) for every i; an empty row gives ((), 1).  For a row
+    of Fractions or ints the pair is canonical: gcd(d, *numerators) == 1.
+    """
+    d = lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (d // x.denominator) for x in row), d
+
+
+class CanonicalRows:
+    """A per-outcome table held as canonical int rows: rows[w] is (nums, d),
+    entry j being nums[j] / d with gcd(d, *nums) == 1, so two rows are
+    equal iff their tuples are.  from_rows takes int rows (nums, d) and
+    divides each by gcd(d, *nums); a subclass's constructor takes Fraction
+    rows and keeps their over_common, which is already canonical."""
+
+    rows: dict
+
+    @classmethod
+    def from_rows(cls, rows: Mapping):
+        table = cls.__new__(cls)
+        table.rows = {}
+        for w, (nums, d) in rows.items():
+            g = gcd(d, *nums)
+            table.rows[w] = ((tuple(nums), d) if g == 1
+                             else (tuple([n // g for n in nums]), d // g))
+        return table
+
+    def numerators(self) -> dict:
+        """{w: nums}: the table the row-shape checks read."""
+        return {w: nums for w, (nums, _) in self.rows.items()}
+
+    def __eq__(self, other):
+        return (self.rows == other.rows if type(other) is type(self)
+                else NotImplemented)
+
+    __hash__ = None
 
 
 def _canonical_partition(blocks, order: dict) -> tuple:
@@ -175,23 +219,30 @@ def build_space(outcomes, probs, grid, partitions) -> FilteredSpace:
     )
 
 
-@dataclass(frozen=True)
-class AdaptedProcess:
-    """A table of exact values over outcomes x grid.
+class AdaptedProcess(CanonicalRows):
+    """A table of exact values over outcomes x grid, as canonical int rows.
 
+    AdaptedProcess(values) takes Fraction or number rows.  values is the
+    Fraction view, built on each read and not kept: readers take the ints.
     Adaptedness (block constancy per level) is a property of the table
     relative to a space; it is checked by validate_adapted, not assumed.
     """
 
-    values: Mapping
+    def __init__(self, values: Mapping):
+        self.rows = {w: over_common(tuple(map(_as_fraction, row)))
+                     for w, row in values.items()}
+
+    @property
+    def values(self) -> dict:
+        return {w: tuple(Fraction(n, d) for n in nums)
+                for w, (nums, d) in self.rows.items()}
 
     def at(self, outcome, grid_index: int) -> Fraction:
-        return self.values[outcome][grid_index]
+        nums, d = self.rows[outcome]
+        return Fraction(nums[grid_index], d)
 
-    @staticmethod
-    def from_table(table: Mapping) -> "AdaptedProcess":
-        return AdaptedProcess(
-            {w: tuple(_as_fraction(x) for x in row) for w, row in table.items()})
+    def __repr__(self):
+        return f"AdaptedProcess(values={self.values!r})"
 
     @staticmethod
     def constant(space: FilteredSpace, c) -> "AdaptedProcess":
@@ -242,13 +293,18 @@ def unadapted_blocks(space: FilteredSpace, same):
 
 
 def validate_adapted(space: FilteredSpace, process: AdaptedProcess) -> list:
-    """Report every (level, block) on which the process is not constant."""
-    values = process.values
-    return row_violations(space, values, "values") or [
+    """Report every (level, block) on which the process is not constant;
+    values are compared as ints by cross-multiplication."""
+    rows = process.rows
+
+    def same(j, a, b):
+        (na, da), (nb, db) = rows[a], rows[b]
+        return na[j] * db == nb[j] * da
+
+    return row_violations(space, process.numerators(), "values") or [
         Violation("NotConstantOnBlock",
                   f"level {j}, block {sorted(map(str, block))}: values differ")
-        for j, block, _, _ in unadapted_blocks(
-            space, lambda j, a, b: values[a][j] == values[b][j])]
+        for j, block, _, _ in unadapted_blocks(space, same)]
 
 
 @dataclass(frozen=True)

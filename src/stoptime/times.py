@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import gcd, lcm
+from math import lcm
+from operator import mul
 
-from .space import (FilteredSpace, SubMeasure, Violation, row_violations,
-                    unadapted_blocks)
+from .space import (CanonicalRows, FilteredSpace, SubMeasure, Violation,
+                    over_common, row_violations, unadapted_blocks)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -30,14 +31,14 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 # exact-arithmetic kernel: int numerators, one normalisation per result
 
-def over_common(row) -> tuple:
-    """(numerators, d): the row as Python ints over one common denominator.
+# (over_common, which splits a row into ints over one denominator, is in
+# space, where AdaptedProcess needs it)
 
-    d is the lcm of the entries' denominators, so row[i] == Fraction(
-    numerators[i], d) for every i; an empty row gives ((), 1).
-    """
-    d = lcm(*(x.denominator for x in row))
-    return tuple(x.numerator * (d // x.denominator) for x in row), d
+def int_dot(xs, ys) -> int:
+    """sum(x * y) over two int rows of equal length."""
+    if len(xs) != len(ys):
+        raise ValueError(f"rows of lengths {len(xs)} and {len(ys)}")
+    return sum(map(mul, xs, ys))
 
 
 def fraction_dot(xs, ys) -> Fraction:
@@ -52,6 +53,13 @@ def fraction_dot(xs, ys) -> Fraction:
         d = x.denominator * y.denominator
         by_den[d] = by_den.get(d, 0) + x.numerator * y.numerator
     return fraction_sum(by_den)
+
+
+def add_term(by_den: dict, k: int, n: int) -> None:
+    """by_den[k] += n, the sum fraction_sum reads; a zero term is left out,
+    so its denominator does not enter the lcm."""
+    if n:
+        by_den[k] = by_den.get(k, 0) + n
 
 
 def fraction_sum(by_den: dict) -> Fraction:
@@ -238,40 +246,18 @@ class RandomizedST:
         return per_object(self.paths, jumps)
 
 
-class DistributionST:
-    """An exact joint mass: rows[w] is the row of outcome w as canonical
-    ints (nums, d), entry j being nums[j] / d with gcd(d, *nums) == 1, so
-    two rows are equal iff their tuples are.  DistributionST(mass) takes
-    Fraction (or int) rows, whose over_common is already canonical;
-    from_rows takes int rows (nums, d) and divides each by gcd(d, *nums).
+class DistributionST(CanonicalRows):
+    """An exact joint mass, rows[w] being the canonical int row (nums, d)
+    of outcome w.  DistributionST(mass) takes Fraction (or int) rows;
     mass is the Fraction view, built on first read."""
 
     def __init__(self, mass: Mapping):
         self.rows = {w: over_common(row) for w, row in mass.items()}
 
-    @classmethod
-    def from_rows(cls, rows: Mapping) -> "DistributionST":
-        delta = cls.__new__(cls)
-        delta.rows = {}
-        for w, (nums, d) in rows.items():
-            g = gcd(d, *nums)
-            delta.rows[w] = tuple(n // g for n in nums), d // g
-        return delta
-
     @cached_property
     def mass(self) -> dict:
         return {w: tuple(Fraction(n, d) for n in nums)
                 for w, (nums, d) in self.rows.items()}
-
-    def numerators(self) -> dict:
-        """{w: nums}: the table the row-shape checks read."""
-        return {w: nums for w, (nums, _) in self.rows.items()}
-
-    def __eq__(self, other):
-        return (self.rows == other.rows if isinstance(other, DistributionST)
-                else NotImplemented)
-
-    __hash__ = None
 
     def __repr__(self):
         return f"DistributionST(mass={self.mass!r})"

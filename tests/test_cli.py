@@ -3,7 +3,9 @@ import copy
 import io
 import json
 import os
+import re
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,6 +133,33 @@ def test_game_both_routes(files, capsys):
                  "--p2", files["randomized"], "--route", "both"]) == 0
     out = capsys.readouterr().out
     assert "lift:" in out and "symmetric:" in out
+
+
+HUGE = "1" + "0" * 400  # an exact reward far beyond float range
+
+
+def test_payoff_beyond_float_range_prints_inf(files, tmp_path, capsys):
+    for sign in ("", "-"):
+        reward = tmp_path / f"huge{sign}.json"
+        dump_json({"values": {"w1": [sign + HUGE] * 2,
+                              "w2": [sign + HUGE] * 2}}, reward)
+        assert main(["payoff", "--space", files["space"],
+                     "--reward", str(reward), "--stop", files["mixed"]]) == 0
+        out, err = capsys.readouterr()
+        assert out == f"{sign}{HUGE} ({sign}inf)\n"
+        assert err == ""
+
+
+def test_game_beyond_float_range_prints_inf(files, tmp_path, capsys):
+    table = tmp_path / "huge.json"
+    dump_json({"values": {"w1": [HUGE] * 2, "w2": [HUGE] * 2}}, table)
+    assert main(["game", "--space", files["space"], "--x", str(table),
+                 "--y", str(table), "--z", str(table), "--p1", files["mixed"],
+                 "--p2", files["randomized"], "--route", "both"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"lift:      {HUGE} (inf)",
+                                f"symmetric: {HUGE} (inf)"]
+    assert err == ""
 
 
 def test_game_p2view(files, capsys):
@@ -428,3 +457,87 @@ def test_validate_process_rows_against_space(files, tmp_path, capsys):
     assert main(["validate", str(short)]) == 0
     assert capsys.readouterr().out == "valid\n"
     assert main(["validate", files["reward"], "--space", files["space"]]) == 0
+
+
+# rationals a document may carry: beyond float range, beyond the
+# int-string limit, malformed, and JSON numbers where strings belong
+EXTREME_VALUES = st.sampled_from([
+    HUGE, "-" + HUGE, "1/" + HUGE, "-7/" + HUGE, HUGE + "/3", "9" * 4000,
+    "9" * 5000, "1/0", "0/0", "1e999", "nan", "inf", "-", "", " 1 ",
+    "1/2/3", 10**400, -(10**400), 1.5, 1e308, True, None, [HUGE], {}])
+RATIONAL = re.compile(r"-?\d+(/\d+)?$")
+
+
+def _huge_rationals(doc, sign):
+    """doc with every rational string scaled by 10**400 (sign: negated)."""
+    if isinstance(doc, dict):
+        return {k: _huge_rationals(v, sign) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_huge_rationals(v, sign) for v in doc]
+    if isinstance(doc, str) and RATIONAL.match(doc):
+        return str(Fraction(doc) * 10**400 * (-1 if sign else 1))
+    return doc
+
+
+def _renamed(doc, path, new_key):
+    """doc with the key at path renamed: a foreign outcome or field."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[new_key] = target.pop(path[-1])
+    return doc
+
+
+@st.composite
+def broken_documents(draw):
+    """(role, document): one valid document made malformed or extreme."""
+    name = draw(st.sampled_from(sorted(VALID_DOCS)))
+    doc = VALID_DOCS[name]
+    paths = list(_value_paths(doc))
+    how = draw(st.sampled_from(["value", "retype", "rename", "huge"]))
+    if how == "value":
+        doc = _replaced(doc, draw(st.sampled_from(paths)),
+                        draw(EXTREME_VALUES))
+    elif how == "retype":
+        doc = _replaced(doc, draw(st.sampled_from(paths)), draw(JSON_VALUES))
+    elif how == "rename":
+        keyed = [p for p in paths if isinstance(p[-1], str)]
+        doc = _renamed(doc, draw(st.sampled_from(keyed)),
+                       draw(st.sampled_from(["zz", "w3", "w2", "", "kind"])))
+    else:
+        doc = _huge_rationals(doc, draw(st.booleans()))
+    return (name if name in ("space", "process") else "stop"), doc
+
+
+CONTRACT_COMMANDS = dict(SUBCOMMANDS, validate=("validate", "{stop}",
+                                                "--space", "{space}"),
+                         validate_process=("validate", "{process}",
+                                           "--space", "{space}"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(CONTRACT_COMMANDS)),
+       broken=broken_documents(), stop=st.sampled_from(
+           ["mixed", "randomized", "distribution", "pure"]))
+def test_exit_code_contract_on_malformed_and_extreme_documents(command,
+                                                               broken, stop):
+    """validate, convert, equiv, payoff and game on one malformed or
+    extreme document: exit 0, 1 or 2, and never a traceback."""
+    role, doc = broken
+    docs = {"space": VALID_DOCS["space"], "process": VALID_DOCS["process"],
+            "stop": VALID_DOCS[stop], "other": VALID_DOCS["randomized"],
+            role: doc}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for key, value in docs.items():
+            paths[key] = os.path.join(tmp, f"{key}.json")
+            dump_json(value, paths[key])
+        argv = [arg.format(**paths) for arg in CONTRACT_COMMANDS[command]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in {0, 1, 2}
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import types
@@ -10,7 +11,8 @@ from stoptime import build_space, convert, experiment, fuzz, games, times
 from stoptime.experiment import (CheckRow, ExperimentConfig, ExperimentReport,
                                  _rng_for, check_instance, monte_carlo_rows,
                                  run_experiment)
-from stoptime.times import DistributionST
+from stoptime.space import AdaptedProcess
+from stoptime.times import DistributionST, RandomizedST
 
 
 def _first_instance(config, accept):
@@ -191,6 +193,93 @@ def test_check_instance_prefix_work_is_linear(monkeypatch):
     rows = check_instance(config, index)
     assert all(r.status == "pass" for r in rows)
     assert calls == []  # the densities table is read once instead
+
+
+def test_check_instance_builds_no_process_view(monkeypatch):
+    # the payoff routes, the lifts and the zero-sum game once read the
+    # reward and game tables as Fractions; they read the int rows now
+    config = ExperimentConfig(seed=5, max_outcomes=24, max_grid_points=8)
+    index, inst = _first_instance(
+        config, lambda i: len(i.space.outcomes) >= 16 and i.space.n_times >= 4)
+    reads = []
+    values, at = AdaptedProcess.values, AdaptedProcess.at
+
+    def counted_at(self, outcome, grid_index):
+        reads.append("at")
+        return at(self, outcome, grid_index)
+
+    def counted_values(self):
+        reads.append("values")
+        return values.fget(self)
+
+    monkeypatch.setattr(AdaptedProcess, "at", counted_at)
+    monkeypatch.setattr(AdaptedProcess, "values", property(counted_values))
+    rows = check_instance(config, index)
+    assert all(r.status == "pass" for r in rows)
+    assert reads == []
+    inst.reward.at(inst.space.outcomes[0], 0)
+    assert inst.reward.values and reads == ["at", "values"]
+
+
+def test_lift_check_compares_cumulatives_exactly(monkeypatch):
+    # with the joint-mass test forced to agree, the int cumulative
+    # criterion alone must see one lifted path moved to stop at time 0
+    config = ExperimentConfig(seed=5)
+    index, _ = _first_instance(
+        config, lambda i: i.space.n_times >= 2
+        and any(p[0] < 1 for p in i.randomized.paths.values()))
+    assert _status(check_instance(config, index),
+                   "lift_preserves_equivalence") == "pass"
+
+    def moved(rho, lifted_space):
+        paths = dict(games.lift_randomized(rho, lifted_space).paths)
+        a = next(a for a, p in paths.items() if p[0] < 1)
+        paths[a] = (Fraction(1),) * len(paths[a])
+        return RandomizedST(paths)
+
+    planted_games = types.SimpleNamespace(**vars(games))
+    planted_games.lift_randomized = moved
+    planted_convert = types.SimpleNamespace(**vars(convert))
+    planted_convert.equivalent = lambda space, a, b: True
+    monkeypatch.setattr(experiment, "games", planted_games)
+    monkeypatch.setattr(experiment, "convert", planted_convert)
+    assert _status(check_instance(config, index),
+                   "lift_preserves_equivalence") == "fail"
+
+
+def test_pool_starts_no_more_workers_than_instances_or_cores(monkeypatch):
+    # a fork pool starts every worker on its first submit: --jobs 1000 on
+    # a 3-instance campaign once forked 1000 processes
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    base = dict(seed=9, n_samples=2000, tv_tolerance=0.05)
+    serial = {n: run_experiment(ExperimentConfig(n_instances=n, **base))
+              for n in (3, 6)}
+    assert started == []
+    # (cores, jobs, instances, workers started; None: no pool)
+    for cores, jobs, n, workers in ((4, 1000, 3, 3), (4, 1000, 6, 4),
+                                    (8, 2, 6, 2), (None, 1000, 6, None),
+                                    (1, 64, 6, None), (4, 1, 6, None)):
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cores)
+        started.clear()
+        report = run_experiment(ExperimentConfig(n_instances=n, jobs=jobs,
+                                                 **base))
+        assert started == ([] if workers is None else [workers])
+        assert report.to_csv() == serial[n].to_csv()
 
 
 def test_check_instance_converts_each_mixed_time_once(monkeypatch):

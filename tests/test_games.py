@@ -16,9 +16,9 @@ H = F(1, 2)
 @pytest.fixture
 def coin_game(coin_space):
     # distinct tables so any indexing mistake shows up in values
-    x = AdaptedProcess.from_table({"w1": (F(10), F(11)), "w2": (F(12), F(13))})
-    y = AdaptedProcess.from_table({"w1": (F(20), F(21)), "w2": (F(22), F(23))})
-    z = AdaptedProcess.from_table({"w1": (F(30), F(31)), "w2": (F(32), F(33))})
+    x = AdaptedProcess({"w1": (F(10), F(11)), "w2": (F(12), F(13))})
+    y = AdaptedProcess({"w1": (F(20), F(21)), "w2": (F(22), F(23))})
+    z = AdaptedProcess({"w1": (F(30), F(31)), "w2": (F(32), F(33))})
     return StoppingGame(coin_space, x, y, z)
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
@@ -16,7 +17,8 @@ from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
                       validate_mixed_product, validate_mixed_sections,
                       validate_pure, validate_randomized)
 from stoptime.space import Violation
-from stoptime.times import ZERO, symmetric_difference_measure
+from stoptime.times import (ZERO, add_term, fraction_sum, int_dot,
+                            symmetric_difference_measure)
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 bounds = st.sampled_from([fuzz.FuzzBounds(),
@@ -37,7 +39,7 @@ def make_instance(seed, fuzz_bounds):
 
 
 # ---------------------------------------------------------------------------
-# fraction_dot and over_common
+# fraction_dot, int_dot, add_term, fraction_sum and over_common
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(exact, exact), max_size=40))
@@ -56,6 +58,48 @@ def test_fraction_dot_edge_cases():
     big = [Fraction(1, p) for p in PRIMES]
     assert fraction_dot(big, [1] * len(big)) == sum(big, Fraction(0))
     assert fraction_dot([Fraction(1, 3), Fraction(-1, 3)], [1, 1]) == 0
+
+
+def int_products_sum(xs, ys) -> Fraction:
+    """sum(x * y) the way the payoff routes take it: each row split into
+    ints over one denominator, one int_dot, normalised by fraction_sum."""
+    (nx, dx), (ny, dy) = over_common(xs), over_common(ys)
+    by_den = {}
+    add_term(by_den, dx * dy, int_dot(nx, ny))
+    return fraction_sum(by_den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(exact, exact), max_size=40))
+def test_int_products_sum_to_the_fraction_sum(pairs):
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    got = int_products_sum(xs, ys)
+    assert type(got) is Fraction
+    assert got == sum((x * y for x, y in pairs), Fraction(0))
+    # terms under several denominators meet over their lcm
+    by_den = {}
+    for x, y in pairs:
+        add_term(by_den, Fraction(x).denominator * Fraction(y).denominator,
+                 Fraction(x).numerator * Fraction(y).numerator)
+    assert fraction_sum(by_den) == got
+
+
+def test_int_products_edge_cases():
+    assert int_products_sum([], []) == 0
+    assert fraction_sum({}) == 0
+    assert int_products_sum([2, -3], [5, 7]) == -11
+    big = [Fraction(1, p) for p in PRIMES]
+    assert int_products_sum(big, [1] * len(big)) == sum(big, Fraction(0))
+    assert int_products_sum([Fraction(1, 3), Fraction(-1, 3)], [1, 1]) == 0
+    # a zero term adds no denominator to the lcm
+    by_den = {}
+    add_term(by_den, 7, 0)
+    add_term(by_den, 3, 1)
+    add_term(by_den, 3, 2)
+    assert by_den == {3: 3}
+    with pytest.raises(ValueError):
+        int_dot([1, 2], [3])
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,15 +1,17 @@
-"""Independent oracles: the plain Fraction formulas for the payoffs and the
-symmetric game value, written out here so that the library's integer
-routes are compared with code they share nothing with."""
+"""Independent oracles: the plain Fraction formulas for the payoffs, the
+symmetric game value and the lifted rewards, written out here so that the
+library's integer routes are compared with code they share nothing with."""
 
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (FilteredSpace, PureST, StoppingGame, StoppingProblem,
-                      delta_of_mixed, experiment, fuzz, game_payoff_symmetric,
-                      lift, lift_distribution, lift_mixed, lift_randomized,
+from stoptime import (AdaptedProcess, FilteredSpace, PureST, StoppingGame,
+                      StoppingProblem, delta_of_mixed, experiment, fuzz,
+                      game_payoff_player2_view, game_payoff_symmetric,
+                      game_payoff_via_lift, lift, lift_distribution,
+                      lift_mixed, lift_randomized, over_common,
                       payoff_distribution, payoff_mixed, payoff_pure,
                       payoff_randomized, problems)
 from stoptime.experiment import ExperimentConfig, check_instance
@@ -172,6 +174,71 @@ def test_symmetric_game_matches_fraction_oracle(seed, fuzz_bounds):
                      (inst.mixed, inst.mixed)):
         assert (game_payoff_symmetric(game, mu1, mu2)
                 == oracle_symmetric(game, mu1, mu2))
+
+
+def wide_process(rng, space):
+    """A table with large denominators and both signs, so that each route's
+    per-denominator sums meet over a large lcm."""
+    return AdaptedProcess({w: tuple(
+        Fraction(int(rng.integers(-10**9, 10**9)), int(rng.integers(1, 10**9)))
+        for _ in space.grid) for w in space.outcomes})
+
+
+def game_tables(inst, seed, wide):
+    if not wide:
+        return inst.x, inst.y, inst.z
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return tuple(wide_process(rng, inst.space) for _ in range(3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, bounds)
+def test_payoffs_on_wide_rewards_match_fraction_oracles(seed, fuzz_bounds):
+    inst = make_instance(seed, fuzz_bounds)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    problem = StoppingProblem(inst.space, wide_process(rng, inst.space))
+    assert_payoffs_match_oracles(problem, inst.pure, inst.mixed,
+                                 inst.randomized, inst.distribution)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, bounds, st.booleans())
+def test_game_routes_match_fraction_oracle(seed, fuzz_bounds, wide):
+    inst = make_instance(seed, fuzz_bounds)
+    space = inst.space
+    game = StoppingGame(space, *game_tables(inst, seed, wide))
+    expected = oracle_symmetric(game, inst.mixed, inst.mixed2)
+    delta1 = delta_of_mixed(space, inst.mixed)
+    delta2 = delta_of_mixed(space, inst.mixed2)
+    assert game_payoff_symmetric(game, inst.mixed, inst.mixed2) == expected
+    assert game_payoff_via_lift(game, inst.mixed, delta2) == expected
+    assert game_payoff_player2_view(game, delta1, inst.mixed2) == expected
+
+
+def seed_lifted_rewards(first, second, tie, lifted_space):
+    """The seed's lifted reward table, sliced from the Fraction rows: first
+    before the opponent's stop s, tie at s, second frozen at s after it."""
+    n = lifted_space.n_times
+    first, second, tie = first.values, second.values, tie.values
+    return {(w, s): first[w][:s] + (tie[w][s],) + (second[w][s],) * (n - s - 1)
+            for w, s in lifted_space.outcomes}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, bounds, st.booleans())
+def test_lifted_rows_match_the_fraction_slicing(seed, fuzz_bounds, wide):
+    inst = make_instance(seed, fuzz_bounds)
+    space = inst.space
+    game = StoppingGame(space, *game_tables(inst, seed, wide))
+    for lift_fn, mu, first, second in (
+            (lift, inst.mixed2, game.x, game.y),
+            (lift_player2, inst.mixed, game.y, game.x)):
+        lifted = lift_fn(game, delta_of_mixed(space, mu))
+        expected = seed_lifted_rewards(first, second, game.z, lifted.space)
+        reward = lifted.problem.reward
+        assert reward.values == expected
+        assert reward.rows == {a: over_common(row)
+                               for a, row in expected.items()}
 
 
 def test_payoff_invariance_fails_on_planted_defect(monkeypatch):

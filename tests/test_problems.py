@@ -73,7 +73,7 @@ def test_payoff_dispatch(time_problem, coin_mixed, coin_delta):
 def test_reward_need_not_be_adapted(coin_space_coarse, coin_mixed):
     # information at time 0 is trivial but the reward may still separate
     # the outcomes
-    reward = AdaptedProcess.from_table({"w1": (F(1), F(0)), "w2": (F(0), F(1))})
+    reward = AdaptedProcess({"w1": (F(1), F(0)), "w2": (F(0), F(1))})
     problem = StoppingProblem(coin_space_coarse, reward)
     assert payoff_mixed(problem, coin_mixed) == H
 

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stoptime import (AdaptedProcess, SpaceError, build_space, check_space,
-                      validate_adapted)
+from stoptime import (AdaptedProcess, DistributionST, SpaceError, build_space,
+                      check_space, validate_adapted)
 
 F = Fraction
 
@@ -77,7 +79,84 @@ def test_validate_adapted_time_process(coin_space_coarse):
 
 
 def test_validate_adapted_violation(coin_space_coarse):
-    proc = AdaptedProcess.from_table({"w1": (F(0), F(0)), "w2": (F(1), F(0))})
+    proc = AdaptedProcess({"w1": (F(0), F(0)), "w2": (F(1), F(0))})
     report = validate_adapted(coin_space_coarse, proc)
     assert len(report) == 1
     assert "level 0" in report[0].detail
+
+
+# ---------------------------------------------------------------------------
+# a process as canonical int rows
+
+exact = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=1000),
+    st.builds(F, st.integers(-10**30, 10**30),
+              st.sampled_from((1_000_003, 2**61 - 1, 10**18 + 9))))
+rows_of = st.one_of(st.lists(exact, max_size=12),
+                    st.lists(st.sampled_from([0, F(0)]), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_of, rows_of, st.integers(1, 10**6))
+def test_process_rows_are_canonical_and_compare_as_tuples(a, b, k):
+    proc = AdaptedProcess({"w": a})
+    nums, d = proc.rows["w"]
+    assert all(type(n) is int for n in nums) and type(d) is int and d > 0
+    assert gcd(d, *nums) == 1
+    assert proc.values == {"w": tuple(F(x) for x in a)}
+    assert [proc.at("w", j) for j in range(len(a))] == [F(x) for x in a]
+    assert proc.numerators() == {"w": nums}
+    # the view round-trips, and int rows over a k-fold denominator reduce
+    # to the same tuple
+    assert AdaptedProcess(proc.values) == proc
+    scaled = AdaptedProcess.from_rows({"w": ([k * n for n in nums], k * d)})
+    assert scaled.rows == proc.rows and scaled == proc
+    bumped = [x + 1 for x in a[:1]] + a[1:]
+    for other in (b, [F(x) for x in a], bumped):
+        equal = tuple(map(F, other)) == tuple(map(F, a))
+        other_proc = AdaptedProcess({"w": other})
+        assert (other_proc.rows == proc.rows) == equal
+        assert (other_proc == proc) == equal
+
+
+def test_process_accepts_number_rows_and_keeps_no_view():
+    proc = AdaptedProcess({"w1": (0.5, 2, "1/3"), "w2": [F(-3, 6), 0, 1]})
+    assert proc.rows == {"w1": ((3, 12, 2), 6), "w2": ((-1, 0, 2), 2)}
+    assert AdaptedProcess.from_rows({"w": ([0, 0], 6)}).rows == {
+        "w": ((0, 0), 1)}
+    assert AdaptedProcess.from_rows({"w": ([-2, 4], 6)}).rows == {
+        "w": ((-1, 2), 3)}
+    assert AdaptedProcess({"w": ()}).rows == {"w": ((), 1)}
+    view = proc.values
+    assert view == {"w1": (F(1, 2), F(2), F(1, 3)),
+                    "w2": (F(-1, 2), F(0), F(1))}
+    # the view is built on each read and not kept next to the rows
+    assert proc.values is not view
+    assert vars(proc) == {"rows": proc.rows}
+    assert repr(AdaptedProcess({"w": [F(1, 2), 0]})) == (
+        "AdaptedProcess(values={'w': (Fraction(1, 2), Fraction(0, 1))})")
+    # a process equals no other kind of table, and is not hashable
+    assert proc != proc.values
+    assert AdaptedProcess({"w": (F(1, 2),)}) != DistributionST(
+        {"w": (F(1, 2),)})
+    with pytest.raises(TypeError):
+        hash(proc)
+
+
+def test_constant_and_time_process_rows(coin_space):
+    assert AdaptedProcess.constant(coin_space, F(7, 3)).rows == {
+        "w1": ((7, 7), 3), "w2": ((7, 7), 3)}
+    assert AdaptedProcess.time_process(coin_space).rows == {
+        "w1": ((0, 1), 1), "w2": ((0, 1), 1)}
+
+
+def test_validate_adapted_compares_values_over_other_denominators(
+        coin_space_coarse):
+    # 1/2 is held as 1 over 2 in one row and 3 over 6 in the other
+    proc = AdaptedProcess({"w1": (F(1, 2), F(0)), "w2": (F(1, 2), F(1, 3))})
+    assert proc.rows["w1"][1] != proc.rows["w2"][1]
+    assert validate_adapted(coin_space_coarse, proc) == []
+    other = AdaptedProcess({"w1": (F(1, 2), F(0)), "w2": (F(1, 3), F(1, 3))})
+    assert [v.code for v in validate_adapted(coin_space_coarse, other)] == [
+        "NotConstantOnBlock"]
