@@ -12,7 +12,7 @@ from .space import (AdaptedProcess, FilteredSpace, IncompatibleSpaces,
                     check_space, validate_adapted)
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
                     RandomizedST, common_refinement, densities, embed_pure,
-                    fraction_dot, over_common, rn_derivative, sub_measure,
+                    over_common, rn_derivative, sub_measure,
                     validate, validate_distribution, validate_mixed,
                     validate_mixed_product, validate_mixed_sections,
                     validate_pure, validate_randomized)

@@ -14,13 +14,14 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
 from . import convert, demo, fuzz, games, problems, sampling
-from .times import (DistributionST, densities, embed_pure, validate,
-                    validate_mixed_product, validate_mixed_sections)
+from .space import over_common
+from .times import (DistributionST, density_terms, embed_pure, per_object,
+                    validate, validate_mixed_product, validate_mixed_sections)
 
 CSV_HEADER = "instance,check,status,witness"
 
@@ -93,6 +94,16 @@ def _row(results: list, instance: str, check: str, ok: bool, witness: str = ""):
                             "" if ok else witness))
 
 
+def _cdf_matches(cdf_rows: dict, ints: dict) -> bool:
+    """The cumulative criterion lambda{r : mu_w(r) <= t_j} == nums[j] / k
+    for every ints[w] == (nums, k): each cdf row (cum, d) against it,
+    compared as ints by cross-multiplication."""
+    return all(len(cum) == len(nums)
+               and all(c * k == x * d for c, x in zip(cum, nums))
+               for (cum, d), (nums, k) in ((cdf_rows[w], ints[w])
+                                           for w in ints))
+
+
 def check_instance(config: ExperimentConfig, index: int) -> list:
     """Run every exact property on one fuzzed instance."""
     rng = _rng_for(config.seed, index)
@@ -110,8 +121,8 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
     # interval representation from a path: equivalent, matching cumulatives
     mu_from_rho = convert.mixed_of_randomized(space, inst.randomized)
     ok = convert.equivalent(space, inst.randomized, mu_from_rho)
-    cdf = mu_from_rho.cdf_rows(space.n_times)
-    cdf_ok = all(cdf[w] == inst.randomized.paths[w] for w in space.outcomes)
+    cdf_ok = _cdf_matches(mu_from_rho.cdf_rows(space.n_times),
+                          per_object(inst.randomized.paths, over_common))
     _row(results, name, "path_to_intervals", ok and cdf_ok,
          f"equivalent={ok} cdf_match={cdf_ok}")
 
@@ -126,9 +137,9 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
 
     # cumulative densities of the pushed-forward mass match the sections
     delta1 = convert.delta_of_mixed(space, inst.mixed)
-    dens = densities(space, delta1)
-    cdf = inst.mixed.cdf_rows(space.n_times)
-    dens_ok = all(dens[w] == cdf[w] for w in space.outcomes)
+    dens_ok = _cdf_matches(inst.mixed.cdf_rows(space.n_times), {
+        w: (tuple(c * a for c in cum), b)
+        for w, (_, cum, a, b) in density_terms(space, delta1).items()})
     _row(results, name, "density_vs_cdf", dens_ok, "densities differ")
 
     # one payoff per equivalence class, through all routes
@@ -170,10 +181,10 @@ def _mutated_mixed(config, rng, inst):
     mutated = fuzz.corrupt_mixed(inst.space, inst.mixed)
     if mutated is not None:
         return mutated, inst.space
-    bounds = replace(config.bounds(),
-                     max_outcomes=max(2, config.max_outcomes),
+    outcomes = max(2, min(config.max_outcomes, fuzz.MAX_CELLS // 2))
+    bounds = replace(config.bounds(), max_outcomes=outcomes,
                      max_grid_points=max(2, min(config.max_grid_points,
-                                                fuzz.MAX_CELLS // 2)))
+                                                fuzz.MAX_CELLS // outcomes)))
     space = fuzz.random_space(rng, bounds, min_outcomes=2)
     rho = fuzz.random_randomized(rng, space, bounds)
     mu = convert.mixed_of_randomized(space, rho)
@@ -211,19 +222,9 @@ def _game_checks(name: str, inst: fuzz.Instance,
              *vals, via_lift))
 
     # lifting preserves equivalence of the base pair, by joint mass and by
-    # the cumulative criterion (cdf rows against paths): running sums of
-    # the section masses over d against those of the path increments over
-    # k, compared as ints by cross-multiplication
-    masses = mu_l.mass_numerators(space.n_times)
-    jumps = rho_l.increments()
-
-    def same_cdf(a):
-        (below, row, d), (inc, k) = masses[a], jumps[a]
-        cdf = list(accumulate(row, initial=below))[1:]
-        return (len(cdf) == len(inc)
-                and all(c * k == x * d for c, x in zip(cdf, accumulate(inc))))
-
-    cdf_ok = all(map(same_cdf, lifted.space.outcomes))
+    # the cumulative criterion (cdf rows against paths)
+    cdf_ok = _cdf_matches(mu_l.cdf_rows(space.n_times),
+                          per_object(rho_l.paths, over_common))
     _row(results, name, "lift_preserves_equivalence",
          convert.equivalent(lifted.space, mu_l, rho_l) and cdf_ok,
          f"lifted pair not equivalent (cdf_match={cdf_ok})")

@@ -89,7 +89,7 @@ def _path_indices(rho: RandomizedST, w, rs: np.ndarray) -> np.ndarray:
 
 def _mass_indices(delta: DistributionST, w, rs: np.ndarray) -> np.ndarray:
     """The inverse of the outcome's conditional stop cdf at each r."""
-    row = np.array([float(x) for x in delta.mass[w]])
+    row = np.array([n / delta.rows[w][1] for n in delta.rows[w][0]])
     return np.searchsorted(np.cumsum(row / row.sum()), rs, side="left")
 
 
@@ -116,6 +116,8 @@ def frequencies(space: FilteredSpace, counts: np.ndarray,
             for w, row in zip(space.outcomes, rows) for j, c in enumerate(row)}
     if reference is None:
         return freq, None
-    tv = 0.5 * sum(abs(freq[(w, j)] - float(reference.mass[w][j]))
-                   for w in space.outcomes for j in range(space.n_times))
+    ref = reference.rows
+    tv = 0.5 * sum(abs(freq[(w, j)] - x / ref[w][1])
+                   for w in space.outcomes
+                   for j, x in enumerate(ref[w][0]))
     return freq, tv

@@ -17,7 +17,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import lcm
 from operator import mul
 
@@ -39,20 +39,6 @@ def int_dot(xs, ys) -> int:
     if len(xs) != len(ys):
         raise ValueError(f"rows of lengths {len(xs)} and {len(ys)}")
     return sum(map(mul, xs, ys))
-
-
-def fraction_dot(xs, ys) -> Fraction:
-    """sum(x * y) over paired entries, exactly, as one normalised Fraction.
-
-    Entries may be Fractions or ints.  Integer products are summed per
-    product denominator, and the per-denominator sums meet over their lcm,
-    so the result is normalised once instead of once per + and *.
-    """
-    by_den = {}
-    for x, y in zip(xs, ys, strict=True):
-        d = x.denominator * y.denominator
-        by_den[d] = by_den.get(d, 0) + x.numerator * y.numerator
-    return fraction_sum(by_den)
 
 
 def add_term(by_den: dict, k: int, n: int) -> None:
@@ -78,8 +64,7 @@ class RStepFunction:
     Intervals are half-open [r_{i-1}, r_i); the point r = 1 belongs to the
     last interval.  breaks = (0, r_1, ..., 1), values has one entry per
     interval.  break_ints is (nums, d), the breaks as ints over their lcm
-    denominator, made once here.  mass_numerators and cdf_row give
-    mass_of_index and cdf at every grid index in one pass over the intervals.
+    denominator d, made once here; every measure of a section reads them.
     """
 
     breaks: tuple
@@ -112,16 +97,11 @@ class RStepFunction:
                 values.append(v)
         return RStepFunction(tuple(breaks), tuple(values))
 
-    def mass_of_index(self, index: int) -> Fraction:
-        """Lebesgue measure of {r : value(r) == index}."""
-        return sum((self.breaks[i + 1] - self.breaks[i]
-                    for i, v in enumerate(self.values) if v == index), ZERO)
-
-    def le_intervals(self, index: int, d: int = None) -> tuple:
-        """{r : value(r) <= index} as a sorted tuple of disjoint [a, b) pairs;
-        given d, a multiple of the breaks' denominator, as ints over d."""
+    def le_intervals(self, index: int, d: int) -> tuple:
+        """{r : value(r) <= index} as a sorted tuple of disjoint [a, b) pairs
+        of ints over d, a multiple of the breaks' denominator."""
         nums, k = self.break_ints
-        breaks = self.breaks if d is None else [n * (d // k) for n in nums]
+        breaks = [n * (d // k) for n in nums]
         out = []
         for i, v in enumerate(self.values):
             if v <= index:
@@ -134,17 +114,19 @@ class RStepFunction:
 
     def cdf(self, index: int) -> Fraction:
         """Lebesgue measure of {r : value(r) <= index}."""
-        return sum((b - a for a, b in self.le_intervals(index)), ZERO)
+        d = self.break_ints[1]
+        return Fraction(sum(b - a for a, b in self.le_intervals(index, d)), d)
 
     def cdf_row(self, n_times: int) -> tuple:
-        """(cdf(0), ..., cdf(n_times - 1)): running sums of the mass row."""
+        """(cum, d) in ints: the running sums of the mass row, so cdf(j) ==
+        cum[j] / d for every grid index j."""
         below, row, d = self.mass_numerators(n_times)
-        return tuple(Fraction(n, d) for n in accumulate(row, initial=below))[1:]
+        return tuple(accumulate(row, initial=below))[1:], d
 
     def mass_numerators(self, n_times: int) -> tuple:
         """(below, row, d) in ints: the interval lengths over the breaks'
-        common denominator d, summed per grid index into row, so
-        mass_of_index(j) == row[j] / d, and over values < 0 into below."""
+        common denominator d, summed per grid index into row, so row[j] / d
+        is lambda{r : value(r) == j}, and over values < 0 into below."""
         nums, d = self.break_ints
         below = 0
         row = [0] * n_times
@@ -186,27 +168,12 @@ def common_refinement(sections: Mapping) -> list:
             for a, b, values in zip(cuts, cuts[1:], zip(*rows))]
 
 
-def interval_intersection_measure(xs, ys) -> Fraction:
-    """Measure of the intersection of two sorted disjoint interval unions."""
-    total = ZERO
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        a = max(xs[i][0], ys[j][0])
-        b = min(xs[i][1], ys[j][1])
-        if b > a:
-            total += b - a
-        if xs[i][1] <= ys[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
-
-
-def symmetric_difference_measure(xs, ys) -> Fraction:
-    """lambda(A symmetric-difference B) for interval unions A, B."""
-    mx = sum((b - a for a, b in xs), ZERO)
-    my = sum((b - a for a, b in ys), ZERO)
-    return mx + my - 2 * interval_intersection_measure(xs, ys)
+def symdiff_measure(xs, ys) -> int:
+    """lambda(A symdiff B) for unions A, B of disjoint int runs [a, b): a
+    point is in it iff an odd number of the merged endpoints lie at or
+    left of it, so its measure is every second gap of the sorted ends."""
+    ends = sorted(chain(*xs, *ys))
+    return sum(ends[1::2]) - sum(ends[::2])
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +282,7 @@ def validate_mixed_product(space: FilteredSpace, mu: MixedST) -> list:
     return [Violation("NotJointlyMeasurable",
                       f"level {j}, block {sorted(map(str, block))}: "
                       "sections differ on measure "
-                      f"{symmetric_difference_measure(le[a][j], le[w][j]) / d}")
+                      f"{Fraction(symdiff_measure(le[a][j], le[w][j]), d)}")
             for j, block, a, w in unadapted_blocks(
                 space, lambda j, a, b: le[a][j] == le[b][j])]
 
@@ -352,11 +319,11 @@ def validate_randomized(space: FilteredSpace, rho: RandomizedST) -> list:
 def validate_distribution(space: FilteredSpace, delta: DistributionST) -> list:
     """Nonnegative rows with marginal P whose cumulative densities are
     adapted; every check reads the integer densities table of
-    _density_terms, compared by cross-multiplication."""
+    density_terms, compared by cross-multiplication."""
     violations = row_violations(space, delta.numerators(), "mass")
     if violations:
         return violations
-    terms = _density_terms(space, delta)
+    terms = density_terms(space, delta)
     for w in space.outcomes:
         nums, cum, a, b = terms[w]
         if any(n < 0 for n in nums):
@@ -402,7 +369,7 @@ def embed_pure(sigma: PureST) -> MixedST:
                     for w, j in sigma.stop_index.items()})
 
 
-def _density_terms(space: FilteredSpace, delta: DistributionST) -> dict:
+def density_terms(space: FilteredSpace, delta: DistributionST) -> dict:
     """Per outcome (nums, cum, a, b) in ints: the row (nums, d), the running
     sums of nums, a = P(w).denominator and b = d * P(w).numerator, so the
     cumulative density at index j is cum[j] * a / b."""
@@ -419,7 +386,7 @@ def densities(space: FilteredSpace, delta: DistributionST) -> dict:
     delta({w} x [0, t_j]) / P(w), built from integer running sums and
     normalised once per entry."""
     return {w: tuple(Fraction(c * a, b) for c in cum)
-            for w, (_, cum, a, b) in _density_terms(space, delta).items()}
+            for w, (_, cum, a, b) in density_terms(space, delta).items()}
 
 
 def sub_measure(space: FilteredSpace, delta: DistributionST,

@@ -7,6 +7,7 @@ Carlo criterion is statistical with a fixed seed and TV tolerance 0.01.
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -171,7 +172,7 @@ def test_criterion_8_fuzz_reports_byte_identical(tmp_path):
         main(args + ["-o", paths[1]]),
         main(args + ["--jobs", "4", "-o", paths[2]]),
     ]
-    blobs = [open(p, "rb").read() for p in paths]
+    blobs = [Path(p).read_bytes() for p in paths]
     ok = (codes == [0, 0, 0] and blobs[0] == blobs[1] == blobs[2]
           and len(blobs[0]) > 0)
     report("8 repeated fuzz campaigns byte-identical, sequential and "

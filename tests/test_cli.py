@@ -6,6 +6,7 @@ import os
 import re
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_convert_to_randomized(files, capsys):
     out = files["tmp"] + "/rho.json"
     assert main(["convert", files["mixed"], "--to", "randomized",
                  "--space", files["space"], "-o", out]) == 0
-    doc = json.load(open(out))
+    doc = json.loads(Path(out).read_text())
     assert doc["kind"] == "randomized"
     assert doc["paths"]["w1"] == ["1/2", "1"]
 
@@ -207,7 +208,7 @@ def test_fuzz_small_campaign(files, capsys):
     out = files["tmp"] + "/report.csv"
     assert main(["fuzz", "--instances", "5", "--seed", "1",
                  "--samples", "2000", "--tv-tolerance", "0.05", "-o", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "instance,check,status,witness"
     assert all(line.split(",")[2] == "pass" for line in lines[1:])
 

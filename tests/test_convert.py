@@ -12,7 +12,7 @@ from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
                       validate_randomized)
 from stoptime import convert, experiment, fuzz
 from stoptime.experiment import ExperimentConfig, _rng_for, check_instance
-from stoptime.space import IncompatibleSpaces
+from stoptime.space import IncompatibleSpaces, over_common
 
 F = Fraction
 H = F(1, 2)
@@ -176,12 +176,13 @@ def test_path_to_intervals_row_catches_a_wrong_cumulative_row(monkeypatch):
         def cdf_rows(self, n_times):
             rows = super().cdf_rows(n_times)
             w = next(iter(rows))
-            rows[w] = (F(0),) * n_times
+            rows[w] = ((0,) * n_times, 1)
             return rows
 
     class MatchingRows(MixedST):
         def cdf_rows(self, n_times):
-            return dict(inst.randomized.paths)
+            return {w: over_common(path)
+                    for w, path in inst.randomized.paths.items()}
 
     def honest(space, rho):
         return WrongRow(convert.mixed_of_randomized(space, rho).sections)

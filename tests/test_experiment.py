@@ -134,16 +134,23 @@ def test_config_caps_outcomes_times_grid_points():
 
 
 def test_mutated_bounds_stay_under_the_cap():
-    # a single-outcome bound draws the mutated time on two outcomes, which
-    # must not push an accepted grid bound over the cap
-    config = ExperimentConfig(max_outcomes=1, max_grid_points=fuzz.MAX_CELLS)
+    # the mutated time is drawn on at least two outcomes and two grid
+    # points, which must not push an accepted bound over the cap; a
+    # single-outcome bound gives exactly two outcomes, a single-point
+    # bound exactly two grid points
     space = build_space(("w",), (1,), (0, 1), ([{"w"}], [{"w"}]))
     inst = types.SimpleNamespace(
         space=space, mixed=times.embed_pure(times.PureST({"w": 0})))
-    mutated, mspace = experiment._mutated_mixed(config, _rng_for(0, 0), inst)
-    assert len(mspace.outcomes) == 2
-    assert len(mspace.outcomes) * mspace.n_times <= fuzz.MAX_CELLS
-    assert times.validate_mixed_sections(mspace, mutated)
+    for outcomes, points in ((1, fuzz.MAX_CELLS), (2049, 1), (4096, 1)):
+        config = ExperimentConfig(max_outcomes=outcomes,
+                                  max_grid_points=points)
+        mutated, mspace = experiment._mutated_mixed(config, _rng_for(0, 0),
+                                                    inst)
+        n = len(mspace.outcomes)
+        assert n == 2 if outcomes == 1 else n >= 2
+        assert mspace.n_times == 2 if points == 1 else mspace.n_times >= 2
+        assert n * mspace.n_times <= fuzz.MAX_CELLS
+        assert times.validate_mixed_sections(mspace, mutated)
 
 
 def test_single_outcome_bound_campaign_passes():
@@ -245,6 +252,28 @@ def test_lift_check_compares_cumulatives_exactly(monkeypatch):
     monkeypatch.setattr(experiment, "convert", planted_convert)
     assert _status(check_instance(config, index),
                    "lift_preserves_equivalence") == "fail"
+
+
+def test_a_wrong_cumulative_row_fails_every_cdf_check(monkeypatch):
+    # the three rows read the sections' cumulative rows through one int
+    # check: a row planted 1/d off at its end fails each of them
+    config = ExperimentConfig(seed=5)
+    checks = ("path_to_intervals", "density_vs_cdf",
+              "lift_preserves_equivalence")
+    rows = check_instance(config, 0)
+    assert [_status(rows, c) for c in checks] == ["pass"] * 3
+    honest = times.MixedST.cdf_rows
+
+    def wrong(self, n_times):
+        rows = dict(honest(self, n_times))
+        w = next(iter(rows))
+        cum, d = rows[w]
+        rows[w] = (cum[:-1] + (cum[-1] + 1,), d)
+        return rows
+
+    monkeypatch.setattr(times.MixedST, "cdf_rows", wrong)
+    rows = check_instance(config, 0)
+    assert [_status(rows, c) for c in checks] == ["fail"] * 3
 
 
 def test_pool_starts_no_more_workers_than_instances_or_cores(monkeypatch):

@@ -7,18 +7,19 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
+from conftest import le_intervals, mass_of_index, symmetric_difference_measure
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
                       RandomizedST, common_refinement, convert, densities,
-                      fraction_dot, fuzz, games, mixed_of_randomized,
+                      fuzz, games, mixed_of_randomized,
                       over_common, problems, rn_derivative, times,
                       validate_adapted, validate_distribution,
                       validate_mixed_product, validate_mixed_sections,
                       validate_pure, validate_randomized)
 from stoptime.space import Violation
 from stoptime.times import (ZERO, add_term, fraction_sum, int_dot,
-                            symmetric_difference_measure)
+                            symdiff_measure)
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 bounds = st.sampled_from([fuzz.FuzzBounds(),
@@ -39,26 +40,7 @@ def make_instance(seed, fuzz_bounds):
 
 
 # ---------------------------------------------------------------------------
-# fraction_dot, int_dot, add_term, fraction_sum and over_common
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(exact, exact), max_size=40))
-def test_fraction_dot_matches_fraction_sum(pairs):
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
-    got = fraction_dot(xs, ys)
-    assert type(got) is Fraction
-    assert got == sum((x * y for x, y in pairs), Fraction(0))
-
-
-def test_fraction_dot_edge_cases():
-    assert fraction_dot([], []) == 0
-    assert fraction_dot(iter(()), iter(())) == 0
-    assert fraction_dot([2, -3], [5, 7]) == -11
-    big = [Fraction(1, p) for p in PRIMES]
-    assert fraction_dot(big, [1] * len(big)) == sum(big, Fraction(0))
-    assert fraction_dot([Fraction(1, 3), Fraction(-1, 3)], [1, 1]) == 0
-
+# int_dot, add_term, fraction_sum and over_common
 
 def int_products_sum(xs, ys) -> Fraction:
     """sum(x * y) the way the payoff routes take it: each row split into
@@ -356,11 +338,11 @@ def test_mass_numerators_match_mass_of_index(seed, fuzz_bounds):
     for s in inst.mixed2.sections.values():
         below, row, d = s.mass_numerators(n)
         assert (tuple(Fraction(x, d) for x in row)
-                == tuple(s.mass_of_index(j) for j in range(n)))
+                == tuple(mass_of_index(s, j) for j in range(n)))
         assert Fraction(below, d) == s.cdf(-1)
     shifted = RStepFunction((ZERO, Fraction(1, 3), Fraction(1)), (-1, 1))
     assert shifted.mass_numerators(2) == (1, [0, 2], 3)
-    assert shifted.cdf_row(2) == (Fraction(1, 3), 1)
+    assert shifted.cdf_row(2) == ((1, 3), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +446,10 @@ def measure_validate_mixed_product(space, mu) -> list:
     for j in range(space.n_times):
         for block in space.partitions[j]:
             members = sorted(block, key=lambda w: space._order[w])
-            ref = mu.sections[members[0]].le_intervals(j)
+            ref = le_intervals(mu.sections[members[0]], j)
             for w in members[1:]:
                 d = symmetric_difference_measure(
-                    ref, mu.sections[w].le_intervals(j))
+                    ref, le_intervals(mu.sections[w], j))
                 if d != 0:
                     violations.append(Violation(
                         "NotJointlyMeasurable",
@@ -489,11 +471,38 @@ def test_product_validator_tuple_test_matches_measure(seed, fuzz_bounds):
     for mu in family:
         assert (validate_mixed_product(space, mu)
                 == measure_validate_mixed_product(space, mu))
+        # the int runs over one d, as validate_mixed_product takes them
+        d = lcm(*(s.break_ints[1] for s in mu.sections.values()))
         for j in range(space.n_times):
-            sets = [s.le_intervals(j) for s in mu.sections.values()]
+            sets = [s.le_intervals(j, d) for s in mu.sections.values()]
             for a in sets[:4]:
                 for b in sets:
                     assert (a != b) == (symmetric_difference_measure(a, b) != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, bounds)
+def test_parity_sum_matches_symmetric_difference_measure(seed, fuzz_bounds):
+    # the violation text's measure: every second gap of the sorted merged
+    # endpoints of two int runs, against the seed's Fraction definition on
+    # the Fraction runs of the same sections
+    inst, _ = make_instance(seed, fuzz_bounds)
+    space = inst.space
+    family = [inst.mixed, inst.mixed2]
+    mutated = fuzz.corrupt_mixed(space, inst.mixed)
+    if mutated is not None:
+        family.append(mutated)
+    for mu in family:
+        sections = list(mu.sections.values())
+        d = lcm(*(s.break_ints[1] for s in sections))
+        for j in range(-1, space.n_times):
+            runs = [(s.le_intervals(j, d), le_intervals(s, j))
+                    for s in sections]
+            for xs, fx in runs:
+                assert xs == tuple((a * d, b * d) for a, b in fx)
+                for ys, fy in runs:
+                    assert (Fraction(symdiff_measure(xs, ys), d)
+                            == symmetric_difference_measure(fx, fy))
 
 
 # ---------------------------------------------------------------------------

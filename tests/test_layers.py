@@ -53,10 +53,10 @@ def test_partitions_indexed_only_in_space_and_fuzz():
 
 
 def test_mass_view_read_only_where_fractions_are_the_output():
-    # the library reads a joint mass as its canonical int rows; the
-    # Fraction view .mass is for sampling's floats and the view itself
-    # (a class's own self.mass, such as SubMeasure's, is not the view)
-    assert _uses(r"(?<!self)\.mass\b", {"sampling.py", "times.py"}) == []
+    # the library reads a joint mass as its canonical int rows, sampling's
+    # floats included; the Fraction view .mass is read only where it is
+    # defined (a class's own self.mass, such as SubMeasure's, is not the view)
+    assert _uses(r"(?<!self)\.mass\b", {"times.py"}) == []
 
 
 def test_library_callers_tally_draws_as_counts():

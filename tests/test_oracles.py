@@ -5,6 +5,7 @@ library's integer routes are compared with code they share nothing with."""
 from fractions import Fraction
 
 import numpy as np
+from conftest import mass_of_index
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (AdaptedProcess, FilteredSpace, PureST, StoppingGame,
@@ -68,9 +69,9 @@ def oracle_symmetric(game, mu1, mu2):
         s1, s2 = mu1.sections[w], mu2.sections[w]
         inner = ZERO
         for j1 in range(space.n_times):
-            q1 = s1.mass_of_index(j1)
+            q1 = mass_of_index(s1, j1)
             for j2 in range(space.n_times):
-                q2 = s2.mass_of_index(j2)
+                q2 = mass_of_index(s2, j2)
                 if j1 < j2:
                     r = game.x.at(w, j1)
                 elif j1 > j2:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
+from conftest import mass_of_index
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (MixedST, cdf_of_mixed, delta_of_mixed,
@@ -135,8 +136,10 @@ def test_section_rows_match_per_index_queries(seed):
         for w, section in mu.sections.items():
             _, row, d = mass[w]
             assert ([Fraction(x, d) for x in row]
-                    == [section.mass_of_index(j) for j in range(n)])
-            assert cdf[w] == tuple(section.cdf(j) for j in range(n))
+                    == [mass_of_index(section, j) for j in range(n)])
+            assert cdf[w][1] == d
+            assert ([Fraction(c, d) for c in cdf[w][0]]
+                    == [section.cdf(j) for j in range(n)])
 
 
 @settings(max_examples=60, deadline=None)

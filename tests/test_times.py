@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import mass_of_index
 
 from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
                       RandomizedST, common_refinement, delta_of_mixed,
@@ -29,8 +30,8 @@ def test_step_function_value_and_masses():
     s = RStepFunction((F(0), H, F(1)), (0, 2))
     # [0, 1/2) carries 0, and [1/2, 1] carries 2 including the point r = 1
     assert common_refinement({"w": s}) == [(0, H, {"w": 0}), (H, 1, {"w": 2})]
-    assert s.mass_of_index(0) == H
-    assert s.mass_of_index(1) == 0
+    assert mass_of_index(s, 0) == H
+    assert mass_of_index(s, 1) == 0
     assert s.cdf(1) == H
     assert s.cdf(2) == 1
 
@@ -38,10 +39,10 @@ def test_step_function_value_and_masses():
 def test_step_function_rows_in_one_pass():
     s = RStepFunction((F(0), F(1, 4), H, F(1)), (2, -1, 0))
     # the value -1 is off the grid: no mass row entry, but inside every cdf
-    assert tuple(s.mass_of_index(j) for j in range(3)) == (H, F(0), F(1, 4))
+    assert tuple(mass_of_index(s, j) for j in range(3)) == (H, F(0), F(1, 4))
     assert s.mass_numerators(3) == (1, [2, 0, 1], 4)
-    assert s.cdf_row(3) == (F(3, 4), F(3, 4), F(1))
-    assert s.cdf_row(3) == tuple(s.cdf(j) for j in range(3))
+    assert s.cdf_row(3) == ((3, 3, 4), 4)
+    assert tuple(s.cdf(j) for j in range(3)) == (F(3, 4), F(3, 4), F(1))
     assert s.mass_numerators(2) == (1, [2, 0], 4)
 
 
@@ -54,10 +55,11 @@ def test_mixed_rows_shared_sections():
                     "c": (0, [0, 1], 1)}
     assert rows["a"] is rows["b"]  # one row per distinct section
     assert {w: tuple(F(x, d) for x in row) for w, (_, row, d) in rows.items()
-            } == {w: tuple(s.mass_of_index(j) for j in range(2))
+            } == {w: tuple(mass_of_index(s, j) for j in range(2))
                   for w, s in mu.sections.items()}
-    assert mu.cdf_rows(2) == {"a": (H, F(1)), "b": (H, F(1)),
-                              "c": (F(0), F(1))}
+    cdf = mu.cdf_rows(2)
+    assert cdf == {"a": ((1, 2), 2), "b": ((1, 2), 2), "c": ((0, 1), 1)}
+    assert cdf["a"] is cdf["b"]
 
 
 def test_canonical_merges_equal_neighbours():
