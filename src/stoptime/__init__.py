@@ -11,7 +11,7 @@ from .space import (AdaptedProcess, FilteredSpace, IncompatibleSpaces,
                     SpaceError, SubMeasure, Violation, build_space,
                     check_space, validate_adapted)
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
-                    RandomizedST, common_refinement, densities, embed_pure,
+                    RandomizedST, common_refinement, embed_pure,
                     over_common, rn_derivative, sub_measure,
                     validate, validate_distribution, validate_mixed,
                     validate_mixed_product, validate_mixed_sections,

@@ -258,15 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("fuzz", help="run the fuzzed property campaign")
-    p.add_argument("--instances", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--max-outcomes", type=int, default=8)
-    p.add_argument("--max-grid-points", type=int, default=6)
-    p.add_argument("--max-breaks", type=int, default=8)
-    p.add_argument("--max-denominator", type=int, default=64)
-    p.add_argument("--tv-tolerance", type=float, default=0.01)
-    p.add_argument("--jobs", type=int, default=1)
+    c = ExperimentConfig()  # the one source of the campaign's defaults
+    p.add_argument("--instances", type=int, default=c.n_instances)
+    p.add_argument("--seed", type=int, default=c.seed)
+    p.add_argument("--samples", type=int, default=c.n_samples)
+    p.add_argument("--max-outcomes", type=int, default=c.max_outcomes)
+    p.add_argument("--max-grid-points", type=int, default=c.max_grid_points)
+    p.add_argument("--max-breaks", type=int, default=c.max_breaks)
+    p.add_argument("--max-denominator", type=int, default=c.max_denominator)
+    p.add_argument("--tv-tolerance", type=float, default=c.tv_tolerance)
+    p.add_argument("--jobs", type=int, default=c.jobs)
     p.add_argument("-o", "--output", help="write the CSV report here")
     p.set_defaults(func=cmd_fuzz)
     return parser

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .space import FilteredSpace, require_rows
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
-                    RandomizedST, ZERO, densities, embed_pure)
+                    RandomizedST, ZERO, density_terms, embed_pure)
 
 
 def delta_of_mixed(space: FilteredSpace, mu: MixedST) -> DistributionST:
@@ -43,10 +43,12 @@ def randomized_of_distribution(space: FilteredSpace,
                                delta: DistributionST) -> RandomizedST:
     """Cumulative conditional densities: the unique equivalent randomized time.
 
-    Path entry j of outcome w is rn_derivative(space, delta, j)[w], read off
-    the one-pass densities table.
+    Path entry j of outcome w is rn_derivative(space, delta, j)[w], the
+    running sum cum[j] * a / b of density_terms, as one int row.
     """
-    return RandomizedST(densities(space, delta))
+    return RandomizedST.from_rows(
+        {w: ([c * a for c in cum], b)
+         for w, (_, cum, a, b) in density_terms(space, delta).items()})
 
 
 def mixed_of_randomized(space: FilteredSpace, rho: RandomizedST) -> MixedST:
@@ -55,16 +57,19 @@ def mixed_of_randomized(space: FilteredSpace, rho: RandomizedST) -> MixedST:
     The section value at r is the smallest grid index whose path value
     reaches r; at a break equal to a path value the smaller index applies,
     which costs nothing in measure and makes the cumulative identity exact.
-    Index j opens an interval where its path value rises above the last
+    Index j opens an interval where its path's int rises above the last
     break, so the values rise strictly: the section is canonical as built.
     """
     sections = {}
     for w in space.outcomes:
+        nums, d = rho.rows[w]
         breaks = [ZERO]
         values = []
-        for j, x in enumerate(rho.paths[w]):
-            if x > breaks[-1]:
-                breaks.append(x)
+        last = 0
+        for j, x in enumerate(nums):
+            if x > last:
+                last = x
+                breaks.append(Fraction(x, d))
                 values.append(j)
         sections[w] = RStepFunction(tuple(breaks), tuple(values))
     return MixedST(sections)
@@ -94,7 +99,7 @@ def to_distribution(space: FilteredSpace, eta) -> DistributionST:
         require_rows(space, eta.sections, "MixedST")
         return delta_of_mixed(space, eta)
     if isinstance(eta, RandomizedST):
-        require_rows(space, eta.paths, "RandomizedST")
+        require_rows(space, eta.numerators(), "RandomizedST")
         return delta_of_randomized(space, eta)
     if isinstance(eta, DistributionST):
         require_rows(space, eta.numerators(), "DistributionST")

@@ -19,9 +19,8 @@ from itertools import chain
 import numpy as np
 
 from . import convert, demo, fuzz, games, problems, sampling
-from .space import over_common
-from .times import (DistributionST, density_terms, embed_pure, per_object,
-                    validate, validate_mixed_product, validate_mixed_sections)
+from .times import (DistributionST, embed_pure, validate,
+                    validate_mixed_product, validate_mixed_sections)
 
 CSV_HEADER = "instance,check,status,witness"
 
@@ -34,10 +33,10 @@ class ExperimentConfig:
     seed: int = 0
     n_instances: int = 200
     n_samples: int = 100_000
-    max_outcomes: int = 8
-    max_grid_points: int = 6
-    max_breaks: int = 8
-    max_denominator: int = 64
+    max_outcomes: int = fuzz.FuzzBounds.max_outcomes
+    max_grid_points: int = fuzz.FuzzBounds.max_grid_points
+    max_breaks: int = fuzz.FuzzBounds.max_breaks
+    max_denominator: int = fuzz.FuzzBounds.max_denominator
     tv_tolerance: float = 0.01
     jobs: int = 1
 
@@ -122,7 +121,7 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
     mu_from_rho = convert.mixed_of_randomized(space, inst.randomized)
     ok = convert.equivalent(space, inst.randomized, mu_from_rho)
     cdf_ok = _cdf_matches(mu_from_rho.cdf_rows(space.n_times),
-                          per_object(inst.randomized.paths, over_common))
+                          inst.randomized.rows)
     _row(results, name, "path_to_intervals", ok and cdf_ok,
          f"equivalent={ok} cdf_match={cdf_ok}")
 
@@ -130,16 +129,14 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
     rho_back = convert.randomized_of_distribution(space, inst.distribution)
     delta_back = convert.delta_of_randomized(space, rho_back)
     round_ok = delta_back == inst.distribution
-    unique_ok = all(rho_back.paths[w] == inst.randomized.paths[w]
-                    for w in space.outcomes)
+    unique_ok = rho_back == inst.randomized
     _row(results, name, "mass_round_trip", round_ok and unique_ok,
          f"round={round_ok} unique={unique_ok}")
 
     # cumulative densities of the pushed-forward mass match the sections
     delta1 = convert.delta_of_mixed(space, inst.mixed)
-    dens_ok = _cdf_matches(inst.mixed.cdf_rows(space.n_times), {
-        w: (tuple(c * a for c in cum), b)
-        for w, (_, cum, a, b) in density_terms(space, delta1).items()})
+    dens_ok = _cdf_matches(inst.mixed.cdf_rows(space.n_times),
+                           convert.randomized_of_distribution(space, delta1).rows)
     _row(results, name, "density_vs_cdf", dens_ok, "densities differ")
 
     # one payoff per equivalence class, through all routes
@@ -223,8 +220,7 @@ def _game_checks(name: str, inst: fuzz.Instance,
 
     # lifting preserves equivalence of the base pair, by joint mass and by
     # the cumulative criterion (cdf rows against paths)
-    cdf_ok = _cdf_matches(mu_l.cdf_rows(space.n_times),
-                          per_object(rho_l.paths, over_common))
+    cdf_ok = _cdf_matches(mu_l.cdf_rows(space.n_times), rho_l.rows)
     _row(results, name, "lift_preserves_equivalence",
          convert.equivalent(lifted.space, mu_l, rho_l) and cdf_ok,
          f"lifted pair not equivalent (cdf_match={cdf_ok})")

@@ -109,8 +109,8 @@ def lift_mixed(mu: MixedST, lifted_space: FilteredSpace) -> MixedST:
 def lift_randomized(rho: RandomizedST,
                     lifted_space: FilteredSpace) -> RandomizedST:
     """Paths constant in the opponent-stop coordinate."""
-    return RandomizedST({(w, s): rho.paths[w]
-                         for (w, s) in lifted_space.outcomes})
+    return RandomizedST.from_rows({(w, s): rho.rows[w]
+                                   for (w, s) in lifted_space.outcomes})
 
 
 def lift_distribution(delta: DistributionST, base: FilteredSpace,

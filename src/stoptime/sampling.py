@@ -83,7 +83,8 @@ def _section_indices(mu: MixedST, w, rs: np.ndarray) -> np.ndarray:
 
 def _path_indices(rho: RandomizedST, w, rs: np.ndarray) -> np.ndarray:
     """The generalized inverse of the cumulative path at each r."""
-    path = np.array([float(x) for x in rho.paths[w]])
+    nums, d = rho.rows[w]
+    path = np.array([n / d for n in nums])
     return np.searchsorted(path, rs, side="left")
 
 

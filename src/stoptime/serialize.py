@@ -108,6 +108,10 @@ def process_from_dict(doc: dict) -> AdaptedProcess:
                            for w, row in _table(doc, "values").items()})
 
 
+_TABLE_KEYS = {"pure": "stop_index", "mixed": "sections",
+               "randomized": "paths", "distribution": "mass"}
+
+
 def stopping_time_to_dict(eta) -> dict:
     if isinstance(eta, PureST):
         return {"kind": "pure", "stop_index": dict(eta.stop_index)}
@@ -116,19 +120,12 @@ def stopping_time_to_dict(eta) -> dict:
             w: {"breaks": [format_fraction(r) for r in s.breaks],
                 "values": list(s.values)}
             for w, s in eta.sections.items()}}
-    if isinstance(eta, RandomizedST):
-        return {"kind": "randomized", "paths": {
-            w: [format_fraction(x) for x in row]
-            for w, row in eta.paths.items()}}
-    if isinstance(eta, DistributionST):  # from the rows: no view is kept
-        return {"kind": "distribution", "mass": {
+    if isinstance(eta, (RandomizedST, DistributionST)):  # from the rows
+        kind = "randomized" if isinstance(eta, RandomizedST) else "distribution"
+        return {"kind": kind, _TABLE_KEYS[kind]: {
             w: [format_fraction(Fraction(n, d)) for n in nums]
             for w, (nums, d) in eta.rows.items()}}
     raise TypeError(f"not a stopping time: {type(eta).__name__}")
-
-
-_TABLE_KEYS = {"pure": "stop_index", "mixed": "sections",
-               "randomized": "paths", "distribution": "mass"}
 
 
 def stopping_time_from_dict(doc: dict):

@@ -61,11 +61,17 @@ def over_common(row) -> tuple:
 class CanonicalRows:
     """A per-outcome table held as canonical int rows: rows[w] is (nums, d),
     entry j being nums[j] / d with gcd(d, *nums) == 1, so two rows are
-    equal iff their tuples are.  from_rows takes int rows (nums, d) and
-    divides each by gcd(d, *nums); a subclass's constructor takes Fraction
-    rows and keeps their over_common, which is already canonical."""
+    equal iff their tuples are.  The constructor takes Fraction (or number)
+    rows and keeps their over_common, which is already canonical; from_rows
+    takes int rows (nums, d) and divides each by gcd(d, *nums).  fractions()
+    is the Fraction view, for output only: readers take the ints; a
+    subclass names it _view and exposes it under that name."""
 
     rows: dict
+
+    def __init__(self, table: Mapping):
+        self.rows = {w: over_common(tuple(map(_as_fraction, row)))
+                     for w, row in table.items()}
 
     @classmethod
     def from_rows(cls, rows: Mapping):
@@ -77,15 +83,28 @@ class CanonicalRows:
                              else (tuple([n // g for n in nums]), d // g))
         return table
 
+    def fractions(self) -> dict:
+        return {w: tuple(Fraction(n, d) for n in nums)
+                for w, (nums, d) in self.rows.items()}
+
     def numerators(self) -> dict:
         """{w: nums}: the table the row-shape checks read."""
         return {w: nums for w, (nums, _) in self.rows.items()}
+
+    def same(self, j: int, a, b) -> bool:
+        """Entry j of rows a and b are equal, compared as ints by
+        cross-multiplication: the question unadapted_blocks asks."""
+        (na, da), (nb, db) = self.rows[a], self.rows[b]
+        return na[j] * db == nb[j] * da
 
     def __eq__(self, other):
         return (self.rows == other.rows if type(other) is type(self)
                 else NotImplemented)
 
     __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._view}={self.fractions()!r})"
 
 
 def _canonical_partition(blocks, order: dict) -> tuple:
@@ -228,25 +247,15 @@ class AdaptedProcess(CanonicalRows):
     relative to a space; it is checked by validate_adapted, not assumed.
     """
 
-    def __init__(self, values: Mapping):
-        self.rows = {w: over_common(tuple(map(_as_fraction, row)))
-                     for w, row in values.items()}
-
-    @property
-    def values(self) -> dict:
-        return {w: tuple(Fraction(n, d) for n in nums)
-                for w, (nums, d) in self.rows.items()}
+    _view = "values"
+    values = property(CanonicalRows.fractions)
 
     def at(self, outcome, grid_index: int) -> Fraction:
         nums, d = self.rows[outcome]
         return Fraction(nums[grid_index], d)
 
-    def __repr__(self):
-        return f"AdaptedProcess(values={self.values!r})"
-
     @staticmethod
     def constant(space: FilteredSpace, c) -> "AdaptedProcess":
-        c = _as_fraction(c)
         return AdaptedProcess(
             {w: tuple(c for _ in space.grid) for w in space.outcomes})
 
@@ -295,16 +304,10 @@ def unadapted_blocks(space: FilteredSpace, same):
 def validate_adapted(space: FilteredSpace, process: AdaptedProcess) -> list:
     """Report every (level, block) on which the process is not constant;
     values are compared as ints by cross-multiplication."""
-    rows = process.rows
-
-    def same(j, a, b):
-        (na, da), (nb, db) = rows[a], rows[b]
-        return na[j] * db == nb[j] * da
-
     return row_violations(space, process.numerators(), "values") or [
         Violation("NotConstantOnBlock",
                   f"level {j}, block {sorted(map(str, block))}: values differ")
-        for j, block, _, _ in unadapted_blocks(space, same)]
+        for j, block, _, _ in unadapted_blocks(space, process.same)]
 
 
 @dataclass(frozen=True)

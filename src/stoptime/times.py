@@ -7,8 +7,9 @@ All four kinds live on a FilteredSpace and take values on its grid:
                     interval [0,1] to grid indices.
 * RandomizedST   -- per outcome, a nondecreasing cumulative path on the
                     grid ending at 1.
-* DistributionST -- an exact joint mass on outcomes x grid with marginal P,
-                    held as canonical int rows; .mass is its Fraction view.
+* DistributionST -- an exact joint mass on outcomes x grid with marginal P.
+The last two are CanonicalRows (int rows over one reduced denominator);
+their Fraction views .paths and .mass are read only in this module.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ ONE = Fraction(1)
 # exact-arithmetic kernel: int numerators, one normalisation per result
 
 # (over_common, which splits a row into ints over one denominator, is in
-# space, where AdaptedProcess needs it)
+# space, where CanonicalRows needs it)
 
 def int_dot(xs, ys) -> int:
     """sum(x * y) over two int rows of equal length."""
@@ -140,7 +141,7 @@ class RStepFunction:
 
 def per_object(table: Mapping, fn) -> dict:
     """{k: fn(v)} for every entry, fn called once per distinct value object:
-    a lifted time repeats one section or path object per opponent stop."""
+    a lifted mixed time repeats one section object per opponent stop."""
     distinct = {id(v): v for v in table.values()}
     done = {i: fn(v) for i, v in distinct.items()}
     return {k: done[id(v)] for k, v in table.items()}
@@ -200,34 +201,28 @@ class MixedST:
         return per_object(self.sections, lambda s: s.cdf_row(n_times))
 
 
-@dataclass(frozen=True)
-class RandomizedST:
-    paths: Mapping
+class RandomizedST(CanonicalRows):
+    """Cumulative stop paths, rows[w] being the canonical int row (nums, d)
+    of outcome w's path.  RandomizedST(paths) takes Fraction (or number)
+    rows; paths is the Fraction view, built on first read."""
+
+    _view = "paths"
+    paths = cached_property(CanonicalRows.fractions)
 
     def increments(self) -> dict:
         """{w: (row, d)}: each path's increments, the jump at time 0 included,
-        as ints over its common denominator d, once per distinct path."""
-        def jumps(path):
-            nums, d = over_common(path)
-            return [x - prev for prev, x in zip((0,) + nums, nums)], d
-        return per_object(self.paths, jumps)
+        as ints over the path's denominator d."""
+        return {w: ([x - prev for prev, x in zip((0,) + nums, nums)], d)
+                for w, (nums, d) in self.rows.items()}
 
 
 class DistributionST(CanonicalRows):
     """An exact joint mass, rows[w] being the canonical int row (nums, d)
-    of outcome w.  DistributionST(mass) takes Fraction (or int) rows;
+    of outcome w.  DistributionST(mass) takes Fraction (or number) rows;
     mass is the Fraction view, built on first read."""
 
-    def __init__(self, mass: Mapping):
-        self.rows = {w: over_common(row) for w, row in mass.items()}
-
-    @cached_property
-    def mass(self) -> dict:
-        return {w: tuple(Fraction(n, d) for n in nums)
-                for w, (nums, d) in self.rows.items()}
-
-    def __repr__(self):
-        return f"DistributionST(mass={self.mass!r})"
+    _view = "mass"
+    mass = cached_property(CanonicalRows.fractions)
 
 
 # ---------------------------------------------------------------------------
@@ -295,25 +290,24 @@ def validate_mixed(space: FilteredSpace, mu: MixedST) -> list:
 
 
 def validate_randomized(space: FilteredSpace, rho: RandomizedST) -> list:
-    paths = rho.paths
-    violations = row_violations(space, paths, "paths")
+    """Paths in [0,1], nondecreasing, ending at 1, adapted: read as ints."""
+    violations = row_violations(space, rho.numerators(), "paths")
     if violations:
         return violations
     for w in space.outcomes:
-        row = paths[w]
-        if any(x < 0 or x > 1 for x in row):
+        nums, d = rho.rows[w]
+        if any(x < 0 or x > d for x in nums):
             violations.append(Violation(
                 "ValueOutOfRange", f"path of {w!r} leaves [0,1]"))
-        if any(b < a for a, b in zip(row, row[1:])):
+        if any(b < a for a, b in zip(nums, nums[1:])):
             violations.append(Violation("NotMonotone", f"path of {w!r} decreases"))
-        if row[-1] != 1:
-            violations.append(Violation(
-                "TerminalNotOne", f"path of {w!r} ends at {row[-1]}"))
+        if nums[-1] != d:
+            violations.append(Violation("TerminalNotOne", f"path of {w!r} "
+                                        f"ends at {Fraction(nums[-1], d)}"))
     return violations + [
         Violation("NotAdapted",
                   f"level {j}, block {sorted(map(str, block))}: path values differ")
-        for j, block, _, _ in unadapted_blocks(
-            space, lambda j, a, b: paths[a][j] == paths[b][j])]
+        for j, block, _, _ in unadapted_blocks(space, rho.same)]
 
 
 def validate_distribution(space: FilteredSpace, delta: DistributionST) -> list:
@@ -379,14 +373,6 @@ def density_terms(space: FilteredSpace, delta: DistributionST) -> dict:
         out[w] = (nums, tuple(accumulate(nums)), p.denominator,
                   d * p.numerator)
     return out
-
-
-def densities(space: FilteredSpace, delta: DistributionST) -> dict:
-    """Every rn_derivative at once: per outcome, entry j is
-    delta({w} x [0, t_j]) / P(w), built from integer running sums and
-    normalised once per entry."""
-    return {w: tuple(Fraction(c * a, b) for c in cum)
-            for w, (_, cum, a, b) in density_terms(space, delta).items()}
 
 
 def sub_measure(space: FilteredSpace, delta: DistributionST,

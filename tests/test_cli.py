@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoptime import cli, convert, demo, sampling
+from stoptime import cli, convert, demo, fuzz, sampling
 from stoptime.cli import main
+from stoptime.experiment import ExperimentConfig, ExperimentReport
 from stoptime.serialize import (dump_json, space_to_dict,
                                 stopping_time_to_dict)
 
@@ -235,6 +236,23 @@ def test_fuzz_bound_over_the_cap_is_an_input_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", never)
     assert main(["fuzz", "--max-outcomes", "100000000"]) == 2
     assert "max_outcomes" in capsys.readouterr().err
+
+
+def test_fuzz_defaults_are_the_config_defaults(monkeypatch, capsys):
+    # `stoptime fuzz` with no flags runs ExperimentConfig(), whose bounds
+    # are FuzzBounds' defaults: one source for every campaign default
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        return ExperimentReport((), 0)
+
+    monkeypatch.delenv("STOPTIME_SEED", raising=False)
+    monkeypatch.setattr(cli, "run_experiment", record)
+    assert main(["fuzz"]) == 0
+    assert seen == [ExperimentConfig()]
+    assert ExperimentConfig().bounds() == fuzz.FuzzBounds()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("doc, with_space", [

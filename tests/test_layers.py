@@ -53,10 +53,11 @@ def test_partitions_indexed_only_in_space_and_fuzz():
 
 
 def test_mass_view_read_only_where_fractions_are_the_output():
-    # the library reads a joint mass as its canonical int rows, sampling's
-    # floats included; the Fraction view .mass is read only where it is
-    # defined (a class's own self.mass, such as SubMeasure's, is not the view)
-    assert _uses(r"(?<!self)\.mass\b", {"times.py"}) == []
+    # the library reads a joint mass and the cumulative paths as their
+    # canonical int rows, sampling's floats included; the Fraction views
+    # .mass and .paths are read only where they are defined (a class's own
+    # self.mass, such as SubMeasure's, is not the view)
+    assert _uses(r"(?<!self)\.(mass|paths)\b", {"times.py"}) == []
 
 
 def test_library_callers_tally_draws_as_counts():

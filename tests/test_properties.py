@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from stoptime import (MixedST, cdf_of_mixed, delta_of_mixed,
                       delta_of_randomized, embed_pure, equivalent,
-                      densities, mixed_of_randomized,
+                      mixed_of_randomized,
                       randomized_of_distribution, rn_derivative, sub_measure,
                       validate_distribution, validate_mixed,
                       validate_mixed_product, validate_mixed_sections,
@@ -149,7 +149,7 @@ def test_prefix_table_matches_sub_measure(seed):
     inst, _ = make_instance(seed)
     space = inst.space
     for delta in (inst.distribution, delta_of_mixed(space, inst.mixed2)):
-        table = densities(space, delta)
+        table = randomized_of_distribution(space, delta).paths
         assert set(table) == set(space.outcomes)
         for j in range(space.n_times):
             sub = sub_measure(space, delta, j)
