@@ -46,6 +46,8 @@ class FuzzBounds:
         if min(self.max_outcomes, self.max_grid_points,
                self.max_breaks, self.max_denominator) < 1:
             raise ValueError("all bounds must be >= 1")
+        if self.max_denominator >= 2**63:  # numpy draws int64
+            raise ValueError("max_denominator must be <= 2**63 - 1")
         if self.max_outcomes * self.max_grid_points > MAX_CELLS:
             raise ValueError(
                 f"max_outcomes * max_grid_points must be <= {MAX_CELLS}")
@@ -74,17 +76,17 @@ def random_space(rng: np.random.Generator, bounds: FuzzBounds,
     n = int(rng.integers(min_outcomes, bounds.max_outcomes + 1))
     outcomes = tuple(f"w{i + 1}" for i in range(n))
 
-    weights = [int(rng.integers(1, bounds.max_denominator + 1)) for _ in range(n)]
+    # independent draws in one sized call each: the same stream as one
+    # scalar call per entry
+    m = bounds.max_denominator
+    weights = rng.integers(1, m, size=n, endpoint=True).tolist()
     total = sum(weights)
     probs = tuple(Fraction(x, total) for x in weights)
 
     lo = min(2, bounds.max_grid_points) if bounds.max_grid_points > 1 else 1
     n_times = int(rng.integers(lo, bounds.max_grid_points + 1))
-    grid = [ZERO]
-    for _ in range(n_times - 1):
-        step = Fraction(int(rng.integers(1, bounds.max_denominator + 1)),
-                        bounds.max_denominator)
-        grid.append(grid[-1] + step)
+    steps = rng.integers(1, m, size=n_times - 1, endpoint=True).tolist()
+    grid = [Fraction(t, m) for t in accumulate(steps, initial=0)]
 
     # coarse root, randomly refined one level at a time
     partitions = [(frozenset(outcomes),)]
@@ -160,23 +162,21 @@ def random_process(rng: np.random.Generator, space: FilteredSpace,
                    bounds: FuzzBounds, adapted: bool = False) -> AdaptedProcess:
     """A bounded rational table; block-constant per level when adapted.
     Each value is a numerator over a denominator from 1 to 8, written as an
-    int over their common multiple DRAW_DENOMINATOR."""
-    def draw():
-        den = int(rng.integers(1, 9))
-        num = int(rng.integers(-bounds.max_denominator,
-                               bounds.max_denominator + 1))
-        return num * (DRAW_DENOMINATOR // den)
-
+    int over their common multiple DRAW_DENOMINATOR.  All (den, num) pairs
+    come from one broadcast call, the stream of one scalar call per entry."""
+    m = bounds.max_denominator
+    cells = [part if adapted else [(w,) for w in space.outcomes]
+             for part in space.partitions]
+    k = sum(map(len, cells))
+    draws = rng.integers([1, -m] * k, [8, m] * k, endpoint=True).tolist()
+    drawn = iter([num * (DRAW_DENOMINATOR // den)
+                  for den, num in zip(draws[::2], draws[1::2])])
     values = {w: [None] * space.n_times for w in space.outcomes}
-    for j in range(space.n_times):
-        if adapted:
-            for block in space.partitions[j]:
-                v = draw()
-                for w in block:
-                    values[w][j] = v
-        else:
-            for w in space.outcomes:
-                values[w][j] = draw()
+    for j, part in enumerate(cells):
+        for block in part:
+            v = next(drawn)
+            for w in block:
+                values[w][j] = v
     return AdaptedProcess.from_rows(
         {w: (row, DRAW_DENOMINATOR) for w, row in values.items()})
 

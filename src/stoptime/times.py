@@ -228,6 +228,10 @@ class DistributionST(CanonicalRows):
 # ---------------------------------------------------------------------------
 # validators
 
+def _cut_text(j: int, block) -> str:
+    return f"level {j}: {{stop<=t_{j}}} cuts block {sorted(map(str, block))}"
+
+
 def validate_pure(space: FilteredSpace, sigma: PureST) -> list:
     """Empty iff {sigma <= t_j} is a union of level-j blocks for every j."""
     stop = sigma.stop_index
@@ -236,8 +240,7 @@ def validate_pure(space: FilteredSpace, sigma: PureST) -> list:
         for w in space.outcomes
         if stop.get(w) is not None and not 0 <= stop[w] < space.n_times]
     return violations or [
-        Violation("NotStoppingTime",
-                  f"level {j}: {{stop<=t_{j}}} cuts block {sorted(map(str, block))}")
+        Violation("NotStoppingTime", _cut_text(j, block))
         for j, block, _, _ in unadapted_blocks(
             space, lambda j, a, b: (stop[a] <= j) == (stop[b] <= j))]
 
@@ -255,11 +258,39 @@ def _section_violations(space: FilteredSpace, mu: MixedST) -> list:
 
 def validate_mixed_sections(space: FilteredSpace, mu: MixedST) -> list:
     """Section-wise check: on every interval of the sections' common
-    refinement, the values form a pure stopping time."""
-    return _section_violations(space, mu) or [
-        Violation("SectionNotStoppingTime", f"r in [{a},{b}): {v.detail}")
-        for a, b, values in common_refinement(mu.sections)
-        for v in validate_pure(space, PureST(values))]
+    refinement, the values form a pure stopping time.  One sweep keeps
+    count[i], the members of shared block i (space._shared_blocks, at level
+    j) with value <= j: a move of one outcome from u to v changes it only
+    at levels in [min(u, v), max(u, v)), and block i is cut on the
+    interval iff 0 < count[i] < its size."""
+    violations = _section_violations(space, mu)
+    if violations:
+        return violations
+    shared = space._shared_blocks
+    size = [len(block) for _, block, _, _ in shared] + [0]
+    at = {w: [-1] * space.n_times for w in space.outcomes}
+    for i, (j, block, _, _) in enumerate(shared):
+        for w in block:
+            at[w][j] = i
+    count = [0] * len(size)  # the last slot, of size 0, takes unshared levels
+    cut = set()
+    prev = [space.n_times] * len(mu.sections)  # above every level
+    for a, b, values in common_refinement(mu.sections):
+        moved = set()
+        for w, u, v in zip(values, prev, values.values()):
+            if u != v:
+                levels = at[w][min(u, v):max(u, v)]
+                step = 1 if v < u else -1
+                for i in levels:
+                    count[i] += step
+                moved.update(levels)
+        for i in moved:
+            (cut.add if 0 < count[i] < size[i] else cut.discard)(i)
+        prev = values.values()
+        violations += [Violation("SectionNotStoppingTime", f"r in [{a},{b}): "
+                                 f"{_cut_text(*shared[i][:2])}")
+                       for i in sorted(cut)]
+    return violations
 
 
 def validate_mixed_product(space: FilteredSpace, mu: MixedST) -> list:

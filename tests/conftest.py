@@ -3,6 +3,9 @@ from fractions import Fraction
 import pytest
 
 from stoptime import demo
+from stoptime.space import Violation
+from stoptime.times import (PureST, _section_violations, common_refinement,
+                            validate_pure)
 
 
 @pytest.fixture
@@ -82,3 +85,13 @@ def symmetric_difference_measure(xs, ys) -> Fraction:
     mx = sum((b - a for a, b in xs), Fraction(0))
     my = sum((b - a for a, b in ys), Fraction(0))
     return mx + my - 2 * interval_intersection_measure(xs, ys)
+
+
+def naive_validate_mixed_sections(space, mu) -> list:
+    """The per-interval section-wise check the library's one sweep
+    replaces: one PureST per interval of the common refinement, each run
+    through validate_pure."""
+    return _section_violations(space, mu) or [
+        Violation("SectionNotStoppingTime", f"r in [{a},{b}): {v.detail}")
+        for a, b, values in common_refinement(mu.sections)
+        for v in validate_pure(space, PureST(values))]

@@ -238,6 +238,17 @@ def test_fuzz_bound_over_the_cap_is_an_input_error(monkeypatch, capsys):
     assert "max_outcomes" in capsys.readouterr().err
 
 
+def test_fuzz_max_denominator_over_int64_is_an_input_error(monkeypatch,
+                                                            capsys):
+    # a bound numpy cannot draw once failed inside the first instance
+    def never(config):
+        raise AssertionError("campaign started")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    assert main(["fuzz", "--max-denominator", str(2**63)]) == 2
+    assert "max_denominator" in capsys.readouterr().err
+
+
 def test_fuzz_defaults_are_the_config_defaults(monkeypatch, capsys):
     # `stoptime fuzz` with no flags runs ExperimentConfig(), whose bounds
     # are FuzzBounds' defaults: one source for every campaign default

@@ -133,6 +133,23 @@ def test_config_caps_outcomes_times_grid_points():
             ExperimentConfig(max_outcomes=outcomes, max_grid_points=points)
 
 
+def test_config_rejects_a_max_denominator_numpy_cannot_draw():
+    # numpy draws int64: a larger bound once died inside rng.integers
+    for build in (fuzz.FuzzBounds, ExperimentConfig):
+        build(max_denominator=2**63 - 1)
+        with pytest.raises(ValueError, match="max_denominator"):
+            build(max_denominator=2**63)
+
+
+def test_campaign_at_the_largest_max_denominator_passes():
+    report = run_experiment(ExperimentConfig(
+        n_instances=2, n_samples=1000, tv_tolerance=1.0,
+        max_denominator=2**63 - 1))
+    assert report.ok
+    assert {row.instance for row in report.rows} >= {"0", "1"}
+    assert all(row.status == "pass" for row in report.rows)
+
+
 def test_mutated_bounds_stay_under_the_cap():
     # the mutated time is drawn on at least two outcomes and two grid
     # points, which must not push an accepted bound over the cap; a
@@ -384,6 +401,20 @@ def test_golden_csv_seed_7():
                                              n_samples=1000, tv_tolerance=1.0))
     digest = hashlib.sha256(report.to_csv().encode()).hexdigest()
     assert digest == GOLDEN_SEED_7_SHA256
+
+
+# SHA-256 of the CSV of a campaign at 32 outcomes, 12 grid points and 16
+# breaks, where the seed-7 goldens reach only 8 outcomes.
+GOLDEN_SCALED_SHA256 = (
+    "719bbd3a573057c73d18f1c43ee47d3d0c10e2eed9544960acd98500774a9778")
+
+
+def test_golden_csv_scaled_bounds():
+    report = run_experiment(ExperimentConfig(
+        seed=3, n_instances=40, n_samples=1000, tv_tolerance=1.0,
+        max_outcomes=32, max_grid_points=12, max_breaks=16))
+    digest = hashlib.sha256(report.to_csv().encode()).hexdigest()
+    assert digest == GOLDEN_SCALED_SHA256
 
 
 def _golden_values(n_instances: int) -> list:

@@ -1,13 +1,14 @@
-"""The fuzz generators that write int rows against copies of the Fraction
-bodies they replace: equal values, and the same draws from the RNG, so a
-seed still gives the same instances."""
+"""The fuzz generators that write int rows, or draw a table in one
+broadcast call, against copies of the Fraction and scalar-draw bodies they
+replace: equal values, and the same draws from the RNG, so a seed still
+gives the same instances."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stoptime import fuzz
+from stoptime import build_space, fuzz
 
 BOUNDS = [fuzz.FuzzBounds(),
           fuzz.FuzzBounds(max_outcomes=1, max_grid_points=1, max_breaks=1,
@@ -16,7 +17,43 @@ BOUNDS = [fuzz.FuzzBounds(),
           fuzz.FuzzBounds(max_outcomes=16, max_grid_points=8, max_breaks=16,
                           max_denominator=97),
           fuzz.FuzzBounds(max_outcomes=32, max_grid_points=8, max_breaks=16,
-                          max_denominator=1000)]
+                          max_denominator=1000),
+          fuzz.FuzzBounds(max_denominator=2**63 - 1)]
+
+# spaces of exactly 32 outcomes x 8 grid points: the seeds whose first
+# random_space call at these bounds, drawn from 32 outcomes, has 8 points
+EXACT_32x8 = fuzz.FuzzBounds(max_outcomes=32, max_grid_points=8,
+                             max_breaks=16)
+
+
+def seed_random_space(rng, bounds, min_outcomes=1):
+    """The scalar body: one rng.integers call per weight and grid step."""
+    n = int(rng.integers(min_outcomes, bounds.max_outcomes + 1))
+    outcomes = tuple(f"w{i + 1}" for i in range(n))
+    weights = [int(rng.integers(1, bounds.max_denominator + 1))
+               for _ in range(n)]
+    probs = tuple(Fraction(x, sum(weights)) for x in weights)
+    lo = min(2, bounds.max_grid_points) if bounds.max_grid_points > 1 else 1
+    n_times = int(rng.integers(lo, bounds.max_grid_points + 1))
+    grid = [Fraction(0)]
+    for _ in range(n_times - 1):
+        grid.append(grid[-1] + Fraction(
+            int(rng.integers(1, bounds.max_denominator + 1)),
+            bounds.max_denominator))
+    partitions = [(frozenset(outcomes),)]
+    for _ in range(n_times - 1):
+        level = []
+        for block in partitions[-1]:
+            members = sorted(block)
+            if len(members) >= 2 and rng.random() < 0.5:
+                perm = [members[i] for i in rng.permutation(len(members))]
+                cut = int(rng.integers(1, len(members)))
+                level.append(frozenset(perm[:cut]))
+                level.append(frozenset(perm[cut:]))
+            else:
+                level.append(block)
+        partitions.append(tuple(level))
+    return build_space(outcomes, probs, grid, partitions)
 
 
 def seed_random_randomized(rng, space, bounds):
@@ -65,11 +102,42 @@ def _twin_rngs(seed):
     return rng, twin
 
 
-@pytest.mark.parametrize("bounds", BOUNDS)
-def test_random_randomized_matches_the_fraction_body(bounds):
+def _spaces(bounds, min_outcomes=1):
+    """(rng, twin, space) for 15 seeds: the space drawn from rng, the twin
+    to be set to rng's state before the draw under test."""
     for seed in range(15):
         rng, twin = _twin_rngs(seed)
-        space = fuzz.random_space(rng, bounds)
+        yield rng, twin, fuzz.random_space(rng, bounds, min_outcomes)
+
+
+def _exact_32x8_spaces():
+    found = 0
+    for rng, twin, space in _spaces(EXACT_32x8, min_outcomes=32):
+        if space.n_times == 8:
+            found += 1
+            yield rng, twin, space
+    assert found
+
+
+CASES = ([pytest.param(lambda b=b: _spaces(b), b, id=f"bounds{i}")
+          for i, b in enumerate(BOUNDS)]
+         + [pytest.param(_exact_32x8_spaces, EXACT_32x8, id="exact_32x8")])
+
+
+@pytest.mark.parametrize("bounds", BOUNDS)
+def test_random_space_matches_the_scalar_body(bounds):
+    for seed in range(15):
+        rng, twin = _twin_rngs(seed)
+        twin.bit_generator.state = rng.bit_generator.state
+        for min_outcomes in (1, bounds.max_outcomes):
+            assert (fuzz.random_space(rng, bounds, min_outcomes)
+                    == seed_random_space(twin, bounds, min_outcomes))
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("spaces, bounds", CASES)
+def test_random_randomized_matches_the_fraction_body(spaces, bounds):
+    for rng, twin, space in spaces():
         twin.bit_generator.state = rng.bit_generator.state
         rho = fuzz.random_randomized(rng, space, bounds)
         expected = seed_random_randomized(twin, space, bounds)
@@ -79,14 +147,15 @@ def test_random_randomized_matches_the_fraction_body(bounds):
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
-@pytest.mark.parametrize("bounds", BOUNDS)
-def test_random_process_matches_the_fraction_body(bounds):
-    for seed in range(15):
-        rng, twin = _twin_rngs(seed)
-        space = fuzz.random_space(rng, bounds)
+@pytest.mark.parametrize("spaces, bounds", CASES)
+def test_random_process_matches_the_fraction_body(spaces, bounds):
+    for rng, twin, space in spaces():
         for adapted in (False, True):
             twin.bit_generator.state = rng.bit_generator.state
             proc = fuzz.random_process(rng, space, bounds, adapted=adapted)
             expected = seed_random_process(twin, space, bounds, adapted)
             assert proc.values == expected
             assert rng.bit_generator.state == twin.bit_generator.state
+            # int_dot reads these: a numpy.int64 would overflow silently
+            assert all(type(x) is int for nums, d in proc.rows.values()
+                       for x in (*nums, d))

@@ -7,12 +7,14 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
-from conftest import le_intervals, mass_of_index, symmetric_difference_measure
+from conftest import (le_intervals, mass_of_index,
+                      naive_validate_mixed_sections,
+                      symmetric_difference_measure)
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
-                      RandomizedST, common_refinement, convert,
-                      fuzz, games, mixed_of_randomized,
+                      RandomizedST, build_space, common_refinement, convert,
+                      embed_pure, fuzz, games, mixed_of_randomized,
                       over_common, problems, randomized_of_distribution,
                       rn_derivative, times,
                       validate_adapted, validate_distribution,
@@ -351,6 +353,76 @@ def test_mass_numerators_match_mass_of_index(seed, fuzz_bounds):
     shifted = RStepFunction((ZERO, Fraction(1, 3), Fraction(1)), (-1, 1))
     assert shifted.mass_numerators(2) == (1, [0, 2], 3)
     assert shifted.cdf_row(2) == ((1, 3), 3)
+
+
+@st.composite
+def sections_on_a_space(draw):
+    """shared_break_sections on a space of their own: each outcome draws a
+    0/1 label per level and the level-j blocks are the label prefixes, so
+    the partitions refine; with two grid points a value 2 leaves the grid."""
+    sections = draw(shared_break_sections())
+    n_times = draw(st.integers(2, 4))
+    labels = {w: draw(st.tuples(*[st.integers(0, 1)] * n_times))
+              for w in sections}
+    partitions = [[{w for w in sections if labels[w][:j + 1] == key}
+                   for key in {lab[:j + 1] for lab in labels.values()}]
+                  for j in range(n_times)]
+    space = build_space(tuple(sections), [Fraction(1, len(sections))]
+                        * len(sections), range(n_times), partitions)
+    return space, MixedST(sections)
+
+
+def _sweep_matches_oracle(space, mu) -> int:
+    got = validate_mixed_sections(space, mu)
+    assert got == naive_validate_mixed_sections(space, mu)
+    return len(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sections_on_a_space())
+def test_section_sweep_matches_per_interval_oracle_on_drawn_sections(case):
+    _sweep_matches_oracle(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, bounds)
+def test_section_sweep_matches_per_interval_oracle_on_fuzzed_times(
+        seed, fuzz_bounds):
+    inst, _ = make_instance(seed, fuzz_bounds)
+    space = inst.space
+    for mu in (inst.mixed, inst.mixed2, embed_pure(inst.pure),
+               fuzz.corrupt_mixed(space, inst.mixed),
+               fuzz.corrupt_mixed(space, inst.mixed2)):
+        if mu is not None:
+            _sweep_matches_oracle(space, mu)
+
+
+def test_section_sweep_matches_per_interval_oracle_at_128x32():
+    # seed 6 draws exactly 128 outcomes and 32 grid points
+    bounds_128 = fuzz.FuzzBounds(max_outcomes=128, max_grid_points=32,
+                                 max_breaks=64)
+    inst = fuzz.random_instance(np.random.Generator(np.random.PCG64(6)),
+                                bounds_128, min_outcomes=128)
+    space = inst.space
+    assert (len(space.outcomes), space.n_times) == (128, 32)
+    found = [_sweep_matches_oracle(space, mu)
+             for mu in (inst.mixed, inst.mixed2, embed_pure(inst.pure),
+                        fuzz.corrupt_mixed(space, inst.mixed))]
+    assert found[:3] == [0, 0, 0] and found[3] > 0
+
+
+def test_section_sweep_builds_no_pure_time(monkeypatch):
+    def never(*args):
+        raise AssertionError("per-interval pure time")
+
+    inst, _ = make_instance(3, fuzz.FuzzBounds(max_outcomes=16,
+                                               max_grid_points=8))
+    bad = fuzz.corrupt_mixed(inst.space, inst.mixed)
+    want = naive_validate_mixed_sections(inst.space, bad)
+    assert want
+    monkeypatch.setattr(times, "PureST", never)
+    monkeypatch.setattr(times, "validate_pure", never)
+    assert validate_mixed_sections(inst.space, bad) == want
 
 
 # ---------------------------------------------------------------------------
