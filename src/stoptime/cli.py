@@ -277,7 +277,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, SpaceError, ValueError, KeyError) as e:
+    except (InputError, SpaceError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .space import FilteredSpace, require_rows
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
-                    RandomizedST, ZERO, density_terms, embed_pure)
+                    RandomizedST, density_terms, embed_pure)
 
 
 def delta_of_mixed(space: FilteredSpace, mu: MixedST) -> DistributionST:
@@ -63,15 +63,13 @@ def mixed_of_randomized(space: FilteredSpace, rho: RandomizedST) -> MixedST:
     sections = {}
     for w in space.outcomes:
         nums, d = rho.rows[w]
-        breaks = [ZERO]
+        breaks = [0]
         values = []
-        last = 0
         for j, x in enumerate(nums):
-            if x > last:
-                last = x
-                breaks.append(Fraction(x, d))
+            if x > breaks[-1]:
+                breaks.append(x)
                 values.append(j)
-        sections[w] = RStepFunction(tuple(breaks), tuple(values))
+        sections[w] = RStepFunction((tuple(breaks), d), tuple(values))
     return MixedST(sections)
 
 

@@ -42,14 +42,14 @@ def _coin_space(level_0) -> FilteredSpace:
 
 def coin_mixed() -> MixedST:
     """Stop at 0 on r <= 1/2, at 1 on r > 1/2, for both outcomes."""
-    section = RStepFunction((Fraction(0), HALF, Fraction(1)), (0, 1))
+    section = RStepFunction(((0, 1, 2), 2), (0, 1))
     return MixedST({"w1": section, "w2": section})
 
 
 def coin_mixed_flipped() -> MixedST:
     """Same stop law; the second outcome uses the opposite half of [0,1]."""
-    section = RStepFunction((Fraction(0), HALF, Fraction(1)), (0, 1))
-    flipped = RStepFunction((Fraction(0), HALF, Fraction(1)), (1, 0))
+    section = RStepFunction(((0, 1, 2), 2), (0, 1))
+    flipped = RStepFunction(((0, 1, 2), 2), (1, 0))
     return MixedST({"w1": section, "w2": flipped})
 
 

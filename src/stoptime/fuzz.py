@@ -23,9 +23,9 @@ from math import gcd
 import numpy as np
 
 from .convert import delta_of_randomized, mixed_of_randomized
-from .space import AdaptedProcess, FilteredSpace, build_space
+from .space import AdaptedProcess, FilteredSpace, build_space, over_common
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
-                    RandomizedST, ZERO, common_refinement)
+                    RandomizedST, common_refinement)
 
 
 # largest outcomes x grid points an instance may reach (128 x 32)
@@ -148,12 +148,12 @@ def shuffle_sections(rng: np.random.Generator, space: FilteredSpace,
     """Rearrange the common interval refinement of all sections with one
     shared permutation.  This preserves the stop law and joint
     measurability; skipped when it would exceed the break budget."""
-    n_iv = len({r for s in mu.sections.values() for r in s.breaks}) - 1
-    if n_iv < 2 or n_iv > max_breaks:
-        return mu
     pieces = common_refinement(mu.sections)
-    moved = [pieces[i] for i in rng.permutation(n_iv)]
-    breaks = tuple(accumulate((b - a for a, b, _ in moved), initial=ZERO))
+    if not 2 <= len(pieces) <= max_breaks:
+        return mu
+    moved = [pieces[i] for i in rng.permutation(len(pieces))]
+    breaks = over_common(tuple(accumulate((b - a for a, b, _ in moved),
+                                          initial=0)))
     return MixedST({w: RStepFunction(breaks, tuple(v[w] for _, _, v in moved))
                     .canonical() for w in mu.sections})
 

@@ -75,7 +75,8 @@ def _draw(space: FilteredSpace, eta, rng: np.random.Generator, n: int):
 def _section_indices(mu: MixedST, w, rs: np.ndarray) -> np.ndarray:
     """The section value at each r."""
     s = mu.sections[w]
-    breaks = np.array([float(r) for r in s.breaks])
+    nums, d = s.break_ints
+    breaks = np.array([n / d for n in nums])
     values = np.array(s.values, dtype=np.int64)
     iv = np.searchsorted(breaks, rs, side="right") - 1
     return values[np.clip(iv, 0, len(values) - 1)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .space import AdaptedProcess, FilteredSpace, build_space
+from .space import AdaptedProcess, FilteredSpace, build_space, over_common
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
                     RandomizedST)
 
@@ -144,7 +144,7 @@ def stopping_time_from_dict(doc: dict):
                 s = _keys(_expect(s, dict, "section"), ("breaks", "values"),
                           "section")
                 sections[w] = RStepFunction(
-                    _row(_list(s, "breaks"), "breaks"),
+                    over_common(_row(_list(s, "breaks"), "breaks")),
                     tuple(_expect(v, int, "section value")
                           for v in _list(s, "values")))
             except ValueError as e:

@@ -15,18 +15,15 @@ their Fraction views .paths and .mass are read only in this module.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .space import (CanonicalRows, FilteredSpace, SubMeasure, Violation,
                     over_common, row_violations, unadapted_blocks)
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -63,40 +60,47 @@ class RStepFunction:
     """A step function on [0,1] with grid-index values.
 
     Intervals are half-open [r_{i-1}, r_i); the point r = 1 belongs to the
-    last interval.  breaks = (0, r_1, ..., 1), values has one entry per
-    interval.  break_ints is (nums, d), the breaks as ints over their lcm
-    denominator d, made once here; every measure of a section reads them.
+    last interval.  break_ints = (nums, d) holds the breaks (0, r_1, ..., 1)
+    as ints over d, reduced so gcd(d, *nums) == 1, and values has one entry
+    per interval.  breaks is the Fraction view, for output only.
     """
 
-    breaks: tuple
+    break_ints: tuple
     values: tuple
-    break_ints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.breaks) != len(self.values) + 1:
+        nums, d = self.break_ints
+        if len(nums) != len(self.values) + 1:
             raise ValueError("breaks/values length mismatch")
-        nums, d = over_common(self.breaks)
-        if nums[0] != 0 or nums[-1] != d:
+        if d <= 0 or nums[0] != 0 or nums[-1] != d:
             raise ValueError("breaks must run from 0 to 1")
         if any(b <= a for a, b in zip(nums, nums[1:])):
             raise ValueError("breaks must be strictly increasing")
-        object.__setattr__(self, "break_ints", (nums, d))
+        g = gcd(*nums)
+        object.__setattr__(self, "break_ints",
+                           (tuple(n // g for n in nums), d // g))
+
+    @property
+    def breaks(self) -> tuple:
+        nums, d = self.break_ints
+        return tuple(Fraction(n, d) for n in nums)
 
     @staticmethod
     def constant(index: int) -> "RStepFunction":
-        return RStepFunction((ZERO, ONE), (int(index),))
+        return RStepFunction(((0, 1), 1), (int(index),))
 
     def canonical(self) -> "RStepFunction":
         """Merge adjacent intervals carrying equal values."""
-        breaks = [self.breaks[0]]
+        nums, d = self.break_ints
+        breaks = [0]
         values = []
-        for i, v in enumerate(self.values):
+        for v, b in zip(self.values, nums[1:]):
             if values and values[-1] == v:
-                breaks[-1] = self.breaks[i + 1]
+                breaks[-1] = b
             else:
-                breaks.append(self.breaks[i + 1])
+                breaks.append(b)
                 values.append(v)
-        return RStepFunction(tuple(breaks), tuple(values))
+        return RStepFunction((tuple(breaks), d), tuple(values))
 
     def le_intervals(self, index: int, d: int) -> tuple:
         """{r : value(r) <= index} as a sorted tuple of disjoint [a, b) pairs
@@ -155,9 +159,7 @@ def common_refinement(sections: Mapping) -> list:
     d = lcm(*(s.break_ints[1] for s in sections.values()))
     keys = [[n * (d // k) for n in nums]
             for nums, k in (s.break_ints for s in sections.values())]
-    cut_at = {k: r for s, ks in zip(sections.values(), keys)
-              for k, r in zip(ks, s.breaks)}
-    cuts = sorted(cut_at)
+    cuts = sorted(set(chain(*keys)))
     index = {k: i for i, k in enumerate(cuts)}
     rows = []
     for s, ks in zip(sections.values(), keys):
@@ -165,8 +167,9 @@ def common_refinement(sections: Mapping) -> list:
         for k, v in zip(ks[1:], s.values):
             row += [v] * (index[k] - len(row))
         rows.append(row)
-    return [(cut_at[a], cut_at[b], dict(zip(sections, values)))
-            for a, b, values in zip(cuts, cuts[1:], zip(*rows))]
+    at = [Fraction(k, d) for k in cuts]
+    return [(a, b, dict(zip(sections, values)))
+            for a, b, values in zip(at, at[1:], zip(*rows))]
 
 
 def symdiff_measure(xs, ys) -> int:

@@ -214,6 +214,18 @@ def test_fuzz_small_campaign(files, capsys):
     assert all(line.split(",")[2] == "pass" for line in lines[1:])
 
 
+@pytest.mark.parametrize("command", [
+    ["convert", "{mixed}", "--to", "randomized", "--space", "{space}",
+     "-o", "{tmp}"],  # a directory
+    ["fuzz", "--instances", "1", "--samples", "100",
+     "-o", "{tmp}/missing/dir/x.csv"],
+])
+def test_unwritable_output_is_an_input_error(command, files, capsys):
+    assert main([arg.format(**files) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_validate_pure_with_extra_outcome(files, tmp_path, capsys):
     pure = tmp_path / "pure.json"
     dump_json({"kind": "pure", "stop_index": {"w1": 1, "w2": 1, "zz": 0}}, pure)

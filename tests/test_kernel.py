@@ -22,9 +22,9 @@ from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
                       validate_pure, validate_randomized)
 from stoptime.serialize import stopping_time_from_dict, stopping_time_to_dict
 from stoptime.space import Violation
-from stoptime.times import (ZERO, add_term, fraction_sum, int_dot,
-                            symdiff_measure)
+from stoptime.times import add_term, fraction_sum, int_dot, symdiff_measure
 
+ZERO = Fraction(0)
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 bounds = st.sampled_from([fuzz.FuzzBounds(),
                           fuzz.FuzzBounds(max_outcomes=16, max_grid_points=8,
@@ -261,7 +261,7 @@ def shared_break_sections(draw):
         breaks = (ZERO, *sorted(inner - {0, 1}), Fraction(1))
         values = draw(st.lists(st.integers(0, 2), min_size=len(breaks) - 1,
                                max_size=len(breaks) - 1))
-        sections[f"w{i}"] = RStepFunction(breaks, tuple(values))
+        sections[f"w{i}"] = RStepFunction(over_common(breaks), tuple(values))
     if draw(st.booleans()):
         sections["shared"] = sections["w0"]  # one section object twice
     return sections
@@ -314,7 +314,7 @@ def midpoint_shuffle_sections(rng, mu: MixedST, max_breaks: int) -> MixedST:
     breaks = [ZERO]
     for i in perm:
         breaks.append(breaks[-1] + cuts[i + 1] - cuts[i])
-    return MixedST({w: RStepFunction(tuple(breaks), tuple(
+    return MixedST({w: RStepFunction(over_common(breaks), tuple(
         linear_value_at(s, (cuts[i] + cuts[i + 1]) / 2) for i in perm))
         .canonical() for w, s in mu.sections.items()})
 
@@ -350,7 +350,8 @@ def test_mass_numerators_match_mass_of_index(seed, fuzz_bounds):
         assert (tuple(Fraction(x, d) for x in row)
                 == tuple(mass_of_index(s, j) for j in range(n)))
         assert Fraction(below, d) == s.cdf(-1)
-    shifted = RStepFunction((ZERO, Fraction(1, 3), Fraction(1)), (-1, 1))
+    shifted = RStepFunction(over_common((ZERO, Fraction(1, 3), Fraction(1))),
+                            (-1, 1))
     assert shifted.mass_numerators(2) == (1, [0, 2], 3)
     assert shifted.cdf_row(2) == ((1, 3), 3)
 
@@ -439,7 +440,8 @@ def linear_mixed_of_randomized(space, rho: RandomizedST) -> MixedST:
             if v > breaks[-1]:
                 breaks.append(v)
                 values.append(next(j for j, x in enumerate(row) if x >= v))
-        sections[w] = RStepFunction(tuple(breaks), tuple(values)).canonical()
+        sections[w] = RStepFunction(over_common(breaks),
+                                    tuple(values)).canonical()
     return MixedST(sections)
 
 

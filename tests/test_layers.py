@@ -60,6 +60,12 @@ def test_mass_view_read_only_where_fractions_are_the_output():
     assert _uses(r"(?<!self)\.(mass|paths)\b", {"times.py"}) == []
 
 
+def test_breaks_view_read_only_where_sections_meet_text():
+    # a section's breaks are its int break_ints; the Fraction view .breaks
+    # is read only where it is defined and where a document is written
+    assert _uses(r"\.breaks\b", {"times.py", "serialize.py"}) == []
+
+
 def test_library_callers_tally_draws_as_counts():
     # the Monte Carlo rows and `stoptime sample` read sample_counts; one
     # record per draw is built only inside sampling.py

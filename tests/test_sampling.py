@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (EmptySamples, PureST, SampleRecord, common_refinement,
-                      empirical_delta, frequencies, fuzz, sample_counts,
-                      sample_many)
+from stoptime import (EmptySamples, MixedST, PureST, RStepFunction,
+                      SampleRecord, common_refinement, empirical_delta,
+                      frequencies, fuzz, sample_counts, sample_many, sampling)
 
 F = Fraction
 
@@ -129,3 +129,53 @@ def test_sample_counts_empty(coin_space, coin_delta, n):
 def test_frequencies_of_no_counts(coin_space, coin_delta):
     with pytest.raises(EmptySamples):
         frequencies(coin_space, np.zeros((2, 2), dtype=np.int64), coin_delta)
+
+
+# ---------------------------------------------------------------------------
+# sections sample from floats of their int breaks
+
+@st.composite
+def wide_sections(draw):
+    """A section over a denominator up to 2**80, breaks dense enough that
+    neighbours may round to one float."""
+    d = draw(st.integers(1, 2**80))
+    inner = draw(st.sets(st.integers(1, d - 1), max_size=8)) if d > 1 else ()
+    nums = (0, *sorted(inner), d)
+    return RStepFunction((nums, d), tuple(range(len(nums) - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_sections())
+def test_section_floats_are_those_of_the_fraction_breaks(s):
+    seen = []
+    searchsorted = np.searchsorted
+
+    def spy(a, v, side="left"):
+        seen.append(a.tolist())
+        return searchsorted(a, v, side=side)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling.np, "searchsorted", spy)
+        sampling._section_indices(MixedST({"w": s}), "w", np.array([0.5]))
+    assert seen == [[float(r) for r in s.breaks]]
+
+
+def fraction_section_indices(mu: MixedST, w, rs: np.ndarray) -> np.ndarray:
+    """A section reader over float(Fraction) of each break."""
+    s = mu.sections[w]
+    breaks = np.array([float(r) for r in s.breaks])
+    iv = np.searchsorted(breaks, rs, side="right") - 1
+    return np.array(s.values)[np.clip(iv, 0, len(s.values) - 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32))
+def test_section_counts_match_a_fraction_reader(seed):
+    inst = fuzz.random_instance(rng(seed), fuzz.FuzzBounds(
+        max_outcomes=12, max_grid_points=6, max_breaks=16))
+    for mu in (inst.mixed, inst.mixed2):
+        counts = sample_counts(inst.space, mu, rng(seed + 1), 2000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "_section_indices", fraction_section_indices)
+            want = sample_counts(inst.space, mu, rng(seed + 1), 2000)
+        assert np.array_equal(counts, want)

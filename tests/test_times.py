@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 from conftest import mass_of_index
+from hypothesis import given, settings, strategies as st
 
 from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
                       RandomizedST, common_refinement, delta_of_mixed,
-                      embed_pure, rn_derivative, sub_measure,
+                      embed_pure, over_common, rn_derivative, sub_measure,
                       validate_distribution, validate_mixed,
                       validate_mixed_product, validate_mixed_sections,
                       validate_pure, validate_randomized)
@@ -19,15 +20,16 @@ H = F(1, 2)
 
 def test_step_function_shape_checks():
     with pytest.raises(ValueError):
-        RStepFunction((F(0), H), (0,))  # does not reach 1
+        RStepFunction(over_common((F(0), H)), (0,))  # does not reach 1
     with pytest.raises(ValueError):
-        RStepFunction((F(0), H, H, F(1)), (0, 1, 0))  # not increasing
+        # not increasing
+        RStepFunction(over_common((F(0), H, H, F(1))), (0, 1, 0))
     with pytest.raises(ValueError):
-        RStepFunction((F(0), F(1)), (0, 1))  # length mismatch
+        RStepFunction(over_common((F(0), F(1))), (0, 1))  # length mismatch
 
 
 def test_step_function_value_and_masses():
-    s = RStepFunction((F(0), H, F(1)), (0, 2))
+    s = RStepFunction(over_common((F(0), H, F(1))), (0, 2))
     # [0, 1/2) carries 0, and [1/2, 1] carries 2 including the point r = 1
     assert common_refinement({"w": s}) == [(0, H, {"w": 0}), (H, 1, {"w": 2})]
     assert mass_of_index(s, 0) == H
@@ -37,7 +39,7 @@ def test_step_function_value_and_masses():
 
 
 def test_step_function_rows_in_one_pass():
-    s = RStepFunction((F(0), F(1, 4), H, F(1)), (2, -1, 0))
+    s = RStepFunction(over_common((F(0), F(1, 4), H, F(1))), (2, -1, 0))
     # the value -1 is off the grid: no mass row entry, but inside every cdf
     assert tuple(mass_of_index(s, j) for j in range(3)) == (H, F(0), F(1, 4))
     assert s.mass_numerators(3) == (1, [2, 0, 1], 4)
@@ -47,7 +49,7 @@ def test_step_function_rows_in_one_pass():
 
 
 def test_mixed_rows_shared_sections():
-    shared = RStepFunction((F(0), H, F(1)), (0, 1))
+    shared = RStepFunction(over_common((F(0), H, F(1))), (0, 1))
     mu = MixedST({"a": shared, "b": shared,
                   "c": RStepFunction.constant(1)})
     rows = mu.mass_numerators(2)
@@ -63,10 +65,46 @@ def test_mixed_rows_shared_sections():
 
 
 def test_canonical_merges_equal_neighbours():
-    s = RStepFunction((F(0), F(1, 4), H, F(1)), (1, 1, 0))
+    s = RStepFunction(over_common((F(0), F(1, 4), H, F(1))), (1, 1, 0))
     c = s.canonical()
     assert c.breaks == (F(0), H, F(1))
     assert c.values == (1, 0)
+
+
+def test_sections_equal_across_scalings():
+    a = RStepFunction(((0, 2, 4), 4), (0, 1))
+    b = RStepFunction(((0, 1, 2), 2), (0, 1))
+    assert a == b and hash(a) == hash(b)
+    assert a.break_ints == ((0, 1, 2), 2)
+    assert a != RStepFunction(((0, 1, 2), 2), (1, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.fractions(0, 1, max_denominator=10**6), max_size=8),
+       st.data())
+def test_breaks_view_round_trips(inner, data):
+    bs = (F(0), *sorted(inner - {0, 1}), F(1))
+    vs = tuple(data.draw(st.lists(st.integers(-1, 5), min_size=len(bs) - 1,
+                                  max_size=len(bs) - 1)))
+    s = RStepFunction(over_common(bs), vs)
+    assert s.breaks == bs and s.values == vs
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("nums, d, values, message", [
+    ((0, 1), 2, (0,), "run from 0 to 1"),
+    ((0, 1, 1, 2), 2, (0, 1, 0), "strictly increasing"),
+    ((0, 1), 1, (0, 1), "length mismatch"),
+])
+def test_shape_checks_on_scaled_ints(k, nums, d, values, message):
+    with pytest.raises(ValueError, match=message):
+        RStepFunction((tuple(k * n for n in nums), k * d), values)
+
+
+def test_canonical_reduces_break_ints():
+    s = RStepFunction(((0, 1, 2, 4), 4), (1, 1, 0))
+    assert s.canonical().break_ints == ((0, 1, 2), 2)
+    assert s.canonical() == RStepFunction(((0, 2, 4), 4), (1, 0))
 
 
 # ---------------------------------------------------------------------------
