@@ -171,7 +171,10 @@ def cmd_sample(args) -> int:
         reference = convert.to_distribution(
             space, _load_valid_stop(args.ref, space))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_seed(args))))
-    counts = sampling.sample_counts(space, eta, rng, args.n)
+    try:
+        counts = sampling.sample_counts(space, eta, rng, args.n)
+    except MemoryError:  # numpy draws all n at once
+        raise InputError(f"--n {args.n}: too many draws for memory")
     freq, tv = sampling.frequencies(space, counts, reference)
     for (w, j), f in sorted(freq.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
         print(f"{w},{space.grid[j]},{f:.6f}")

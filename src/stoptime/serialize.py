@@ -1,5 +1,7 @@
 """JSON serialization: rationals travel as "p/q" or integer strings.
 
+Tables load into int rows (nums, d) and print from them: a Fraction is
+built only for a space's probs and grid, and for a cell in another form.
 Loaders check every document's types before building anything: tables
 are objects, rows are lists, outcome labels are strings, and stop
 indices and section values are integers; a mismatch, or a key the
@@ -9,9 +11,11 @@ document's kind does not define, raises InputError.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from math import gcd, lcm
 
-from .space import AdaptedProcess, FilteredSpace, build_space, over_common
+from .space import AdaptedProcess, FilteredSpace, build_space
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
                     RandomizedST)
 
@@ -20,17 +24,39 @@ class InputError(ValueError):
     """Malformed input file or JSON document."""
 
 
-def parse_fraction(s) -> Fraction:
+_RATIO = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def parse_ratio(s) -> tuple:
+    """(p, q) with q > 0 for one cell: a JSON integer or an ASCII "p" or
+    "p/q" text split into its ints, any other cell read by Fraction(str(s))
+    with exponents refused; a bad cell is an InputError."""
+    if type(s) is int:
+        return s, 1
+    m = _RATIO.fullmatch(s) if type(s) is str else None
     try:
+        if m:
+            return int(m[1]), int(m[2] or 1)
         if "e" in str(s).lower():  # Fraction would expand 10**exponent exactly
             raise ValueError("exponents are not accepted; write p/q")
-        return Fraction(str(s))
+        x = Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad rational {s!r}: {e}") from None
+    return x.numerator, x.denominator
+
+
+def parse_fraction(s) -> Fraction:
+    return Fraction(*parse_ratio(s))
 
 
 def format_fraction(x: Fraction) -> str:
     return str(x)
+
+
+def format_ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _keys(doc: dict, allowed: tuple, what: str) -> dict:
@@ -68,7 +94,10 @@ def _table(doc: dict, key: str) -> dict:
 
 
 def _row(row, what: str) -> tuple:
-    return tuple(parse_fraction(x) for x in _expect(row, list, what))
+    """The cells as ints (nums, d) over their denominators' lcm d."""
+    cells = [parse_ratio(x) for x in _expect(row, list, what)]
+    d = lcm(*(q for _, q in cells))
+    return [p * (d // q) for p, q in cells], d
 
 
 def _label(w) -> str:
@@ -97,15 +126,20 @@ def space_from_dict(doc: dict) -> FilteredSpace:
     )
 
 
+def _row_texts(nums, d) -> list:
+    return [format_ratio(n, d) for n in nums]
+
+
 def process_to_dict(process: AdaptedProcess) -> dict:
-    return {"values": {w: [format_fraction(x) for x in row]
-                       for w, row in process.values.items()}}
+    return {"values": {w: _row_texts(*row)
+                       for w, row in process.rows.items()}}
 
 
 def process_from_dict(doc: dict) -> AdaptedProcess:
     _keys(doc, ("values",), "process")
-    return AdaptedProcess({w: _row(row, f"values row of {w!r}")
-                           for w, row in _table(doc, "values").items()})
+    return AdaptedProcess.from_rows(
+        {w: _row(row, f"values row of {w!r}")
+         for w, row in _table(doc, "values").items()})
 
 
 _TABLE_KEYS = {"pure": "stop_index", "mixed": "sections",
@@ -117,14 +151,12 @@ def stopping_time_to_dict(eta) -> dict:
         return {"kind": "pure", "stop_index": dict(eta.stop_index)}
     if isinstance(eta, MixedST):
         return {"kind": "mixed", "sections": {
-            w: {"breaks": [format_fraction(r) for r in s.breaks],
-                "values": list(s.values)}
+            w: {"breaks": _row_texts(*s.break_ints), "values": list(s.values)}
             for w, s in eta.sections.items()}}
-    if isinstance(eta, (RandomizedST, DistributionST)):  # from the rows
+    if isinstance(eta, (RandomizedST, DistributionST)):
         kind = "randomized" if isinstance(eta, RandomizedST) else "distribution"
         return {"kind": kind, _TABLE_KEYS[kind]: {
-            w: [format_fraction(Fraction(n, d)) for n in nums]
-            for w, (nums, d) in eta.rows.items()}}
+            w: _row_texts(*row) for w, row in eta.rows.items()}}
     raise TypeError(f"not a stopping time: {type(eta).__name__}")
 
 
@@ -144,17 +176,17 @@ def stopping_time_from_dict(doc: dict):
                 s = _keys(_expect(s, dict, "section"), ("breaks", "values"),
                           "section")
                 sections[w] = RStepFunction(
-                    over_common(_row(_list(s, "breaks"), "breaks")),
+                    _row(_list(s, "breaks"), "breaks"),
                     tuple(_expect(v, int, "section value")
                           for v in _list(s, "values")))
             except ValueError as e:
                 raise InputError(f"bad section for {w!r}: {e}") from None
         return MixedST(sections)
     if kind == "randomized":
-        return RandomizedST({w: _row(row, f"path of {w!r}")
-                             for w, row in table.items()})
-    return DistributionST({w: _row(row, f"mass row of {w!r}")
-                           for w, row in table.items()})
+        return RandomizedST.from_rows({w: _row(row, f"path of {w!r}")
+                                       for w, row in table.items()})
+    return DistributionST.from_rows({w: _row(row, f"mass row of {w!r}")
+                                     for w, row in table.items()})
 
 
 def load_json(path) -> dict:

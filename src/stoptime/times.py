@@ -102,25 +102,30 @@ class RStepFunction:
                 values.append(v)
         return RStepFunction((tuple(breaks), d), tuple(values))
 
-    def le_intervals(self, index: int, d: int) -> tuple:
-        """{r : value(r) <= index} as a sorted tuple of disjoint [a, b) pairs
-        of ints over d, a multiple of the breaks' denominator."""
+    def le_runs(self, d: int, n_times: int) -> list:
+        """{r : value(r) <= j} for j in range(n_times), each a sorted tuple
+        of maximal [a, b) runs of ints over d, a multiple of the breaks'
+        denominator; the breaks are scaled to d once for every level."""
         nums, k = self.break_ints
-        breaks = [n * (d // k) for n in nums]
+        scaled = [n * (d // k) for n in nums]
+        spans = list(zip(self.values, scaled, scaled[1:]))
         out = []
-        for i, v in enumerate(self.values):
-            if v <= index:
-                a, b = breaks[i], breaks[i + 1]
-                if out and out[-1][1] == a:
-                    out[-1] = (out[-1][0], b)
-                else:
-                    out.append((a, b))
-        return tuple(out)
+        for j in range(n_times):
+            runs = []
+            for v, a, b in spans:
+                if v <= j:
+                    if runs and runs[-1][1] == a:
+                        runs[-1] = (runs[-1][0], b)
+                    else:
+                        runs.append((a, b))
+            out.append(tuple(runs))
+        return out
 
     def cdf(self, index: int) -> Fraction:
         """Lebesgue measure of {r : value(r) <= index}."""
-        d = self.break_ints[1]
-        return Fraction(sum(b - a for a, b in self.le_intervals(index, d)), d)
+        nums, d = self.break_ints
+        spans = zip(self.values, nums, nums[1:])
+        return Fraction(sum(b - a for v, a, b in spans if v <= index), d)
 
     def cdf_row(self, n_times: int) -> tuple:
         """(cum, d) in ints: the running sums of the mass row, so cdf(j) ==
@@ -306,8 +311,7 @@ def validate_mixed_product(space: FilteredSpace, mu: MixedST) -> list:
     # denominator d, so lambda(A symdiff B) = 0 iff the tuples are equal
     sections = mu.sections
     d = lcm(*(s.break_ints[1] for s in sections.values()))
-    le = per_object(sections, lambda s: [s.le_intervals(j, d)
-                                         for j in range(space.n_times)])
+    le = per_object(sections, lambda s: s.le_runs(d, space.n_times))
     return [Violation("NotJointlyMeasurable",
                       f"level {j}, block {sorted(map(str, block))}: "
                       "sections differ on measure "

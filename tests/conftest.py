@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from stoptime import demo
+from stoptime.serialize import InputError
 from stoptime.space import Violation
 from stoptime.times import (PureST, _section_violations, common_refinement,
                             validate_pure)
@@ -85,6 +86,17 @@ def symmetric_difference_measure(xs, ys) -> Fraction:
     mx = sum((b - a for a, b in xs), Fraction(0))
     my = sum((b - a for a, b in ys), Fraction(0))
     return mx + my - 2 * interval_intersection_measure(xs, ys)
+
+
+def seed_parse_fraction(s) -> Fraction:
+    """The seed's cell parser, the one the int fast path must match: every
+    cell through Fraction(str(s)), exponents refused."""
+    try:
+        if "e" in str(s).lower():  # Fraction would expand 10**exponent exactly
+            raise ValueError("exponents are not accepted; write p/q")
+        return Fraction(str(s))
+    except (ValueError, ZeroDivisionError) as e:
+        raise InputError(f"bad rational {s!r}: {e}") from None
 
 
 def naive_validate_mixed_sections(space, mu) -> list:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from stoptime import cli, convert, demo, fuzz, sampling
 from stoptime.cli import main
 from stoptime.experiment import ExperimentConfig, ExperimentReport
-from stoptime.serialize import (dump_json, space_to_dict,
+from stoptime.serialize import (dump_json, process_to_dict, space_to_dict,
                                 stopping_time_to_dict)
 
 
@@ -193,6 +194,20 @@ def test_sample_prints_the_record_path(files, capsys, monkeypatch):
     expected = [f"{w},{space.grid[j]},{f:.6f}"
                 for (w, j), f in sorted(freq.items())] + [f"tv,{tv:.6f}"]
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_sample_beyond_memory_is_an_input_error(files, capsys, monkeypatch):
+    # a draw count numpy cannot allocate; the sampler is stubbed so the
+    # host is never asked for the memory
+    def out_of_memory(space, eta, rng, n):
+        raise MemoryError
+
+    monkeypatch.setattr(sampling, "sample_counts", out_of_memory)
+    assert main(["sample", "--space", files["space"], "--stop",
+                 files["delta"], "--n", "100000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n 100000000000000:")
+    assert "Traceback" not in err
 
 
 def test_sample_seed_env_override(files, capsys, monkeypatch):
@@ -583,3 +598,65 @@ def test_exit_code_contract_on_malformed_and_extreme_documents(command,
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error:")
+
+
+# the nine request kinds of the benchmark's cli-requests workload
+REQUEST_KINDS = {
+    "validate": ("validate", "{mixed}", "--space", "{space}"),
+    "convert-distribution": ("convert", "{mixed}", "--to", "distribution",
+                             "--space", "{space}"),
+    "convert-mixed": ("convert", "{randomized}", "--to", "mixed",
+                      "--space", "{space}"),
+    "convert-randomized": ("convert", "{distribution}", "--to", "randomized",
+                           "--space", "{space}"),
+    "equiv-same": ("equiv", "{mixed}", "{randomized}", "--space", "{space}"),
+    "equiv-different": ("equiv", "{distribution}", "{mixed2}",
+                        "--space", "{space}"),
+    "validate-corrupt": ("validate", "{corrupt}", "--space", "{space}"),
+    "payoff": ("payoff", "--space", "{space}", "--reward", "{reward}",
+               "--stop", "{randomized}", "--check-kuhn"),
+    "game": ("game", "--space", "{space}", "--x", "{x}", "--y", "{y}",
+             "--z", "{z}", "--p1", "{mixed}", "--p2", "{mixed2}",
+             "--route", "both"),
+}
+
+# (exit code, first 16 hex digits of the SHA-256 of stdout) per kind
+REQUEST_OUTPUTS = {
+    "validate": (0, "009d962905920ad0"),
+    "convert-distribution": (0, "da3764038c55da04"),
+    "convert-mixed": (0, "a7703c60edd7fbdd"),
+    "convert-randomized": (0, "f347046a5431a1bc"),
+    "equiv-same": (0, "82318cd9ffcc16fc"),
+    "equiv-different": (1, "6b5c654cc4c52970"),
+    "validate-corrupt": (1, "bc96ea64c24c04c3"),
+    "payoff": (0, "1bf2ea263fec872d"),
+    "game": (0, "3982970b3b1aa9ff"),
+}
+
+
+def test_request_outputs_are_byte_identical(tmp_path, capsys):
+    # the first stream of seed 11 with exactly 32 outcomes and 12 grid
+    # points, at the workload's bounds
+    bounds = fuzz.FuzzBounds(max_outcomes=32, max_grid_points=12,
+                             max_breaks=16)
+    inst = next(inst for inst in (
+        fuzz.random_instance(np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(11, spawn_key=(index,)))), bounds,
+            min_outcomes=32) for index in range(100))
+        if inst.space.n_times == 12)
+    paths = {"space": tmp_path / "space.json"}
+    dump_json(space_to_dict(inst.space), paths["space"])
+    for key in ("mixed", "randomized", "distribution", "mixed2", "corrupt"):
+        eta = (fuzz.corrupt_mixed(inst.space, inst.mixed) if key == "corrupt"
+               else getattr(inst, key))
+        paths[key] = tmp_path / f"{key}.json"
+        dump_json(stopping_time_to_dict(eta), paths[key])
+    for key in ("reward", "x", "y", "z"):
+        paths[key] = tmp_path / f"{key}.json"
+        dump_json(process_to_dict(getattr(inst, key)), paths[key])
+    seen = {}
+    for kind, template in REQUEST_KINDS.items():
+        code = main([arg.format(**paths) for arg in template])
+        out = capsys.readouterr().out
+        seen[kind] = (code, hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert seen == REQUEST_OUTPUTS

@@ -555,8 +555,9 @@ def test_product_validator_tuple_test_matches_measure(seed, fuzz_bounds):
                 == measure_validate_mixed_product(space, mu))
         # the int runs over one d, as validate_mixed_product takes them
         d = lcm(*(s.break_ints[1] for s in mu.sections.values()))
+        levels = [s.le_runs(d, space.n_times) for s in mu.sections.values()]
         for j in range(space.n_times):
-            sets = [s.le_intervals(j, d) for s in mu.sections.values()]
+            sets = [runs[j] for runs in levels]
             for a in sets[:4]:
                 for b in sets:
                     assert (a != b) == (symmetric_difference_measure(a, b) != 0)
@@ -578,13 +579,40 @@ def test_parity_sum_matches_symmetric_difference_measure(seed, fuzz_bounds):
         sections = list(mu.sections.values())
         d = lcm(*(s.break_ints[1] for s in sections))
         for j in range(-1, space.n_times):
-            runs = [(s.le_intervals(j, d), le_intervals(s, j))
-                    for s in sections]
+            runs = [(tuple((a * d, b * d) for a, b in fx), fx)
+                    for fx in (le_intervals(s, j) for s in sections)]
             for xs, fx in runs:
-                assert xs == tuple((a * d, b * d) for a, b in fx)
                 for ys, fy in runs:
                     assert (Fraction(symdiff_measure(xs, ys), d)
                             == symmetric_difference_measure(fx, fy))
+
+
+corrupted_sections = st.builds(
+    lambda inst: (fuzz.corrupt_mixed(inst.space, inst.mixed)
+                  or inst.mixed).sections,
+    st.builds(lambda seed, b: make_instance(seed, b)[0], seeds, bounds))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(shared_break_sections(), fuzzed_sections, corrupted_sections),
+       st.integers(1, 10), st.integers(1, 3))
+def test_le_runs_match_fraction_runs(sections, n_times, scale):
+    # every level's int runs, the breaks scaled once to a multiple of their
+    # lcm, against the seed's Fraction runs of the same section
+    d = scale * lcm(*(s.break_ints[1] for s in sections.values()))
+    for s in sections.values():
+        runs = s.le_runs(d, n_times)
+        assert len(runs) == n_times
+        for j, got in enumerate(runs):
+            assert got == tuple((a * d, b * d) for a, b in le_intervals(s, j))
+
+
+def test_le_runs_below_the_first_level():
+    # a value below 0 lies in level 0's set, and a level no value equals
+    # holds the same runs as the level below it
+    s = RStepFunction(((0, 1, 2, 3), 3), (-1, 2, 0))
+    assert s.le_runs(6, 4) == [((0, 2), (4, 6)), ((0, 2), (4, 6)),
+                               ((0, 6),), ((0, 6),)]
 
 
 # ---------------------------------------------------------------------------

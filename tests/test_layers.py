@@ -10,9 +10,15 @@ the sampler tally draws as counts, never as one record per draw."""
 import importlib
 import importlib.util
 import re
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from stoptime import convert, fuzz
+from stoptime.serialize import (process_from_dict, process_to_dict,
+                                stopping_time_from_dict, stopping_time_to_dict)
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "benchmarks" / "spans.py"
@@ -61,12 +67,45 @@ def test_mass_view_read_only_where_fractions_are_the_output():
 
 
 def test_breaks_view_read_only_where_sections_meet_text():
-    # a section's breaks are its int break_ints; the Fraction view .breaks
-    # is read only where it is defined and where a document is written
-    assert _uses(r"\.breaks\b", {"times.py", "serialize.py"}) == []
+    # a section's breaks are its int break_ints, which documents are
+    # written from too; the Fraction view .breaks is read only in times
+    assert _uses(r"\.breaks\b", {"times.py"}) == []
 
 
 def test_library_callers_tally_draws_as_counts():
     # the Monte Carlo rows and `stoptime sample` read sample_counts; one
     # record per draw is built only inside sampling.py
     assert _uses(r"\b(sample_many|SampleRecord)\s*\(", {"sampling.py"}) == []
+
+
+def test_documents_load_and_print_without_a_fraction_per_cell(monkeypatch):
+    # stopping times and processes load into canonical int rows and print
+    # from them: no Fraction is built from an integer or "p/q" cell (the
+    # space alone holds Fraction probs and grid, and is loaded first)
+    bounds = fuzz.FuzzBounds(max_outcomes=32, max_grid_points=12,
+                             max_breaks=16)
+    inst = next(inst for inst in (
+        fuzz.random_instance(np.random.Generator(np.random.PCG64(seed)),
+                             bounds, min_outcomes=32) for seed in range(100))
+        if inst.space.n_times == 12)
+    docs = [stopping_time_to_dict(getattr(inst, key))
+            for key in ("randomized", "distribution", "mixed")]
+    reward = process_to_dict(inst.reward)
+    converted = convert.mixed_of_distribution(inst.space, inst.distribution)
+
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    loaded = [stopping_time_from_dict(doc) for doc in docs]
+    process = process_from_dict(reward)
+    texts = stopping_time_to_dict(converted), process_to_dict(process)
+    monkeypatch.undo()
+    assert built == []
+    assert loaded == [inst.randomized, inst.distribution, inst.mixed]
+    assert process == inst.reward
+    assert texts[1] == reward and stopping_time_from_dict(texts[0]) == converted

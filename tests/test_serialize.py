@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import seed_parse_fraction
+from hypothesis import example, given, settings, strategies as st
 
 from stoptime import fuzz
-from stoptime.serialize import (InputError, parse_fraction, process_from_dict,
+from stoptime.serialize import (InputError, format_ratio, parse_fraction,
+                                parse_ratio, process_from_dict,
                                 process_to_dict, space_from_dict,
                                 space_to_dict, stopping_time_from_dict,
                                 stopping_time_to_dict)
@@ -28,6 +31,51 @@ def test_parse_fraction_rejects_exponents():
         with pytest.raises(InputError):
             parse_fraction(text)
     assert parse_fraction("0.25") == F(1, 4)
+
+
+def _parsed(parse, cell):
+    """parse(cell), or the text of the InputError it raises."""
+    try:
+        return parse(cell)
+    except InputError as e:
+        return f"InputError: {e}"
+
+
+CELL_TEXTS = st.one_of(
+    st.from_regex(r"\s?[-+]?[0-9_]{0,4}(\.[0-9]{0,3})?([eE][-+]?[0-9])?"
+                  r"(/[-+]?[0-9_]{0,3})?\s?", fullmatch=True),
+    st.text(alphabet="0123456789-+/._ eE\u0661\u0662\uff11", max_size=8),
+    st.sampled_from(["1.", ".5", "0.25", "1/0", "1/00", "-0", "+3", "07",
+                     " 1/2 ", "1_000", "1/-2", "\u0661\u0662", "\uff11",
+                     "1e3", "1E-2", "inf", "nan", "", "/", "5" * 5000,
+                     "1/" + "5" * 5000]))
+CELLS = st.one_of(CELL_TEXTS, st.integers(), st.floats(), st.booleans(),
+                  st.none(), st.lists(st.integers(), max_size=2))
+
+
+@settings(max_examples=500)
+@given(CELLS)
+def test_parse_ratio_matches_the_fraction_parser(cell):
+    # the same value, or the same InputError text, on every JSON cell as
+    # the seed's Fraction(str(s)) parser
+    want = _parsed(seed_parse_fraction, cell)
+    got = _parsed(parse_ratio, cell)
+    assert _parsed(parse_fraction, cell) == want
+    if isinstance(want, str):
+        assert got == want
+    else:
+        p, q = got
+        assert type(p) is type(q) is int and q > 0
+        assert Fraction(p, q) == want
+
+
+@given(st.integers(), st.integers(min_value=1))
+@example(0, 5)
+@example(-3, 1)
+@example(-4, 6)
+@example(12, 4)
+def test_format_ratio_is_the_fraction_text(n, d):
+    assert format_ratio(n, d) == str(Fraction(n, d))
 
 
 def test_space_round_trip(coin_space):
