@@ -15,15 +15,16 @@ All randomness flows through a numpy Generator supplied by the caller.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from .convert import delta_of_randomized, mixed_of_randomized
-from .space import AdaptedProcess, FilteredSpace, build_space, over_common
+from .space import AdaptedProcess, FilteredSpace, build_space
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
                     RandomizedST, common_refinement)
 
@@ -122,8 +123,8 @@ def random_pure(rng: np.random.Generator, space: FilteredSpace) -> PureST:
 def random_randomized(rng: np.random.Generator, space: FilteredSpace,
                       bounds: FuzzBounds) -> RandomizedST:
     """Build paths from block-constant per-level stop fractions h: each
-    step leaves (1 - path)(1 - h) to go, carried as a reduced int pair."""
-    paths = {w: [] for w in space.outcomes}
+    step leaves (1 - path)(1 - h) to go, as a reduced int pair (a, b)."""
+    cells = {w: [] for w in space.outcomes}
     rest = {w: (1, 1) for w in space.outcomes}  # 1 - path, as (num, den)
     for j in range(space.n_times):
         last = j == space.last_index
@@ -139,8 +140,12 @@ def random_randomized(rng: np.random.Generator, space: FilteredSpace,
                 g = gcd(a, b)
                 a, b = a // g, b // g
                 rest[w] = a, b
-                paths[w].append(Fraction(b - a, b))
-    return RandomizedST({w: tuple(row) for w, row in paths.items()})
+                cells[w].append((a, b))
+    rows = {}
+    for w, row in cells.items():
+        d = lcm(*(b for _, b in row))
+        rows[w] = [(b - a) * (d // b) for a, b in row], d
+    return RandomizedST.from_rows(rows)
 
 
 def shuffle_sections(rng: np.random.Generator, space: FilteredSpace,
@@ -148,14 +153,15 @@ def shuffle_sections(rng: np.random.Generator, space: FilteredSpace,
     """Rearrange the common interval refinement of all sections with one
     shared permutation.  This preserves the stop law and joint
     measurability; skipped when it would exceed the break budget."""
-    pieces = common_refinement(mu.sections)
-    if not 2 <= len(pieces) <= max_breaks:
+    cuts, d, starts = common_refinement(mu.sections)
+    n = len(cuts) - 1
+    if not 2 <= n <= max_breaks:
         return mu
-    moved = [pieces[i] for i in rng.permutation(len(pieces))]
-    breaks = over_common(tuple(accumulate((b - a for a, b, _ in moved),
-                                          initial=0)))
-    return MixedST({w: RStepFunction(breaks, tuple(v[w] for _, _, v in moved))
-                    .canonical() for w in mu.sections})
+    perm = rng.permutation(n).tolist()
+    ends = list(accumulate(cuts[i + 1] - cuts[i] for i in perm))
+    return MixedST({w: RStepFunction.merged(ends, [
+        s.values[bisect_right(starts[w], i) - 1] for i in perm], d)
+        for w, s in mu.sections.items()})
 
 
 def random_process(rng: np.random.Generator, space: FilteredSpace,
@@ -216,7 +222,7 @@ def corrupt_mixed(space: FilteredSpace, mu: MixedST):
             if len(block) >= 2:
                 members = sorted(block)
                 w, mate = members[0], members[1]
-                if mu.sections[mate].cdf(j) > 0:
+                if mu.sections[mate].cdf_row(j + 1)[0][j] > 0:
                     bad = RStepFunction.constant(space.last_index)
                 else:
                     bad = RStepFunction.constant(0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .convert import to_distribution
@@ -86,19 +86,22 @@ def _lift(game: StoppingGame, delta: DistributionST, first: AdaptedProcess,
     space = _lifted_space(game.space, delta)
     n = space.n_times
     # before the opponent's stop s the lifted player is first, at s a tie,
-    # after s the opponent was first and the reward is frozen at s; the
-    # three base rows of w meet over d = lcm of their denominators
+    # after s the opponent was first and the reward is frozen at s; row
+    # (w, s) over the lcm d of w's base rows is divided by its entries' gcd
     scaled = {}
     rows = {}
     for w, s in space.outcomes:
         if w not in scaled:
             tables = (first.rows[w], game.z.rows[w], second.rows[w])
             d = lcm(*(k for _, k in tables))
-            scaled[w] = [[x * (d // k) for x in nums] for nums, k in tables], d
-        (f, t, g), d = scaled[w]
-        rows[(w, s)] = f[:s] + [t[s]] + [g[s]] * (n - s - 1), d
+            f, t, g = ([x * (d // k) for x in nums] for nums, k in tables)
+            scaled[w] = f, t, g, d, list(accumulate(f, gcd, initial=d))
+        f, t, g, d, pg = scaled[w]
+        c = gcd(pg[s], t[s], g[s] if s < n - 1 else 0)
+        rows[(w, s)] = (tuple([x // c for x in f[:s]] + [t[s] // c]
+                              + [g[s] // c] * (n - s - 1)), d // c)
     return LiftedProblem(game, space, StoppingProblem(
-        space, AdaptedProcess.from_rows(rows)))
+        space, AdaptedProcess._of_canonical(rows)))
 
 
 def lift_mixed(mu: MixedST, lifted_space: FilteredSpace) -> MixedST:
@@ -109,8 +112,8 @@ def lift_mixed(mu: MixedST, lifted_space: FilteredSpace) -> MixedST:
 def lift_randomized(rho: RandomizedST,
                     lifted_space: FilteredSpace) -> RandomizedST:
     """Paths constant in the opponent-stop coordinate."""
-    return RandomizedST.from_rows({(w, s): rho.rows[w]
-                                   for (w, s) in lifted_space.outcomes})
+    return RandomizedST._of_canonical({(w, s): rho.rows[w]
+                                       for (w, s) in lifted_space.outcomes})
 
 
 def lift_distribution(delta: DistributionST, base: FilteredSpace,
@@ -118,10 +121,10 @@ def lift_distribution(delta: DistributionST, base: FilteredSpace,
     """Reweight the conditional stop law of each base outcome by the
     lifted atom masses: the row of (w, s) is the base row (nums, d) of w
     times p(w, s) / P(w), in ints over one denominator."""
+    prob = dict(zip(base.outcomes, base.probs))
     mass = {}
     for (w, s), p in zip(lifted_space.outcomes, lifted_space.probs):
-        nums, d = delta.rows[w]
-        q = base.prob(w)
+        (nums, d), q = delta.rows[w], prob[w]
         num = p.numerator * q.denominator
         mass[(w, s)] = [num * n for n in nums], p.denominator * q.numerator * d
     return DistributionST.from_rows(mass)

@@ -75,12 +75,18 @@ class CanonicalRows:
 
     @classmethod
     def from_rows(cls, rows: Mapping):
-        table = cls.__new__(cls)
-        table.rows = {}
+        canonical = {}
         for w, (nums, d) in rows.items():
             g = gcd(d, *nums)
-            table.rows[w] = ((tuple(nums), d) if g == 1
-                             else (tuple([n // g for n in nums]), d // g))
+            canonical[w] = ((tuple(nums), d) if g == 1
+                            else (tuple([n // g for n in nums]), d // g))
+        return cls._of_canonical(canonical)
+
+    @classmethod
+    def _of_canonical(cls, rows: dict):
+        """Rows the caller holds canonical (tuples, gcd(d, *nums) == 1)."""
+        table = cls.__new__(cls)
+        table.rows = rows
         return table
 
     def fractions(self) -> dict:
@@ -269,6 +275,11 @@ def row_violations(space: FilteredSpace, table: Mapping, what: str) -> list:
     """ExtraOutcome per key that is not an outcome, then RowMissing per
     outcome without a row and RowShapeMismatch per row whose length is not
     n_times (a row without a length, such as a stop index, need only exist)."""
+    n = space.n_times
+    if table.keys() == space._order.keys() and all(
+            len(row) == n if hasattr(row, "__len__") else row is not None
+            for row in table.values()):
+        return []
     out = [Violation("ExtraOutcome",
                      f"{what}: {w!r} is not an outcome of the space")
            for w in table if w not in space._order]

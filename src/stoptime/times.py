@@ -77,8 +77,9 @@ class RStepFunction:
         if any(b <= a for a, b in zip(nums, nums[1:])):
             raise ValueError("breaks must be strictly increasing")
         g = gcd(*nums)
-        object.__setattr__(self, "break_ints",
-                           (tuple(n // g for n in nums), d // g))
+        if g != 1 or type(nums) is not tuple:
+            object.__setattr__(self, "break_ints",
+                               (tuple(n // g for n in nums), d // g))
 
     @property
     def breaks(self) -> tuple:
@@ -89,18 +90,22 @@ class RStepFunction:
     def constant(index: int) -> "RStepFunction":
         return RStepFunction(((0, 1), 1), (int(index),))
 
-    def canonical(self) -> "RStepFunction":
-        """Merge adjacent intervals carrying equal values."""
-        nums, d = self.break_ints
-        breaks = [0]
-        values = []
-        for v, b in zip(self.values, nums[1:]):
-            if values and values[-1] == v:
+    @staticmethod
+    def merged(ends, values, d: int) -> "RStepFunction":
+        """values[i] on [ends[i - 1], ends[i]) over d, equal neighbours merged."""
+        breaks, kept = [0], []
+        for v, b in zip(values, ends):
+            if kept and kept[-1] == v:
                 breaks[-1] = b
             else:
                 breaks.append(b)
-                values.append(v)
-        return RStepFunction((tuple(breaks), d), tuple(values))
+                kept.append(v)
+        return RStepFunction((tuple(breaks), d), tuple(kept))
+
+    def canonical(self) -> "RStepFunction":
+        """Merge adjacent intervals carrying equal values."""
+        nums, d = self.break_ints
+        return RStepFunction.merged(nums[1:], self.values, d)
 
     def le_runs(self, d: int, n_times: int) -> list:
         """{r : value(r) <= j} for j in range(n_times), each a sorted tuple
@@ -156,25 +161,17 @@ def per_object(table: Mapping, fn) -> dict:
     return {k: done[id(v)] for k, v in table.items()}
 
 
-def common_refinement(sections: Mapping) -> list:
-    """(a, b, {w: value}) for each interval [a, b) of the coarsest partition
-    of [0,1] refining every section's breaks, in order.  Breaks are keyed
-    as ints over their lcm denominator, each cut by its index, and each
-    section's values spread over the cut intervals they cover."""
+def common_refinement(sections: Mapping) -> tuple:
+    """(cuts, d, starts): the cuts of the coarsest partition of [0,1]
+    refining every section's breaks, sorted ints over the lcm d of the
+    breaks' denominators, and starts[w][i], the index of the cut at which
+    section w's interval i (carrying values[i]) opens."""
     d = lcm(*(s.break_ints[1] for s in sections.values()))
-    keys = [[n * (d // k) for n in nums]
-            for nums, k in (s.break_ints for s in sections.values())]
-    cuts = sorted(set(chain(*keys)))
+    keys = {w: [n * (d // k) for n in nums] for w, (nums, k)
+            in zip(sections, (s.break_ints for s in sections.values()))}
+    cuts = sorted(set(chain(*keys.values())))
     index = {k: i for i, k in enumerate(cuts)}
-    rows = []
-    for s, ks in zip(sections.values(), keys):
-        row = []
-        for k, v in zip(ks[1:], s.values):
-            row += [v] * (index[k] - len(row))
-        rows.append(row)
-    at = [Fraction(k, d) for k in cuts]
-    return [(a, b, dict(zip(sections, values)))
-            for a, b, values in zip(at, at[1:], zip(*rows))]
+    return cuts, d, {w: [index[k] for k in ks[:-1]] for w, ks in keys.items()}
 
 
 def symdiff_measure(xs, ys) -> int:
@@ -219,9 +216,9 @@ class RandomizedST(CanonicalRows):
 
     def increments(self) -> dict:
         """{w: (row, d)}: each path's increments, the jump at time 0 included,
-        as ints over the path's denominator d."""
-        return {w: ([x - prev for prev, x in zip((0,) + nums, nums)], d)
-                for w, (nums, d) in self.rows.items()}
+        as ints over the path's denominator d, once per distinct row."""
+        return per_object(self.rows, lambda row: (
+            [x - prev for prev, x in zip((0,) + row[0], row[0])], row[1]))
 
 
 class DistributionST(CanonicalRows):
@@ -268,9 +265,9 @@ def validate_mixed_sections(space: FilteredSpace, mu: MixedST) -> list:
     """Section-wise check: on every interval of the sections' common
     refinement, the values form a pure stopping time.  One sweep keeps
     count[i], the members of shared block i (space._shared_blocks, at level
-    j) with value <= j: a move of one outcome from u to v changes it only
-    at levels in [min(u, v), max(u, v)), and block i is cut on the
-    interval iff 0 < count[i] < its size."""
+    j) with value <= j: a move of one outcome from u to v, at the cut where
+    its next interval opens, changes it only at levels in [min(u, v),
+    max(u, v)), and block i is cut on the interval iff 0 < count[i] < size."""
     violations = _section_violations(space, mu)
     if violations:
         return violations
@@ -280,24 +277,27 @@ def validate_mixed_sections(space: FilteredSpace, mu: MixedST) -> list:
     for i, (j, block, _, _) in enumerate(shared):
         for w in block:
             at[w][j] = i
+    cuts, d, starts = common_refinement(mu.sections)
+    moves = [[] for _ in cuts]  # (w, u, v) per cut; u starts above every level
+    for w, s in mu.sections.items():
+        for c, u, v in zip(starts[w], (space.n_times, *s.values), s.values):
+            moves[c].append((w, u, v))
     count = [0] * len(size)  # the last slot, of size 0, takes unshared levels
     cut = set()
-    prev = [space.n_times] * len(mu.sections)  # above every level
-    for a, b, values in common_refinement(mu.sections):
+    for c in range(len(cuts) - 1):
         moved = set()
-        for w, u, v in zip(values, prev, values.values()):
-            if u != v:
-                levels = at[w][min(u, v):max(u, v)]
-                step = 1 if v < u else -1
-                for i in levels:
-                    count[i] += step
-                moved.update(levels)
+        for w, u, v in moves[c]:
+            step = 1 if v < u else -1
+            for i in at[w][min(u, v):max(u, v)]:
+                count[i] += step
+                moved.add(i)
         for i in moved:
             (cut.add if 0 < count[i] < size[i] else cut.discard)(i)
-        prev = values.values()
-        violations += [Violation("SectionNotStoppingTime", f"r in [{a},{b}): "
-                                 f"{_cut_text(*shared[i][:2])}")
-                       for i in sorted(cut)]
+        if cut:
+            on = f"r in [{Fraction(cuts[c], d)},{Fraction(cuts[c + 1], d)}): "
+            violations += [Violation("SectionNotStoppingTime",
+                                     on + _cut_text(*shared[i][:2]))
+                           for i in sorted(cut)]
     return violations
 
 

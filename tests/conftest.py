@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,7 @@ import pytest
 from stoptime import demo
 from stoptime.serialize import InputError
 from stoptime.space import Violation
-from stoptime.times import (PureST, _section_violations, common_refinement,
-                            validate_pure)
+from stoptime.times import PureST, _section_violations, validate_pure
 
 
 @pytest.fixture
@@ -99,11 +99,21 @@ def seed_parse_fraction(s) -> Fraction:
         raise InputError(f"bad rational {s!r}: {e}") from None
 
 
+def refinement_pieces(sections) -> list:
+    """(a, b, {w: value}) for each interval [a, b) of the coarsest partition
+    of [0,1] refining every section's Fraction breaks, in order; each
+    value read at the interval's left end."""
+    cuts = sorted({r for s in sections.values() for r in s.breaks})
+    return [(a, b, {w: s.values[bisect_right(s.breaks, a) - 1]
+                    for w, s in sections.items()})
+            for a, b in zip(cuts, cuts[1:])]
+
+
 def naive_validate_mixed_sections(space, mu) -> list:
     """The per-interval section-wise check the library's one sweep
     replaces: one PureST per interval of the common refinement, each run
     through validate_pure."""
     return _section_violations(space, mu) or [
         Violation("SectionNotStoppingTime", f"r in [{a},{b}): {v.detail}")
-        for a, b, values in common_refinement(mu.sections)
+        for a, b, values in refinement_pieces(mu.sections)
         for v in validate_pure(space, PureST(values))]

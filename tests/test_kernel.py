@@ -274,19 +274,22 @@ fuzzed_sections = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(shared_break_sections(), fuzzed_sections))
 def test_common_refinement_matches_linear_definition(sections):
-    pieces = common_refinement(sections)
-    # the pieces tile [0,1] in order
-    assert pieces[0][0] == 0 and pieces[-1][1] == 1
-    assert all(a < b for a, b, _ in pieces)
-    assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+    cuts, d, starts = common_refinement(sections)
+    # the cuts tile [0,1] in order
+    assert cuts[0] == 0 and cuts[-1] == d
+    assert all(a < b for a, b in zip(cuts, cuts[1:]))
     # every break is a cut and every cut is a break: the coarsest refinement
-    cuts = {a for a, _, _ in pieces} | {pieces[-1][1]}
-    assert cuts == {r for s in sections.values() for r in s.breaks}
-    for a, b, values in pieces:
-        mid = (a + b) / 2
-        assert list(values) == list(sections)
-        assert values == {w: linear_value_at(s, mid)
-                          for w, s in sections.items()}
+    at = [Fraction(k, d) for k in cuts]
+    assert set(at) == {r for s in sections.values() for r in s.breaks}
+    assert list(starts) == list(sections)
+    for w, s in sections.items():
+        assert [at[c] for c in starts[w]] == list(s.breaks[:-1])
+        # the value on each cut interval is the section's at its midpoint
+        ends = starts[w][1:] + [len(cuts) - 1]
+        spread = [v for v, a, b in zip(s.values, starts[w], ends)
+                  for _ in range(a, b)]
+        assert spread == [linear_value_at(s, (a + b) / 2)
+                          for a, b in zip(at, at[1:])]
 
 
 def midpoint_validate_mixed_sections(space, mu: MixedST) -> list:

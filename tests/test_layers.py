@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stoptime import convert, fuzz
+from stoptime import convert, experiment, fuzz, times
 from stoptime.serialize import (process_from_dict, process_to_dict,
                                 stopping_time_from_dict, stopping_time_to_dict)
 
@@ -109,3 +109,40 @@ def test_documents_load_and_print_without_a_fraction_per_cell(monkeypatch):
     assert loaded == [inst.randomized, inst.distribution, inst.mixed]
     assert process == inst.reward
     assert texts[1] == reward and stopping_time_from_dict(texts[0]) == converted
+
+
+def test_fuzz_instances_build_no_fraction_per_cell(monkeypatch):
+    # the generators, the shuffle, the corruption and the common refinement
+    # work on int rows and int cuts: a 40-instance seed-7 campaign builds
+    # no Fraction inside any of them (elsewhere it still builds results,
+    # probs and violation texts)
+    depth = [0]
+    inside = []
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        (inside if depth[0] else built).append(args)
+        return new(cls, *args, **kwargs)
+
+    def entered(fn):
+        def call(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return call
+
+    for module, name in ((fuzz, "random_randomized"),
+                         (fuzz, "shuffle_sections"), (fuzz, "corrupt_mixed"),
+                         (fuzz, "common_refinement"),
+                         (times, "common_refinement")):
+        monkeypatch.setattr(module, name, entered(getattr(module, name)))
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    config = experiment.ExperimentConfig(seed=7, n_instances=40)
+    rows = [row for i in range(config.n_instances)
+            for row in experiment.check_instance(config, i)]
+    monkeypatch.undo()
+    assert all(row.status == "pass" for row in rows)
+    assert inside == [] and built

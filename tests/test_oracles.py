@@ -8,8 +8,9 @@ import numpy as np
 from conftest import mass_of_index
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (AdaptedProcess, FilteredSpace, PureST, StoppingGame,
-                      StoppingProblem, delta_of_mixed, experiment, fuzz,
+from stoptime import (AdaptedProcess, DistributionST, FilteredSpace, PureST,
+                      StoppingGame, StoppingProblem, build_space,
+                      delta_of_mixed, experiment, fuzz,
                       game_payoff_player2_view, game_payoff_symmetric,
                       game_payoff_via_lift, lift, lift_distribution,
                       lift_mixed, lift_randomized, over_common,
@@ -19,6 +20,7 @@ from stoptime.experiment import ExperimentConfig, check_instance
 from stoptime.games import lift_player2
 
 ZERO = Fraction(0)
+F = Fraction
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 bounds = st.sampled_from([fuzz.FuzzBounds(),
                           fuzz.FuzzBounds(max_outcomes=16, max_grid_points=8,
@@ -241,6 +243,34 @@ def test_lifted_rows_match_the_fraction_slicing(seed, fuzz_bounds, wide):
         assert reward.rows == {a: over_common(row)
                                for a, row in expected.items()}
 
+
+
+def test_lifted_rows_reduce_by_the_entries_they_hold():
+    # one shared block at level 0; each outcome stops at 0 or at the
+    # horizon, so both s = 0 and s = n - 1 are lifted atoms.  Over the
+    # lcm 24, row (w1, 0) is (t0, g0, g1) = (6, 12, 12), reduced by 6;
+    # g2 = 3 would cut that gcd to 3 if it were counted in.  Row (w1, 2)
+    # is (f0, f1, t2) = (12, 12, 12), reduced by 12; t0 = 6 or g2 = 3
+    # would cut it.
+    space = build_space(("w1", "w2"), (F(1, 2), F(1, 2)), (0, 1, 2),
+                        [[{"w1", "w2"}], [{"w1"}, {"w2"}], [{"w1"}, {"w2"}]])
+    delta = DistributionST({w: (F(1, 4), 0, F(1, 4)) for w in space.outcomes})
+    tables = (
+        {"w1": (F(1, 2), F(1, 2), F(1, 3)), "w2": (F(3, 5), F(3, 5), F(1))},
+        {"w1": (F(1, 4), F(1, 2), F(1, 2)), "w2": (F(1, 7), F(1), F(1))},
+        {"w1": (F(1, 2), F(1, 2), F(1, 8)), "w2": (F(1, 5), F(2, 5), F(1, 9))},
+    )
+    x, z, y = (AdaptedProcess(t) for t in tables)
+    game = StoppingGame(space, x, y, z)
+    for lift_fn, first, second in ((lift, x, y), (lift_player2, y, x)):
+        lifted = lift_fn(game, delta)
+        assert set(lifted.space.outcomes) == {
+            (w, s) for w in space.outcomes for s in (0, 2)}
+        expected = seed_lifted_rewards(first, second, z, lifted.space)
+        assert lifted.problem.reward.rows == {
+            a: over_common(row) for a, row in expected.items()}
+    assert lift(game, delta).problem.reward.rows[("w1", 0)] == ((1, 2, 2), 4)
+    assert lift(game, delta).problem.reward.rows[("w1", 2)] == ((1, 1, 1), 2)
 
 def test_payoff_invariance_fails_on_planted_defect(monkeypatch):
     config = ExperimentConfig(seed=5)

@@ -23,9 +23,9 @@ def test_pure_embedding_is_deterministic_given_outcome(coin_space):
 
 def test_mixed_section_value_below_break(coin_space, coin_mixed):
     # r = 0.3 lies in the first interval, so the stop index is 0
-    a, b, values = common_refinement(coin_mixed.sections)[0]
-    assert a <= F(3, 10) < b
-    assert values["w1"] == 0
+    cuts, d, starts = common_refinement(coin_mixed.sections)
+    assert F(cuts[0], d) <= F(3, 10) < F(cuts[1], d)
+    assert starts["w1"][0] == 0 and coin_mixed.sections["w1"].values[0] == 0
 
 
 def test_three_samplers_hit_the_same_law(coin_space, coin_mixed,

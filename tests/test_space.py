@@ -4,8 +4,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (AdaptedProcess, DistributionST, SpaceError, build_space,
-                      check_space, validate_adapted)
+from stoptime import (AdaptedProcess, DistributionST, PureST, SpaceError,
+                      StoppingGame, build_space, check_space, lift,
+                      validate_adapted, validate_pure)
+from stoptime.space import Violation, row_violations
 
 F = Fraction
 
@@ -160,3 +162,50 @@ def test_validate_adapted_compares_values_over_other_denominators(
     other = AdaptedProcess({"w1": (F(1, 2), F(0)), "w2": (F(1, 3), F(1, 3))})
     assert [v.code for v in validate_adapted(coin_space_coarse, other)] == [
         "NotConstantOnBlock"]
+
+
+def walk_row_violations(space, table, what):
+    """The per-outcome walk of every key and every outcome, the reference
+    for row_violations' answer on any table."""
+    out = [Violation("ExtraOutcome",
+                     f"{what}: {w!r} is not an outcome of the space")
+           for w in table if w not in space.outcomes]
+    for w in space.outcomes:
+        row = table.get(w)
+        if row is None:
+            out.append(Violation("RowMissing", f"{what}: no row for {w!r}"))
+        elif hasattr(row, "__len__") and len(row) != space.n_times:
+            out.append(Violation(
+                "RowShapeMismatch", f"{what}: row for {w!r} has length {len(row)}"))
+    return out
+
+
+def test_row_violations_match_the_per_outcome_walk(coin_space, coin_delta):
+    game = StoppingGame(coin_space, *(AdaptedProcess.constant(coin_space, c)
+                                      for c in (1, 2, 3)))
+    lifted = lift(game, coin_delta)
+    reward = lifted.problem.reward.numerators()
+    ok = (0, 1)
+    cases = [
+        (coin_space, {"w1": ok, "w2": ok}),
+        (coin_space, {"w2": ok, "w1": ok}),
+        (coin_space, {"w1": None, "w2": ok}),
+        (coin_space, {"w1": ok, "w2": ok, "w3": ok}),
+        (coin_space, {"w1": ok, "w3": ok}),
+        (coin_space, {"w1": ok}),
+        (coin_space, {"w1": (0,), "w2": ok}),
+        (coin_space, {"w1": 0, "w2": 1}),
+        (coin_space, {"w1": 0, "w2": None}),
+        (coin_space, {}),
+        (lifted.space, reward),
+        (lifted.space, {**reward, next(iter(reward)): (1, 2, 3)}),
+        (lifted.space, dict(list(reward.items())[1:])),
+    ]
+    for space, table in cases:
+        assert (row_violations(space, table, "t")
+                == walk_row_violations(space, table, "t"))
+    assert row_violations(lifted.space, reward, "t") == []
+    assert [v.code for v in validate_pure(coin_space, PureST(
+        {"w1": None, "w2": 0}))] == ["RowMissing"]
+    assert [v.code for v in validate_pure(coin_space, PureST(
+        {"w1": None, "w2": None}))] == ["RowMissing", "RowMissing"]

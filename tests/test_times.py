@@ -31,7 +31,7 @@ def test_step_function_shape_checks():
 def test_step_function_value_and_masses():
     s = RStepFunction(over_common((F(0), H, F(1))), (0, 2))
     # [0, 1/2) carries 0, and [1/2, 1] carries 2 including the point r = 1
-    assert common_refinement({"w": s}) == [(0, H, {"w": 0}), (H, 1, {"w": 2})]
+    assert common_refinement({"w": s}) == ([0, 1, 2], 2, {"w": [0, 1]})
     assert mass_of_index(s, 0) == H
     assert mass_of_index(s, 1) == 0
     assert s.cdf(1) == H
@@ -105,6 +105,17 @@ def test_canonical_reduces_break_ints():
     s = RStepFunction(((0, 1, 2, 4), 4), (1, 1, 0))
     assert s.canonical().break_ints == ((0, 1, 2), 2)
     assert s.canonical() == RStepFunction(((0, 2, 4), 4), (1, 0))
+    merged = RStepFunction.merged((1, 2, 4), (1, 1, 0), 4)
+    assert merged == s.canonical() and merged.break_ints == ((0, 1, 2), 2)
+
+
+def test_break_ints_are_held_as_reduced_tuples():
+    reduced = (0, 1, 3)
+    assert RStepFunction((reduced, 3), (0, 1)).break_ints[0] is reduced
+    for nums, d in (([0, 1, 3], 3), ([0, 2, 6], 6), ((0, 2, 6), 6)):
+        s = RStepFunction((nums, d), (0, 1))
+        assert s.break_ints == ((0, 1, 3), 3)
+        assert type(s.break_ints[0]) is tuple
 
 
 # ---------------------------------------------------------------------------
