@@ -227,8 +227,8 @@ def _game_checks(name: str, inst: fuzz.Instance,
 
     # zero-sum sanity: negating all payoff tables negates the value
     neg = games.StoppingGame(space, *(
-        games.AdaptedProcess.from_rows({w: ([-n for n in nums], d)
-                                        for w, (nums, d) in p.rows.items()})
+        games.AdaptedProcess._of_canonical({
+            w: (tuple([-n for n in nums]), d) for w, (nums, d) in p.rows.items()})
         for p in (inst.x, inst.y, inst.z)))
     neg_val = games.game_payoff_symmetric(neg, inst.mixed, inst.mixed2)
     _row(results, name, "zero_sum_negation", neg_val == -symmetric,

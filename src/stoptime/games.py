@@ -6,10 +6,10 @@ single-agent stopping problem on a lifted space whose outcomes are
 Player 1 stops strictly first, Y when Player 2 stops strictly first, and
 Z on a tie, always evaluated at the time of the first stopper.
 
-The lifted space is built by build_space from the positive-mass atoms
-only: an atom of zero mass carries no payoff mass and is not recorded.
-Its level-j partition pulls the base partition back: a base block
-becomes the lifted atoms of its outcomes.
+The lifted space keeps only the positive-mass atoms (an atom of zero mass
+carries no payoff mass) and pulls each base block back to the atoms of its
+outcomes.  Base and opponent mass are validated first, so it is valid by
+construction and built by space._pull_back without a second check.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .convert import to_distribution
-from .space import AdaptedProcess, FilteredSpace, build_space, require_rows
+from .space import AdaptedProcess, FilteredSpace, _pull_back, require_rows
 from .times import (DistributionST, MixedST, RandomizedST, add_term,
                     fraction_sum, int_dot, validate_distribution)
 from .problems import StoppingProblem, payoff_distribution
@@ -49,18 +49,14 @@ class LiftedProblem:
 
 
 def _lifted_space(base: FilteredSpace, delta: DistributionST) -> FilteredSpace:
-    """Outcomes (w, s) with delta(w, s) > 0 (delta is validated, so a
-    nonzero entry is positive); every base outcome has one, since its row
-    sums to P(w) > 0, so no lifted block is empty."""
+    """Outcomes (w, s) with delta(w, s) > 0, pulled back from base without a
+    second check: delta is validated, so a nonzero entry is positive and
+    each row, summing to P(w) > 0, keeps at least one atom."""
     rows = delta.rows
     atoms = {w: [(w, s) for s, n in enumerate(rows[w][0]) if n]
              for w in base.outcomes}
-    outcomes = [a for w in base.outcomes for a in atoms[w]]
-    return build_space(
-        outcomes, [Fraction(rows[w][0][s], rows[w][1]) for w, s in outcomes],
-        base.grid,
-        [[[a for w in block for a in atoms[w]] for block in part]
-         for part in base.partitions])
+    return _pull_back(base, atoms, [Fraction(rows[w][0][s], rows[w][1])
+                                    for w in base.outcomes for _, s in atoms[w]])
 
 
 def lift(game: StoppingGame, delta2: DistributionST) -> LiftedProblem:
@@ -119,15 +115,18 @@ def lift_randomized(rho: RandomizedST,
 def lift_distribution(delta: DistributionST, base: FilteredSpace,
                       lifted_space: FilteredSpace) -> DistributionST:
     """Reweight the conditional stop law of each base outcome by the
-    lifted atom masses: the row of (w, s) is the base row (nums, d) of w
-    times p(w, s) / P(w), in ints over one denominator."""
+    lifted atom masses: the row of (w, s), the base row (nums, d) of w
+    times p(w, s) / P(w), is (k * nums, m) in ints; its gcd is gcd(k * g, m)
+    with g = gcd(*nums) kept per base outcome, so it is built canonical."""
     prob = dict(zip(base.outcomes, base.probs))
-    mass = {}
+    g = {w: gcd(*delta.rows[w][0]) for w in base.outcomes}
+    rows = {}
     for (w, s), p in zip(lifted_space.outcomes, lifted_space.probs):
         (nums, d), q = delta.rows[w], prob[w]
-        num = p.numerator * q.denominator
-        mass[(w, s)] = [num * n for n in nums], p.denominator * q.numerator * d
-    return DistributionST.from_rows(mass)
+        k, m = p.numerator * q.denominator, p.denominator * q.numerator * d
+        c = gcd(k * g[w], m)
+        rows[(w, s)] = tuple([k * n // c for n in nums]), m // c
+    return DistributionST._of_canonical(rows)
 
 
 def game_payoff_via_lift(game: StoppingGame, tau1,

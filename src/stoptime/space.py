@@ -244,6 +244,19 @@ def build_space(outcomes, probs, grid, partitions) -> FilteredSpace:
     )
 
 
+def _pull_back(base: FilteredSpace, atoms: Mapping, probs) -> FilteredSpace:
+    """The space of the atoms[w] over each outcome w of the valid base, in
+    base order with probs in that order, each base block becoming its
+    outcomes' atoms.  For a lift only, as check_space is not run: the atoms
+    are distinct, each atoms[w] nonempty with positive Fraction probs that
+    sum to P(w), so the blocks partition, refine and keep canonical order."""
+    return FilteredSpace(
+        outcomes=tuple(a for w in base.outcomes for a in atoms[w]),
+        probs=tuple(probs), grid=base.grid,
+        partitions=tuple(tuple(frozenset(a for w in block for a in atoms[w])
+                               for block in part) for part in base.partitions))
+
+
 class AdaptedProcess(CanonicalRows):
     """A table of exact values over outcomes x grid, as canonical int rows.
 

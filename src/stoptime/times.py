@@ -141,7 +141,14 @@ class RStepFunction:
     def mass_numerators(self, n_times: int) -> tuple:
         """(below, row, d) in ints: the interval lengths over the breaks'
         common denominator d, summed per grid index into row, so row[j] / d
-        is lambda{r : value(r) == j}, and over values < 0 into below."""
+        is lambda{r : value(r) == j}, and over values < 0 into below.  Kept
+        per n_times on the immutable section: callers must not change row."""
+        memo = self.__dict__.setdefault("_masses", {})
+        if n_times not in memo:
+            memo[n_times] = self._count_masses(n_times)
+        return memo[n_times]
+
+    def _count_masses(self, n_times: int) -> tuple:
         nums, d = self.break_ints
         below = 0
         row = [0] * n_times

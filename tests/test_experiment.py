@@ -365,6 +365,31 @@ def test_game_checks_lift_twice_per_sound_instance(monkeypatch):
     assert len(lifted) == 2
 
 
+def test_negated_game_tables_equal_from_rows(monkeypatch):
+    # zero_sum_negation negates canonical rows, which stay canonical, and
+    # keeps them without a gcd: each table equals from_rows of its rows
+    built = []
+
+    class Recorded(games.StoppingGame):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    monkeypatch.setattr(games, "StoppingGame", Recorded)
+    config = ExperimentConfig(seed=7)
+    for index in range(5):
+        assert _status(check_instance(config, index),
+                       "zero_sum_negation") == "pass"
+    monkeypatch.undo()
+    assert len(built) == 10  # the game, then its negation, per instance
+    for game, neg in zip(built[::2], built[1::2]):
+        for table, negated in ((game.x, neg.x), (game.y, neg.y),
+                               (game.z, neg.z)):
+            assert negated == AdaptedProcess.from_rows(
+                {w: ([-n for n in nums], d)
+                 for w, (nums, d) in table.rows.items()})
+
+
 def test_game_strategy_equivalence_fails_on_a_planted_distribution(
         monkeypatch):
     # when inst.distribution differs from delta1 it is lifted and priced on

@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stoptime import (AdaptedProcess, DistributionST, PureST, StoppingGame,
-                      delta_of_mixed, equivalent, game_payoff_player2_view,
-                      game_payoff_symmetric, game_payoff_via_lift, lift,
-                      lift_mixed, lift_randomized)
-from stoptime import fuzz
+                      build_space, delta_of_mixed, equivalent,
+                      game_payoff_player2_view, game_payoff_symmetric,
+                      game_payoff_via_lift, lift, lift_mixed, lift_randomized)
+from stoptime import fuzz, games
+from stoptime import space as space_module
+from stoptime.games import lift_player2
+from stoptime.space import check_space
 
 F = Fraction
 H = F(1, 2)
@@ -114,6 +118,42 @@ def test_lift_rejects_invalid_opponent(coin_game):
     bad = DistributionST({"w1": (F(1), F(0)), "w2": (F(0), F(0))})
     with pytest.raises(ValueError):
         lift(coin_game, bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63 - 1),
+       st.sampled_from([fuzz.FuzzBounds(),
+                        fuzz.FuzzBounds(max_outcomes=16, max_grid_points=8,
+                                        max_breaks=16, max_denominator=97)]))
+def test_lifted_space_is_what_build_space_makes_of_it(seed, bounds):
+    # the lift pulls the space back without check_space: rebuilt from its
+    # own fields it comes back unchanged (blocks in canonical order), and
+    # check_space finds nothing to report
+    inst = fuzz.random_instance(np.random.Generator(np.random.PCG64(seed)),
+                                bounds)
+    game = StoppingGame(inst.space, inst.x, inst.y, inst.z)
+    for lift_fn, mu in ((lift, inst.mixed2), (lift_player2, inst.mixed)):
+        lifted = lift_fn(game, delta_of_mixed(inst.space, mu)).space
+        fields = (lifted.outcomes, lifted.probs, lifted.grid,
+                  lifted.partitions)
+        assert check_space(*fields) == []
+        assert build_space(*fields) == lifted
+
+
+def test_lift_neither_checks_nor_builds_a_space(monkeypatch, coin_game,
+                                                coin_delta):
+    def refuse(*args):
+        raise AssertionError("the lifted space was checked again")
+
+    for module in (space_module, games):
+        for name in ("check_space", "build_space"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    lifted = (lift(coin_game, coin_delta), lift_player2(coin_game, coin_delta))
+    monkeypatch.undo()
+    for problem in lifted:
+        assert len(problem.space.outcomes) == 4
+        assert check_space(problem.space.outcomes, problem.space.probs,
+                           problem.space.grid, problem.space.partitions) == []
 
 
 def test_zero_sum_negation_fuzzed():

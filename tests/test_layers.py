@@ -2,9 +2,10 @@
 benchmarks/spans.py::LAYERS; each name must resolve in its module, so a
 rename or deletion fails here instead of breaking the traced run.
 
-The filtration is read in one place: spaces are made by build_space and
-level partitions are indexed only in space.py (and by the fuzz
-generators), so a bypass of either fails here too.  Library callers of
+The filtration is read in one place: spaces are made by build_space (a
+lifted space is pulled back from a valid one, in space.py too) and level
+partitions are indexed only in space.py (and by the fuzz generators), so
+a bypass of either fails here too.  Library callers of
 the sampler tally draws as counts, never as one record per draw."""
 
 import importlib
@@ -52,6 +53,14 @@ def _uses(pattern: str, allowed: set) -> list:
 
 def test_spaces_are_built_by_build_space():
     assert _uses(r"\bFilteredSpace\s*\(", {"space.py"}) == []
+
+
+def test_build_space_called_only_where_spaces_enter():
+    # spaces from documents, the fuzz generators and the demo are checked
+    # by build_space; the lift pulls its space back from a valid one and
+    # must not route it through check_space again
+    assert _uses(r"\bbuild_space\s*\(",
+                 {"space.py", "fuzz.py", "serialize.py", "demo.py"}) == []
 
 
 def test_partitions_indexed_only_in_space_and_fuzz():

@@ -108,6 +108,12 @@ def seed_lifted_space(base, delta):
                          grid=base.grid, partitions=partitions)
 
 
+def oracle_lift_distribution(delta, base, lifted_space):
+    """Each base row of delta reweighted by p(w, s) / P(w), in Fractions."""
+    return {(w, s): tuple(x * p / base.prob(w) for x in delta.mass[w])
+            for (w, s), p in zip(lifted_space.outcomes, lifted_space.probs)}
+
+
 def make_instance(seed, fuzz_bounds):
     rng = np.random.Generator(np.random.PCG64(seed))
     return fuzz.random_instance(rng, fuzz_bounds)
@@ -147,6 +153,31 @@ def test_lifted_payoffs_match_fraction_oracles(seed, fuzz_bounds):
         lifted.problem, pure, lift_mixed(inst.mixed, lifted.space),
         lift_randomized(inst.randomized, lifted.space),
         lift_distribution(inst.distribution, inst.space, lifted.space))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, bounds)
+def test_lift_distribution_matches_fraction_oracle(seed, fuzz_bounds):
+    # each player's mass on the space lifted by the other's, and on its own
+    # lift; a copy with one row zeroed and one negated takes the gcd's
+    # edge cases (a row of zeros, negative entries)
+    inst = make_instance(seed, fuzz_bounds)
+    space = inst.space
+    game = StoppingGame(space, inst.x, inst.y, inst.z)
+    delta1 = delta_of_mixed(space, inst.mixed)
+    delta2 = delta_of_mixed(space, inst.mixed2)
+    first, last = space.outcomes[0], space.outcomes[-1]
+    skewed = DistributionST({**inst.distribution.mass,
+                             first: (ZERO,) * space.n_times,
+                             last: tuple(-x for x in delta1.mass[last])})
+    for lift_fn, opponent, own in ((lift, delta2, delta1),
+                                   (lift_player2, delta1, delta2)):
+        lifted = lift_fn(game, opponent).space
+        for delta in (own, opponent, inst.distribution, skewed):
+            expected = oracle_lift_distribution(delta, space, lifted)
+            reweighted = lift_distribution(delta, space, lifted)
+            assert reweighted.mass == expected
+            assert reweighted == DistributionST(expected)
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,6 +10,7 @@ from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
                       validate_distribution, validate_mixed,
                       validate_mixed_product, validate_mixed_sections,
                       validate_pure, validate_randomized)
+from stoptime import experiment
 
 F = Fraction
 H = F(1, 2)
@@ -46,6 +47,33 @@ def test_step_function_rows_in_one_pass():
     assert s.cdf_row(3) == ((3, 3, 4), 4)
     assert tuple(s.cdf(j) for j in range(3)) == (F(3, 4), F(3, 4), F(1))
     assert s.mass_numerators(2) == (1, [2, 0], 4)
+
+
+def test_mass_numerators_computed_once_per_section_and_grid(monkeypatch):
+    # a campaign reads each section's masses in delta_of_mixed, twice in
+    # the symmetric game value and again in cdf_rows; the section keeps
+    # them, so each (section, n_times) pair is counted once
+    computed = []  # the sections are held, so no id is reused
+    reads = []
+    count, read = RStepFunction._count_masses, RStepFunction.mass_numerators
+
+    def counted(self, n_times):
+        computed.append((self, n_times))
+        return count(self, n_times)
+
+    def counted_read(self, n_times):
+        reads.append(n_times)
+        return read(self, n_times)
+
+    monkeypatch.setattr(RStepFunction, "_count_masses", counted)
+    monkeypatch.setattr(RStepFunction, "mass_numerators", counted_read)
+    config = experiment.ExperimentConfig(seed=7, n_instances=40)
+    rows = [row for i in range(config.n_instances)
+            for row in experiment.check_instance(config, i)]
+    monkeypatch.undo()
+    assert all(row.status == "pass" for row in rows)
+    assert len({(id(s), n) for s, n in computed}) == len(computed)
+    assert len(reads) > 2 * len(computed)
 
 
 def test_mixed_rows_shared_sections():
