@@ -8,8 +8,8 @@ harness.
 """
 
 from .space import (AdaptedProcess, FilteredSpace, IncompatibleSpaces,
-                    SpaceError, SubMeasure, Violation, build_space,
-                    check_space, validate_adapted)
+                    SpaceError, Violation, build_space, check_space,
+                    validate_adapted)
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
                     RandomizedST, common_refinement, embed_pure,
                     over_common, rn_derivative, sub_measure,

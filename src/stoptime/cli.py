@@ -142,19 +142,14 @@ def cmd_game(args) -> int:
         process_from_dict(load_json(args.z)))
     tau1 = _load_valid_stop(args.p1, space)
     tau2 = _load_valid_stop(args.p2, space)
-    delta1 = convert.to_distribution(space, tau1)
-    delta2 = convert.to_distribution(space, tau2)
-    routes = {
-        "lift": lambda: games.game_payoff_via_lift(game, delta1, delta2),
-        "symmetric": lambda: games.game_payoff_symmetric(
-            game, convert.mixed_of_distribution(space, delta1),
-            convert.mixed_of_distribution(space, delta2)),
-        "p2view": lambda: games.game_payoff_player2_view(game, delta1, delta2),
-    }
+    routes = {"lift": games.game_payoff_via_lift,
+              "symmetric": games.game_payoff_symmetric,
+              "p2view": games.game_payoff_player2_view}
     if args.route != "both":
-        print(_exact(routes[args.route]()))
+        print(_exact(routes[args.route](game, tau1, tau2)))
         return EXIT_OK
-    via_lift, symmetric = routes["lift"](), routes["symmetric"]()
+    via_lift = games.game_payoff_via_lift(game, tau1, tau2)
+    symmetric = games.game_payoff_symmetric(game, tau1, tau2)
     print(f"lift:      {_exact(via_lift)}")
     print(f"symmetric: {_exact(symmetric)}")
     if via_lift != symmetric:

@@ -198,7 +198,7 @@ def _game_checks(name: str, inst: fuzz.Instance,
 
     # both evaluation routes and both perspectives give one value
     via_lift = games.payoff_on_lift(lifted, delta1)
-    symmetric = games.game_payoff_symmetric(game, inst.mixed, inst.mixed2)
+    symmetric = games.game_payoff_symmetric(game, delta1, delta2)
     p2view = games.game_payoff_player2_view(game, delta1, delta2)
     _row(results, name, "game_routes_agree",
          via_lift == symmetric == p2view,
@@ -230,7 +230,7 @@ def _game_checks(name: str, inst: fuzz.Instance,
         games.AdaptedProcess._of_canonical({
             w: (tuple([-n for n in nums]), d) for w, (nums, d) in p.rows.items()})
         for p in (inst.x, inst.y, inst.z)))
-    neg_val = games.game_payoff_symmetric(neg, inst.mixed, inst.mixed2)
+    neg_val = games.game_payoff_symmetric(neg, delta1, delta2)
     _row(results, name, "zero_sum_negation", neg_val == -symmetric,
          f"negated={neg_val} original={symmetric}")
     return results

@@ -129,16 +129,17 @@ def lift_distribution(delta: DistributionST, base: FilteredSpace,
     return DistributionST._of_canonical(rows)
 
 
-def game_payoff_via_lift(game: StoppingGame, tau1,
-                         delta2: DistributionST) -> Fraction:
-    """Player 1's payoff against Player 2's stop mass delta2."""
-    return payoff_on_lift(lift(game, delta2), tau1)
+def game_payoff_via_lift(game: StoppingGame, tau1, tau2) -> Fraction:
+    """Player 1's payoff, priced on the problem Player 1 faces when Player 2
+    stops per the joint mass of tau2; both times of any kind."""
+    return payoff_on_lift(lift(game, to_distribution(game.space, tau2)), tau1)
 
 
-def game_payoff_player2_view(game: StoppingGame, delta1: DistributionST,
-                             tau2) -> Fraction:
-    """Same payoff computed from Player 2's perspective."""
-    return payoff_on_lift(lift_player2(game, delta1), tau2)
+def game_payoff_player2_view(game: StoppingGame, tau1, tau2) -> Fraction:
+    """The same payoff, priced on the problem Player 2 faces when Player 1
+    stops per the joint mass of tau1; both times of any kind."""
+    return payoff_on_lift(lift_player2(game, to_distribution(game.space, tau1)),
+                          tau2)
 
 
 def payoff_on_lift(lifted: LiftedProblem, tau) -> Fraction:
@@ -149,32 +150,32 @@ def payoff_on_lift(lifted: LiftedProblem, tau) -> Fraction:
         to_distribution(base, tau), base, lifted.space))
 
 
-def game_payoff_symmetric(game: StoppingGame, mu1: MixedST,
-                          mu2: MixedST) -> Fraction:
-    """Direct triple expectation over (outcome, r1, r2) for two mixed times.
+def game_payoff_symmetric(game: StoppingGame, tau1, tau2) -> Fraction:
+    """Direct triple expectation over (outcome, index1, index2) from the two
+    joint masses, so both times may be of any kind.
 
-    Per outcome the section masses are the integers n1, n2 of
-    mass_numerators over denominators d1, d2.  The index pair (j1, j2)
-    weighs n1[j1] * n2[j2] / (d1 * d2) and pays X(j1) if j1 < j2, Y(j2) if
-    j1 > j2 and Z(j1) on a tie, so each reward entry collects one integer
-    weight built from running sums of n1 and n2, and each table's weights
-    meet its int row over that row's own denominator.
+    Per outcome the joint-mass rows are the ints n1, n2 over d1, d2.  The
+    index pair (j1, j2) weighs n1[j1] * n2[j2] / (d1 * d2 * P(w)) and pays
+    X(j1) if j1 < j2, Y(j2) if j1 > j2 and Z(j1) on a tie, so each reward
+    entry collects one integer weight built from running sums of n1 and n2,
+    and each table's weights meet its int row over that row's own
+    denominator.
     """
     space = game.space
-    rows1 = mu1.mass_numerators(space.n_times)
-    rows2 = mu2.mass_numerators(space.n_times)
+    rows1 = to_distribution(space, tau1).rows
+    rows2 = to_distribution(space, tau2).rows
     x, y, z = game.x.rows, game.y.rows, game.z.rows
     by_den = {}
     for w, p in zip(space.outcomes, space.probs):
-        _, n1, d1 = rows1[w]
-        _, n2, d2 = rows2[w]
+        n1, d1 = rows1[w]
+        n2, d2 = rows2[w]
         after2 = _mass_after(n2)  # Player 2 stops strictly later than j
         after1 = _mass_after(n1)  # Player 1 stops strictly later than j
-        k = p.denominator * d1 * d2
+        k = p.numerator * d1 * d2
         for weights, (r, d_r) in ((list(map(mul, n1, after2)), x[w]),
                                   (list(map(mul, n2, after1)), y[w]),
                                   (list(map(mul, n1, n2)), z[w])):
-            add_term(by_den, k * d_r, p.numerator * int_dot(weights, r))
+            add_term(by_den, k * d_r, p.denominator * int_dot(weights, r))
     return fraction_sum(by_den)
 
 

@@ -49,10 +49,6 @@ def parse_fraction(s) -> Fraction:
     return Fraction(*parse_ratio(s))
 
 
-def format_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 def format_ratio(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d > 0, without building the Fraction."""
     g = gcd(n, d)
@@ -106,9 +102,9 @@ def _label(w) -> str:
 
 def space_to_dict(space: FilteredSpace) -> dict:
     return {
-        "grid": [format_fraction(t) for t in space.grid],
+        "grid": [str(t) for t in space.grid],
         "outcomes": list(space.outcomes),
-        "probs": [format_fraction(p) for p in space.probs],
+        "probs": [str(p) for p in space.probs],
         "partitions": [[sorted(block, key=space.outcomes.index)
                         for block in part] for part in space.partitions],
     }

@@ -332,14 +332,3 @@ def validate_adapted(space: FilteredSpace, process: AdaptedProcess) -> list:
         Violation("NotConstantOnBlock",
                   f"level {j}, block {sorted(map(str, block))}: values differ")
         for j, block, _, _ in unadapted_blocks(space, process.same)]
-
-
-@dataclass(frozen=True)
-class SubMeasure:
-    """A nonnegative mass per atom, dominated by P."""
-
-    mass: Mapping
-
-    def total(self) -> Fraction:
-        return sum(self.mass.values(), Fraction(0))
-

@@ -22,8 +22,8 @@ from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import mul
 
-from .space import (CanonicalRows, FilteredSpace, SubMeasure, Violation,
-                    over_common, row_violations, unadapted_blocks)
+from .space import (CanonicalRows, FilteredSpace, Violation, over_common,
+                    row_violations, unadapted_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -421,17 +421,18 @@ def density_terms(space: FilteredSpace, delta: DistributionST) -> dict:
 
 
 def sub_measure(space: FilteredSpace, delta: DistributionST,
-                grid_index: int) -> SubMeasure:
-    """The measure A |-> delta(A x [0, t_j]) restricted to atoms."""
+                grid_index: int) -> dict:
+    """The measure A |-> delta(A x [0, t_j]) restricted to atoms, as the
+    mass {w: Fraction} of each atom."""
     if not 0 <= grid_index < space.n_times:
         raise IndexError(f"grid index {grid_index} out of range")
     rows = delta.rows
-    return SubMeasure({w: Fraction(sum(rows[w][0][: grid_index + 1]),
-                                   rows[w][1]) for w in space.outcomes})
+    return {w: Fraction(sum(rows[w][0][: grid_index + 1]), rows[w][1])
+            for w in space.outcomes}
 
 
 def rn_derivative(space: FilteredSpace, delta: DistributionST,
                   grid_index: int) -> dict:
     """Density of delta(. x [0, t_j]) with respect to P, atom by atom."""
     sub = sub_measure(space, delta, grid_index)
-    return {w: sub.mass[w] / space.prob(w) for w in space.outcomes}
+    return {w: sub[w] / space.prob(w) for w in space.outcomes}

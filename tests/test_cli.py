@@ -18,6 +18,7 @@ from stoptime.cli import main
 from stoptime.experiment import ExperimentConfig, ExperimentReport
 from stoptime.serialize import (dump_json, process_to_dict, space_to_dict,
                                 stopping_time_to_dict)
+from stoptime.times import PureST, embed_pure
 
 
 @pytest.fixture
@@ -163,6 +164,41 @@ def test_game_beyond_float_range_prints_inf(files, tmp_path, capsys):
     assert out.splitlines() == [f"lift:      {HUGE} (inf)",
                                 f"symmetric: {HUGE} (inf)"]
     assert err == ""
+
+
+def test_game_prints_the_same_for_every_kind_of_one_law(files, tmp_path,
+                                                         capsys):
+    # the uniform law as mixed, randomized and distribution documents, and
+    # a point law as pure and mixed ones: every route prints for each kind
+    # what it prints for the law's mixed document
+    point = PureST({"w1": 0, "w2": 1})
+    for name, eta in (("pure", point), ("point", embed_pure(point))):
+        dump_json(stopping_time_to_dict(eta), tmp_path / f"{name}.json")
+    laws = {files["mixed"]: (files["randomized"], files["delta"]),
+            str(tmp_path / "point.json"): (str(tmp_path / "pure.json"),)}
+    tables = {}
+    for name, values in (("x", ["1", "2"]), ("y", ["5", "-3"]),
+                         ("z", ["7/2", "11"])):
+        tables[name] = tmp_path / f"{name}.json"
+        dump_json({"values": {"w1": values, "w2": values[::-1]}},
+                  tables[name])
+
+    def out(route, p1, p2):
+        assert main(["game", "--space", files["space"], "--x",
+                     str(tables["x"]), "--y", str(tables["y"]), "--z",
+                     str(tables["z"]), "--p1", p1, "--p2", p2,
+                     "--route", route]) == 0
+        return capsys.readouterr().out
+
+    for mixed1, others1 in laws.items():
+        for mixed2, others2 in laws.items():
+            value = out("lift", mixed1, mixed2)
+            expected = {"lift": value, "symmetric": value, "p2view": value,
+                        "both": f"lift:      {value}symmetric: {value}"}
+            for route, text in expected.items():
+                for p1 in (mixed1, *others1):
+                    for p2 in (mixed2, *others2):
+                        assert out(route, p1, p2) == text, (route, p1, p2)
 
 
 def test_game_p2view(files, capsys):

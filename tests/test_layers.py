@@ -63,6 +63,11 @@ def test_build_space_called_only_where_spaces_enter():
                  {"space.py", "fuzz.py", "serialize.py", "demo.py"}) == []
 
 
+def test_section_masses_read_only_where_sections_become_joint_masses():
+    # every other consumer, the game routes included, reads a joint mass
+    assert _uses(r"\bmass_numerators\b", {"times.py", "convert.py"}) == []
+
+
 def test_partitions_indexed_only_in_space_and_fuzz():
     assert _uses(r"\.partitions\s*\[", {"space.py", "fuzz.py"}) == []
 
@@ -70,8 +75,8 @@ def test_partitions_indexed_only_in_space_and_fuzz():
 def test_mass_view_read_only_where_fractions_are_the_output():
     # the library reads a joint mass and the cumulative paths as their
     # canonical int rows, sampling's floats included; the Fraction views
-    # .mass and .paths are read only where they are defined (a class's own
-    # self.mass, such as SubMeasure's, is not the view)
+    # .mass and .paths are read only where they are defined (an object's
+    # own self.mass would not be the view)
     assert _uses(r"(?<!self)\.(mass|paths)\b", {"times.py"}) == []
 
 

@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from stoptime import (AdaptedProcess, DistributionST, FilteredSpace, PureST,
                       StoppingGame, StoppingProblem, build_space,
-                      delta_of_mixed, experiment, fuzz,
+                      delta_of_mixed, embed_pure, experiment, fuzz,
                       game_payoff_player2_view, game_payoff_symmetric,
                       game_payoff_via_lift, lift, lift_distribution,
-                      lift_mixed, lift_randomized, over_common,
-                      payoff_distribution, payoff_mixed, payoff_pure,
-                      payoff_randomized, problems)
+                      lift_mixed, lift_randomized, mixed_of_distribution,
+                      over_common, payoff_distribution, payoff_mixed,
+                      payoff_pure, payoff_randomized, problems,
+                      to_distribution)
 from stoptime.experiment import ExperimentConfig, check_instance
 from stoptime.games import lift_player2
 
@@ -247,6 +248,32 @@ def test_game_routes_match_fraction_oracle(seed, fuzz_bounds, wide):
     assert game_payoff_symmetric(game, inst.mixed, inst.mixed2) == expected
     assert game_payoff_via_lift(game, inst.mixed, delta2) == expected
     assert game_payoff_player2_view(game, delta1, inst.mixed2) == expected
+
+
+def as_mixed(space, tau):
+    """A mixed time equivalent to tau, the only kind oracle_symmetric reads."""
+    if isinstance(tau, PureST):
+        return embed_pure(tau)
+    return mixed_of_distribution(space, to_distribution(space, tau))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, bounds)
+def test_game_routes_price_any_two_kinds(seed, fuzz_bounds):
+    # every route reads each player's time only through its joint mass,
+    # so any kind on either side prices like the equivalent mixed time
+    inst = make_instance(seed, fuzz_bounds)
+    space = inst.space
+    game = StoppingGame(space, inst.x, inst.y, inst.z)
+    side1 = (inst.pure, inst.mixed, inst.randomized, inst.distribution)
+    side2 = (inst.pure, inst.mixed2, inst.randomized, inst.distribution)
+    for tau1 in side1:
+        for tau2 in side2:
+            expected = oracle_symmetric(game, as_mixed(space, tau1),
+                                        as_mixed(space, tau2))
+            for route in (game_payoff_symmetric, game_payoff_via_lift,
+                          game_payoff_player2_view):
+                assert route(game, tau1, tau2) == expected, route.__name__
 
 
 def seed_lifted_rewards(first, second, tie, lifted_space):

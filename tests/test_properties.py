@@ -154,7 +154,7 @@ def test_prefix_table_matches_sub_measure(seed):
         for j in range(space.n_times):
             sub = sub_measure(space, delta, j)
             assert {w: row[j] * space.prob(w)
-                    for w, row in table.items()} == sub.mass
+                    for w, row in table.items()} == sub
 
 
 @settings(max_examples=60, deadline=None)

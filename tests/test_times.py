@@ -50,9 +50,10 @@ def test_step_function_rows_in_one_pass():
 
 
 def test_mass_numerators_computed_once_per_section_and_grid(monkeypatch):
-    # a campaign reads each section's masses in delta_of_mixed, twice in
-    # the symmetric game value and again in cdf_rows; the section keeps
-    # them, so each (section, n_times) pair is counted once
+    # a campaign reads each section's masses in delta_of_mixed and in
+    # cdf_rows, on the base space and again on the lifted one, whose
+    # sections are the base's objects; the section keeps them, so each
+    # (section, n_times) pair is counted once
     computed = []  # the sections are held, so no id is reused
     reads = []
     count, read = RStepFunction._count_masses, RStepFunction.mass_numerators
@@ -301,5 +302,5 @@ def test_rn_derivative_point_mass(coin_space):
 
 def test_sub_measure_dominated(coin_space, coin_delta):
     sub = sub_measure(coin_space, coin_delta, 0)
-    assert sub.mass == {"w1": F(1, 4), "w2": F(1, 4)}
-    assert sub.total() == H
+    assert sub == {"w1": F(1, 4), "w2": F(1, 4)}
+    assert sum(sub.values()) == H
