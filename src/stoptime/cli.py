@@ -189,7 +189,10 @@ def cmd_fuzz(args) -> int:
         max_denominator=args.max_denominator,
         tv_tolerance=args.tv_tolerance,
         jobs=args.jobs)
-    report = run_experiment(config)
+    try:
+        report = run_experiment(config)
+    except MemoryError:  # numpy draws all n_samples at once
+        raise InputError(f"--samples {args.samples}: too many draws for memory")
     csv_text = report.to_csv()
     if args.output:
         with open(args.output, "w") as f:

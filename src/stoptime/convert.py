@@ -1,11 +1,11 @@
 """Constructive conversions between stopping-time kinds, and equivalence.
 
 Two random stopping times are equivalent when they induce the same joint
-mass on outcomes x grid times.  Every kind is normalized to a
-DistributionST by to_distribution, the one place that maps a kind to its
-table, and equivalence compares those masses.  The mixed<->randomized
-cumulative criterion (cdf rows against paths) is not run here; the fuzz
-campaign checks it against the joint-mass route.
+mass on outcomes x grid times.  to_distribution, the one place that maps a
+kind to its table, normalizes every kind to that DistributionST: mixed and
+randomized times through one P(w)-weighting, _weighted.  Equivalence
+compares the masses.  cdf_of_mixed reads cdf_row; the cumulative criterion
+(cdf rows against paths) is not run here but in the fuzz campaign.
 """
 
 from __future__ import annotations
@@ -17,26 +17,25 @@ from .times import (DistributionST, MixedST, PureST, RStepFunction,
                     RandomizedST, density_terms, embed_pure)
 
 
-def delta_of_mixed(space: FilteredSpace, mu: MixedST) -> DistributionST:
-    """Push the product of P and Lebesgue measure forward through mu."""
-    rows = mu.mass_numerators(space.n_times)
+def _weighted(space: FilteredSpace, rows: dict) -> DistributionST:
+    """The joint mass P(w) * rows[w] from per-outcome int rows (row, d)."""
     mass = {}
     for w, p in zip(space.outcomes, space.probs):
-        _, row, d = rows[w]
+        row, d = rows[w]
         num = p.numerator
-        mass[w] = [num * n for n in row], p.denominator * d
+        mass[w] = [num * x for x in row], p.denominator * d
     return DistributionST.from_rows(mass)
+
+
+def delta_of_mixed(space: FilteredSpace, mu: MixedST) -> DistributionST:
+    """Push the product of P and Lebesgue measure forward through mu."""
+    return _weighted(space, {w: (row, d) for w, (_, row, d)
+                             in mu.mass_numerators(space.n_times).items()})
 
 
 def delta_of_randomized(space: FilteredSpace, rho: RandomizedST) -> DistributionST:
     """Joint mass from a cumulative path; the jump at time 0 is included."""
-    increments = rho.increments()
-    mass = {}
-    for w, p in zip(space.outcomes, space.probs):
-        row, d = increments[w]
-        num = p.numerator
-        mass[w] = [num * x for x in row], p.denominator * d
-    return DistributionST.from_rows(mass)
+    return _weighted(space, rho.increments())
 
 
 def randomized_of_distribution(space: FilteredSpace,
@@ -80,10 +79,11 @@ def mixed_of_distribution(space: FilteredSpace,
 
 def cdf_of_mixed(space: FilteredSpace, mu: MixedST, outcome,
                  grid_index: int) -> Fraction:
-    """Lebesgue mass of {r : section value <= grid_index} for one outcome."""
+    """lambda{r : section value <= grid_index} of one outcome, by cdf_row."""
     if not 0 <= grid_index < space.n_times:
         raise IndexError(f"grid index {grid_index} out of range")
-    return mu.sections[outcome].cdf(grid_index)
+    cum, d = mu.sections[outcome].cdf_row(space.n_times)
+    return Fraction(cum[grid_index], d)
 
 
 def to_distribution(space: FilteredSpace, eta) -> DistributionST:

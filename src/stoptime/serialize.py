@@ -105,7 +105,7 @@ def space_to_dict(space: FilteredSpace) -> dict:
         "grid": [str(t) for t in space.grid],
         "outcomes": list(space.outcomes),
         "probs": [str(p) for p in space.probs],
-        "partitions": [[sorted(block, key=space.outcomes.index)
+        "partitions": [[sorted(block, key=space._order.__getitem__)
                         for block in part] for part in space.partitions],
     }
 

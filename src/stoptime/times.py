@@ -126,15 +126,9 @@ class RStepFunction:
             out.append(tuple(runs))
         return out
 
-    def cdf(self, index: int) -> Fraction:
-        """Lebesgue measure of {r : value(r) <= index}."""
-        nums, d = self.break_ints
-        spans = zip(self.values, nums, nums[1:])
-        return Fraction(sum(b - a for v, a, b in spans if v <= index), d)
-
     def cdf_row(self, n_times: int) -> tuple:
-        """(cum, d) in ints: the running sums of the mass row, so cdf(j) ==
-        cum[j] / d for every grid index j."""
+        """(cum, d) in ints: the mass row's running sums from the mass below
+        the grid, cum[j] / d = lambda{r: value <= j}, as cdf_of_mixed reads."""
         below, row, d = self.mass_numerators(n_times)
         return tuple(accumulate(row, initial=below))[1:], d
 
@@ -391,7 +385,7 @@ def validate(space: FilteredSpace, eta) -> list:
     if isinstance(eta, PureST):
         return validate_pure(space, eta)
     if isinstance(eta, MixedST):
-        return validate_mixed(space, eta)
+        return validate_mixed_product(space, eta)
     if isinstance(eta, RandomizedST):
         return validate_randomized(space, eta)
     if isinstance(eta, DistributionST):

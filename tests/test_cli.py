@@ -246,6 +246,19 @@ def test_sample_beyond_memory_is_an_input_error(files, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_fuzz_samples_beyond_memory_is_an_input_error(capsys, monkeypatch):
+    # as for sample: the campaign's Monte Carlo draws are stubbed to fail
+    def out_of_memory(space, eta, rng, n):
+        raise MemoryError
+
+    monkeypatch.setattr(sampling, "sample_counts", out_of_memory)
+    assert main(["fuzz", "--instances", "1",
+                 "--samples", "100000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --samples 100000000000000:")
+    assert "Traceback" not in err
+
+
 def test_sample_seed_env_override(files, capsys, monkeypatch):
     main(["sample", "--space", files["space"], "--stop", files["delta"],
           "--n", "500", "--seed", "1"])

@@ -2,6 +2,7 @@ import types
 from fractions import Fraction
 
 import pytest
+from conftest import le_intervals
 
 from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
                       RandomizedST, build_space, cdf_of_mixed, delta_of_mixed,
@@ -116,6 +117,23 @@ def test_cdf_of_mixed_examples(coin_space, coin_mixed, coin_mixed_flipped):
     assert cdf_of_mixed(coin_space, coin_mixed, "w1", 0) == H
     assert cdf_of_mixed(coin_space, coin_mixed, "w1", 1) == 1
     assert cdf_of_mixed(coin_space, coin_mixed_flipped, "w2", 0) == H
+
+
+def test_cdf_of_mixed_off_grid_values(three_grid_space):
+    # not a valid mixed time, only sections to measure: a value below the
+    # grid counts at every index, a value at or above n_times at none
+    for values, want in (((-1, 3, 1), (F(1, 4), F(3, 4), F(3, 4))),
+                         ((4, -1, 0), (F(3, 4),) * 3)):
+        s = RStepFunction(over_common((F(0), F(1, 4), H, F(1))), values)
+        mu = MixedST({"w": s})
+        got = tuple(cdf_of_mixed(three_grid_space, mu, "w", j)
+                    for j in range(3))
+        assert got == want
+        assert got == tuple(sum(b - a for a, b in le_intervals(s, j))
+                            for j in range(3))
+        for j in (-1, 3):
+            with pytest.raises(IndexError):
+                cdf_of_mixed(three_grid_space, mu, "w", j)
 
 
 def test_equivalent_across_kinds(coin_space, coin_mixed, coin_mixed_flipped,

@@ -352,11 +352,24 @@ def test_mass_numerators_match_mass_of_index(seed, fuzz_bounds):
         below, row, d = s.mass_numerators(n)
         assert (tuple(Fraction(x, d) for x in row)
                 == tuple(mass_of_index(s, j) for j in range(n)))
-        assert Fraction(below, d) == s.cdf(-1)
+        assert Fraction(below, d) == sum(b - a for a, b in le_intervals(s, -1))
     shifted = RStepFunction(over_common((ZERO, Fraction(1, 3), Fraction(1))),
                             (-1, 1))
     assert shifted.mass_numerators(2) == (1, [0, 2], 3)
     assert shifted.cdf_row(2) == ((1, 3), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, bounds)
+def test_cdf_of_mixed_matches_le_intervals(seed, fuzz_bounds):
+    # cdf_of_mixed reads the section's cdf_row; the reference walks its breaks
+    inst, _ = make_instance(seed, fuzz_bounds)
+    space = inst.space
+    for mu in (inst.mixed, inst.mixed2):
+        for w, s in mu.sections.items():
+            for j in range(space.n_times):
+                assert (convert.cdf_of_mixed(space, mu, w, j)
+                        == sum(b - a for a, b in le_intervals(s, j)))
 
 
 @st.composite

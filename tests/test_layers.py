@@ -68,6 +68,13 @@ def test_section_masses_read_only_where_sections_become_joint_masses():
     assert _uses(r"\bmass_numerators\b", {"times.py", "convert.py"}) == []
 
 
+def test_joint_masses_built_from_int_rows_only_by_pushes_and_loads():
+    # convert weights a stop law by P(w) in one place, serialize loads a
+    # document; the lift writes canonical rows through _of_canonical
+    assert _uses(r"\bDistributionST\.from_rows\(",
+                 {"convert.py", "serialize.py"}) == []
+
+
 def test_partitions_indexed_only_in_space_and_fuzz():
     assert _uses(r"\.partitions\s*\[", {"space.py", "fuzz.py"}) == []
 

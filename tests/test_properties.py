@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
-from conftest import mass_of_index
+from conftest import le_intervals, mass_of_index
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (MixedST, cdf_of_mixed, delta_of_mixed,
@@ -139,7 +139,8 @@ def test_section_rows_match_per_index_queries(seed):
                     == [mass_of_index(section, j) for j in range(n)])
             assert cdf[w][1] == d
             assert ([Fraction(c, d) for c in cdf[w][0]]
-                    == [section.cdf(j) for j in range(n)])
+                    == [sum(b - a for a, b in le_intervals(section, j))
+                        for j in range(n)])
 
 
 @settings(max_examples=60, deadline=None)

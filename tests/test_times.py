@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import mass_of_index
+from conftest import le_intervals, mass_of_index
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
@@ -35,8 +35,8 @@ def test_step_function_value_and_masses():
     assert common_refinement({"w": s}) == ([0, 1, 2], 2, {"w": [0, 1]})
     assert mass_of_index(s, 0) == H
     assert mass_of_index(s, 1) == 0
-    assert s.cdf(1) == H
-    assert s.cdf(2) == 1
+    assert sum(b - a for a, b in le_intervals(s, 1)) == H
+    assert sum(b - a for a, b in le_intervals(s, 2)) == 1
 
 
 def test_step_function_rows_in_one_pass():
@@ -45,7 +45,8 @@ def test_step_function_rows_in_one_pass():
     assert tuple(mass_of_index(s, j) for j in range(3)) == (H, F(0), F(1, 4))
     assert s.mass_numerators(3) == (1, [2, 0, 1], 4)
     assert s.cdf_row(3) == ((3, 3, 4), 4)
-    assert tuple(s.cdf(j) for j in range(3)) == (F(3, 4), F(3, 4), F(1))
+    assert (tuple(sum(b - a for a, b in le_intervals(s, j)) for j in range(3))
+            == (F(3, 4), F(3, 4), F(1)))
     assert s.mass_numerators(2) == (1, [2, 0], 4)
 
 
