@@ -22,7 +22,7 @@ from .convert import (cdf_of_mixed, delta_of_mixed, delta_of_randomized,
                       to_distribution)
 from .problems import (StoppingProblem, payoff, payoff_distribution,
                        payoff_mixed, payoff_pure, payoff_randomized)
-from .games import (LiftedProblem, StoppingGame, game_payoff_player2_view,
+from .games import (StoppingGame, game_payoff_player2_view,
                     game_payoff_symmetric, game_payoff_via_lift, lift,
                     lift_distribution, lift_mixed, lift_randomized,
                     payoff_on_lift)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -179,20 +180,12 @@ def cmd_sample(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    config = ExperimentConfig(
-        seed=_seed(args),
-        n_instances=args.instances,
-        n_samples=args.samples,
-        max_outcomes=args.max_outcomes,
-        max_grid_points=args.max_grid_points,
-        max_breaks=args.max_breaks,
-        max_denominator=args.max_denominator,
-        tv_tolerance=args.tv_tolerance,
-        jobs=args.jobs)
+    values = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    config = ExperimentConfig(**{**values, "seed": _seed(args)})
     try:
         report = run_experiment(config)
     except MemoryError:  # numpy draws all n_samples at once
-        raise InputError(f"--samples {args.samples}: too many draws for memory")
+        raise InputError(f"--samples {args.n_samples}: too many draws for memory")
     csv_text = report.to_csv()
     if args.output:
         with open(args.output, "w") as f:
@@ -259,16 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("fuzz", help="run the fuzzed property campaign")
-    c = ExperimentConfig()  # the one source of the campaign's defaults
-    p.add_argument("--instances", type=int, default=c.n_instances)
-    p.add_argument("--seed", type=int, default=c.seed)
-    p.add_argument("--samples", type=int, default=c.n_samples)
-    p.add_argument("--max-outcomes", type=int, default=c.max_outcomes)
-    p.add_argument("--max-grid-points", type=int, default=c.max_grid_points)
-    p.add_argument("--max-breaks", type=int, default=c.max_breaks)
-    p.add_argument("--max-denominator", type=int, default=c.max_denominator)
-    p.add_argument("--tv-tolerance", type=float, default=c.tv_tolerance)
-    p.add_argument("--jobs", type=int, default=c.jobs)
+    for f in fields(ExperimentConfig):  # one option per campaign setting
+        flag = f.name.removeprefix("n_").replace("_", "-")
+        p.add_argument(f"--{flag}", dest=f.name, type=type(f.default),
+                       default=f.default)
     p.add_argument("-o", "--output", help="write the CSV report here")
     p.set_defaults(func=cmd_fuzz)
     return parser

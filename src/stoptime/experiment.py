@@ -88,9 +88,10 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
-def _row(results: list, instance: str, check: str, ok: bool, witness: str = ""):
+def _row(results: list, instance: str, check: str, ok: bool, witness):
+    """One check's row; witness() builds its failure text, only if it fails."""
     results.append(CheckRow(instance, check, "pass" if ok else "fail",
-                            "" if ok else witness))
+                            "" if ok else witness()))
 
 
 def _cdf_matches(cdf_rows: dict, ints: dict) -> bool:
@@ -115,7 +116,7 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
     kinds = ("pure", "mixed", "randomized", "distribution")
     reports = {k: validate(space, getattr(inst, k)) for k in kinds}
     bad = {k: v for k, v in reports.items() if v}
-    _row(results, name, "validators", not bad, f"invalid: {bad}")
+    _row(results, name, "validators", not bad, lambda: f"invalid: {bad}")
 
     # interval representation from a path: equivalent, matching cumulatives
     mu_from_rho = convert.mixed_of_randomized(space, inst.randomized)
@@ -123,7 +124,7 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
     cdf_ok = _cdf_matches(mu_from_rho.cdf_rows(space.n_times),
                           inst.randomized.rows)
     _row(results, name, "path_to_intervals", ok and cdf_ok,
-         f"equivalent={ok} cdf_match={cdf_ok}")
+         lambda: f"equivalent={ok} cdf_match={cdf_ok}")
 
     # joint-mass round trip and uniqueness of the path representation
     rho_back = convert.randomized_of_distribution(space, inst.distribution)
@@ -131,13 +132,13 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
     round_ok = delta_back == inst.distribution
     unique_ok = rho_back == inst.randomized
     _row(results, name, "mass_round_trip", round_ok and unique_ok,
-         f"round={round_ok} unique={unique_ok}")
+         lambda: f"round={round_ok} unique={unique_ok}")
 
     # cumulative densities of the pushed-forward mass match the sections
     delta1 = convert.delta_of_mixed(space, inst.mixed)
     dens_ok = _cdf_matches(inst.mixed.cdf_rows(space.n_times),
                            convert.randomized_of_distribution(space, delta1).rows)
-    _row(results, name, "density_vs_cdf", dens_ok, "densities differ")
+    _row(results, name, "density_vs_cdf", dens_ok, lambda: "densities differ")
 
     # one payoff per equivalence class, through all routes
     problem = problems.StoppingProblem(space, inst.reward)
@@ -152,7 +153,7 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
     emb_val = problems.payoff_mixed(problem, embedded)
     pure_ok = pure_val == emb_val
     _row(results, name, "payoff_invariance", pay_ok and pure_ok,
-         f"values={[str(v) for v in vals.values()]} "
+         lambda: f"values={[str(v) for v in vals.values()]} "
          f"pure={pure_val} embedded={emb_val}")
 
     # the two mixed validators agree, on valid times and on a mutated instance
@@ -165,8 +166,8 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
     prod = validate_mixed_product(mspace, mutated)
     agree_mut = bool(sec) == bool(prod) and bool(sec)
     _row(results, name, "mixed_validators_agree", agree_valid and agree_mut,
-         f"valid_agree={agree_valid} mutated: sections={bool(sec)} "
-         f"product={bool(prod)}")
+         lambda: f"valid_agree={agree_valid} "
+         f"mutated: sections={bool(sec)} product={bool(prod)}")
 
     results.extend(_game_checks(name, inst, delta1))
     return results
@@ -197,25 +198,25 @@ def _game_checks(name: str, inst: fuzz.Instance,
     lifted = games.lift(game, delta2)
 
     # both evaluation routes and both perspectives give one value
-    via_lift = games.payoff_on_lift(lifted, delta1)
+    via_lift = games.payoff_on_lift(space, lifted, delta1)
     symmetric = games.game_payoff_symmetric(game, delta1, delta2)
     p2view = games.game_payoff_player2_view(game, delta1, delta2)
     _row(results, name, "game_routes_agree",
          via_lift == symmetric == p2view,
-         f"lift={via_lift} symmetric={symmetric} p2view={p2view}")
+         lambda: f"lift={via_lift} symmetric={symmetric} p2view={p2view}")
 
     # equivalent strategies of Player 1 cannot change the payoff: each
     # kind's own payoff route on the same lifted problem, and the lift route;
     # the distribution entry reuses via_lift when its rows equal delta1's
     mu_l = games.lift_mixed(inst.mixed, lifted.space)
     rho_l = games.lift_randomized(inst.randomized, lifted.space)
-    vals = (problems.payoff_mixed(lifted.problem, mu_l),
-            problems.payoff_randomized(lifted.problem, rho_l),
+    vals = (problems.payoff_mixed(lifted, mu_l),
+            problems.payoff_randomized(lifted, rho_l),
             via_lift if inst.distribution == delta1
-            else games.payoff_on_lift(lifted, inst.distribution))
+            else games.payoff_on_lift(space, lifted, inst.distribution))
     _row(results, name, "game_strategy_equivalence",
          vals[0] == vals[1] == vals[2] == via_lift,
-         "mixed={} randomized={} distribution={} lift={}".format(
+         lambda: "mixed={} randomized={} distribution={} lift={}".format(
              *vals, via_lift))
 
     # lifting preserves equivalence of the base pair, by joint mass and by
@@ -223,7 +224,7 @@ def _game_checks(name: str, inst: fuzz.Instance,
     cdf_ok = _cdf_matches(mu_l.cdf_rows(space.n_times), rho_l.rows)
     _row(results, name, "lift_preserves_equivalence",
          convert.equivalent(lifted.space, mu_l, rho_l) and cdf_ok,
-         f"lifted pair not equivalent (cdf_match={cdf_ok})")
+         lambda: f"lifted pair not equivalent (cdf_match={cdf_ok})")
 
     # zero-sum sanity: negating all payoff tables negates the value
     neg = games.StoppingGame(space, *(
@@ -232,7 +233,7 @@ def _game_checks(name: str, inst: fuzz.Instance,
         for p in (inst.x, inst.y, inst.z)))
     neg_val = games.game_payoff_symmetric(neg, delta1, delta2)
     _row(results, name, "zero_sum_negation", neg_val == -symmetric,
-         f"negated={neg_val} original={symmetric}")
+         lambda: f"negated={neg_val} original={symmetric}")
     return results
 
 
@@ -252,7 +253,7 @@ def monte_carlo_rows(config: ExperimentConfig) -> list:
         counts = sampling.sample_counts(space, eta, rng, config.n_samples)
         _, tv = sampling.frequencies(space, counts, reference)
         _row(results, label, "tv_within_tolerance", tv <= config.tv_tolerance,
-             f"tv={tv:.6f} tolerance={config.tv_tolerance}")
+             lambda: f"tv={tv:.6f} tolerance={config.tv_tolerance}")
     return results
 
 

@@ -222,7 +222,7 @@ def corrupt_mixed(space: FilteredSpace, mu: MixedST):
             if len(block) >= 2:
                 members = sorted(block)
                 w, mate = members[0], members[1]
-                if mu.sections[mate].cdf_row(j + 1)[0][j] > 0:
+                if min(mu.sections[mate].values) <= j:
                     bad = RStepFunction.constant(space.last_index)
                 else:
                     bad = RStepFunction.constant(0)

@@ -39,15 +39,6 @@ class StoppingGame:
             require_rows(self.space, table.numerators(), name)
 
 
-@dataclass(frozen=True)
-class LiftedProblem:
-    """The single-agent problem one player faces given the other's stop mass."""
-
-    base: StoppingGame
-    space: FilteredSpace   # positive-mass atoms only
-    problem: StoppingProblem
-
-
 def _lifted_space(base: FilteredSpace, delta: DistributionST) -> FilteredSpace:
     """Outcomes (w, s) with delta(w, s) > 0, pulled back from base without a
     second check: delta is validated, so a nonzero entry is positive and
@@ -59,12 +50,12 @@ def _lifted_space(base: FilteredSpace, delta: DistributionST) -> FilteredSpace:
                                     for w in base.outcomes for _, s in atoms[w]])
 
 
-def lift(game: StoppingGame, delta2: DistributionST) -> LiftedProblem:
+def lift(game: StoppingGame, delta2: DistributionST) -> StoppingProblem:
     """The stopping problem Player 1 faces when Player 2 stops per delta2."""
     return _lift(game, delta2, game.x, game.y)
 
 
-def lift_player2(game: StoppingGame, delta1: DistributionST) -> LiftedProblem:
+def lift_player2(game: StoppingGame, delta1: DistributionST) -> StoppingProblem:
     """Mirror lift: the problem Player 2 faces when Player 1 stops per delta1.
 
     X and Y swap roles because the lifted coordinate is now Player 1's stop.
@@ -73,7 +64,7 @@ def lift_player2(game: StoppingGame, delta1: DistributionST) -> LiftedProblem:
 
 
 def _lift(game: StoppingGame, delta: DistributionST, first: AdaptedProcess,
-          second: AdaptedProcess) -> LiftedProblem:
+          second: AdaptedProcess) -> StoppingProblem:
     """Lift against the opponent mass delta; first is paid when the lifted
     player stops strictly first, second when the opponent does."""
     bad = validate_distribution(game.space, delta)
@@ -96,8 +87,7 @@ def _lift(game: StoppingGame, delta: DistributionST, first: AdaptedProcess,
         c = gcd(pg[s], t[s], g[s] if s < n - 1 else 0)
         rows[(w, s)] = (tuple([x // c for x in f[:s]] + [t[s] // c]
                               + [g[s] // c] * (n - s - 1)), d // c)
-    return LiftedProblem(game, space, StoppingProblem(
-        space, AdaptedProcess._of_canonical(rows)))
+    return StoppingProblem(space, AdaptedProcess._of_canonical(rows))
 
 
 def lift_mixed(mu: MixedST, lifted_space: FilteredSpace) -> MixedST:
@@ -132,21 +122,22 @@ def lift_distribution(delta: DistributionST, base: FilteredSpace,
 def game_payoff_via_lift(game: StoppingGame, tau1, tau2) -> Fraction:
     """Player 1's payoff, priced on the problem Player 1 faces when Player 2
     stops per the joint mass of tau2; both times of any kind."""
-    return payoff_on_lift(lift(game, to_distribution(game.space, tau2)), tau1)
+    return payoff_on_lift(game.space,
+                          lift(game, to_distribution(game.space, tau2)), tau1)
 
 
 def game_payoff_player2_view(game: StoppingGame, tau1, tau2) -> Fraction:
     """The same payoff, priced on the problem Player 2 faces when Player 1
     stops per the joint mass of tau1; both times of any kind."""
-    return payoff_on_lift(lift_player2(game, to_distribution(game.space, tau1)),
-                          tau2)
+    return payoff_on_lift(
+        game.space, lift_player2(game, to_distribution(game.space, tau1)), tau2)
 
 
-def payoff_on_lift(lifted: LiftedProblem, tau) -> Fraction:
-    """The lifted player's payoff: the joint mass of tau (any kind),
+def payoff_on_lift(base: FilteredSpace, lifted: StoppingProblem,
+                   tau) -> Fraction:
+    """The lifted player's payoff: the joint mass of tau (any kind) on base,
     reweighted onto the lifted space, priced on the lifted problem."""
-    base = lifted.base.space
-    return payoff_distribution(lifted.problem, lift_distribution(
+    return payoff_distribution(lifted, lift_distribution(
         to_distribution(base, tau), base, lifted.space))
 
 

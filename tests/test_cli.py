@@ -325,21 +325,66 @@ def test_fuzz_max_denominator_over_int64_is_an_input_error(monkeypatch,
     assert "max_denominator" in capsys.readouterr().err
 
 
-def test_fuzz_defaults_are_the_config_defaults(monkeypatch, capsys):
-    # `stoptime fuzz` with no flags runs ExperimentConfig(), whose bounds
-    # are FuzzBounds' defaults: one source for every campaign default
+def _fuzz_config(argv, monkeypatch):
+    """The one config `stoptime fuzz argv` hands to the campaign."""
     seen = []
 
     def record(config):
         seen.append(config)
         return ExperimentReport((), 0)
 
-    monkeypatch.delenv("STOPTIME_SEED", raising=False)
     monkeypatch.setattr(cli, "run_experiment", record)
-    assert main(["fuzz"]) == 0
-    assert seen == [ExperimentConfig()]
+    assert main(["fuzz", *argv]) == 0
+    (config,) = seen
+    return config
+
+
+def test_fuzz_defaults_are_the_config_defaults(monkeypatch, capsys):
+    # `stoptime fuzz` with no flags runs ExperimentConfig(), whose bounds
+    # are FuzzBounds' defaults: one source for every campaign default
+    monkeypatch.delenv("STOPTIME_SEED", raising=False)
+    assert _fuzz_config([], monkeypatch) == ExperimentConfig()
     assert ExperimentConfig().bounds() == fuzz.FuzzBounds()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, field, value", [
+    ("--seed", "seed", 3),
+    ("--instances", "n_instances", 7),
+    ("--samples", "n_samples", 500),
+    ("--max-outcomes", "max_outcomes", 5),
+    ("--max-grid-points", "max_grid_points", 4),
+    ("--max-breaks", "max_breaks", 3),
+    ("--max-denominator", "max_denominator", 17),
+    ("--tv-tolerance", "tv_tolerance", 0.25),
+    ("--jobs", "jobs", 2),
+])
+def test_each_fuzz_option_sets_its_config_field(flag, field, value,
+                                                monkeypatch, capsys):
+    monkeypatch.delenv("STOPTIME_SEED", raising=False)
+    assert (_fuzz_config([flag, str(value)], monkeypatch)
+            == ExperimentConfig(**{field: value}))
+    capsys.readouterr()
+
+
+def test_fuzz_seed_env_beats_the_seed_option(monkeypatch, capsys):
+    monkeypatch.setenv("STOPTIME_SEED", "11")
+    assert (_fuzz_config(["--seed", "3", "--jobs", "2"], monkeypatch)
+            == ExperimentConfig(seed=11, jobs=2))
+    capsys.readouterr()
+
+
+def test_fuzz_passing_rows_build_no_witness(capsys):
+    # at these accepted bounds a passing game row holds a payoff of more
+    # than 4300 digits; building its unused witness text once raised
+    # Python's int-to-str limit and the campaign exited 2 with no CSV
+    assert main(["fuzz", "--instances", "2", "--seed", "1",
+                 "--max-outcomes", "8", "--max-grid-points", "64",
+                 "--max-denominator", "9223372036854775807",
+                 "--samples", "1000", "--tv-tolerance", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "# 23 checks, 0 failed\n"
+    assert out.startswith("instance,check,status,witness\n")
 
 
 @pytest.mark.parametrize("doc, with_space", [

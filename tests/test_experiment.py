@@ -106,6 +106,25 @@ def test_failure_is_reported_with_witness():
     assert "expected 1" in report.to_csv()
 
 
+def test_planted_failures_keep_their_witness_text(monkeypatch):
+    # witnesses are built only for failing rows; the text of a failing
+    # row, exact or Monte Carlo, is what it was when every row built one
+    honest = games.game_payoff_player2_view
+    monkeypatch.setattr(games, "game_payoff_player2_view",
+                        lambda *args: honest(*args) + 1)
+    rows = check_instance(ExperimentConfig(seed=7), 1)
+    assert [(r.check, r.witness) for r in rows if r.status == "fail"] == [
+        ("game_routes_agree",
+         "lift=-541/182 symmetric=-541/182 p2view=-359/182")]
+    assert all(r.witness == "" for r in rows if r.status == "pass")
+    mc = monte_carlo_rows(ExperimentConfig(seed=7, n_samples=1000,
+                                           tv_tolerance=1e-9))
+    assert [(r.instance, r.status, r.witness) for r in mc] == [
+        ("mc_distribution", "fail", "tv=0.032000 tolerance=1e-09"),
+        ("mc_mixed", "fail", "tv=0.015000 tolerance=1e-09"),
+        ("mc_randomized", "fail", "tv=0.023000 tolerance=1e-09")]
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         ExperimentConfig(n_instances=0)
@@ -400,7 +419,7 @@ def test_game_strategy_equivalence_fails_on_a_planted_distribution(
     space = inst.space
     lifted = games.lift(games.StoppingGame(space, inst.x, inst.y, inst.z),
                         convert.delta_of_mixed(space, inst.mixed2))
-    assert games.payoff_on_lift(lifted, inst.distribution) != 0
+    assert games.payoff_on_lift(space, lifted, inst.distribution) != 0
     honest = fuzz.random_instance
 
     def doubled(*args, **kwargs):

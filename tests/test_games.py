@@ -47,14 +47,14 @@ def test_lift_point_mass_at_horizon(coin_game, coin_space):
     # two positive atoms, both with opponent stop at the horizon
     assert set(lifted.space.outcomes) == {("w1", 1), ("w2", 1)}
     # before the horizon Player 1 is first (X); at the horizon a tie (Z)
-    assert lifted.problem.reward.at(("w1", 1), 0) == F(10)
-    assert lifted.problem.reward.at(("w1", 1), 1) == F(31)
+    assert lifted.reward.at(("w1", 1), 0) == F(10)
+    assert lifted.reward.at(("w1", 1), 1) == F(31)
 
 
 def test_lift_constant_game(const_game, coin_space, coin_delta):
     lifted = lift(const_game, coin_delta)
     assert len(lifted.space.outcomes) == 4
-    assert all(v == F(5) for row in lifted.problem.reward.values.values()
+    assert all(v == F(5) for row in lifted.reward.values.values()
                for v in row)
 
 

@@ -203,11 +203,11 @@ def test_hot_path_reads_int_rows(monkeypatch):
     mu_l = games.lift_mixed(inst.mixed, lifted.space)
     calls = _count_over_common(monkeypatch)
     delta_l = games.lift_distribution(delta1, space, lifted.space)
-    problems.payoff_distribution(lifted.problem, delta_l)
+    problems.payoff_distribution(lifted, delta_l)
     assert convert.first_difference(space, delta1, inst.distribution) is None
     assert convert.first_difference(lifted.space, delta_l, delta_l) is None
     assert calls == []
-    problems.payoff_mixed(lifted.problem, mu_l)
+    problems.payoff_mixed(lifted, mu_l)
     assert len(calls) <= len({id(s) for s in mu_l.sections.values()})
     assert len(lifted.space.outcomes) > len(space.outcomes)
 
@@ -227,9 +227,9 @@ def test_lifted_paths_are_converted_once(monkeypatch):
     calls = _count_over_common(monkeypatch)
     delta_l = convert.delta_of_randomized(lifted.space, rho_l)
     assert calls == []
-    value = problems.payoff_randomized(lifted.problem, rho_l)
+    value = problems.payoff_randomized(lifted, rho_l)
     assert calls == []
-    assert value == games.payoff_on_lift(lifted, inst.randomized)
+    assert value == games.payoff_on_lift(inst.space, lifted, inst.randomized)
     assert delta_l == games.lift_distribution(
         convert.delta_of_randomized(inst.space, inst.randomized), inst.space,
         lifted.space)

@@ -151,7 +151,7 @@ def test_lifted_payoffs_match_fraction_oracles(seed, fuzz_bounds):
     pure = PureST({(w, s): inst.pure.stop_index[w]
                    for w, s in lifted.space.outcomes})
     assert_payoffs_match_oracles(
-        lifted.problem, pure, lift_mixed(inst.mixed, lifted.space),
+        lifted, pure, lift_mixed(inst.mixed, lifted.space),
         lift_randomized(inst.randomized, lifted.space),
         lift_distribution(inst.distribution, inst.space, lifted.space))
 
@@ -192,7 +192,7 @@ def test_lifted_rewards_match_first_stopper_rule(seed, fuzz_bounds):
         delta = delta_of_mixed(space, mu)
         lifted = lift_fn(game, delta)
         assert lifted.space == seed_lifted_space(space, delta)
-        rows = lifted.problem.reward.values
+        rows = lifted.reward.values
         assert set(rows) == set(lifted.space.outcomes)
         for w, s in lifted.space.outcomes:
             assert rows[(w, s)] == tuple(
@@ -296,7 +296,7 @@ def test_lifted_rows_match_the_fraction_slicing(seed, fuzz_bounds, wide):
             (lift_player2, inst.mixed, game.y, game.x)):
         lifted = lift_fn(game, delta_of_mixed(space, mu))
         expected = seed_lifted_rewards(first, second, game.z, lifted.space)
-        reward = lifted.problem.reward
+        reward = lifted.reward
         assert reward.values == expected
         assert reward.rows == {a: over_common(row)
                                for a, row in expected.items()}
@@ -325,10 +325,10 @@ def test_lifted_rows_reduce_by_the_entries_they_hold():
         assert set(lifted.space.outcomes) == {
             (w, s) for w in space.outcomes for s in (0, 2)}
         expected = seed_lifted_rewards(first, second, z, lifted.space)
-        assert lifted.problem.reward.rows == {
+        assert lifted.reward.rows == {
             a: over_common(row) for a, row in expected.items()}
-    assert lift(game, delta).problem.reward.rows[("w1", 0)] == ((1, 2, 2), 4)
-    assert lift(game, delta).problem.reward.rows[("w1", 2)] == ((1, 1, 1), 2)
+    assert lift(game, delta).reward.rows[("w1", 0)] == ((1, 2, 2), 4)
+    assert lift(game, delta).reward.rows[("w1", 2)] == ((1, 1, 1), 2)
 
 def test_payoff_invariance_fails_on_planted_defect(monkeypatch):
     config = ExperimentConfig(seed=5)

@@ -184,7 +184,7 @@ def test_row_violations_match_the_per_outcome_walk(coin_space, coin_delta):
     game = StoppingGame(coin_space, *(AdaptedProcess.constant(coin_space, c)
                                       for c in (1, 2, 3)))
     lifted = lift(game, coin_delta)
-    reward = lifted.problem.reward.numerators()
+    reward = lifted.reward.numerators()
     ok = (0, 1)
     cases = [
         (coin_space, {"w1": ok, "w2": ok}),
