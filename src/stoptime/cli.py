@@ -28,10 +28,7 @@ EXIT_INPUT_ERROR = 2
 
 
 def _seed(args) -> int:
-    env = os.environ.get("STOPTIME_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+    return int(os.environ.get("STOPTIME_SEED", args.seed))
 
 
 def _exact(x: Fraction) -> str:
@@ -263,11 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact values may pass 4300 digits
     try:
         return args.func(args)
     except (InputError, SpaceError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

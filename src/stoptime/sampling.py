@@ -10,11 +10,15 @@ representation, and all three target the same joint law:
 * distribution: draw the grid index from the outcome's conditional row.
 
 sample_counts tallies the draws as an outcomes x grid count array.
+sample_many builds one record per draw in one pass with the collector
+paused: records are tuple subclasses, which a collection never untracks.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -36,10 +40,17 @@ class SampleRecord(NamedTuple):
 
 def sample_many(space: FilteredSpace, eta, rng: np.random.Generator,
                 n: int) -> list:
-    """n independent draws of (outcome, stop index) under the law of eta."""
+    """n independent draws of (outcome, stop index) under the law of eta;
+    the collector is paused while the records are built, then restored."""
     which, indices = _draw(space, eta, rng, n)
-    return list(map(SampleRecord, map(space.outcomes.__getitem__, which.tolist()),
-                    indices.tolist(), range(n)))
+    enabled = gc.isenabled()
+    gc.disable()  # tuple subclasses are never untracked: no rescans mid-build
+    try:  # tuple.__new__ per row is what SampleRecord._make does
+        return list(map(tuple.__new__, repeat(SampleRecord), zip(map(
+            space.outcomes.__getitem__, which.tolist()), indices.tolist(), range(n))))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def sample_counts(space: FilteredSpace, eta, rng: np.random.Generator,

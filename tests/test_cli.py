@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoptime import cli, convert, demo, fuzz, sampling
+from stoptime import cli, convert, demo, experiment, fuzz, games, sampling
 from stoptime.cli import main
 from stoptime.experiment import ExperimentConfig, ExperimentReport
 from stoptime.serialize import (dump_json, process_to_dict, space_to_dict,
@@ -164,6 +165,71 @@ def test_game_beyond_float_range_prints_inf(files, tmp_path, capsys):
     assert out.splitlines() == [f"lift:      {HUGE} (inf)",
                                 f"symmetric: {HUGE} (inf)"]
     assert err == ""
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift Python's int-string digit limit (4300 by default) for a block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_game_prints_exact_values_beyond_the_int_digit_limit(tmp_path,
+                                                              capsys):
+    # instance 1 of `fuzz --seed 1 --max-outcomes 8 --max-grid-points 64
+    # --max-denominator 9223372036854775807`: its game value has over 7000
+    # digits in numerator and denominator
+    config = ExperimentConfig(seed=1, max_outcomes=8, max_grid_points=64,
+                              max_denominator=2**63 - 1)
+    inst = fuzz.random_instance(experiment._rng_for(config.seed, 1),
+                                config.bounds())
+    docs = {"space": space_to_dict(inst.space),
+            "p1": stopping_time_to_dict(inst.mixed),
+            "p2": stopping_time_to_dict(inst.mixed2),
+            **{k: process_to_dict(getattr(inst, k)) for k in "xyz"}}
+    args = ["game", "--route", "both"]
+    for name, doc in docs.items():
+        dump_json(doc, tmp_path / f"{name}.json")
+        args += [f"--{name}", str(tmp_path / f"{name}.json")]
+    limit = sys.get_int_max_str_digits()
+    assert main(args) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out, err = capsys.readouterr()
+    value = games.game_payoff_via_lift(
+        games.StoppingGame(inst.space, inst.x, inst.y, inst.z),
+        inst.mixed, inst.mixed2)
+    with unlimited_int_digits():
+        assert len(str(value.denominator)) > 4300
+        assert out.splitlines() == [f"lift:      {cli._exact(value)}",
+                                    f"symmetric: {cli._exact(value)}"]
+    assert err == ""
+
+
+def test_convert_output_beyond_the_int_digit_limit_loads_back(files,
+                                                               tmp_path,
+                                                               capsys):
+    # a joint mass with a 4342-digit denominator converts, and its
+    # converted document validates and is equivalent to it, all through
+    # the CLI
+    d = 3**9100
+    with unlimited_int_digits():
+        row = [f"1/{2 * d}", f"{d - 1}/{2 * d}"]
+    delta = tmp_path / "long.json"
+    dump_json({"kind": "distribution", "mass": {"w1": row, "w2": row}}, delta)
+    limit = sys.get_int_max_str_digits()
+    for kind in ("randomized", "mixed"):
+        out = tmp_path / f"long-{kind}.json"
+        assert main(["convert", str(delta), "--to", kind, "--space",
+                     files["space"], "-o", str(out)]) == 0
+        assert main(["validate", str(out), "--space", files["space"]]) == 0
+        assert main(["equiv", str(out), str(delta),
+                     "--space", files["space"]]) == 0
+        assert capsys.readouterr() == ("valid\nequivalent\n", "")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_game_prints_the_same_for_every_kind_of_one_law(files, tmp_path,

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,70 @@ def test_empirical_delta_rejects_a_cell_outside_the_space(coin_space):
 def test_empirical_delta_empty(coin_space, coin_delta):
     with pytest.raises(EmptySamples):
         empirical_delta(coin_space, [], coin_delta)
+
+
+# ---------------------------------------------------------------------------
+# records are built with the cyclic collector paused
+
+@pytest.fixture
+def collector():
+    """The gc module, its collector left as it was before the test."""
+    enabled = gc.isenabled()
+    yield gc
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_sample_many_leaves_the_collector_as_it_found_it(enabled, collector,
+                                                         coin_space,
+                                                         coin_delta):
+    (collector.enable if enabled else collector.disable)()
+    sample_many(coin_space, coin_delta, rng(1), 1000)
+    assert collector.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_sample_many_restores_the_collector_when_the_build_raises(
+        enabled, collector, coin_space, coin_delta, monkeypatch):
+    class Boom(Exception):
+        pass
+
+    def boom(*args):
+        assert not collector.isenabled()  # raised inside the paused build
+        raise Boom
+
+    monkeypatch.setattr(sampling, "repeat", boom)
+    (collector.enable if enabled else collector.disable)()
+    with pytest.raises(Boom):
+        sample_many(coin_space, coin_delta, rng(1), 1000)
+    assert collector.isenabled() is enabled
+
+
+def test_sample_many_builds_exact_records(coin_space, coin_mixed):
+    records = sample_many(coin_space, coin_mixed, rng(2), 5000)
+    assert [r.replicate for r in records] == list(range(5000))
+    for r in records:
+        assert type(r) is SampleRecord
+        assert r == SampleRecord(*r)
+
+
+def test_sample_many_builds_without_collections(collector, coin_space,
+                                                coin_delta):
+    # at most one collection may start, when the collector resumes; a
+    # build with the collector running starts hundreds
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    collector.enable()
+    collector.callbacks.append(count)
+    try:
+        sample_many(coin_space, coin_delta, rng(3), 200_000)
+    finally:
+        collector.callbacks.remove(count)
+    assert len(starts) <= 1
 
 
 # ---------------------------------------------------------------------------
