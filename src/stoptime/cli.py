@@ -138,8 +138,8 @@ def cmd_game(args) -> int:
         process_from_dict(load_json(args.x)),
         process_from_dict(load_json(args.y)),
         process_from_dict(load_json(args.z)))
-    tau1 = _load_valid_stop(args.p1, space)
-    tau2 = _load_valid_stop(args.p2, space)
+    tau1 = convert.to_distribution(space, _load_valid_stop(args.p1, space))
+    tau2 = convert.to_distribution(space, _load_valid_stop(args.p2, space))
     routes = {"lift": games.game_payoff_via_lift,
               "symmetric": games.game_payoff_symmetric,
               "p2view": games.game_payoff_player2_view}

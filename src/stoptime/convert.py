@@ -4,8 +4,10 @@ Two random stopping times are equivalent when they induce the same joint
 mass on outcomes x grid times.  to_distribution, the one place that maps a
 kind to its table, normalizes every kind to that DistributionST: mixed and
 randomized times through one P(w)-weighting, _weighted.  Equivalence
-compares the masses.  cdf_of_mixed reads cdf_row; the cumulative criterion
-(cdf rows against paths) is not run here but in the fuzz campaign.
+compares the masses.  randomized_of_distribution, the path of a mass, is
+defined in times, whose distribution validator reads it too.
+cdf_of_mixed reads cdf_row; the cumulative criterion (a mixed time's
+cumulative equal to a path) is not run here but in the fuzz campaign.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from .space import FilteredSpace, require_rows
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
-                    RandomizedST, density_terms, embed_pure)
+                    RandomizedST, embed_pure, randomized_of_distribution)
 
 
 def _weighted(space: FilteredSpace, rows: dict) -> DistributionST:
@@ -36,18 +38,6 @@ def delta_of_mixed(space: FilteredSpace, mu: MixedST) -> DistributionST:
 def delta_of_randomized(space: FilteredSpace, rho: RandomizedST) -> DistributionST:
     """Joint mass from a cumulative path; the jump at time 0 is included."""
     return _weighted(space, rho.increments())
-
-
-def randomized_of_distribution(space: FilteredSpace,
-                               delta: DistributionST) -> RandomizedST:
-    """Cumulative conditional densities: the unique equivalent randomized time.
-
-    Path entry j of outcome w is rn_derivative(space, delta, j)[w], the
-    running sum cum[j] * a / b of density_terms, as one int row.
-    """
-    return RandomizedST.from_rows(
-        {w: ([c * a for c in cum], b)
-         for w, (_, cum, a, b) in density_terms(space, delta).items()})
 
 
 def mixed_of_randomized(space: FilteredSpace, rho: RandomizedST) -> MixedST:

@@ -3,7 +3,8 @@
 Every instance gets its own RNG stream derived from (seed, instance id)
 by seed-sequence spawn keys, so results do not depend on execution order
 or worker count; reports are assembled keyed by instance id and sorted
-before serialization.
+before serialization.  The cumulative criterion rows compare a mixed
+time's cumulative, a RandomizedST, with a path by ==.
 """
 
 from __future__ import annotations
@@ -94,16 +95,6 @@ def _row(results: list, instance: str, check: str, ok: bool, witness):
                             "" if ok else witness()))
 
 
-def _cdf_matches(cdf_rows: dict, ints: dict) -> bool:
-    """The cumulative criterion lambda{r : mu_w(r) <= t_j} == nums[j] / k
-    for every ints[w] == (nums, k): each cdf row (cum, d) against it,
-    compared as ints by cross-multiplication."""
-    return all(len(cum) == len(nums)
-               and all(c * k == x * d for c, x in zip(cum, nums))
-               for (cum, d), (nums, k) in ((cdf_rows[w], ints[w])
-                                           for w in ints))
-
-
 def check_instance(config: ExperimentConfig, index: int) -> list:
     """Run every exact property on one fuzzed instance."""
     rng = _rng_for(config.seed, index)
@@ -121,8 +112,7 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
     # interval representation from a path: equivalent, matching cumulatives
     mu_from_rho = convert.mixed_of_randomized(space, inst.randomized)
     ok = convert.equivalent(space, inst.randomized, mu_from_rho)
-    cdf_ok = _cdf_matches(mu_from_rho.cdf_rows(space.n_times),
-                          inst.randomized.rows)
+    cdf_ok = mu_from_rho.cumulative(space.n_times) == inst.randomized
     _row(results, name, "path_to_intervals", ok and cdf_ok,
          lambda: f"equivalent={ok} cdf_match={cdf_ok}")
 
@@ -136,8 +126,8 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
 
     # cumulative densities of the pushed-forward mass match the sections
     delta1 = convert.delta_of_mixed(space, inst.mixed)
-    dens_ok = _cdf_matches(inst.mixed.cdf_rows(space.n_times),
-                           convert.randomized_of_distribution(space, delta1).rows)
+    dens_ok = (inst.mixed.cumulative(space.n_times)
+               == convert.randomized_of_distribution(space, delta1))
     _row(results, name, "density_vs_cdf", dens_ok, lambda: "densities differ")
 
     # one payoff per equivalence class, through all routes
@@ -220,8 +210,8 @@ def _game_checks(name: str, inst: fuzz.Instance,
              *vals, via_lift))
 
     # lifting preserves equivalence of the base pair, by joint mass and by
-    # the cumulative criterion (cdf rows against paths)
-    cdf_ok = _cdf_matches(mu_l.cdf_rows(space.n_times), rho_l.rows)
+    # the cumulative criterion (the sections' cumulative is the path)
+    cdf_ok = mu_l.cumulative(space.n_times) == rho_l
     _row(results, name, "lift_preserves_equivalence",
          convert.equivalent(lifted.space, mu_l, rho_l) and cdf_ok,
          lambda: f"lifted pair not equivalent (cdf_match={cdf_ok})")

@@ -191,7 +191,7 @@ def load_json(path) -> dict:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError, RecursionError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # JSONDecodeError too
         raise InputError(f"{path}: {e}") from None
     return _expect(doc, dict, f"{path}: the document")
 

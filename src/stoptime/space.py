@@ -215,9 +215,10 @@ def check_space(outcomes, probs, grid, partitions) -> list:
                     "NotAPartition", f"level {j}: blocks do not cover all outcomes"))
     if not any(v.code == "NotAPartition" for v in violations):
         for j in range(1, len(partitions)):
-            coarse = partitions[j - 1]
+            # a block refines iff its outcomes share one level-(j-1) block
+            parent = {w: i for i, cb in enumerate(partitions[j - 1]) for w in cb}
             for block in partitions[j]:
-                if not any(block <= cb for cb in coarse):
+                if len({parent[w] for w in block}) != 1:
                     violations.append(Violation(
                         "RefinementViolated",
                         f"block {set(block)} at level {j} not inside a level-{j-1} block"))

@@ -9,7 +9,9 @@ All four kinds live on a FilteredSpace and take values on its grid:
                     grid ending at 1.
 * DistributionST -- an exact joint mass on outcomes x grid with marginal P.
 The last two are CanonicalRows (int rows over one reduced denominator);
-their Fraction views .paths and .mass are read only in this module.
+their Fraction views .paths and .mass are read only in this module.  A
+RandomizedST is the one form of a cumulative path: a mixed time's
+cumulative and a joint mass's randomized_of_distribution are each one.
 """
 
 from __future__ import annotations
@@ -202,9 +204,11 @@ class MixedST:
         """Each section's mass_numerators, computed once per distinct section."""
         return per_object(self.sections, lambda s: s.mass_numerators(n_times))
 
-    def cdf_rows(self, n_times: int) -> dict:
-        """Each section's cdf_row, computed once per distinct section."""
-        return per_object(self.sections, lambda s: s.cdf_row(n_times))
+    def cumulative(self, n_times: int) -> "RandomizedST":
+        """The cumulative stop paths lambda{r : section <= t_j}: each
+        section's cdf_row, computed once per distinct section."""
+        return RandomizedST.from_rows(
+            per_object(self.sections, lambda s: s.cdf_row(n_times)))
 
 
 class RandomizedST(CanonicalRows):
@@ -350,34 +354,25 @@ def validate_randomized(space: FilteredSpace, rho: RandomizedST) -> list:
 
 
 def validate_distribution(space: FilteredSpace, delta: DistributionST) -> list:
-    """Nonnegative rows with marginal P whose cumulative densities are
-    adapted; every check reads the integer densities table of
-    density_terms, compared by cross-multiplication."""
+    """Nonnegative rows with marginal P whose cumulative densities, the
+    paths of randomized_of_distribution, are adapted: read as ints."""
     violations = row_violations(space, delta.numerators(), "mass")
     if violations:
         return violations
-    terms = density_terms(space, delta)
-    for w in space.outcomes:
-        nums, cum, a, b = terms[w]
+    for w, p in zip(space.outcomes, space.probs):
+        nums, d = delta.rows[w]
         if any(n < 0 for n in nums):
             violations.append(Violation("NegativeMass", f"row of {w!r}"))
-        if cum[-1] * a != b:
-            total = Fraction(cum[-1] * space.prob(w).numerator, b)
+        if sum(nums) * p.denominator != d * p.numerator:
             violations.append(Violation(
                 "MarginalMismatch",
-                f"row of {w!r} sums to {total}, P = {space.prob(w)}"))
-    if violations:
-        return violations
-
-    def same(j, u, w):
-        _, cu, au, bu = terms[u]
-        _, cw, aw, bw = terms[w]
-        return cu[j] * au * bw == cw[j] * aw * bu
-
-    return [Violation("DensityNotAdapted",
-                      f"level {j}, block {sorted(map(str, block))}: "
-                      "cumulative densities differ")
-            for j, block, _, _ in unadapted_blocks(space, same)]
+                f"row of {w!r} sums to {Fraction(sum(nums), d)}, P = {p}"))
+    return violations or [
+        Violation("DensityNotAdapted",
+                  f"level {j}, block {sorted(map(str, block))}: "
+                  "cumulative densities differ")
+        for j, block, _, _ in unadapted_blocks(
+            space, randomized_of_distribution(space, delta).same)]
 
 
 def validate(space: FilteredSpace, eta) -> list:
@@ -402,16 +397,19 @@ def embed_pure(sigma: PureST) -> MixedST:
                     for w, j in sigma.stop_index.items()})
 
 
-def density_terms(space: FilteredSpace, delta: DistributionST) -> dict:
-    """Per outcome (nums, cum, a, b) in ints: the row (nums, d), the running
-    sums of nums, a = P(w).denominator and b = d * P(w).numerator, so the
-    cumulative density at index j is cum[j] * a / b."""
-    out = {}
+def randomized_of_distribution(space: FilteredSpace,
+                               delta: DistributionST) -> RandomizedST:
+    """Cumulative conditional densities: the unique equivalent randomized time.
+
+    Path entry j of outcome w is rn_derivative(space, delta, j)[w]: the
+    running sum of delta's row (nums, d) at j, over d * P(w), as one int row.
+    """
+    rows = {}
     for w, p in zip(space.outcomes, space.probs):
         nums, d = delta.rows[w]
-        out[w] = (nums, tuple(accumulate(nums)), p.denominator,
-                  d * p.numerator)
-    return out
+        a = p.denominator
+        rows[w] = [c * a for c in accumulate(nums)], d * p.numerator
+    return RandomizedST.from_rows(rows)
 
 
 def sub_measure(space: FilteredSpace, delta: DistributionST,

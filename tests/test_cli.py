@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from stoptime import cli, convert, demo, experiment, fuzz, games, sampling
 from stoptime.cli import main
 from stoptime.experiment import ExperimentConfig, ExperimentReport
-from stoptime.serialize import (dump_json, process_to_dict, space_to_dict,
+from stoptime.serialize import (dump_json, process_from_dict,
+                                process_to_dict, space_to_dict,
                                 stopping_time_to_dict)
 from stoptime.times import PureST, embed_pure
 
@@ -138,6 +139,38 @@ def test_game_both_routes(files, capsys):
                  "--p2", files["randomized"], "--route", "both"]) == 0
     out = capsys.readouterr().out
     assert "lift:" in out and "symmetric:" in out
+
+
+def test_game_normalises_each_time_once(files, tmp_path, capsys,
+                                        monkeypatch):
+    # each route once pushed the two loaded mixed times forward itself, so
+    # --route both pushed each of them twice
+    tables = {}
+    for name, values in (("x", ["1", "2"]), ("y", ["5", "-3"]),
+                         ("z", ["7/2", "11"])):
+        tables[name] = tmp_path / f"{name}.json"
+        dump_json({"values": {"w1": values, "w2": values[::-1]}},
+                  tables[name])
+    pushed = []
+    honest = convert.delta_of_mixed
+
+    def counted(space, mu):
+        pushed.append(mu)
+        return honest(space, mu)
+
+    monkeypatch.setattr(convert, "delta_of_mixed", counted)
+    assert main(["game", "--space", files["space"], "--x", str(tables["x"]),
+                 "--y", str(tables["y"]), "--z", str(tables["z"]),
+                 "--p1", files["mixed"], "--p2", files["flipped"],
+                 "--route", "both"]) == 0
+    assert len(pushed) == 2
+    monkeypatch.undo()
+    game = games.StoppingGame(demo.coin_space(), *(
+        process_from_dict(json.loads(tables[k].read_text())) for k in "xyz"))
+    value = cli._exact(games.game_payoff_symmetric(
+        game, demo.coin_mixed(), demo.coin_mixed_flipped()))
+    assert capsys.readouterr().out == (f"lift:      {value}\n"
+                                       f"symmetric: {value}\n")
 
 
 HUGE = "1" + "0" * 400  # an exact reward far beyond float range

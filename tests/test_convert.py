@@ -191,16 +191,17 @@ def test_path_to_intervals_row_catches_a_wrong_cumulative_row(monkeypatch):
         return next(r.status for r in rows if r.check == "path_to_intervals")
 
     class WrongRow(MixedST):
-        def cdf_rows(self, n_times):
-            rows = super().cdf_rows(n_times)
+        def cumulative(self, n_times):
+            rows = dict(super().cumulative(n_times).rows)
             w = next(iter(rows))
             rows[w] = ((0,) * n_times, 1)
-            return rows
+            return RandomizedST.from_rows(rows)
 
     class MatchingRows(MixedST):
-        def cdf_rows(self, n_times):
-            return {w: over_common(path)
-                    for w, path in inst.randomized.paths.items()}
+        def cumulative(self, n_times):
+            return RandomizedST.from_rows(
+                {w: over_common(path)
+                 for w, path in inst.randomized.paths.items()})
 
     def honest(space, rho):
         return WrongRow(convert.mixed_of_randomized(space, rho).sections)

@@ -291,23 +291,23 @@ def test_lift_check_compares_cumulatives_exactly(monkeypatch):
 
 
 def test_a_wrong_cumulative_row_fails_every_cdf_check(monkeypatch):
-    # the three rows read the sections' cumulative rows through one int
-    # check: a row planted 1/d off at its end fails each of them
+    # the three rows compare the sections' cumulative path with ==: a path
+    # planted 1/d off at its end fails each of them
     config = ExperimentConfig(seed=5)
     checks = ("path_to_intervals", "density_vs_cdf",
               "lift_preserves_equivalence")
     rows = check_instance(config, 0)
     assert [_status(rows, c) for c in checks] == ["pass"] * 3
-    honest = times.MixedST.cdf_rows
+    honest = times.MixedST.cumulative
 
     def wrong(self, n_times):
-        rows = dict(honest(self, n_times))
+        rows = dict(honest(self, n_times).rows)
         w = next(iter(rows))
-        cum, d = rows[w]
-        rows[w] = (cum[:-1] + (cum[-1] + 1,), d)
-        return rows
+        nums, d = rows[w]
+        rows[w] = (nums[:-1] + (nums[-1] + 1,), d)
+        return RandomizedST.from_rows(rows)
 
-    monkeypatch.setattr(times.MixedST, "cdf_rows", wrong)
+    monkeypatch.setattr(times.MixedST, "cumulative", wrong)
     rows = check_instance(config, 0)
     assert [_status(rows, c) for c in checks] == ["fail"] * 3
 

@@ -68,6 +68,12 @@ def test_section_masses_read_only_where_sections_become_joint_masses():
     assert _uses(r"\bmass_numerators\b", {"times.py", "convert.py"}) == []
 
 
+def test_cumulative_rows_read_only_where_sections_become_paths():
+    # a mixed time's cumulative path is a RandomizedST, built by
+    # MixedST.cumulative; cdf_of_mixed reads one entry of a section's row
+    assert _uses(r"\bcdf_row\(", {"times.py", "convert.py"}) == []
+
+
 def test_joint_masses_built_from_int_rows_only_by_pushes_and_loads():
     # convert weights a stop law by P(w) in one place, serialize loads a
     # document; the lift writes canonical rows through _of_canonical

@@ -131,14 +131,14 @@ def test_section_rows_match_per_index_queries(seed):
     lifted = MixedST({(w, s): inst.mixed.sections[w]
                       for w in space.outcomes for s in range(n)})
     for mu in (inst.mixed, inst.mixed2, lifted):
-        mass, cdf = mu.mass_numerators(n), mu.cdf_rows(n)
-        assert set(mass) == set(cdf) == set(mu.sections)
+        mass, cum = mu.mass_numerators(n), mu.cumulative(n)
+        assert set(mass) == set(cum.rows) == set(mu.sections)
         for w, section in mu.sections.items():
             _, row, d = mass[w]
             assert ([Fraction(x, d) for x in row]
                     == [mass_of_index(section, j) for j in range(n)])
-            assert cdf[w][1] == d
-            assert ([Fraction(c, d) for c in cdf[w][0]]
+            assert d % cum.rows[w][1] == 0  # reduced from the section's d
+            assert (list(cum.paths[w])
                     == [sum(b - a for a, b in le_intervals(section, j))
                         for j in range(n)])
 

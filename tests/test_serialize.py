@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,8 @@ from conftest import le_intervals, seed_parse_fraction
 from hypothesis import example, given, settings, strategies as st
 
 from stoptime import fuzz
-from stoptime.serialize import (InputError, format_ratio, parse_fraction,
+from stoptime.serialize import (InputError, format_ratio, load_json,
+                                parse_fraction,
                                 parse_ratio, process_from_dict,
                                 process_to_dict, space_from_dict,
                                 space_to_dict, stopping_time_from_dict,
@@ -134,3 +136,19 @@ def test_fuzzed_round_trips():
         assert space_from_dict(space_to_dict(inst.space)) == inst.space
         for eta in (inst.pure, inst.mixed, inst.randomized, inst.distribution):
             assert stopping_time_from_dict(stopping_time_to_dict(eta)) == eta
+
+
+def test_long_integer_literal_is_an_input_error(tmp_path):
+    # json reads an integer literal with int(), which raises a plain
+    # ValueError beyond Python's int-string limit; cli.main lifts that
+    # limit, but a library caller under the default one is promised an
+    # InputError
+    path = tmp_path / "long.json"
+    path.write_text('{"values": {"w": [' + "7" * 5000 + "]}}")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(InputError, match="4300 digits"):
+            load_json(path)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -209,3 +209,49 @@ def test_row_violations_match_the_per_outcome_walk(coin_space, coin_delta):
         {"w1": None, "w2": 0}))] == ["RowMissing"]
     assert [v.code for v in validate_pure(coin_space, PureST(
         {"w1": None, "w2": None}))] == ["RowMissing", "RowMissing"]
+
+
+def _blockwise_refinement(partitions) -> list:
+    """The refinement check as check_space once made it: each block
+    searched for among all blocks of the level before."""
+    out = []
+    for j in range(1, len(partitions)):
+        coarse = partitions[j - 1]
+        for block in partitions[j]:
+            if not any(block <= cb for cb in coarse):
+                out.append(Violation(
+                    "RefinementViolated",
+                    f"block {set(block)} at level {j} not inside a "
+                    f"level-{j-1} block"))
+    return out
+
+
+@st.composite
+def partition_chains(draw):
+    """Outcomes and one partition of them per level; a level either
+    refines the one before or is drawn on its own, so bad refinements
+    come too."""
+    outcomes = tuple(f"w{i}" for i in range(draw(st.integers(1, 8))))
+    labels, chain = None, []
+    for _ in range(draw(st.integers(1, 5))):
+        new = draw(st.lists(st.integers(0, 3), min_size=len(outcomes),
+                            max_size=len(outcomes)))
+        if labels is not None and draw(st.booleans()):
+            new = list(zip(labels, new))
+        labels = new
+        blocks = {}
+        for w, k in zip(outcomes, labels):
+            blocks.setdefault(k, set()).add(w)
+        chain.append(tuple(map(frozenset, blocks.values())))
+    return outcomes, tuple(chain)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_chains())
+def test_refinement_check_matches_the_blockwise_search(drawn):
+    outcomes, partitions = drawn
+    n = len(outcomes)
+    found = check_space(outcomes, (F(1, n),) * n,
+                        tuple(F(j) for j in range(len(partitions))),
+                        partitions)
+    assert found == _blockwise_refinement(partitions)

@@ -52,7 +52,7 @@ def test_step_function_rows_in_one_pass():
 
 def test_mass_numerators_computed_once_per_section_and_grid(monkeypatch):
     # a campaign reads each section's masses in delta_of_mixed and in
-    # cdf_rows, on the base space and again on the lifted one, whose
+    # cumulative, on the base space and again on the lifted one, whose
     # sections are the base's objects; the section keeps them, so each
     # (section, n_times) pair is counted once
     computed = []  # the sections are held, so no id is reused
@@ -78,7 +78,7 @@ def test_mass_numerators_computed_once_per_section_and_grid(monkeypatch):
     assert len(reads) > 2 * len(computed)
 
 
-def test_mixed_rows_shared_sections():
+def test_mixed_rows_shared_sections(monkeypatch):
     shared = RStepFunction(over_common((F(0), H, F(1))), (0, 1))
     mu = MixedST({"a": shared, "b": shared,
                   "c": RStepFunction.constant(1)})
@@ -89,9 +89,18 @@ def test_mixed_rows_shared_sections():
     assert {w: tuple(F(x, d) for x in row) for w, (_, row, d) in rows.items()
             } == {w: tuple(mass_of_index(s, j) for j in range(2))
                   for w, s in mu.sections.items()}
-    cdf = mu.cdf_rows(2)
-    assert cdf == {"a": ((1, 2), 2), "b": ((1, 2), 2), "c": ((0, 1), 1)}
-    assert cdf["a"] is cdf["b"]
+    read = []
+    cdf_row = RStepFunction.cdf_row
+
+    def counted(self, n_times):
+        read.append(self)
+        return cdf_row(self, n_times)
+
+    monkeypatch.setattr(RStepFunction, "cdf_row", counted)
+    cum = mu.cumulative(2)
+    assert cum.rows == {"a": ((1, 2), 2), "b": ((1, 2), 2), "c": ((0, 1), 1)}
+    # one cdf_row per distinct section
+    assert sorted(map(id, read)) == sorted({id(s) for s in mu.sections.values()})
 
 
 def test_canonical_merges_equal_neighbours():
