@@ -11,6 +11,7 @@ import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -258,8 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first main call of a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact values may pass 4300 digits
     try:

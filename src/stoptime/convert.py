@@ -47,7 +47,7 @@ def mixed_of_randomized(space: FilteredSpace, rho: RandomizedST) -> MixedST:
     reaches r; at a break equal to a path value the smaller index applies,
     which costs nothing in measure and makes the cumulative identity exact.
     Index j opens an interval where its path's int rises above the last
-    break, so the values rise strictly: the section is canonical as built.
+    break, so the values rise strictly.
     """
     sections = {}
     for w in space.outcomes:

@@ -158,9 +158,10 @@ def shuffle_sections(rng: np.random.Generator, space: FilteredSpace,
     if not 2 <= n <= max_breaks:
         return mu
     perm = rng.permutation(n).tolist()
-    ends = list(accumulate(cuts[i + 1] - cuts[i] for i in perm))
-    return MixedST({w: RStepFunction.merged(ends, [
-        s.values[bisect_right(starts[w], i) - 1] for i in perm], d)
+    ends = tuple(accumulate((cuts[i + 1] - cuts[i] for i in perm),
+                            initial=0))
+    return MixedST({w: RStepFunction((ends, d), tuple(
+        s.values[bisect_right(starts[w], i) - 1] for i in perm))
         for w, s in mu.sections.items()})
 
 

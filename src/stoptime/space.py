@@ -58,12 +58,19 @@ def over_common(row) -> tuple:
     return tuple(x.numerator * (d // x.denominator) for x in row), d
 
 
+def reduced(nums, d: int) -> tuple:
+    """The int row (nums, d) divided by gcd(d, *nums), nums as a tuple."""
+    g = gcd(d, *nums)
+    return ((tuple(nums), d) if g == 1
+            else (tuple([n // g for n in nums]), d // g))
+
+
 class CanonicalRows:
     """A per-outcome table held as canonical int rows: rows[w] is (nums, d),
     entry j being nums[j] / d with gcd(d, *nums) == 1, so two rows are
     equal iff their tuples are.  The constructor takes Fraction (or number)
     rows and keeps their over_common, which is already canonical; from_rows
-    takes int rows (nums, d) and divides each by gcd(d, *nums).  fractions()
+    takes int rows (nums, d) and keeps each one reduced.  fractions()
     is the Fraction view, for output only: readers take the ints; a
     subclass names it _view and exposes it under that name."""
 
@@ -75,12 +82,7 @@ class CanonicalRows:
 
     @classmethod
     def from_rows(cls, rows: Mapping):
-        canonical = {}
-        for w, (nums, d) in rows.items():
-            g = gcd(d, *nums)
-            canonical[w] = ((tuple(nums), d) if g == 1
-                            else (tuple([n // g for n in nums]), d // g))
-        return cls._of_canonical(canonical)
+        return cls._of_canonical({w: reduced(*row) for w, row in rows.items()})
 
     @classmethod
     def _of_canonical(cls, rows: dict):
@@ -135,10 +137,6 @@ class FilteredSpace:
     @property
     def last_index(self) -> int:
         return len(self.grid) - 1
-
-    @property
-    def horizon(self) -> Fraction:
-        return self.grid[-1]
 
     def prob(self, outcome) -> Fraction:
         return self.probs[self._order[outcome]]
@@ -269,15 +267,6 @@ class AdaptedProcess(CanonicalRows):
 
     _view = "values"
     values = property(CanonicalRows.fractions)
-
-    def at(self, outcome, grid_index: int) -> Fraction:
-        nums, d = self.rows[outcome]
-        return Fraction(nums[grid_index], d)
-
-    @staticmethod
-    def constant(space: FilteredSpace, c) -> "AdaptedProcess":
-        return AdaptedProcess(
-            {w: tuple(c for _ in space.grid) for w in space.outcomes})
 
     @staticmethod
     def time_process(space: FilteredSpace) -> "AdaptedProcess":

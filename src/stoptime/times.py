@@ -25,7 +25,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .space import (CanonicalRows, FilteredSpace, Violation, over_common,
-                    row_violations, unadapted_blocks)
+                    reduced, row_violations, unadapted_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +63,10 @@ class RStepFunction:
 
     Intervals are half-open [r_{i-1}, r_i); the point r = 1 belongs to the
     last interval.  break_ints = (nums, d) holds the breaks (0, r_1, ..., 1)
-    as ints over d, reduced so gcd(d, *nums) == 1, and values has one entry
-    per interval.  breaks is the Fraction view, for output only.
+    as ints over d and values has one entry per interval.  The constructor
+    merges neighbouring intervals of equal value and reduces so gcd(d,
+    *nums) == 1: each step function has one representation, so == and hash
+    are equality of functions.  breaks is the Fraction view, for output only.
     """
 
     break_ints: tuple
@@ -72,14 +74,20 @@ class RStepFunction:
 
     def __post_init__(self):
         nums, d = self.break_ints
-        if len(nums) != len(self.values) + 1:
+        values = self.values
+        if len(nums) != len(values) + 1:
             raise ValueError("breaks/values length mismatch")
         if d <= 0 or nums[0] != 0 or nums[-1] != d:
             raise ValueError("breaks must run from 0 to 1")
         if any(b <= a for a, b in zip(nums, nums[1:])):
             raise ValueError("breaks must be strictly increasing")
+        opens = [i for i in range(1, len(values)) if values[i] != values[i - 1]]
+        if len(opens) + 1 < len(values) or type(values) is not tuple:
+            nums = (0, *[nums[i] for i in opens], d)
+            object.__setattr__(self, "values",
+                               (values[0], *[values[i] for i in opens]))
         g = gcd(*nums)
-        if g != 1 or type(nums) is not tuple:
+        if g != 1 or nums is not self.break_ints[0] or type(nums) is not tuple:
             object.__setattr__(self, "break_ints",
                                (tuple(n // g for n in nums), d // g))
 
@@ -91,23 +99,6 @@ class RStepFunction:
     @staticmethod
     def constant(index: int) -> "RStepFunction":
         return RStepFunction(((0, 1), 1), (int(index),))
-
-    @staticmethod
-    def merged(ends, values, d: int) -> "RStepFunction":
-        """values[i] on [ends[i - 1], ends[i]) over d, equal neighbours merged."""
-        breaks, kept = [0], []
-        for v, b in zip(values, ends):
-            if kept and kept[-1] == v:
-                breaks[-1] = b
-            else:
-                breaks.append(b)
-                kept.append(v)
-        return RStepFunction((tuple(breaks), d), tuple(kept))
-
-    def canonical(self) -> "RStepFunction":
-        """Merge adjacent intervals carrying equal values."""
-        nums, d = self.break_ints
-        return RStepFunction.merged(nums[1:], self.values, d)
 
     def le_runs(self, d: int, n_times: int) -> list:
         """{r : value(r) <= j} for j in range(n_times), each a sorted tuple
@@ -137,14 +128,7 @@ class RStepFunction:
     def mass_numerators(self, n_times: int) -> tuple:
         """(below, row, d) in ints: the interval lengths over the breaks'
         common denominator d, summed per grid index into row, so row[j] / d
-        is lambda{r : value(r) == j}, and over values < 0 into below.  Kept
-        per n_times on the immutable section: callers must not change row."""
-        memo = self.__dict__.setdefault("_masses", {})
-        if n_times not in memo:
-            memo[n_times] = self._count_masses(n_times)
-        return memo[n_times]
-
-    def _count_masses(self, n_times: int) -> tuple:
+        is lambda{r : value(r) == j}, and over values < 0 into below."""
         nums, d = self.break_ints
         below = 0
         row = [0] * n_times
@@ -179,7 +163,7 @@ def common_refinement(sections: Mapping) -> tuple:
 
 def symdiff_measure(xs, ys) -> int:
     """lambda(A symdiff B) for unions A, B of disjoint int runs [a, b): a
-    point is in it iff an odd number of the merged endpoints lie at or
+    point is in it iff an odd number of the pooled endpoints lie at or
     left of it, so its measure is every second gap of the sorted ends."""
     ends = sorted(chain(*xs, *ys))
     return sum(ends[1::2]) - sum(ends[::2])
@@ -197,18 +181,15 @@ class PureST:
 class MixedST:
     sections: Mapping
 
-    def canonical(self) -> "MixedST":
-        return MixedST({w: s.canonical() for w, s in self.sections.items()})
-
     def mass_numerators(self, n_times: int) -> dict:
         """Each section's mass_numerators, computed once per distinct section."""
         return per_object(self.sections, lambda s: s.mass_numerators(n_times))
 
     def cumulative(self, n_times: int) -> "RandomizedST":
         """The cumulative stop paths lambda{r : section <= t_j}: each
-        section's cdf_row, computed once per distinct section."""
-        return RandomizedST.from_rows(
-            per_object(self.sections, lambda s: s.cdf_row(n_times)))
+        section's cdf_row, computed and reduced once per distinct section."""
+        return RandomizedST._of_canonical(per_object(
+            self.sections, lambda s: reduced(*s.cdf_row(n_times))))
 
 
 class RandomizedST(CanonicalRows):

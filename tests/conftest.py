@@ -46,6 +46,12 @@ def F(x):
 # The seed's Fraction readers of a section, which the library now reads as
 # ints over the breaks' denominator; test modules import them as oracles.
 
+def at(process, outcome, grid_index: int) -> Fraction:
+    """One entry of a process (any CanonicalRows table) as a Fraction."""
+    nums, d = process.rows[outcome]
+    return Fraction(nums[grid_index], d)
+
+
 def mass_of_index(s, index: int) -> Fraction:
     """Lebesgue measure of {r : value(r) == index}."""
     return sum((s.breaks[i + 1] - s.breaks[i]

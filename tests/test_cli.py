@@ -12,15 +12,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stoptime import cli, convert, demo, experiment, fuzz, games, sampling
+from stoptime import (cli, convert, demo, experiment, fuzz, games, problems,
+                      sampling)
 from stoptime.cli import main
 from stoptime.experiment import ExperimentConfig, ExperimentReport
 from stoptime.serialize import (dump_json, process_from_dict,
                                 process_to_dict, space_to_dict,
                                 stopping_time_to_dict)
-from stoptime.times import PureST, embed_pure
+from stoptime.times import PureST, embed_pure, validate
 
 
 @pytest.fixture
@@ -853,3 +854,157 @@ def test_request_outputs_are_byte_identical(tmp_path, capsys):
         out = capsys.readouterr().out
         seen[kind] = (code, hashlib.sha256(out.encode()).hexdigest()[:16])
     assert seen == REQUEST_OUTPUTS
+
+
+def test_main_builds_one_parser_per_process(files, monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert main(["validate", files["space"]]) == 0
+        assert main(["equiv", files["mixed"], files["flipped"],
+                     "--space", files["space"]]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert capsys.readouterr().out == "valid\nequivalent\n"
+
+
+def test_redundant_break_prints_what_its_merged_form_prints(tmp_path,
+                                                           capsys):
+    # a break at 1/4 splits w1's first interval into two of one value; the
+    # coarse coin space cuts the flipped sections apart, so validate
+    # reports there, and convert and equiv take the time on the fine space
+    spaces = {}
+    for name, space in (("coarse", demo.coin_space_coarse()),
+                        ("fine", demo.coin_space())):
+        spaces[name] = tmp_path / f"{name}.json"
+        dump_json(space_to_dict(space), spaces[name])
+    other = tmp_path / "other.json"
+    dump_json({"kind": "randomized",
+               "paths": {"w1": ["1/3", "1"], "w2": ["1/3", "1"]}}, other)
+    merged = {"w1": {"breaks": ["0", "1/2", "1"], "values": [0, 1]},
+              "w2": {"breaks": ["0", "1/2", "1"], "values": [1, 0]}}
+    split = {**merged,
+             "w1": {"breaks": ["0", "1/4", "1/2", "1"], "values": [0, 0, 1]}}
+    seen = []
+    for name, sections in (("merged", merged), ("split", split)):
+        doc = tmp_path / f"{name}.json"
+        dump_json({"kind": "mixed", "sections": sections}, doc)
+        outputs = []
+        for argv, space in ((["validate", doc], "coarse"),
+                            (["convert", doc, "--to", "distribution"], "fine"),
+                            (["equiv", doc, other], "fine"),
+                            (["equiv", doc, doc], "fine")):
+            code = main([*map(str, argv), "--space", str(spaces[space])])
+            outputs.append((code, capsys.readouterr()))
+        seen.append(outputs)
+    assert seen[0] == seen[1]
+    assert [code for code, _ in seen[0]] == [1, 0, 1, 0]
+    assert "NotJointlyMeasurable" in seen[0][0][1].out
+
+
+# Most draws are at the default scale.  The rest reach either MAX_CELLS
+# cells at the default denominator or a denominator up to 2**63 - 1 on at
+# most 16 x 16 cells: a wide grid with wide denominators makes numbers of
+# grid x 63 bits, on which the game route alone runs for minutes.
+@st.composite
+def accepted_bounds(draw):
+    """FuzzBounds from the range ExperimentConfig accepts."""
+    scale = draw(st.sampled_from(["default"] * 3 + ["cells", "denominator"]))
+    if scale == "default":
+        outcomes, grid = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+        denominator = draw(st.integers(1, 64))
+    elif scale == "cells":
+        outcomes = draw(st.integers(1, 128))
+        grid = draw(st.integers(1, fuzz.MAX_CELLS // outcomes))
+        denominator = draw(st.integers(1, 64))
+    else:
+        outcomes, grid = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+        denominator = draw(st.integers(1, 2**63 - 1))
+    return fuzz.FuzzBounds(max_outcomes=outcomes, max_grid_points=grid,
+                           max_breaks=draw(st.integers(1, 16)),
+                           max_denominator=denominator)
+
+
+def _cli(argv) -> tuple:
+    """(exit code, stdout) of one in-process call, which writes no stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    assert err.getvalue() == ""
+    return code, out.getvalue()
+
+
+@settings(max_examples=8, deadline=None)
+@given(bounds=accepted_bounds(), seed=st.integers(0, 2**32),
+       index=st.integers(0, 2**16))
+# the instance whose game value once passed Python's int-string limit
+@example(bounds=ExperimentConfig(seed=1, max_outcomes=8, max_grid_points=64,
+                                 max_denominator=2**63 - 1).bounds(),
+         seed=1, index=1)
+def test_cli_prints_the_library_answer_for_accepted_bounds(bounds, seed,
+                                                           index):
+    """validate, convert, equiv, payoff --check-kuhn and game --route both
+    on a fuzzed instance: each exits 0 (equiv 1 on a pair that differs)
+    and prints the library's exact answer; a corrupted mixed time is
+    rejected with exit 1."""
+    inst = fuzz.random_instance(experiment._rng_for(seed, index), bounds)
+    space = inst.space
+    stops = ("pure", "mixed", "randomized", "distribution", "mixed2")
+    corrupt = fuzz.corrupt_mixed(space, inst.mixed)
+    game = games.StoppingGame(space, inst.x, inst.y, inst.z)
+    with unlimited_int_digits(), tempfile.TemporaryDirectory() as tmp:
+        paths = {key: os.path.join(tmp, f"{key}.json")
+                 for key in ("space", "reward", *"xyz", *stops, "corrupt")}
+        dump_json(space_to_dict(space), paths["space"])
+        for key in ("reward", *"xyz"):
+            dump_json(process_to_dict(getattr(inst, key)), paths[key])
+        for key in stops:
+            dump_json(stopping_time_to_dict(getattr(inst, key)), paths[key])
+        on = ("--space", paths["space"])
+
+        for key in stops:
+            assert _cli(["validate", paths[key], *on]) == (0, "valid\n")
+        for key in stops[:4]:  # one time of each kind
+            delta = convert.to_distribution(space, getattr(inst, key))
+            rho = convert.randomized_of_distribution(space, delta)
+            want = {"distribution": delta, "randomized": rho,
+                    "mixed": convert.mixed_of_randomized(space, rho)}
+            for kind, eta in want.items():
+                code, out = _cli(["convert", paths[key], "--to", kind, *on])
+                assert code == 0
+                assert json.loads(out) == stopping_time_to_dict(eta)
+
+        for a, b in (("mixed", "randomized"), ("distribution", "pure"),
+                     ("mixed2", "distribution")):
+            diff = convert.first_difference(space, getattr(inst, a),
+                                            getattr(inst, b))
+            want = ((0, "equivalent\n") if diff is None else (
+                1, "not equivalent: outcome {} time {}: {} != {}\n".format(
+                    *diff)))
+            assert _cli(["equiv", paths[a], paths[b], *on]) == want
+
+        value = cli._exact(problems.payoff(
+            problems.StoppingProblem(space, inst.reward), inst.mixed))
+        assert _cli(["payoff", *on, "--reward", paths["reward"], "--stop",
+                     paths["mixed"], "--check-kuhn"]) == (
+            0, f"{value}\nall representation routes agree\n")
+        value = cli._exact(games.game_payoff_via_lift(game, inst.mixed,
+                                                      inst.mixed2))
+        assert _cli(["game", *on, "--x", paths["x"], "--y", paths["y"],
+                     "--z", paths["z"], "--p1", paths["mixed"], "--p2",
+                     paths["mixed2"], "--route", "both"]) == (
+            0, f"lift:      {value}\nsymmetric: {value}\n")
+
+        if corrupt is not None:
+            dump_json(stopping_time_to_dict(corrupt), paths["corrupt"])
+            report = "".join(f"{v}\n" for v in validate(space, corrupt))
+            assert report
+            assert _cli(["validate", paths["corrupt"], *on]) == (1, report)

@@ -76,7 +76,7 @@ def test_round_trip_is_exact(coin_space, coin_delta):
 
 def test_mixed_of_randomized_coin(coin_space, coin_randomized, coin_mixed):
     mu = mixed_of_randomized(coin_space, coin_randomized)
-    assert mu == coin_mixed.canonical()
+    assert mu == coin_mixed
     assert validate_mixed(coin_space, mu) == []
     assert validate_mixed_sections(coin_space, mu) == []
 
@@ -103,7 +103,7 @@ def test_mixed_of_randomized_with_flat_path_segment(three_grid_space):
 
 def test_mixed_of_distribution_coin(coin_space, coin_delta, coin_mixed):
     mu = mixed_of_distribution(coin_space, coin_delta)
-    assert mu == coin_mixed.canonical()
+    assert mu == coin_mixed
     assert delta_of_mixed(coin_space, mu) == coin_delta
 
 
@@ -170,10 +170,10 @@ def test_equivalent_incompatible_spaces(coin_space):
 
 
 def test_nonuniqueness_witness(coin_space, coin_mixed, coin_mixed_flipped):
-    # same stop law, different canonical interval representations
+    # same stop law, different step functions
     assert delta_of_mixed(coin_space, coin_mixed) == delta_of_mixed(
         coin_space, coin_mixed_flipped)
-    assert coin_mixed.canonical() != coin_mixed_flipped.canonical()
+    assert coin_mixed != coin_mixed_flipped
 
 
 def test_path_to_intervals_row_catches_a_wrong_cumulative_row(monkeypatch):

@@ -245,23 +245,17 @@ def test_check_instance_builds_no_process_view(monkeypatch):
     index, inst = _first_instance(
         config, lambda i: len(i.space.outcomes) >= 16 and i.space.n_times >= 4)
     reads = []
-    values, at = AdaptedProcess.values, AdaptedProcess.at
-
-    def counted_at(self, outcome, grid_index):
-        reads.append("at")
-        return at(self, outcome, grid_index)
+    values = AdaptedProcess.values
 
     def counted_values(self):
         reads.append("values")
         return values.fget(self)
 
-    monkeypatch.setattr(AdaptedProcess, "at", counted_at)
     monkeypatch.setattr(AdaptedProcess, "values", property(counted_values))
     rows = check_instance(config, index)
     assert all(r.status == "pass" for r in rows)
     assert reads == []
-    inst.reward.at(inst.space.outcomes[0], 0)
-    assert inst.reward.values and reads == ["at", "values"]
+    assert inst.reward.values and reads == ["values"]
 
 
 def test_lift_check_compares_cumulatives_exactly(monkeypatch):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import at
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (AdaptedProcess, DistributionST, PureST, StoppingGame,
@@ -28,7 +29,7 @@ def coin_game(coin_space):
 
 @pytest.fixture
 def const_game(coin_space):
-    c = AdaptedProcess.constant(coin_space, F(5))
+    c = AdaptedProcess({w: (F(5), F(5)) for w in coin_space.outcomes})
     return StoppingGame(coin_space, c, c, c)
 
 
@@ -47,8 +48,8 @@ def test_lift_point_mass_at_horizon(coin_game, coin_space):
     # two positive atoms, both with opponent stop at the horizon
     assert set(lifted.space.outcomes) == {("w1", 1), ("w2", 1)}
     # before the horizon Player 1 is first (X); at the horizon a tie (Z)
-    assert lifted.reward.at(("w1", 1), 0) == F(10)
-    assert lifted.reward.at(("w1", 1), 1) == F(31)
+    assert at(lifted.reward, ("w1", 1), 0) == F(10)
+    assert at(lifted.reward, ("w1", 1), 1) == F(31)
 
 
 def test_lift_constant_game(const_game, coin_space, coin_delta):

@@ -99,6 +99,12 @@ def test_breaks_view_read_only_where_sections_meet_text():
     assert _uses(r"\.breaks\b", {"times.py"}) == []
 
 
+def test_no_library_module_writes_a_hidden_per_object_cache():
+    # a frozen value is equal to what its fields say: no memo is written
+    # into an object's __dict__ behind its constructor
+    assert _uses(r"__dict__", set()) == []
+
+
 def test_library_callers_tally_draws_as_counts():
     # the Monte Carlo rows and `stoptime sample` read sample_counts; one
     # record per draw is built only inside sampling.py

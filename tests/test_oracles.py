@@ -5,7 +5,7 @@ library's integer routes are compared with code they share nothing with."""
 from fractions import Fraction
 
 import numpy as np
-from conftest import mass_of_index
+from conftest import at, mass_of_index
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (AdaptedProcess, DistributionST, FilteredSpace, PureST,
@@ -30,7 +30,7 @@ bounds = st.sampled_from([fuzz.FuzzBounds(),
 
 def oracle_pure(problem, sigma):
     space, R = problem.space, problem.reward
-    return sum((space.prob(w) * R.at(w, sigma.stop_index[w])
+    return sum((space.prob(w) * at(R, w, sigma.stop_index[w])
                 for w in space.outcomes), ZERO)
 
 
@@ -39,7 +39,7 @@ def oracle_mixed(problem, mu):
     total = ZERO
     for w in space.outcomes:
         s = mu.sections[w]
-        inner = sum(((s.breaks[i + 1] - s.breaks[i]) * R.at(w, v)
+        inner = sum(((s.breaks[i + 1] - s.breaks[i]) * at(R, w, v)
                      for i, v in enumerate(s.values)), ZERO)
         total += space.prob(w) * inner
     return total
@@ -52,7 +52,7 @@ def oracle_randomized(problem, rho):
         prev = ZERO
         inner = ZERO
         for j, x in enumerate(rho.paths[w]):
-            inner += R.at(w, j) * (x - prev)
+            inner += at(R, w, j) * (x - prev)
             prev = x
         total += space.prob(w) * inner
     return total
@@ -60,7 +60,7 @@ def oracle_randomized(problem, rho):
 
 def oracle_distribution(problem, delta):
     space, R = problem.space, problem.reward
-    return sum((delta.mass[w][j] * R.at(w, j)
+    return sum((delta.mass[w][j] * at(R, w, j)
                 for w in space.outcomes for j in range(space.n_times)), ZERO)
 
 
@@ -76,11 +76,11 @@ def oracle_symmetric(game, mu1, mu2):
             for j2 in range(space.n_times):
                 q2 = mass_of_index(s2, j2)
                 if j1 < j2:
-                    r = game.x.at(w, j1)
+                    r = at(game.x, w, j1)
                 elif j1 > j2:
-                    r = game.y.at(w, j2)
+                    r = at(game.y, w, j2)
                 else:
-                    r = game.z.at(w, j1)
+                    r = at(game.z, w, j1)
                 inner += q1 * q2 * r
         total += space.prob(w) * inner
     return total
@@ -91,10 +91,10 @@ def first_stopper_reward(first, second, tie, w, my_index, opp_index):
     strictly first, second (at the opponent's stop) when the opponent does,
     tie on a tie."""
     if my_index < opp_index:
-        return first.at(w, my_index)
+        return at(first, w, my_index)
     if my_index > opp_index:
-        return second.at(w, opp_index)
-    return tie.at(w, my_index)
+        return at(second, w, opp_index)
+    return at(tie, w, my_index)
 
 
 def seed_lifted_space(base, delta):

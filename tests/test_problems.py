@@ -19,7 +19,8 @@ def time_problem(coin_space):
 
 @pytest.fixture
 def const_problem(coin_space):
-    return StoppingProblem(coin_space, AdaptedProcess.constant(coin_space, F(7, 3)))
+    return StoppingProblem(coin_space, AdaptedProcess(
+        {w: (F(7, 3),) * coin_space.n_times for w in coin_space.outcomes}))
 
 
 def test_payoff_pure_constant(const_problem):

@@ -6,14 +6,17 @@ import numpy as np
 from conftest import le_intervals, mass_of_index
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (MixedST, cdf_of_mixed, delta_of_mixed,
-                      delta_of_randomized, embed_pure, equivalent,
-                      mixed_of_randomized,
-                      randomized_of_distribution, rn_derivative, sub_measure,
-                      validate_distribution, validate_mixed,
-                      validate_mixed_product, validate_mixed_sections,
-                      validate_pure, validate_randomized)
+from stoptime import (MixedST, RStepFunction, StoppingProblem, cdf_of_mixed,
+                      delta_of_mixed, delta_of_randomized, embed_pure,
+                      equivalent, mixed_of_randomized, payoff_mixed,
+                      randomized_of_distribution, rn_derivative,
+                      sample_counts, sub_measure, validate_distribution,
+                      validate_mixed, validate_mixed_product,
+                      validate_mixed_sections, validate_pure,
+                      validate_randomized)
 from stoptime import fuzz
+from stoptime.serialize import (format_ratio, stopping_time_from_dict,
+                                stopping_time_to_dict)
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 
@@ -169,3 +172,54 @@ def test_randomized_of_distribution_matches_rn_derivative(seed):
             dens = rn_derivative(space, delta, j)
             for w in space.outcomes:
                 assert rho.paths[w][j] == dens[w]
+
+
+def split_lists(data, s) -> tuple:
+    """((nums, d), values): the section's breaks over k times its d, with
+    some intervals cut into pieces that carry the interval's value."""
+    nums, d = s.break_ints
+    k = data.draw(st.integers(1, 4))
+    breaks, values = [0], []
+    for v, a, b in zip(s.values, nums, nums[1:]):
+        inner = (data.draw(st.sets(st.integers(k * a + 1, k * b - 1),
+                                   max_size=3)) if k * (b - a) > 1 else ())
+        for c in (*sorted(inner), k * b):
+            breaks.append(c)
+            values.append(v)
+    return (tuple(breaks), k * d), tuple(values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.data())
+def test_split_intervals_give_the_same_section(seed, data):
+    """Breaks and values with equal neighbours build the section of the
+    merged lists: equal, hashed alike, and read alike by every reader."""
+    inst, _ = make_instance(seed)
+    space = inst.space
+    n = space.n_times
+    problem = StoppingProblem(space, inst.reward)
+    for mu in filter(None, (inst.mixed, fuzz.corrupt_mixed(space, inst.mixed))):
+        lists = {w: split_lists(data, s) for w, s in mu.sections.items()}
+        split = MixedST({w: RStepFunction(*ls) for w, ls in lists.items()})
+        for w, s in mu.sections.items():
+            t = split.sections[w]
+            assert t == s and hash(t) == hash(s)
+            assert t.mass_numerators(n) == s.mass_numerators(n)
+            assert t.cdf_row(n) == s.cdf_row(n)
+            d = 2 * s.break_ints[1]  # le_runs takes any multiple of it
+            assert t.le_runs(d, n) == s.le_runs(d, n)
+        assert split == mu
+        assert payoff_mixed(problem, split) == payoff_mixed(problem, mu)
+        assert (validate_mixed_product(space, split)
+                == validate_mixed_product(space, mu))
+        assert (validate_mixed_sections(space, split)
+                == validate_mixed_sections(space, mu))
+        draws = [sample_counts(space, eta, np.random.Generator(
+            np.random.PCG64(seed)), 500) for eta in (split, mu)]
+        assert (draws[0] == draws[1]).all()
+        doc = {"kind": "mixed", "sections": {
+            w: {"breaks": [format_ratio(x, k) for x in nums],
+                "values": list(values)}
+            for w, ((nums, k), values) in lists.items()}}
+        assert stopping_time_from_dict(doc) == mu
+        assert stopping_time_from_dict(stopping_time_to_dict(split)) == mu

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import le_intervals, seed_parse_fraction
+from conftest import at, le_intervals, seed_parse_fraction
 from hypothesis import example, given, settings, strategies as st
 
 from stoptime import fuzz
@@ -97,7 +97,7 @@ def test_space_documented_schema():
 def test_process_round_trip():
     doc = {"values": {"w1": ["0", "1/2", "1"], "w2": ["1", "1", "1"]}}
     proc = process_from_dict(doc)
-    assert proc.at("w1", 1) == F(1, 2)
+    assert at(proc, "w1", 1) == F(1, 2)
     assert process_from_dict(process_to_dict(proc)).values == proc.values
 
 

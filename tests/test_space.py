@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import at
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (AdaptedProcess, DistributionST, PureST, SpaceError,
@@ -21,7 +22,7 @@ def test_build_valid_two_state_space(coin_space):
 def test_build_degenerate_space():
     s = build_space(("w",), (F(1),), (F(0), F(1)),
                     ((frozenset({"w"}),), (frozenset({"w"}),)))
-    assert s.horizon == 1
+    assert s.grid[-1] == 1
 
 
 def test_probs_not_summing_to_one():
@@ -72,7 +73,8 @@ def test_build_space_deterministic(coin_space):
 
 
 def test_validate_adapted_constant(coin_space):
-    assert validate_adapted(coin_space, AdaptedProcess.constant(coin_space, 3)) == []
+    assert validate_adapted(coin_space, AdaptedProcess(
+        {w: (3, 3) for w in coin_space.outcomes})) == []
 
 
 def test_validate_adapted_time_process(coin_space_coarse):
@@ -107,7 +109,7 @@ def test_process_rows_are_canonical_and_compare_as_tuples(a, b, k):
     assert all(type(n) is int for n in nums) and type(d) is int and d > 0
     assert gcd(d, *nums) == 1
     assert proc.values == {"w": tuple(F(x) for x in a)}
-    assert [proc.at("w", j) for j in range(len(a))] == [F(x) for x in a]
+    assert [at(proc, "w", j) for j in range(len(a))] == [F(x) for x in a]
     assert proc.numerators() == {"w": nums}
     # the view round-trips, and int rows over a k-fold denominator reduce
     # to the same tuple
@@ -147,8 +149,8 @@ def test_process_accepts_number_rows_and_keeps_no_view():
 
 
 def test_constant_and_time_process_rows(coin_space):
-    assert AdaptedProcess.constant(coin_space, F(7, 3)).rows == {
-        "w1": ((7, 7), 3), "w2": ((7, 7), 3)}
+    constant = AdaptedProcess({w: (F(7, 3),) * 2 for w in coin_space.outcomes})
+    assert constant.rows == {"w1": ((7, 7), 3), "w2": ((7, 7), 3)}
     assert AdaptedProcess.time_process(coin_space).rows == {
         "w1": ((0, 1), 1), "w2": ((0, 1), 1)}
 
@@ -181,8 +183,8 @@ def walk_row_violations(space, table, what):
 
 
 def test_row_violations_match_the_per_outcome_walk(coin_space, coin_delta):
-    game = StoppingGame(coin_space, *(AdaptedProcess.constant(coin_space, c)
-                                      for c in (1, 2, 3)))
+    game = StoppingGame(coin_space, *(AdaptedProcess(
+        {w: (c, c) for w in coin_space.outcomes}) for c in (1, 2, 3)))
     lifted = lift(game, coin_delta)
     reward = lifted.reward.numerators()
     ok = (0, 1)

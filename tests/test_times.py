@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import le_intervals, mass_of_index
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
                       validate_distribution, validate_mixed,
                       validate_mixed_product, validate_mixed_sections,
                       validate_pure, validate_randomized)
-from stoptime import experiment
+from stoptime import fuzz, games, times
 
 F = Fraction
 H = F(1, 2)
@@ -50,34 +51,6 @@ def test_step_function_rows_in_one_pass():
     assert s.mass_numerators(2) == (1, [2, 0], 4)
 
 
-def test_mass_numerators_computed_once_per_section_and_grid(monkeypatch):
-    # a campaign reads each section's masses in delta_of_mixed and in
-    # cumulative, on the base space and again on the lifted one, whose
-    # sections are the base's objects; the section keeps them, so each
-    # (section, n_times) pair is counted once
-    computed = []  # the sections are held, so no id is reused
-    reads = []
-    count, read = RStepFunction._count_masses, RStepFunction.mass_numerators
-
-    def counted(self, n_times):
-        computed.append((self, n_times))
-        return count(self, n_times)
-
-    def counted_read(self, n_times):
-        reads.append(n_times)
-        return read(self, n_times)
-
-    monkeypatch.setattr(RStepFunction, "_count_masses", counted)
-    monkeypatch.setattr(RStepFunction, "mass_numerators", counted_read)
-    config = experiment.ExperimentConfig(seed=7, n_instances=40)
-    rows = [row for i in range(config.n_instances)
-            for row in experiment.check_instance(config, i)]
-    monkeypatch.undo()
-    assert all(row.status == "pass" for row in rows)
-    assert len({(id(s), n) for s, n in computed}) == len(computed)
-    assert len(reads) > 2 * len(computed)
-
-
 def test_mixed_rows_shared_sections(monkeypatch):
     shared = RStepFunction(over_common((F(0), H, F(1))), (0, 1))
     mu = MixedST({"a": shared, "b": shared,
@@ -103,11 +76,41 @@ def test_mixed_rows_shared_sections(monkeypatch):
     assert sorted(map(id, read)) == sorted({id(s) for s in mu.sections.values()})
 
 
-def test_canonical_merges_equal_neighbours():
+def test_cumulative_reduces_once_per_distinct_section(monkeypatch):
+    # a lifted mixed time repeats one section object per opponent stop
+    inst = fuzz.random_instance(np.random.Generator(np.random.PCG64(3)),
+                                min_outcomes=4)
+    game = games.StoppingGame(inst.space, inst.x, inst.y, inst.z)
+    lifted = games.lift(game, inst.distribution).space
+    mu = games.lift_mixed(inst.mixed, lifted)
+    n = lifted.n_times
+    reductions = []
+    reduce = times.reduced
+
+    def counted(nums, d):
+        reductions.append((nums, d))
+        return reduce(nums, d)
+
+    monkeypatch.setattr(times, "reduced", counted)
+    cum = mu.cumulative(n)
+    monkeypatch.undo()
+    distinct = {id(s) for s in mu.sections.values()}
+    assert len(reductions) == len(distinct) < len(mu.sections)
+    assert cum == RandomizedST.from_rows(
+        {w: s.cdf_row(n) for w, s in mu.sections.items()})
+    assert cum == games.lift_randomized(inst.mixed.cumulative(n), lifted)
+
+
+def test_constructor_merges_equal_neighbours():
     s = RStepFunction(over_common((F(0), F(1, 4), H, F(1))), (1, 1, 0))
-    c = s.canonical()
-    assert c.breaks == (F(0), H, F(1))
-    assert c.values == (1, 0)
+    assert s.breaks == (F(0), H, F(1))
+    assert s.values == (1, 0)
+    s = RStepFunction(((0, 1, 2, 3, 4), 4), (2, 2, 2, 2))
+    assert s == RStepFunction.constant(2) and s.break_ints == ((0, 1), 1)
+    # values given as a list are held as the tuple, so they hash
+    s = RStepFunction(([0, 1, 2], 2), [0, 1])
+    assert s == RStepFunction(((0, 1, 2), 2), (0, 1)) and hash(s)
+    assert type(s.values) is tuple
 
 
 def test_sections_equal_across_scalings():
@@ -122,11 +125,14 @@ def test_sections_equal_across_scalings():
 @given(st.sets(st.fractions(0, 1, max_denominator=10**6), max_size=8),
        st.data())
 def test_breaks_view_round_trips(inner, data):
+    # the view reads back the breaks left after equal neighbours merge
     bs = (F(0), *sorted(inner - {0, 1}), F(1))
     vs = tuple(data.draw(st.lists(st.integers(-1, 5), min_size=len(bs) - 1,
                                   max_size=len(bs) - 1)))
     s = RStepFunction(over_common(bs), vs)
-    assert s.breaks == bs and s.values == vs
+    opens = [i for i in range(len(vs)) if i == 0 or vs[i] != vs[i - 1]]
+    assert s.breaks == (*(bs[i] for i in opens), F(1))
+    assert s.values == tuple(vs[i] for i in opens)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])
@@ -140,12 +146,13 @@ def test_shape_checks_on_scaled_ints(k, nums, d, values, message):
         RStepFunction((tuple(k * n for n in nums), k * d), values)
 
 
-def test_canonical_reduces_break_ints():
+def test_constructor_merges_then_reduces_break_ints():
+    # merging drops the break 1/4, after which the breaks reduce by 2
     s = RStepFunction(((0, 1, 2, 4), 4), (1, 1, 0))
-    assert s.canonical().break_ints == ((0, 1, 2), 2)
-    assert s.canonical() == RStepFunction(((0, 2, 4), 4), (1, 0))
-    merged = RStepFunction.merged((1, 2, 4), (1, 1, 0), 4)
-    assert merged == s.canonical() and merged.break_ints == ((0, 1, 2), 2)
+    assert s.break_ints == ((0, 1, 2), 2) and s.values == (1, 0)
+    for same in (RStepFunction(((0, 2, 4), 4), (1, 0)),
+                 RStepFunction(((0, 1, 2), 2), (1, 0))):
+        assert s == same and hash(s) == hash(same)
 
 
 def test_break_ints_are_held_as_reduced_tuples():
