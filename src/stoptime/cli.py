@@ -167,7 +167,7 @@ def cmd_sample(args) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_seed(args))))
     try:
         counts = sampling.sample_counts(space, eta, rng, args.n)
-    except MemoryError:  # numpy draws all n at once
+    except MemoryError:  # draws come in chunks: this guards the count array
         raise InputError(f"--n {args.n}: too many draws for memory")
     freq, tv = sampling.frequencies(space, counts, reference)
     for (w, j), f in sorted(freq.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
@@ -182,7 +182,7 @@ def cmd_fuzz(args) -> int:
     config = ExperimentConfig(**{**values, "seed": _seed(args)})
     try:
         report = run_experiment(config)
-    except MemoryError:  # numpy draws all n_samples at once
+    except MemoryError:  # as in sample, a guard of the count arrays
         raise InputError(f"--samples {args.n_samples}: too many draws for memory")
     csv_text = report.to_csv()
     if args.output:

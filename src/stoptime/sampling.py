@@ -9,16 +9,16 @@ representation, and all three target the same joint law:
                 cumulative path;
 * distribution: draw the grid index from the outcome's conditional row.
 
-sample_counts tallies the draws as an outcomes x grid count array.
-sample_many builds one record per draw in one pass with the collector
-paused: records are tuple subclasses, which a collection never untracks.
+Draws come in bounded chunks, with the numbers of one choice(n) and one
+random(n). sample_counts tallies them as an outcomes x grid count array.
+sample_many builds one record per draw with the collector paused: records
+are tuple subclasses, which a collection never untracks.
 """
 
 from __future__ import annotations
 
 import gc
-from collections import Counter
-from itertools import repeat
+from itertools import islice, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -26,6 +26,8 @@ import numpy as np
 
 from .space import FilteredSpace
 from .times import DistributionST, MixedST, PureST, RandomizedST, embed_pure
+
+_CHUNK = 1 << 16  # draws or records held at once
 
 
 class EmptySamples(ValueError):
@@ -40,14 +42,17 @@ class SampleRecord(NamedTuple):
 
 def sample_many(space: FilteredSpace, eta, rng: np.random.Generator,
                 n: int) -> list:
-    """n independent draws of (outcome, stop index) under the law of eta;
-    the collector is paused while the records are built, then restored."""
-    which, indices = _draw(space, eta, rng, n)
-    enabled = gc.isenabled()
+    """n independent draws of (outcome, stop index) under the law of eta,
+    built chunk by chunk with the collector paused, then restored."""
+    labels = np.fromiter(space.outcomes, dtype=object, count=len(space.outcomes))
+    records, enabled = [], gc.isenabled()
     gc.disable()  # tuple subclasses are never untracked: no rescans mid-build
     try:  # tuple.__new__ per row is what SampleRecord._make does
-        return list(map(tuple.__new__, repeat(SampleRecord), zip(map(
-            space.outcomes.__getitem__, which.tolist()), indices.tolist(), range(n))))
+        for which, indices in _draw(space, eta, rng, n):
+            records += map(tuple.__new__, repeat(SampleRecord), zip(
+                labels[which].tolist(), indices.tolist(),
+                range(len(records), len(records) + len(which))))
+        return records
     finally:
         if enabled:
             gc.enable()
@@ -56,14 +61,18 @@ def sample_many(space: FilteredSpace, eta, rng: np.random.Generator,
 def sample_counts(space: FilteredSpace, eta, rng: np.random.Generator,
                   n: int) -> np.ndarray:
     """sample_many's draws as an outcomes x grid int64 count array."""
-    which, indices = _draw(space, eta, rng, n)
     t = space.n_times
-    return np.bincount(which * t + indices,
-                       minlength=len(space.outcomes) * t).reshape(-1, t)
+    counts = np.zeros(len(space.outcomes) * t, dtype=np.int64)
+    for which, indices in _draw(space, eta, rng, n):
+        counts += np.bincount(which * t + indices, minlength=counts.size)
+    return counts.reshape(-1, t)
 
 
 def _draw(space: FilteredSpace, eta, rng: np.random.Generator, n: int):
-    """(which, indices): outcome positions and stop indices of n draws."""
+    """(which, indices) per chunk of n draws: outcome positions and stop
+    indices.  The draws are those of choice(n) then random(n) on rng: the
+    r's come from a copy of rng advanced n doubles, whose final state rng
+    takes.  Where advance does not count doubles, all n come in one chunk."""
     if n <= 0:
         raise EmptySamples("need at least one sample")
     if isinstance(eta, PureST):
@@ -72,15 +81,27 @@ def _draw(space: FilteredSpace, eta, rng: np.random.Generator, n: int):
                     DistributionST: _mass_indices}.get(type(eta))
     if stop_indices is None:
         raise TypeError(f"not a samplable stopping time: {type(eta).__name__}")
+    k, bits = len(space.outcomes), rng.bit_generator
     probs = np.array([float(p) for p in space.probs])
-    which = rng.choice(len(space.outcomes), size=n, p=probs / probs.sum())
-    rs = rng.random(n)
-    indices = np.empty(n, dtype=np.int64)
-    for i, w in enumerate(space.outcomes):
-        mask = which == i
-        if mask.any():
-            indices[mask] = stop_indices(eta, w, rs[mask])
-    return which, np.clip(indices, 0, space.n_times - 1)
+    ahead, step = rng, n
+    if type(bits) in (np.random.PCG64, np.random.PCG64DXSM):
+        copy = type(bits)()
+        copy.state = bits.state
+        copy.advance(n)  # which drops a buffered 32-bit half: keep rng's
+        copy.state = {**bits.state, "state": copy.state["state"]}
+        ahead, step = np.random.Generator(copy), _CHUNK
+    for start in range(0, n, step):
+        which = rng.choice(k, size=min(step, n - start), p=probs / probs.sum())
+        rs = ahead.random(which.size)
+        order = np.argsort(which.astype(np.min_scalar_type(k - 1)), kind="stable")
+        ends = np.cumsum(np.bincount(which, minlength=k))[:-1]
+        indices = np.empty(which.size, dtype=np.int64)
+        for w, at, r in zip(space.outcomes, np.split(order, ends),
+                            np.split(rs[order], ends)):
+            if at.size:  # one reader call per outcome drawn in the chunk
+                indices[at] = stop_indices(eta, w, r)
+        yield which, np.clip(indices, 0, space.n_times - 1)
+    bits.state = ahead.bit_generator.state
 
 
 def _section_indices(mu: MixedST, w, rs: np.ndarray) -> np.ndarray:
@@ -108,13 +129,22 @@ def _mass_indices(delta: DistributionST, w, rs: np.ndarray) -> np.ndarray:
 
 def empirical_delta(space: FilteredSpace, samples,
                     reference: DistributionST = None):
-    """frequencies of the records' counts; KeyError on a cell off the space."""
-    tally = Counter(map(attrgetter("outcome", "grid_index"), samples))
-    counts = np.array([[tally.pop((w, j), 0) for j in range(space.n_times)]
-                       for w in space.outcomes], dtype=np.int64)
-    if tally:  # a cell outside the space
-        raise KeyError(next(iter(tally)))
-    return frequencies(space, counts, reference)
+    """frequencies of the records' counts, tallied chunk by chunk; KeyError
+    on the first record whose cell lies off the space."""
+    t, row = space.n_times, {w: i for i, w in enumerate(space.outcomes)}.get
+    col = {j: j for j in range(t)}.get  # as dict keys: 1.0 is 1, 1.5 is off
+    counts = np.zeros(len(space.outcomes) * t, dtype=np.int64)
+    records = iter(samples)
+    while chunk := list(islice(records, _CHUNK)):  # no tuple per record
+        which = np.fromiter(map(row, map(attrgetter("outcome"), chunk),
+                                repeat(-1)), np.int64, len(chunk))
+        indices = np.fromiter(map(col, map(attrgetter("grid_index"), chunk),
+                                  repeat(-1)), np.int64, len(chunk))
+        off = (which < 0) | (indices < 0)
+        if off.any():  # a cell outside the space
+            raise KeyError(attrgetter("outcome", "grid_index")(chunk[off.argmax()]))
+        counts += np.bincount(which * t + indices, minlength=counts.size)
+    return frequencies(space, counts.reshape(-1, t), reference)
 
 
 def frequencies(space: FilteredSpace, counts: np.ndarray,

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -357,6 +358,32 @@ def test_fuzz_samples_beyond_memory_is_an_input_error(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: --samples 100000000000000:")
     assert "Traceback" not in err
+
+
+# Linux starts a child's ru_maxrss at the peak of the process it replaced
+# when it exec'd, here the test process's; a small launcher spawns the child
+WAIT4 = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_sample_of_ten_million_draws_runs_in_bounded_memory(files):
+    # the draws come in chunks; drawing all 10^7 at once peaked at 427 MiB
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    launched = subprocess.run(
+        [sys.executable, "-c", WAIT4, sys.executable, "-m", "stoptime.cli",
+         "sample", "--space", files["space"], "--stop", files["mixed"],
+         "--n", "10000000"], env=env, capture_output=True, text=True,
+        check=True)
+    code, maxrss = map(int, launched.stdout.split())
+    assert code == 0
+    kib = maxrss / (1024 if sys.platform == "darwin" else 1)
+    assert kib < 100 * 1024
 
 
 def test_sample_seed_env_override(files, capsys, monkeypatch):

@@ -1,15 +1,18 @@
 import gc
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (EmptySamples, MixedST, PureST, RStepFunction,
-                      SampleRecord, common_refinement, empirical_delta,
+from stoptime import (DistributionST, EmptySamples, MixedST, PureST,
+                      RandomizedST, RStepFunction, SampleRecord,
+                      common_refinement, demo, embed_pure, empirical_delta,
                       frequencies, fuzz, sample_counts, sample_many, sampling)
 
 F = Fraction
+CHUNK = sampling._CHUNK
 
 
 def rng(seed=0):
@@ -77,6 +80,41 @@ def test_empirical_delta_rejects_a_cell_outside_the_space(coin_space):
 def test_empirical_delta_empty(coin_space, coin_delta):
     with pytest.raises(EmptySamples):
         empirical_delta(coin_space, [], coin_delta)
+    with pytest.raises(EmptySamples):
+        empirical_delta(coin_space, iter([]), coin_delta)
+
+
+@pytest.mark.parametrize("cell", [("w3", 0), ("w1", -1), ("w2", 2), ("w2", 9),
+                                  ("w1", 1.5), ("w1", "1"), ("w2", 2**70)])
+@pytest.mark.parametrize("at", [0, 5, CHUNK - 1, CHUNK, 2 * CHUNK + 3])
+def test_empirical_delta_names_the_first_cell_off_the_space(coin_space, cell,
+                                                            at):
+    # the first off-space cell in sample order, also in a later chunk, and
+    # not one of the off-space cells after it
+    good = [SampleRecord("w1", 1, i) for i in range(at)]
+    later = [SampleRecord("w4", 0, at + 1), SampleRecord("w1", 7, at + 2)]
+    records = good + [SampleRecord(*cell, at)] + later + good
+    for samples in (records, iter(records)):
+        with pytest.raises(KeyError) as raised:
+            empirical_delta(coin_space, samples)
+        assert raised.value.args == (cell,)
+
+
+def test_empirical_delta_matches_grid_indices_as_dict_keys(coin_space):
+    # a cell is on the space when it equals one as a dict key would
+    want = empirical_delta(coin_space, [SampleRecord("w1", 1, 0)])
+    for j in (1.0, True, np.int64(1)):
+        assert empirical_delta(coin_space, [SampleRecord("w1", j, 0)]) == want
+
+
+def test_empirical_delta_reads_a_generator_of_several_chunks(coin_space,
+                                                             coin_delta):
+    samples = sample_many(coin_space, coin_delta, rng(6), 2 * CHUNK + 7)
+    counts = sample_counts(coin_space, coin_delta, rng(6), 2 * CHUNK + 7)
+    want = frequencies(coin_space, counts, coin_delta)
+    assert empirical_delta(coin_space, samples, coin_delta) == want
+    assert empirical_delta(coin_space, (r for r in samples),
+                           coin_delta) == want
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +282,97 @@ def test_section_counts_match_a_fraction_reader(seed):
             mp.setattr(sampling, "_section_indices", fraction_section_indices)
             want = sample_counts(inst.space, mu, rng(seed + 1), 2000)
         assert np.array_equal(counts, want)
+
+
+# ---------------------------------------------------------------------------
+# draws come in chunks: the numbers of one choice(n) and one random(n)
+
+def one_shot_draw(space, eta, rng, n):
+    """(which, indices) of n draws in one shot, one mask per outcome: the
+    reference the chunked sampler reproduces draw for draw."""
+    if isinstance(eta, PureST):
+        eta = embed_pure(eta)
+    stop_indices = {MixedST: sampling._section_indices,
+                    RandomizedST: sampling._path_indices,
+                    DistributionST: sampling._mass_indices}[type(eta)]
+    probs = np.array([float(p) for p in space.probs])
+    which = rng.choice(len(space.outcomes), size=n, p=probs / probs.sum())
+    rs = rng.random(n)
+    indices = np.empty(n, dtype=np.int64)
+    for i, w in enumerate(space.outcomes):
+        mask = which == i
+        if mask.any():
+            indices[mask] = stop_indices(eta, w, rs[mask])
+    return which, np.clip(indices, 0, space.n_times - 1)
+
+
+def same_state(a, b) -> bool:
+    """Equal bit generator states; Philox's hold arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def stoppers():
+    """(space, eta) for every kind on the coin and on 32 outcomes."""
+    coin = demo.coin_space()
+    inst = fuzz.random_instance(rng(5), fuzz.FuzzBounds(
+        max_outcomes=32, max_grid_points=8), min_outcomes=32)
+    assert len(inst.space.outcomes) == 32
+    return [(coin, eta) for eta in (PureST({"w1": 0, "w2": 1}),
+                                    demo.coin_mixed(), demo.coin_randomized(),
+                                    demo.coin_uniform_delta())] + [
+        (inst.space, eta) for eta in (inst.pure, inst.mixed, inst.randomized,
+                                      inst.distribution)]
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.MT19937]
+
+
+@pytest.mark.parametrize("bits", BIT_GENERATORS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+def test_chunked_draws_are_the_one_shot_draws(bits, n):
+    for space, eta in stoppers():
+        oracle = np.random.Generator(bits(11))
+        which, indices = one_shot_draw(space, eta, oracle, n)
+        want = [SampleRecord(space.outcomes[i], j, r) for r, (i, j)
+                in enumerate(zip(which.tolist(), indices.tolist()))]
+        counts = np.bincount(which * space.n_times + indices,
+                             minlength=len(space.outcomes) * space.n_times)
+        caller = np.random.Generator(bits(11))
+        assert sample_many(space, eta, caller, n) == want
+        assert same_state(caller.bit_generator.state, oracle.bit_generator.state)
+        caller = np.random.Generator(bits(11))
+        assert np.array_equal(sample_counts(space, eta, caller, n).ravel(), counts)
+        assert same_state(caller.bit_generator.state, oracle.bit_generator.state)
+
+
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.PCG64DXSM],
+                         ids=lambda b: b.__name__)
+def test_chunked_draws_keep_a_buffered_32_bit_half(bits, coin_space,
+                                                   coin_mixed):
+    # advancing a bit generator drops the half of a 64-bit draw that a
+    # 32-bit draw buffered; the caller's generator must keep it
+    caller, oracle = (np.random.Generator(bits(4)) for _ in range(2))
+    for g in (caller, oracle):
+        g.integers(0, 9, dtype=np.uint32)
+        assert g.bit_generator.state["has_uint32"] == 1
+    counts = sample_counts(coin_space, coin_mixed, caller, 2 * CHUNK + 7)
+    which, indices = one_shot_draw(coin_space, coin_mixed, oracle, 2 * CHUNK + 7)
+    assert np.array_equal(counts.ravel(), np.bincount(which * 2 + indices,
+                                                      minlength=4))
+    assert caller.bit_generator.state == oracle.bit_generator.state
+    assert (caller.integers(0, 2**32, dtype=np.uint32)
+            == oracle.integers(0, 2**32, dtype=np.uint32))
+
+
+def test_sample_counts_draws_in_bounded_memory(coin_space, coin_mixed):
+    # the one-shot sampler peaked at 391 MiB here
+    tracemalloc.start()
+    try:
+        counts = sample_counts(coin_space, coin_mixed, rng(8), 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 10**7
+    assert peak < 16 * 2**20
