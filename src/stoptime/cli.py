@@ -87,12 +87,7 @@ def cmd_convert(args) -> int:
         out = convert.randomized_of_distribution(space, delta)
     else:  # argparse restricts --to to the three kinds
         out = convert.mixed_of_distribution(space, delta)
-    doc = stopping_time_to_dict(out)
-    if args.output:
-        dump_json(doc, args.output)
-    else:
-        import json
-        print(json.dumps(doc, indent=2, sort_keys=True))
+    dump_json(stopping_time_to_dict(out), args.output or sys.stdout)
     return EXIT_OK
 
 

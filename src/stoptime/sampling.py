@@ -1,13 +1,11 @@
 """Monte Carlo realization of random stopping times.
 
 Sampling is float-based (it feeds statistical checks only; all theorem
-checks elsewhere stay exact).  Three procedures are implemented, one per
-representation, and all three target the same joint law:
-
-* mixed:        draw r uniform and read the section value;
-* randomized:   draw r uniform and apply the generalized inverse of the
-                cumulative path;
-* distribution: draw the grid index from the outcome's conditional row.
+checks elsewhere stay exact).  Every kind targets the same joint law and
+is read by one rule: each outcome's int row becomes one float table
+(edges, values, side) per call, and the stop index at a uniform r is
+values[searchsorted(edges, r, side)].  The edges are a section's inner
+breaks, a cumulative path, or the cdf of a joint mass row.
 
 Draws come in bounded chunks, with the numbers of one choice(n) and one
 random(n). sample_counts tallies them as an outcomes x grid count array.
@@ -75,14 +73,10 @@ def _draw(space: FilteredSpace, eta, rng: np.random.Generator, n: int):
     takes.  Where advance does not count doubles, all n come in one chunk."""
     if n <= 0:
         raise EmptySamples("need at least one sample")
-    if isinstance(eta, PureST):
-        eta = embed_pure(eta)
-    stop_indices = {MixedST: _section_indices, RandomizedST: _path_indices,
-                    DistributionST: _mass_indices}.get(type(eta))
-    if stop_indices is None:
-        raise TypeError(f"not a samplable stopping time: {type(eta).__name__}")
+    tables = _tables(space, eta)
     k, bits = len(space.outcomes), rng.bit_generator
     probs = np.array([float(p) for p in space.probs])
+    probs /= probs.sum()
     ahead, step = rng, n
     if type(bits) in (np.random.PCG64, np.random.PCG64DXSM):
         copy = type(bits)()
@@ -91,59 +85,55 @@ def _draw(space: FilteredSpace, eta, rng: np.random.Generator, n: int):
         copy.state = {**bits.state, "state": copy.state["state"]}
         ahead, step = np.random.Generator(copy), _CHUNK
     for start in range(0, n, step):
-        which = rng.choice(k, size=min(step, n - start), p=probs / probs.sum())
+        which = rng.choice(k, size=min(step, n - start), p=probs)
         rs = ahead.random(which.size)
         order = np.argsort(which.astype(np.min_scalar_type(k - 1)), kind="stable")
         ends = np.cumsum(np.bincount(which, minlength=k))[:-1]
         indices = np.empty(which.size, dtype=np.int64)
-        for w, at, r in zip(space.outcomes, np.split(order, ends),
-                            np.split(rs[order], ends)):
-            if at.size:  # one reader call per outcome drawn in the chunk
-                indices[at] = stop_indices(eta, w, r)
-        yield which, np.clip(indices, 0, space.n_times - 1)
+        for (edges, values, side), at, r in zip(tables, np.split(order, ends),
+                                                np.split(rs[order], ends)):
+            indices[at] = values[np.searchsorted(edges, r, side)]
+        yield which, indices
     bits.state = ahead.bit_generator.state
 
 
-def _section_indices(mu: MixedST, w, rs: np.ndarray) -> np.ndarray:
-    """The section value at each r."""
-    s = mu.sections[w]
-    nums, d = s.break_ints
-    breaks = np.array([n / d for n in nums])
-    values = np.array(s.values, dtype=np.int64)
-    iv = np.searchsorted(breaks, rs, side="right") - 1
-    return values[np.clip(iv, 0, len(values) - 1)]
-
-
-def _path_indices(rho: RandomizedST, w, rs: np.ndarray) -> np.ndarray:
-    """The generalized inverse of the cumulative path at each r."""
-    nums, d = rho.rows[w]
-    path = np.array([n / d for n in nums])
-    return np.searchsorted(path, rs, side="left")
-
-
-def _mass_indices(delta: DistributionST, w, rs: np.ndarray) -> np.ndarray:
-    """The inverse of the outcome's conditional stop cdf at each r."""
-    row = np.array([n / delta.rows[w][1] for n in delta.rows[w][0]])
-    return np.searchsorted(np.cumsum(row / row.sum()), rs, side="left")
+def _tables(space: FilteredSpace, eta) -> list:
+    """(edges, values, side) per outcome, in space order, values clipped
+    to the grid: a section's inner breaks and values; a path's floats, or
+    the cdf of a mass row, and the grid indices."""
+    if isinstance(eta, PureST):
+        eta = embed_pure(eta)
+    if type(eta) not in (MixedST, RandomizedST, DistributionST):
+        raise TypeError(f"not a samplable stopping time: {type(eta).__name__}")
+    t, mixed, tables = space.n_times, type(eta) is MixedST, []
+    for row in map((eta.sections if mixed else eta.rows).__getitem__,
+                   space.outcomes):
+        if mixed:
+            (nums, d), values, side = row.break_ints, row.values, "right"
+            nums = nums[1:-1]
+        else:
+            (nums, d), values, side = row, range(t + 1), "left"
+        edges = np.array([n / d for n in nums])
+        if type(eta) is DistributionST:
+            edges = np.cumsum(edges / edges.sum())
+        tables.append((edges, np.clip(values, 0, t - 1), side))
+    return tables
 
 
 def empirical_delta(space: FilteredSpace, samples,
                     reference: DistributionST = None):
     """frequencies of the records' counts, tallied chunk by chunk; KeyError
     on the first record whose cell lies off the space."""
-    t, row = space.n_times, {w: i for i, w in enumerate(space.outcomes)}.get
-    col = {j: j for j in range(t)}.get  # as dict keys: 1.0 is 1, 1.5 is off
-    counts = np.zeros(len(space.outcomes) * t, dtype=np.int64)
+    t = space.n_times  # a cell is on the space when it is a key here
+    cell = {(w, j): i * t + j
+            for i, w in enumerate(space.outcomes) for j in range(t)}
+    counts = np.zeros(len(cell), dtype=np.int64)
     records = iter(samples)
-    while chunk := list(islice(records, _CHUNK)):  # no tuple per record
-        which = np.fromiter(map(row, map(attrgetter("outcome"), chunk),
-                                repeat(-1)), np.int64, len(chunk))
-        indices = np.fromiter(map(col, map(attrgetter("grid_index"), chunk),
-                                  repeat(-1)), np.int64, len(chunk))
-        off = (which < 0) | (indices < 0)
-        if off.any():  # a cell outside the space
-            raise KeyError(attrgetter("outcome", "grid_index")(chunk[off.argmax()]))
-        counts += np.bincount(which * t + indices, minlength=counts.size)
+    while chunk := list(islice(records, _CHUNK)):  # zip reuses its pair
+        cells = np.fromiter(map(cell.__getitem__, zip(
+            map(attrgetter("outcome"), chunk),
+            map(attrgetter("grid_index"), chunk))), np.int64, len(chunk))
+        counts += np.bincount(cells, minlength=counts.size)
     return frequencies(space, counts.reshape(-1, t), reference)
 
 

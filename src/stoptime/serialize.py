@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import nullcontext
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -197,6 +198,8 @@ def load_json(path) -> dict:
 
 
 def dump_json(doc: dict, path) -> None:
-    with open(path, "w") as f:
+    """doc as indented JSON with sorted keys, then a newline, written to a
+    path or to an open text stream."""
+    with nullcontext(path) if hasattr(path, "write") else open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -9,7 +9,7 @@ All four kinds live on a FilteredSpace and take values on its grid:
                     grid ending at 1.
 * DistributionST -- an exact joint mass on outcomes x grid with marginal P.
 The last two are CanonicalRows (int rows over one reduced denominator);
-their Fraction views .paths and .mass are read only in this module.  A
+no library module reads their Fraction views .paths and .mass.  A
 RandomizedST is the one form of a cumulative path: a mixed time's
 cumulative and a joint mass's randomized_of_distribution are each one.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .space import (CanonicalRows, FilteredSpace, Violation, over_common,
@@ -86,10 +86,7 @@ class RStepFunction:
             nums = (0, *[nums[i] for i in opens], d)
             object.__setattr__(self, "values",
                                (values[0], *[values[i] for i in opens]))
-        g = gcd(*nums)
-        if g != 1 or nums is not self.break_ints[0] or type(nums) is not tuple:
-            object.__setattr__(self, "break_ints",
-                               (tuple(n // g for n in nums), d // g))
+        object.__setattr__(self, "break_ints", reduced(nums, d))
 
     @property
     def breaks(self) -> tuple:

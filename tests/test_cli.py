@@ -143,6 +143,49 @@ def test_game_both_routes(files, capsys):
     assert "lift:" in out and "symmetric:" in out
 
 
+def test_payoff_check_kuhn_reports_a_route_mismatch(files, capsys,
+                                                   monkeypatch):
+    honest = problems.payoff_randomized
+    monkeypatch.setattr(problems, "payoff_randomized",
+                        lambda problem, rho: honest(problem, rho) + 1)
+    assert main(["payoff", "--space", files["space"],
+                 "--reward", files["reward"], "--stop", files["randomized"],
+                 "--check-kuhn"]) == 1
+    out = capsys.readouterr().out
+    assert "route mismatch: " in out and "routes agree" not in out
+
+
+def test_game_both_routes_report_a_disagreement(files, capsys, monkeypatch):
+    honest = games.game_payoff_symmetric
+    monkeypatch.setattr(games, "game_payoff_symmetric",
+                        lambda game, a, b: honest(game, a, b) + 1)
+    assert main(["game", "--space", files["space"],
+                 "--x", files["reward"], "--y", files["reward"],
+                 "--z", files["reward"], "--p1", files["mixed"],
+                 "--p2", files["randomized"], "--route", "both"]) == 1
+    assert capsys.readouterr().out.endswith("routes disagree\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"outcomes": [], "probs": [], "grid": ["0", "1"],
+      "partitions": [[], []]},
+     "EmptyOutcomes: need at least one outcome"),
+    ({"outcomes": ["w1", "w1"], "probs": ["1/2", "1/2"], "grid": ["0"],
+      "partitions": [[["w1"]]]},
+     "DuplicateOutcome: outcome labels must be distinct"),
+    ({"outcomes": ["w1", "w2"], "probs": ["1"], "grid": ["0"],
+      "partitions": [[["w1", "w2"]]]},
+     "ProbShapeMismatch: 1 probs for 2 outcomes"),
+], ids=["empty", "duplicate", "prob-shape"])
+def test_validate_names_an_outcome_or_prob_shape_violation(doc, message,
+                                                           tmp_path, capsys):
+    path = tmp_path / "space.json"
+    dump_json(doc, path)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_game_normalises_each_time_once(files, tmp_path, capsys,
                                         monkeypatch):
     # each route once pushed the two loaded mixed times forward itself, so

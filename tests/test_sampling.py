@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (DistributionST, EmptySamples, MixedST, PureST,
-                      RandomizedST, RStepFunction, SampleRecord,
+                      RandomizedST, RStepFunction, SampleRecord, build_space,
                       common_refinement, demo, embed_pure, empirical_delta,
                       frequencies, fuzz, sample_counts, sample_many, sampling)
 
@@ -247,9 +247,14 @@ def wide_sections(draw):
     return RStepFunction((nums, d), tuple(range(len(nums) - 1)))
 
 
+def one_outcome_space(n_times: int):
+    return build_space(("w",), (1,), range(n_times), (({"w"},),) * n_times)
+
+
 @settings(max_examples=200, deadline=None)
 @given(wide_sections())
 def test_section_floats_are_those_of_the_fraction_breaks(s):
+    # the sampler searches the inner breaks, each read as a float
     seen = []
     searchsorted = np.searchsorted
 
@@ -259,8 +264,9 @@ def test_section_floats_are_those_of_the_fraction_breaks(s):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampling.np, "searchsorted", spy)
-        sampling._section_indices(MixedST({"w": s}), "w", np.array([0.5]))
-    assert seen == [[float(r) for r in s.breaks]]
+        sample_counts(one_outcome_space(len(s.values)), MixedST({"w": s}),
+                      rng(), 1)
+    assert seen == [[float(r) for r in s.breaks[1:-1]]]
 
 
 def fraction_section_indices(mu: MixedST, w, rs: np.ndarray) -> np.ndarray:
@@ -276,25 +282,53 @@ def fraction_section_indices(mu: MixedST, w, rs: np.ndarray) -> np.ndarray:
 def test_section_counts_match_a_fraction_reader(seed):
     inst = fuzz.random_instance(rng(seed), fuzz.FuzzBounds(
         max_outcomes=12, max_grid_points=6, max_breaks=16))
+    cells = len(inst.space.outcomes) * inst.space.n_times
     for mu in (inst.mixed, inst.mixed2):
         counts = sample_counts(inst.space, mu, rng(seed + 1), 2000)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampling, "_section_indices", fraction_section_indices)
-            want = sample_counts(inst.space, mu, rng(seed + 1), 2000)
-        assert np.array_equal(counts, want)
+        which, indices = one_shot_draw(inst.space, mu, rng(seed + 1), 2000, {
+            **READERS, MixedST: fraction_section_indices})
+        want = np.bincount(which * inst.space.n_times + indices,
+                           minlength=cells)
+        assert np.array_equal(counts.ravel(), want)
 
 
 # ---------------------------------------------------------------------------
 # draws come in chunks: the numbers of one choice(n) and one random(n)
 
-def one_shot_draw(space, eta, rng, n):
-    """(which, indices) of n draws in one shot, one mask per outcome: the
-    reference the chunked sampler reproduces draw for draw."""
+def section_indices(mu: MixedST, w, rs: np.ndarray) -> np.ndarray:
+    """The section value at each r."""
+    s = mu.sections[w]
+    nums, d = s.break_ints
+    breaks = np.array([n / d for n in nums])
+    values = np.array(s.values, dtype=np.int64)
+    iv = np.searchsorted(breaks, rs, side="right") - 1
+    return values[np.clip(iv, 0, len(values) - 1)]
+
+
+def path_indices(rho: RandomizedST, w, rs: np.ndarray) -> np.ndarray:
+    """The generalized inverse of the cumulative path at each r."""
+    nums, d = rho.rows[w]
+    path = np.array([n / d for n in nums])
+    return np.searchsorted(path, rs, side="left")
+
+
+def mass_indices(delta: DistributionST, w, rs: np.ndarray) -> np.ndarray:
+    """The inverse of the outcome's conditional stop cdf at each r."""
+    row = np.array([n / delta.rows[w][1] for n in delta.rows[w][0]])
+    return np.searchsorted(np.cumsum(row / row.sum()), rs, side="left")
+
+
+READERS = {MixedST: section_indices, RandomizedST: path_indices,
+           DistributionST: mass_indices}
+
+
+def one_shot_draw(space, eta, rng, n, readers=READERS):
+    """(which, indices) of n draws in one shot, one mask per outcome and
+    one reader per kind: the reference the chunked sampler reproduces
+    draw for draw."""
     if isinstance(eta, PureST):
         eta = embed_pure(eta)
-    stop_indices = {MixedST: sampling._section_indices,
-                    RandomizedST: sampling._path_indices,
-                    DistributionST: sampling._mass_indices}[type(eta)]
+    stop_indices = readers[type(eta)]
     probs = np.array([float(p) for p in space.probs])
     which = rng.choice(len(space.outcomes), size=n, p=probs / probs.sum())
     rs = rng.random(n)
@@ -376,3 +410,29 @@ def test_sample_counts_draws_in_bounded_memory(coin_space, coin_mixed):
         tracemalloc.stop()
     assert counts.sum() == 10**7
     assert peak < 16 * 2**20
+
+
+class Reads(dict):
+    """A dict that counts the reads of each key."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = dict.fromkeys(table, 0)
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return super().__getitem__(key)
+
+
+def test_each_row_is_read_once_per_call():
+    # the tables are built before the chunk loop, not once per chunk
+    inst = fuzz.random_instance(rng(5), fuzz.FuzzBounds(
+        max_outcomes=32, max_grid_points=8), min_outcomes=32)
+    for eta in (inst.mixed, inst.randomized, inst.distribution):
+        if isinstance(eta, MixedST):
+            eta = MixedST(table := Reads(eta.sections))
+        else:
+            eta = type(eta)._of_canonical(table := Reads(eta.rows))
+        counts = sample_counts(inst.space, eta, rng(9), 3 * CHUNK)
+        assert counts.sum() == 3 * CHUNK
+        assert table.reads == dict.fromkeys(inst.space.outcomes, 1)

@@ -32,6 +32,20 @@ def test_probs_not_summing_to_one():
     assert any(v.code == "ProbsNotSummingToOne" for v in e.value.violations)
 
 
+@pytest.mark.parametrize("inputs, violation", [
+    (((), (), (F(0), F(1)), ((), ())),
+     Violation("EmptyOutcomes", "need at least one outcome")),
+    ((("w1", "w1"), (F(1, 2), F(1, 2)), (F(0),), ((frozenset({"w1"}),),)),
+     Violation("DuplicateOutcome", "outcome labels must be distinct")),
+    ((("w1", "w2"), (F(1),), (F(0),), ((frozenset({"w1", "w2"}),),)),
+     Violation("ProbShapeMismatch", "1 probs for 2 outcomes")),
+], ids=["empty", "duplicate", "prob-shape"])
+def test_outcome_and_prob_shape_violations(inputs, violation):
+    with pytest.raises(SpaceError) as e:
+        build_space(*inputs)
+    assert e.value.violations == [violation]
+
+
 def test_nonpositive_prob_and_bad_grid():
     codes = {v.code for v in check_space(
         ("w1", "w2"), (F(3, 2), F(-1, 2)), (F(1), F(0)),
