@@ -197,13 +197,13 @@ def _game_checks(name: str, inst: fuzz.Instance,
 
     # equivalent strategies of Player 1 cannot change the payoff: each
     # kind's own payoff route on the same lifted problem, and the lift route;
-    # the distribution entry reuses via_lift when its rows equal delta1's
+    # the distribution entry prices a lifted mass, which no game route builds
     mu_l = games.lift_mixed(inst.mixed, lifted.space)
     rho_l = games.lift_randomized(inst.randomized, lifted.space)
     vals = (problems.payoff_mixed(lifted, mu_l),
             problems.payoff_randomized(lifted, rho_l),
-            via_lift if inst.distribution == delta1
-            else games.payoff_on_lift(space, lifted, inst.distribution))
+            problems.payoff_distribution(lifted, games.lift_distribution(
+                inst.distribution, space, lifted.space)))
     _row(results, name, "game_strategy_equivalence",
          vals[0] == vals[1] == vals[2] == via_lift,
          lambda: "mixed={} randomized={} distribution={} lift={}".format(

@@ -2,9 +2,10 @@
 
 Fixing the joint stop-mass of one player turns the game into a
 single-agent stopping problem on a lifted space whose outcomes are
-(base outcome, opponent stop index) pairs.  The payoff uses X when
-Player 1 stops strictly first, Y when Player 2 stops strictly first, and
-Z on a tie, always evaluated at the time of the first stopper.
+(base outcome, opponent stop index) pairs; the other player's time enters
+it as its path, which every lifted atom of an outcome shares.  The payoff
+uses X when Player 1 stops strictly first, Y when Player 2 stops strictly
+first, and Z on a tie, always evaluated at the time of the first stopper.
 
 The lifted space keeps only the positive-mass atoms (an atom of zero mass
 carries no payoff mass) and pulls each base block back to the atoms of its
@@ -20,11 +21,12 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 
-from .convert import to_distribution
+from .convert import (delta_of_randomized, randomized_of_distribution,
+                      to_distribution)
 from .space import AdaptedProcess, FilteredSpace, _pull_back, require_rows
 from .times import (DistributionST, MixedST, RandomizedST, add_term,
                     fraction_sum, int_dot, validate_distribution)
-from .problems import StoppingProblem, payoff_distribution
+from .problems import StoppingProblem, payoff_randomized
 
 
 @dataclass(frozen=True)
@@ -104,19 +106,10 @@ def lift_randomized(rho: RandomizedST,
 
 def lift_distribution(delta: DistributionST, base: FilteredSpace,
                       lifted_space: FilteredSpace) -> DistributionST:
-    """Reweight the conditional stop law of each base outcome by the
-    lifted atom masses: the row of (w, s), the base row (nums, d) of w
-    times p(w, s) / P(w), is (k * nums, m) in ints; its gcd is gcd(k * g, m)
-    with g = gcd(*nums) kept per base outcome, so it is built canonical."""
-    prob = dict(zip(base.outcomes, base.probs))
-    g = {w: gcd(*delta.rows[w][0]) for w in base.outcomes}
-    rows = {}
-    for (w, s), p in zip(lifted_space.outcomes, lifted_space.probs):
-        (nums, d), q = delta.rows[w], prob[w]
-        k, m = p.numerator * q.denominator, p.denominator * q.numerator * d
-        c = gcd(k * g[w], m)
-        rows[(w, s)] = tuple([k * n // c for n in nums]), m // c
-    return DistributionST._of_canonical(rows)
+    """The mass of delta's path, constant in the opponent's stop, on the
+    lifted space: each base row reweighted by p(w, s) / P(w)."""
+    return delta_of_randomized(lifted_space, lift_randomized(
+        randomized_of_distribution(base, delta), lifted_space))
 
 
 def game_payoff_via_lift(game: StoppingGame, tau1, tau2) -> Fraction:
@@ -135,10 +128,11 @@ def game_payoff_player2_view(game: StoppingGame, tau1, tau2) -> Fraction:
 
 def payoff_on_lift(base: FilteredSpace, lifted: StoppingProblem,
                    tau) -> Fraction:
-    """The lifted player's payoff: the joint mass of tau (any kind) on base,
-    reweighted onto the lifted space, priced on the lifted problem."""
-    return payoff_distribution(lifted, lift_distribution(
-        to_distribution(base, tau), base, lifted.space))
+    """The lifted player's payoff: tau (any kind) enters as its path on
+    base, constant in the opponent's stop, priced per lifted atom."""
+    return payoff_randomized(lifted, lift_randomized(
+        randomized_of_distribution(base, to_distribution(base, tau)),
+        lifted.space))
 
 
 def game_payoff_symmetric(game: StoppingGame, tau1, tau2) -> Fraction:

@@ -352,6 +352,49 @@ def test_game_p2view(files, capsys):
                  "--p2", files["mixed"], "--route", "p2view"]) == 0
 
 
+def test_game_routes_build_no_lifted_mass(tmp_path, monkeypatch, capsys):
+    # payoff_on_lift once pushed the lifted player's joint mass onto the
+    # lifted space through lift_distribution; every game route now prices
+    # that player's path, so none of them needs a lifted mass
+    bounds = fuzz.FuzzBounds(max_outcomes=32, max_grid_points=8)
+    inst = next(i for i in (fuzz.random_instance(experiment._rng_for(5, k),
+                                                 bounds) for k in range(50))
+                if len(i.space.outcomes) >= 8)
+    space = inst.space
+    game = games.StoppingGame(space, inst.x, inst.y, inst.z)
+    paths = {key: str(tmp_path / f"{key}.json")
+             for key in ("space", *"xyz", "mixed", "mixed2")}
+    dump_json(space_to_dict(space), paths["space"])
+    for key in "xyz":
+        dump_json(process_to_dict(getattr(inst, key)), paths[key])
+    for key in ("mixed", "mixed2"):
+        dump_json(stopping_time_to_dict(getattr(inst, key)), paths[key])
+    args = ["game", "--space", paths["space"], "--x", paths["x"], "--y",
+            paths["y"], "--z", paths["z"], "--p1", paths["mixed"], "--p2",
+            paths["mixed2"], "--route"]
+
+    def values() -> list:
+        lifted = games.lift(game, convert.delta_of_mixed(space, inst.mixed2))
+        out = [games.payoff_on_lift(space, lifted, getattr(inst, kind))
+               for kind in ("pure", "mixed", "randomized", "distribution")]
+        out += [route(game, inst.mixed, inst.mixed2)
+                for route in (games.game_payoff_via_lift,
+                              games.game_payoff_player2_view)]
+        for route in ("lift", "both", "p2view"):
+            assert main(args + [route]) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    want = values()
+    assert len(set(want[1:6])) == 1
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a game route built a lifted mass")
+
+    monkeypatch.setattr(games, "lift_distribution", refused)
+    assert values() == want
+
+
 def test_sample_with_reference(files, capsys):
     assert main(["sample", "--space", files["space"], "--stop", files["mixed"],
                  "--n", "2000", "--seed", "3", "--ref", files["delta"]]) == 0
@@ -982,8 +1025,10 @@ def test_redundant_break_prints_what_its_merged_form_prints(tmp_path,
 
 # Most draws are at the default scale.  The rest reach either MAX_CELLS
 # cells at the default denominator or a denominator up to 2**63 - 1 on at
-# most 16 x 16 cells: a wide grid with wide denominators makes numbers of
-# grid x 63 bits, on which the game route alone runs for minutes.
+# most 16 x 16 cells.  A wide grid with wide denominators makes numbers of
+# grid x 63 bits, on which every command is slow, convert most of all: the
+# 246-point @example below takes about 7 s, 1 s of it in the game route,
+# and a 501-point instance about 48 s, so only the example draws one.
 @st.composite
 def accepted_bounds(draw):
     """FuzzBounds from the range ExperimentConfig accepts."""
@@ -1019,6 +1064,8 @@ def _cli(argv) -> tuple:
 @example(bounds=ExperimentConfig(seed=1, max_outcomes=8, max_grid_points=64,
                                  max_denominator=2**63 - 1).bounds(),
          seed=1, index=1)
+# a wide grid with wide denominators: 246 grid points over 2**63 - 1
+@example(bounds=fuzz.FuzzBounds(1, 512, 8, 2**63 - 1), seed=1, index=22)
 def test_cli_prints_the_library_answer_for_accepted_bounds(bounds, seed,
                                                            index):
     """validate, convert, equiv, payoff --check-kuhn and game --route both

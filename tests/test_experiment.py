@@ -360,9 +360,9 @@ def test_check_instance_converts_each_mixed_time_once(monkeypatch):
     assert max(Counter(map(id, converted)).values()) == 1
 
 
-def test_game_checks_lift_twice_per_sound_instance(monkeypatch):
-    # the distribution entry of game_strategy_equivalence once lifted
-    # inst.distribution a third time although its rows equal delta1's
+def test_game_checks_lift_once_per_sound_instance(monkeypatch):
+    # the lift routes price the lifted player's path and build no lifted
+    # mass, so the one built is the oracle entry of game_strategy_equivalence
     config = ExperimentConfig(seed=5, max_outcomes=32, max_grid_points=8)
     index, _ = _first_instance(config, lambda i: len(i.space.outcomes) >= 16)
     lifted = []
@@ -375,7 +375,7 @@ def test_game_checks_lift_twice_per_sound_instance(monkeypatch):
     monkeypatch.setattr(games, "lift_distribution", counted)
     rows = check_instance(config, index)
     assert all(r.status == "pass" for r in rows)
-    assert len(lifted) == 2
+    assert len(lifted) == 1
 
 
 def test_negated_game_tables_equal_from_rows(monkeypatch):
