@@ -13,6 +13,7 @@ cumulative equal to a path) is not run here but in the fuzz campaign.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .space import FilteredSpace, require_rows
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
@@ -20,13 +21,19 @@ from .times import (DistributionST, MixedST, PureST, RStepFunction,
 
 
 def _weighted(space: FilteredSpace, rows: dict) -> DistributionST:
-    """The joint mass P(w) * rows[w] from per-outcome int rows (row, d)."""
-    mass = {}
+    """The joint mass P(w) * rows[w] from per-outcome int rows (row, d),
+    reduced by gcd(k * d, n * gcd(*row)) for P(w) = n / k, as from_rows."""
+    cut, mass = {}, {}  # cut: (g, row / g) once per distinct row object
     for w, p in zip(space.outcomes, space.probs):
         row, d = rows[w]
-        num = p.numerator
-        mass[w] = [num * x for x in row], p.denominator * d
-    return DistributionST.from_rows(mass)
+        if id(row) not in cut:
+            g = gcd(*row)
+            cut[id(row)] = g, [x // g for x in row] if g > 1 else row
+        g, base = cut[id(row)]
+        c = gcd(p.denominator * d, p.numerator * g)
+        m = p.numerator * g // c
+        mass[w] = tuple([x * m for x in base]), p.denominator * d // c
+    return DistributionST._of_canonical(mass)
 
 
 def delta_of_mixed(space: FilteredSpace, mu: MixedST) -> DistributionST:

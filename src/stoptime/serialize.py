@@ -2,8 +2,9 @@
 
 Tables load into int rows (nums, d) and print from them: a Fraction is
 built only for a space's probs and grid, and for a cell in another form.
-Loaders check every document's types before building anything: tables
-are objects, rows are lists, outcome labels are strings, and stop
+A row of "p" and "p/q" texts is read at once, any other cell by cell.
+Loaders check every document's types first, each list in one pass:
+tables are objects, rows are lists, outcome labels are strings, and stop
 indices and section values are integers; a mismatch, or a key the
 document's kind does not define, raises InputError.
 """
@@ -14,6 +15,7 @@ import json
 import re
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .space import AdaptedProcess, FilteredSpace, build_space
@@ -26,6 +28,7 @@ class InputError(ValueError):
 
 
 _RATIO = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+_ROW = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?(?:,-?[0-9]+(?:/0*[1-9][0-9]*)?)*")
 
 
 def parse_ratio(s) -> tuple:
@@ -56,11 +59,10 @@ def format_ratio(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def _keys(doc: dict, allowed: tuple, what: str) -> dict:
+def _keys(doc: dict, allowed: set, what: str) -> dict:
     """doc itself if it has no keys outside allowed."""
-    extra = sorted(set(doc) - set(allowed))
-    if extra:
-        raise InputError(f"{what}: unexpected key(s) {extra}")
+    if not doc.keys() <= allowed:
+        raise InputError(f"{what}: unexpected key(s) {sorted(doc.keys() - allowed)}")
     return doc
 
 
@@ -82,6 +84,14 @@ def _expect(x, kind: type, what: str):
     return x
 
 
+def _each(xs, kind: type, what: str):
+    """xs, if its entries (a dict's values) are all kind; else the first not."""
+    if not set(map(type, xs.values() if type(xs) is dict else xs)) <= {kind}:
+        for i, x in (xs.items() if type(xs) is dict else enumerate(xs)):
+            _expect(x, kind, what.format(i))
+    return xs
+
+
 def _list(doc: dict, key: str) -> list:
     return _expect(_require(doc, key), list, repr(key))
 
@@ -91,14 +101,19 @@ def _table(doc: dict, key: str) -> dict:
 
 
 def _row(row, what: str) -> tuple:
-    """The cells as ints (nums, d) over their denominators' lcm d."""
-    cells = [parse_ratio(x) for x in _expect(row, list, what)]
-    d = lcm(*(q for _, q in cells))
+    """The cells as ints (nums, d) over their lcm d: one _ROW match of their
+    join, if no cell hides a comma, else parse_ratio per cell."""
+    row = _expect(row, list, what)
+    try:  # TypeError: a cell is not a str; ValueError: an int is too long
+        text = ",".join(row)
+        cells = text.count(",") == len(row) - 1 and _ROW.fullmatch(text) and [
+            (int(p), int(q) if q else 1)
+            for p, _, q in [x.partition("/") for x in text.split(",")]]
+    except (TypeError, ValueError):
+        cells = None
+    cells = cells or [parse_ratio(x) for x in row]
+    d = lcm(*[q for _, q in cells])
     return [p * (d // q) for p, q in cells], d
-
-
-def _label(w) -> str:
-    return _expect(w, str, "outcome label")
 
 
 def space_to_dict(space: FilteredSpace) -> dict:
@@ -112,15 +127,23 @@ def space_to_dict(space: FilteredSpace) -> dict:
 
 
 def space_from_dict(doc: dict) -> FilteredSpace:
-    _keys(doc, ("grid", "outcomes", "probs", "partitions"), "space")
+    _keys(doc, {"grid", "outcomes", "probs", "partitions"}, "space")
     return build_space(
-        outcomes=[_label(w) for w in _list(doc, "outcomes")],
+        outcomes=_each(_list(doc, "outcomes"), str, "outcome label"),
         probs=[parse_fraction(p) for p in _list(doc, "probs")],
         grid=[parse_fraction(t) for t in _list(doc, "grid")],
-        partitions=[[frozenset(_label(w) for w in _expect(b, list, "block"))
-                     for b in _expect(part, list, "partition")]
+        partitions=[_blocks(_expect(part, list, "partition"))
                     for part in _list(doc, "partitions")],
     )
+
+
+def _blocks(part: list) -> list:
+    """A partition's lists of outcome labels, type-checked in one pass."""
+    if not (set(map(type, part)) <= {list}
+            and set(map(type, chain.from_iterable(part))) <= {str}):
+        for b in part:
+            _each(_expect(b, list, "block"), str, "outcome label")
+    return list(map(frozenset, part))
 
 
 def _row_texts(nums, d) -> list:
@@ -133,7 +156,7 @@ def process_to_dict(process: AdaptedProcess) -> dict:
 
 
 def process_from_dict(doc: dict) -> AdaptedProcess:
-    _keys(doc, ("values",), "process")
+    _keys(doc, {"values"}, "process")
     return AdaptedProcess.from_rows(
         {w: _row(row, f"values row of {w!r}")
          for w, row in _table(doc, "values").items()})
@@ -162,20 +185,18 @@ def stopping_time_from_dict(doc: dict):
     if kind not in _TABLE_KEYS:
         raise InputError(f"unknown stopping-time kind {kind!r}")
     key = _TABLE_KEYS[kind]
-    table = _table(_keys(doc, ("kind", key), f"{kind} stopping time"), key)
+    table = _table(_keys(doc, {"kind", key}, f"{kind} stopping time"), key)
     if kind == "pure":
-        return PureST({w: _expect(j, int, f"stop index of {w!r}")
-                       for w, j in table.items()})
+        return PureST(dict(_each(table, int, "stop index of {!r}")))
     if kind == "mixed":
         sections = {}
         for w, s in table.items():
             try:
-                s = _keys(_expect(s, dict, "section"), ("breaks", "values"),
+                s = _keys(_expect(s, dict, "section"), {"breaks", "values"},
                           "section")
                 sections[w] = RStepFunction(
                     _row(_list(s, "breaks"), "breaks"),
-                    tuple(_expect(v, int, "section value")
-                          for v in _list(s, "values")))
+                    tuple(_each(_list(s, "values"), int, "section value")))
             except ValueError as e:
                 raise InputError(f"bad section for {w!r}: {e}") from None
         return MixedST(sections)

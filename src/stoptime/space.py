@@ -146,6 +146,15 @@ class FilteredSpace:
         """The index of each outcome, for canonical ordering and lookups."""
         return {w: i for i, w in enumerate(self.outcomes)}
 
+    def __getattr__(self, name):
+        """The partitions of a space _pull_back made, set on first read."""
+        if name != "partitions":
+            raise AttributeError(f"no attribute {name!r}")
+        base, atoms = self._pulled
+        object.__setattr__(self, name, tuple(tuple(frozenset(
+            a for w in b for a in atoms[w]) for b in part) for part in base.partitions))
+        return self.partitions
+
     @cached_property
     def _shared_blocks(self) -> tuple:
         """(j, block, first, rest) per level-j block of two or more outcomes,
@@ -249,11 +258,12 @@ def _pull_back(base: FilteredSpace, atoms: Mapping, probs) -> FilteredSpace:
     outcomes' atoms.  For a lift only, as check_space is not run: the atoms
     are distinct, each atoms[w] nonempty with positive Fraction probs that
     sum to P(w), so the blocks partition, refine and keep canonical order."""
-    return FilteredSpace(
+    space = FilteredSpace(
         outcomes=tuple(a for w in base.outcomes for a in atoms[w]),
-        probs=tuple(probs), grid=base.grid,
-        partitions=tuple(tuple(frozenset(a for w in block for a in atoms[w])
-                               for block in part) for part in base.partitions))
+        probs=tuple(probs), grid=base.grid, partitions=None)
+    object.__delattr__(space, "partitions")  # set by __getattr__ when read
+    object.__setattr__(space, "_pulled", (base, atoms))
+    return space
 
 
 class AdaptedProcess(CanonicalRows):

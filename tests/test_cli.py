@@ -1125,3 +1125,69 @@ def test_cli_prints_the_library_answer_for_accepted_bounds(bounds, seed,
             report = "".join(f"{v}\n" for v in validate(space, corrupt))
             assert report
             assert _cli(["validate", paths["corrupt"], *on]) == (1, report)
+
+
+TYPED_SPACE = {"grid": ["0", "1/2", "1"], "outcomes": ["w1", "w2", "w3"],
+               "probs": ["1/3", "1/3", "1/3"],
+               "partitions": [[["w1", "w2", "w3"]], [["w1", "w2"], ["w3"]],
+                              [["w1"], ["w2"], ["w3"]]]}
+
+
+def _with_block(block) -> dict:
+    return {**TYPED_SPACE, "partitions": [[["w1", "w2", "w3"]],
+                                          [block, ["w3"]],
+                                          [["w1"], ["w2"], ["w3"]]]}
+
+
+def _with_values(w, values) -> dict:
+    sections = {v: {"breaks": ["0", "1/2", "1"], "values": [0, 1]}
+                for v in ("w1", "w2", "w3")}
+    sections[w]["values"] = values
+    return {"kind": "mixed", "sections": sections}
+
+
+@pytest.mark.parametrize("doc, on_space, text", [
+    # outcome labels: the offender first, in the middle and last, with a
+    # later offender of another type where there is room for one
+    ({**TYPED_SPACE, "outcomes": [7, "w2", None]}, False,
+     "outcome label must be a string, not int"),
+    ({**TYPED_SPACE, "outcomes": ["w1", 7.5, None]}, False,
+     "outcome label must be a string, not float"),
+    ({**TYPED_SPACE, "outcomes": ["w1", "w2", False]}, False,
+     "outcome label must be a string, not bool"),
+    # a partition block
+    (_with_block([3, "w2", None]), False,
+     "outcome label must be a string, not int"),
+    (_with_block(["w1", None, 4]), False,
+     "outcome label must be a string, not NoneType"),
+    (_with_block(["w1", "w2", ["w3"]]), False,
+     "outcome label must be a string, not list"),
+    # section values: a `true` among ints
+    (_with_values("w1", [True, "1"]), True,
+     "bad section for 'w1': section value must be an integer, not bool"),
+    (_with_values("w2", [0, True, "2"]), True,
+     "bad section for 'w2': section value must be an integer, not bool"),
+    (_with_values("w3", [0, False]), True,
+     "bad section for 'w3': section value must be an integer, not bool"),
+    # stop indices
+    ({"kind": "pure", "stop_index": {"w1": True, "w2": "1", "w3": 2}}, True,
+     "stop index of 'w1' must be an integer, not bool"),
+    ({"kind": "pure", "stop_index": {"w1": 0, "w2": None, "w3": 2.0}}, True,
+     "stop index of 'w2' must be an integer, not NoneType"),
+    ({"kind": "pure", "stop_index": {"w1": 0, "w2": 1, "w3": [2]}}, True,
+     "stop index of 'w3' must be an integer, not list"),
+])
+def test_one_pass_type_checks_name_the_first_offender(doc, on_space, text,
+                                                      tmp_path, capsys):
+    # a list is type-checked in one pass and walked only to word the
+    # error: the text names the first offender, as the per-element walk did
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["validate", str(path)]
+    if on_space:
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps(TYPED_SPACE))
+        argv += ["--space", str(space)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {text}\n")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import le_intervals
+from hypothesis import example, given, settings, strategies as st
 
 from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
                       RandomizedST, build_space, cdf_of_mixed, delta_of_mixed,
@@ -217,3 +218,44 @@ def test_path_to_intervals_row_catches_a_wrong_cumulative_row(monkeypatch):
     assert not equivalent(inst.space, inst.randomized,
                           late(inst.space, inst.randomized))
     assert status(late) == "fail"
+
+
+BIG = 2**63 - 1
+
+
+@st.composite
+def weighted_inputs(draw):
+    """Outcomes with probs at denominators up to 2**63 - 1, each mapped to
+    one of a few distinct (row, d) objects, as a lift shares one row per
+    base outcome; rows carry common factors and may be all zero."""
+    n = draw(st.integers(1, 5))
+    factor = st.sampled_from([1, 2, 6, 2**31 - 1, BIG, 2**64])
+    row = st.builds(lambda xs, k: [k * x for x in xs],
+                    st.lists(st.integers(-BIG, BIG), min_size=n, max_size=n),
+                    factor)
+    distinct = draw(st.lists(st.tuples(st.one_of(row, st.just([0] * n)),
+                                       st.integers(1, BIG)),
+                             min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
+                          max_size=8))
+    probs = draw(st.lists(st.builds(Fraction, st.integers(1, BIG),
+                                    st.integers(1, BIG)),
+                          min_size=len(picks), max_size=len(picks)))
+    outcomes = [f"w{i}" for i in range(len(picks))]
+    rows = {w: distinct[i] for w, i in zip(outcomes, picks)}
+    return types.SimpleNamespace(outcomes=outcomes, probs=probs), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_inputs())
+@example((types.SimpleNamespace(outcomes=["a", "b"],
+                                probs=[F(2, 3), F(1, 3)]),
+          {"a": ([0, 3, 6], 9), "b": ([0, 0, 0], 1)}))
+def test_weighted_rows_are_the_from_rows_rows(case):
+    # one two-int gcd per row gives the rows from_rows reduces by the gcd
+    # of the whole row
+    space, rows = case
+    want = DistributionST.from_rows({
+        w: ([p.numerator * x for x in rows[w][0]], p.denominator * rows[w][1])
+        for w, p in zip(space.outcomes, space.probs)})
+    assert convert._weighted(space, rows).rows == want.rows

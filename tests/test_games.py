@@ -5,13 +5,16 @@ import pytest
 from conftest import at
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (AdaptedProcess, DistributionST, PureST, StoppingGame,
-                      build_space, delta_of_mixed, equivalent,
+from stoptime import (AdaptedProcess, DistributionST, FilteredSpace, PureST,
+                      StoppingGame, build_space, delta_of_mixed, equivalent,
                       game_payoff_player2_view, game_payoff_symmetric,
                       game_payoff_via_lift, lift, lift_mixed, lift_randomized)
-from stoptime import fuzz, games
+from stoptime import convert, experiment, fuzz, games
 from stoptime import space as space_module
+from stoptime.cli import main
 from stoptime.games import lift_player2
+from stoptime.serialize import (dump_json, process_to_dict, space_to_dict,
+                                stopping_time_to_dict)
 from stoptime.space import check_space
 
 F = Fraction
@@ -155,6 +158,43 @@ def test_lift_neither_checks_nor_builds_a_space(monkeypatch, coin_game,
         assert len(problem.space.outcomes) == 4
         assert check_space(problem.space.outcomes, problem.space.probs,
                            problem.space.grid, problem.space.partitions) == []
+
+
+def test_no_game_route_builds_lifted_partitions(monkeypatch, tmp_path,
+                                                capsys):
+    # the lifted partitions are built on first read, and no game route
+    # reads them: not the lift, not the player-2 view, not the CLI, not the
+    # campaign's game checks
+    built = []
+    get = FilteredSpace.__getattr__  # what a read of a field not set calls
+
+    def counted(space, name):
+        built.append(name)
+        return get(space, name)
+
+    monkeypatch.setattr(FilteredSpace, "__getattr__", counted)
+    inst = fuzz.random_instance(np.random.Generator(np.random.PCG64(3)))
+    game = StoppingGame(inst.space, inst.x, inst.y, inst.z)
+    game_payoff_via_lift(game, inst.mixed, inst.mixed2)
+    game_payoff_player2_view(game, inst.randomized, inst.distribution)
+    paths = {k: str(tmp_path / f"{k}.json") for k in
+             ("space", "x", "y", "z", "p1", "p2")}
+    dump_json(space_to_dict(inst.space), paths["space"])
+    for k in ("x", "y", "z"):
+        dump_json(process_to_dict(getattr(inst, k)), paths[k])
+    dump_json(stopping_time_to_dict(inst.mixed), paths["p1"])
+    dump_json(stopping_time_to_dict(inst.mixed2), paths["p2"])
+    for route in ("lift", "p2view", "both"):
+        assert main(["game", *(f"--{k}={v}" for k, v in paths.items()),
+                     "--route", route]) == 0
+    capsys.readouterr()
+    experiment._game_checks("0", inst, delta_of_mixed(inst.space, inst.mixed))
+    assert "partitions" not in built
+    lifted = lift(game, convert.to_distribution(inst.space, inst.mixed2))
+    first = lifted.space.partitions
+    assert lifted.space.partitions is first
+    assert built.count("partitions") == 1
+    assert len(first) == inst.space.n_times
 
 
 def test_zero_sum_negation_fuzzed():

@@ -579,6 +579,85 @@ def test_product_validator_tuple_test_matches_measure(seed, fuzz_bounds):
                     assert (a != b) == (symmetric_difference_measure(a, b) != 0)
 
 
+def _halves_space(levels):
+    """Outcomes a, b, c on the grid 0..len(levels)-1, level j's partition
+    given as a list of blocks, each a string of outcome letters."""
+    return build_space("abc", [Fraction(1, 3)] * 3, range(len(levels)),
+                       [[frozenset(b) for b in level] for level in levels])
+
+
+def _halves(values: dict) -> MixedST:
+    """Sections with values[w] = (first, second) on [0, 1/2) and [1/2, 1)."""
+    return MixedST({w: RStepFunction(((0, 1, 2), 2), v)
+                    for w, v in values.items()})
+
+
+def _no_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("a valid time ran the per-level walk")
+    monkeypatch.setattr(RStepFunction, "le_runs", walk)
+
+
+def test_product_check_clips_at_the_level_after_the_last(monkeypatch):
+    # block {a, b} appears last at level 1; a and b differ only in
+    # {s <= 1} on [0, 1/2) (a stops at 1, b at 2): a clip at 1 would merge
+    # 1 and 2 and pass the time, the clip at 2 tells them apart
+    space = _halves_space([["abc"], ["ab", "c"], ["a", "b", "c"],
+                           ["a", "b", "c"]])
+    mu = _halves({"a": (1, 3), "b": (2, 3), "c": (3, 3)})
+    want = measure_validate_mixed_product(space, mu)
+    assert [v.detail for v in want] == [
+        "level 1, block ['a', 'b']: sections differ on measure 1/2"]
+    assert validate_mixed_product(space, mu) == want
+    # they differ only above the clip, at 2 against 3: valid, and decided
+    # without the per-level walk
+    mu = _halves({"a": (1, 2), "b": (1, 3), "c": (2, 3)})
+    assert measure_validate_mixed_product(space, mu) == []
+    _no_walk(monkeypatch)
+    assert validate_mixed_product(space, mu) == []
+
+
+def test_product_check_of_a_block_over_consecutive_levels(monkeypatch):
+    # block {a, b} at levels 1, 2 and 3, split at 4: a difference at its
+    # last level 3 only (a stops at 3, b at 4 on [0, 1/2)) is seen by the
+    # clip at 4, which a clip after its first level would miss, and one at
+    # its first level only (1 against 2) as well
+    space = _halves_space([["abc"], ["ab", "c"], ["ab", "c"], ["ab", "c"],
+                           ["a", "b", "c"], ["a", "b", "c"]])
+    for low, levels in (((3, 4), [3]), ((1, 2), [1])):
+        mu = _halves({"a": (low[0], 5), "b": (low[1], 5), "c": (5, 5)})
+        want = measure_validate_mixed_product(space, mu)
+        assert [int(v.detail.split()[1][:-1]) for v in want] == levels
+        assert validate_mixed_product(space, mu) == want
+    mu = _halves({"a": (2, 4), "b": (2, 5), "c": (1, 1)})
+    assert measure_validate_mixed_product(space, mu) == []
+    _no_walk(monkeypatch)
+    assert validate_mixed_product(space, mu) == []
+
+
+@pytest.mark.parametrize("seed", [6, 12])
+def test_product_validator_matches_measure_at_128x32(seed, monkeypatch):
+    # the one comparison per block decides the valid times at 128 x 32
+    # without the per-level walk, and the corrupted one gets the walk's
+    # texts, which the seed's measure validator gives too
+    bounds_128 = fuzz.FuzzBounds(max_outcomes=128, max_grid_points=32,
+                                 max_breaks=64)
+    inst = fuzz.random_instance(np.random.Generator(np.random.PCG64(seed)),
+                                bounds_128, min_outcomes=128)
+    space = inst.space
+    assert (len(space.outcomes), space.n_times) == (128, 32)
+    corrupt = fuzz.corrupt_mixed(space, inst.mixed)
+    want = measure_validate_mixed_product(space, corrupt)
+    assert want and validate_mixed_product(space, corrupt) == want
+    # the measure walk takes seconds here: the other valid times are held
+    # to the section-wise sweep
+    valid = (inst.mixed, inst.mixed2, embed_pure(inst.pure))
+    assert measure_validate_mixed_product(space, inst.mixed) == []
+    assert [validate_mixed_sections(space, mu) for mu in valid] == [[], [], []]
+    _no_walk(monkeypatch)
+    assert [validate_mixed_product(space, mu) for mu in valid] == [[], [], []]
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds, bounds)
 def test_parity_sum_matches_symmetric_difference_measure(seed, fuzz_bounds):

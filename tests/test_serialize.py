@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from conftest import at, le_intervals, seed_parse_fraction
 from hypothesis import example, given, settings, strategies as st
 
 from stoptime import fuzz
-from stoptime.serialize import (InputError, format_ratio, load_json,
+from stoptime.serialize import (InputError, _row, format_ratio, load_json,
                                 parse_fraction,
                                 parse_ratio, process_from_dict,
                                 process_to_dict, space_from_dict,
@@ -69,6 +70,36 @@ def test_parse_ratio_matches_the_fraction_parser(cell):
         p, q = got
         assert type(p) is type(q) is int and q > 0
         assert Fraction(p, q) == want
+
+
+def per_cell_row(row) -> tuple:
+    """The row reader the one-match path must agree with: every cell
+    through parse_ratio in order, then over the lcm of the denominators."""
+    cells = [parse_ratio(x) for x in row]
+    d = lcm(*[q for _, q in cells])
+    return [p * (d // q) for p, q in cells], d
+
+
+ROW_CELLS = st.one_of(
+    CELLS,
+    st.sampled_from([",", "1,2", "1/2,3", ",1", "1,", "/", "1/", "/2", "+1",
+                     " 1", "1 ", "1_0", "1/1_0", "\u0661", "\uff11/2",
+                     "1/\u0662", "-0", "0/7", "", "5" * 5000]),
+    st.builds(format_ratio, st.integers(), st.integers(1, 10**20)))
+
+
+@settings(max_examples=500)
+@given(st.lists(ROW_CELLS, max_size=6))
+@example([])
+@example(["1,2"])
+@example(["1/2,3", "4"])
+@example(["1", "2,3/4"])
+@example(["3/4", "-1/6", "0", "7"])
+def test_row_matches_the_per_cell_parse(row):
+    # the same (nums, d), or the InputError text of the first bad cell; a
+    # cell holding a comma must not split into two cells
+    assert _parsed(lambda r: _row(r, "row"), row) == _parsed(per_cell_row,
+                                                             row)
 
 
 @given(st.integers(), st.integers(min_value=1))
