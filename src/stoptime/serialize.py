@@ -85,7 +85,7 @@ def _expect(x, kind: type, what: str):
 
 
 def _each(xs, kind: type, what: str):
-    """xs, if its entries (a dict's values) are all kind; else the first not."""
+    """xs if every entry (a dict's value) has type kind; else the first's error."""
     if not set(map(type, xs.values() if type(xs) is dict else xs)) <= {kind}:
         for i, x in (xs.items() if type(xs) is dict else enumerate(xs)):
             _expect(x, kind, what.format(i))
