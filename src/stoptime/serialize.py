@@ -27,8 +27,9 @@ class InputError(ValueError):
     """Malformed input file or JSON document."""
 
 
-_RATIO = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
-_ROW = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?(?:,-?[0-9]+(?:/0*[1-9][0-9]*)?)*")
+_CELL = r"-?[0-9]+(?:/0*[1-9][0-9]*)?"
+_RATIO = re.compile(_CELL)
+_ROW = re.compile(f"{_CELL}(?:,{_CELL})*")
 
 
 def parse_ratio(s) -> tuple:
@@ -37,10 +38,10 @@ def parse_ratio(s) -> tuple:
     with exponents refused; a bad cell is an InputError."""
     if type(s) is int:
         return s, 1
-    m = _RATIO.fullmatch(s) if type(s) is str else None
     try:
-        if m:
-            return int(m[1]), int(m[2] or 1)
+        if type(s) is str and _RATIO.fullmatch(s):
+            p, _, q = s.partition("/")
+            return int(p), int(q) if q else 1
         if "e" in str(s).lower():  # Fraction would expand 10**exponent exactly
             raise ValueError("exponents are not accepted; write p/q")
         x = Fraction(str(s))
@@ -221,6 +222,6 @@ def load_json(path) -> dict:
 def dump_json(doc: dict, path) -> None:
     """doc as indented JSON with sorted keys, then a newline, written to a
     path or to an open text stream."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with nullcontext(path) if hasattr(path, "write") else open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)

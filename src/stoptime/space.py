@@ -222,10 +222,10 @@ def check_space(outcomes, probs, grid, partitions) -> list:
                     "NotAPartition", f"level {j}: blocks do not cover all outcomes"))
     if not any(v.code == "NotAPartition" for v in violations):
         for j in range(1, len(partitions)):
-            # a block refines iff its outcomes share one level-(j-1) block
-            parent = {w: i for i, cb in enumerate(partitions[j - 1]) for w in cb}
+            # a block refines iff it lies in the level-(j-1) block of a member
+            parent = {w: cb for cb in partitions[j - 1] for w in cb}
             for block in partitions[j]:
-                if len({parent[w] for w in block}) != 1:
+                if not block <= parent[next(iter(block))]:
                     violations.append(Violation(
                         "RefinementViolated",
                         f"block {set(block)} at level {j} not inside a level-{j-1} block"))

@@ -2,6 +2,7 @@
 replaces, on hand-picked and fuzzed inputs."""
 
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -569,14 +570,16 @@ def test_product_validator_tuple_test_matches_measure(seed, fuzz_bounds):
     for mu in family:
         assert (validate_mixed_product(space, mu)
                 == measure_validate_mixed_product(space, mu))
-        # the int runs over one d, as validate_mixed_product takes them
+        # the span prefixes over one d, as validate_mixed_product reads
+        # them, measured against the seed's Fraction runs
         d = lcm(*(s.break_ints[1] for s in mu.sections.values()))
-        levels = [s.le_runs(d, space.n_times) for s in mu.sections.values()]
         for j in range(space.n_times):
-            sets = [runs[j] for runs in levels]
-            for a in sets[:4]:
-                for b in sets:
-                    assert (a != b) == (symmetric_difference_measure(a, b) != 0)
+            sets = [(_prefix(s, d, j), le_intervals(s, j))
+                    for s in mu.sections.values()]
+            for a, fa in sets[:4]:
+                for b, fb in sets:
+                    assert (symdiff_measure(a, b)
+                            == d * symmetric_difference_measure(fa, fb))
 
 
 def _halves_space(levels):
@@ -595,7 +598,7 @@ def _halves(values: dict) -> MixedST:
 def _no_walk(monkeypatch):
     def walk(*args):
         raise AssertionError("a valid time ran the per-level walk")
-    monkeypatch.setattr(RStepFunction, "le_runs", walk)
+    monkeypatch.setattr(times, "unadapted_blocks", walk)
 
 
 def test_product_check_clips_at_the_level_after_the_last(monkeypatch):
@@ -633,6 +636,20 @@ def test_product_check_of_a_block_over_consecutive_levels(monkeypatch):
     assert measure_validate_mixed_product(space, mu) == []
     _no_walk(monkeypatch)
     assert validate_mixed_product(space, mu) == []
+
+
+def test_product_check_of_equal_sets_carrying_other_values():
+    # a is 0 then 1 on the halves of [0, 1), b is 1 then 0: at level 1 both
+    # sets are [0, 1) while their span prefixes differ, so only level 0 is
+    # reported, with the measure of its symmetric difference
+    space = build_space("ab", [Fraction(1, 2)] * 2, range(3),
+                        [[frozenset("ab")], [frozenset("ab")],
+                         [frozenset("a"), frozenset("b")]])
+    mu = _halves({"a": (0, 1), "b": (1, 0)})
+    want = [Violation("NotJointlyMeasurable", "level 0, block ['a', 'b']: "
+                      "sections differ on measure 1")]
+    assert measure_validate_mixed_product(space, mu) == want
+    assert validate_mixed_product(space, mu) == want
 
 
 @pytest.mark.parametrize("seed", [6, 12])
@@ -688,26 +705,45 @@ corrupted_sections = st.builds(
     st.builds(lambda seed, b: make_instance(seed, b)[0], seeds, bounds))
 
 
+def _prefix(s, d: int, j: int) -> list:
+    """Level j's set {r : s(r) <= j} as the product check reads it: the
+    (a, b) of the prefix of s.spans(d) with value below j + 1."""
+    spans = s.spans(d)
+    return [(a, b) for _, a, b in spans[:bisect_left(spans, (j + 1,))]]
+
+
+def _merged(runs) -> tuple:
+    """The runs sorted, touching runs joined into one."""
+    out = []
+    for a, b in sorted(runs):
+        if out and out[-1][1] == a:
+            out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return tuple(out)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(shared_break_sections(), fuzzed_sections, corrupted_sections),
        st.integers(1, 10), st.integers(1, 3))
-def test_le_runs_match_fraction_runs(sections, n_times, scale):
-    # every level's int runs, the breaks scaled once to a multiple of their
-    # lcm, against the seed's Fraction runs of the same section
+def test_span_prefixes_match_fraction_runs(sections, n_times, scale):
+    # every level's span prefix, the breaks scaled once to a multiple of
+    # their lcm and merged here, against the seed's Fraction runs
     d = scale * lcm(*(s.break_ints[1] for s in sections.values()))
     for s in sections.values():
-        runs = s.le_runs(d, n_times)
-        assert len(runs) == n_times
-        for j, got in enumerate(runs):
-            assert got == tuple((a * d, b * d) for a, b in le_intervals(s, j))
+        assert s.spans(d) == sorted(s.spans(d))
+        for j in range(n_times):
+            assert _merged(_prefix(s, d, j)) == tuple(
+                (a * d, b * d) for a, b in le_intervals(s, j))
 
 
-def test_le_runs_below_the_first_level():
+def test_span_prefix_below_the_first_level():
     # a value below 0 lies in level 0's set, and a level no value equals
     # holds the same runs as the level below it
     s = RStepFunction(((0, 1, 2, 3), 3), (-1, 2, 0))
-    assert s.le_runs(6, 4) == [((0, 2), (4, 6)), ((0, 2), (4, 6)),
-                               ((0, 6),), ((0, 6),)]
+    assert s.spans(6) == [(-1, 0, 2), (0, 4, 6), (2, 2, 4)]
+    assert [_merged(_prefix(s, 6, j)) for j in range(4)] == [
+        ((0, 2), (4, 6)), ((0, 2), (4, 6)), ((0, 6),), ((0, 6),)]
 
 
 # ---------------------------------------------------------------------------

@@ -206,8 +206,8 @@ def test_split_intervals_give_the_same_section(seed, data):
             assert t == s and hash(t) == hash(s)
             assert t.mass_numerators(n) == s.mass_numerators(n)
             assert t.cdf_row(n) == s.cdf_row(n)
-            d = 2 * s.break_ints[1]  # le_runs takes any multiple of it
-            assert t.le_runs(d, n) == s.le_runs(d, n)
+            d = 2 * s.break_ints[1]  # spans takes any multiple of it
+            assert t.spans(d) == s.spans(d)
         assert split == mu
         assert payoff_mixed(problem, split) == payoff_mixed(problem, mu)
         assert (validate_mixed_product(space, split)
