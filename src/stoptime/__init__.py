@@ -9,10 +9,10 @@ harness.
 
 from .space import (AdaptedProcess, FilteredSpace, IncompatibleSpaces,
                     SpaceError, Violation, build_space, check_space,
-                    validate_adapted)
+                    over_common, validate_adapted)
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
                     RandomizedST, common_refinement, embed_pure,
-                    over_common, rn_derivative, sub_measure,
+                    rn_derivative, sub_measure,
                     validate, validate_distribution, validate_mixed,
                     validate_mixed_product, validate_mixed_sections,
                     validate_pure, validate_randomized)

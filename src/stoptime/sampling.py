@@ -1,11 +1,12 @@
 """Monte Carlo realization of random stopping times.
 
 Sampling is float-based (it feeds statistical checks only; all theorem
-checks elsewhere stay exact).  Every kind targets the same joint law and
-is read by one rule: each outcome's int row becomes one float table
-(edges, values, side) per call, and the stop index at a uniform r is
-values[searchsorted(edges, r, side)].  The edges are a section's inner
-breaks, a cumulative path, or the cdf of a joint mass row.
+checks elsewhere stay exact).  Each kind is read by one of the paper's two
+rules, on one float table per outcome of ints n / d, correctly rounded: a
+section (a mixed time's, or a pure one's embedded) stops at the value of
+its piece holding the uniform r, inner breaks searched from the right; a
+path (a randomized time's, or a mass's randomized_of_distribution) stops
+at min{j : path_j >= r}, searched from the left.
 
 Draws come in bounded chunks, with the numbers of one choice(n) and one
 random(n). sample_counts tallies them as an outcomes x grid count array.
@@ -23,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .space import FilteredSpace
-from .times import DistributionST, MixedST, PureST, RandomizedST, embed_pure
+from .times import (DistributionST, MixedST, PureST, RandomizedST, embed_pure,
+                    randomized_of_distribution)
 
 _CHUNK = 1 << 16  # draws or records held at once
 
@@ -98,26 +100,22 @@ def _draw(space: FilteredSpace, eta, rng: np.random.Generator, n: int):
 
 
 def _tables(space: FilteredSpace, eta) -> list:
-    """(edges, values, side) per outcome, in space order, values clipped
-    to the grid: a section's inner breaks and values; a path's floats, or
-    the cdf of a mass row, and the grid indices."""
+    """(edges, values, side) per outcome, in space order, values clipped to
+    the grid: a section's inner breaks, or a path and the grid indices."""
     if isinstance(eta, PureST):
         eta = embed_pure(eta)
-    if type(eta) not in (MixedST, RandomizedST, DistributionST):
+    elif type(eta) is DistributionST:
+        eta = randomized_of_distribution(space, eta)
+    t = space.n_times
+    if type(eta) is MixedST:
+        rows = [(s.break_ints[0][1:-1], s.break_ints[1], s.values, "right")
+                for s in map(eta.sections.__getitem__, space.outcomes)]
+    elif type(eta) is RandomizedST:
+        rows = [(*eta.rows[w], range(t + 1), "left") for w in space.outcomes]
+    else:
         raise TypeError(f"not a samplable stopping time: {type(eta).__name__}")
-    t, mixed, tables = space.n_times, type(eta) is MixedST, []
-    for row in map((eta.sections if mixed else eta.rows).__getitem__,
-                   space.outcomes):
-        if mixed:
-            (nums, d), values, side = row.break_ints, row.values, "right"
-            nums = nums[1:-1]
-        else:
-            (nums, d), values, side = row, range(t + 1), "left"
-        edges = np.array([n / d for n in nums])
-        if type(eta) is DistributionST:
-            edges = np.cumsum(edges / edges.sum())
-        tables.append((edges, np.clip(values, 0, t - 1), side))
-    return tables
+    return [(np.array([n / d for n in nums]), np.clip(values, 0, t - 1), side)
+            for nums, d, values, side in rows]
 
 
 def empirical_delta(space: FilteredSpace, samples,

@@ -30,19 +30,22 @@ class InputError(ValueError):
 _CELL = r"-?[0-9]+(?:/0*[1-9][0-9]*)?"
 _RATIO = re.compile(_CELL)
 _ROW = re.compile(f"{_CELL}(?:,{_CELL})*")
+_EXPONENT = re.compile(r"[\d.]e[-+]?\d", re.I)  # \d: any digit, as in Fraction
 
 
 def parse_ratio(s) -> tuple:
     """(p, q) with q > 0 for one cell: a JSON integer or an ASCII "p" or
-    "p/q" text split into its ints, any other cell read by Fraction(str(s))
-    with exponents refused; a bad cell is an InputError."""
+    "p/q" text split into its ints, a number or any other text read by
+    Fraction(str(s)) with exponents refused; a bad cell is an InputError."""
     if type(s) is int:
         return s, 1
     try:
         if type(s) is str and _RATIO.fullmatch(s):
             p, _, q = s.partition("/")
             return int(p), int(q) if q else 1
-        if "e" in str(s).lower():  # Fraction would expand 10**exponent exactly
+        if type(s) in (bool, type(None), list, dict):
+            raise ValueError(f"{_TYPE_NAMES[type(s)]} is not a rational")
+        if _EXPONENT.search(str(s)):  # Fraction would expand 10**exp exactly
             raise ValueError("exponents are not accepted; write p/q")
         x = Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
@@ -74,7 +77,7 @@ def _require(doc: dict, key: str):
 
 
 _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
-               int: "an integer"}
+               int: "an integer", bool: "a boolean", type(None): "null"}
 
 
 def _expect(x, kind: type, what: str):

@@ -213,7 +213,7 @@ def check_space(outcomes, probs, grid, partitions) -> list:
         for block in part:
             if not block or not block <= universe or block & seen:
                 violations.append(Violation(
-                    "NotAPartition", f"level {j}: bad block {set(block)}"))
+                    "NotAPartition", f"level {j}: bad block {sorted(map(str, block))}"))
                 break
             seen |= block
         else:
@@ -228,7 +228,7 @@ def check_space(outcomes, probs, grid, partitions) -> list:
                 if not block <= parent[next(iter(block))]:
                     violations.append(Violation(
                         "RefinementViolated",
-                        f"block {set(block)} at level {j} not inside a level-{j-1} block"))
+                        f"block {sorted(map(str, block))} at level {j} not inside a level-{j-1} block"))
     return violations
 
 

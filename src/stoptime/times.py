@@ -25,15 +25,12 @@ from itertools import accumulate, chain
 from math import lcm
 from operator import lt, mul, ne
 
-from .space import (CanonicalRows, FilteredSpace, Violation, over_common,
-                    reduced, row_violations, unadapted_blocks)
+from .space import (CanonicalRows, FilteredSpace, Violation, reduced,
+                    row_violations, unadapted_blocks)
 
 
 # ---------------------------------------------------------------------------
 # exact-arithmetic kernel: int numerators, one normalisation per result
-
-# (over_common, which splits a row into ints over one denominator, is in
-# space, where CanonicalRows needs it)
 
 def int_dot(xs, ys) -> int:
     """sum(x * y) over two int rows of equal length."""

@@ -1,3 +1,4 @@
+import re
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -94,11 +95,18 @@ def symmetric_difference_measure(xs, ys) -> Fraction:
     return mx + my - 2 * interval_intersection_measure(xs, ys)
 
 
-def seed_parse_fraction(s) -> Fraction:
-    """The seed's cell parser, the one the int fast path must match: every
-    cell through Fraction(str(s)), exponents refused."""
+JSON_TYPE_NAMES = {bool: "a boolean", type(None): "null", list: "a list",
+                   dict: "an object"}
+
+
+def reference_parse_fraction(s) -> Fraction:
+    """The per-cell parser the int fast path must match: a JSON boolean,
+    null, list or object named, every other cell through Fraction(str(s)),
+    with a digit or point, E and a digit (an exponent) refused."""
     try:
-        if "e" in str(s).lower():  # Fraction would expand 10**exponent exactly
+        if type(s) in JSON_TYPE_NAMES:
+            raise ValueError(f"{JSON_TYPE_NAMES[type(s)]} is not a rational")
+        if re.search(r"[\d.]e[-+]?\d", str(s), re.IGNORECASE):
             raise ValueError("exponents are not accepted; write p/q")
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:

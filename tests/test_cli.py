@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -15,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stoptime import (cli, convert, demo, experiment, fuzz, games, problems,
-                      sampling)
+from stoptime import (build_space, cli, convert, demo, experiment, fuzz, games,
+                      problems, sampling)
 from stoptime.cli import main
 from stoptime.experiment import ExperimentConfig, ExperimentReport
 from stoptime.serialize import (dump_json, process_from_dict,
@@ -66,6 +67,28 @@ def test_validate_garbage_json(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{nope")
     assert main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("partitions, text", [
+    ([[["w1", "w3"], ["w3", "w2", "w4"]], [["w1"], ["w2"], ["w3"], ["w4"]]],
+     "NotAPartition: level 0: bad block ['w2', 'w3', 'w4']"),
+    ([[["w1", "w3"], ["w2", "w4"]], [["w1", "w2"], ["w3"], ["w4"]]],
+     "RefinementViolated: block ['w1', 'w2'] at level 1 not inside a "
+     "level-0 block"),
+])
+def test_space_errors_print_the_same_under_every_hash_seed(partitions, text,
+                                                           tmp_path):
+    # a block's members print sorted, not in string-hash order
+    path = tmp_path / "space.json"
+    dump_json({"grid": ["0", "1"], "outcomes": ["w1", "w2", "w3", "w4"],
+               "probs": ["1/4"] * 4, "partitions": partitions}, path)
+    src = str(Path(cli.__file__).parents[1])
+    errs = {subprocess.run(
+        [sys.executable, "-m", "stoptime.cli", "validate", str(path)],
+        env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH":
+             os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        capture_output=True, text=True).stderr for seed in range(6)}
+    assert errs == {f"error: {text}\n"}
 
 
 def test_convert_to_randomized(files, capsys):
@@ -419,6 +442,33 @@ def test_sample_prints_the_record_path(files, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == expected
 
 
+def test_sample_of_a_mass_below_float_range_prints_its_path_draws(
+        tmp_path, capsys, monkeypatch):
+    # atom a has P = 10**-400: its float cdf row was 0 / 0, and numpy
+    # printed a RuntimeWarning
+    monkeypatch.delenv("STOPTIME_SEED", raising=False)
+    tiny = Fraction(1, 10**400)
+    space = build_space(("a", "b"), (tiny, 1 - tiny), (0, 1),
+                        (({"a"}, {"b"}),) * 2)
+    paths = {key: str(tmp_path / f"{key}.json") for key in ("space", "mass")}
+    dump_json(space_to_dict(space), paths["space"])
+    dump_json({"kind": "distribution",
+               "mass": {"a": [f"1/{3 * 10**400}", f"2/{3 * 10**400}"],
+                        "b": [str(Fraction(1, 2) - tiny), "1/2"]}},
+              paths["mass"])
+    on = ("--space", paths["space"])
+    assert main(["convert", paths["mass"], "--to", "randomized", *on,
+                 "-o", str(tmp_path / "rho.json")]) == 0
+    outs = []
+    for stop in (paths["mass"], str(tmp_path / "rho.json")):
+        assert main(["sample", *on, "--stop", stop, "--n", "5000",
+                     "--seed", "2"]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    assert outs[0].err == ""
+    assert outs[0].out.startswith("a,0,0.000000\na,1,0.000000\n")
+
+
 def test_sample_beyond_memory_is_an_input_error(files, capsys, monkeypatch):
     # a draw count numpy cannot allocate; the sampler is stubbed so the
     # host is never asked for the memory
@@ -623,6 +673,22 @@ def test_malformed_document_is_an_input_error(doc, with_space, files,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cell, text", [
+    (True, "bad rational True: a boolean is not a rational"),
+    (None, "bad rational None: null is not a rational"),
+    ("seven", "bad rational 'seven': Invalid literal for Fraction: 'seven'"),
+    ("1e\u0663", "bad rational '1e\u0663': exponents are not accepted; "
+                 "write p/q"),
+])
+def test_validate_names_what_a_bad_rational_is(cell, text, files, tmp_path,
+                                               capsys):
+    path = tmp_path / "rho.json"
+    dump_json({"kind": "randomized", "paths": {"w1": [cell, "1"],
+                                               "w2": ["1", "1"]}}, path)
+    assert main(["validate", str(path), "--space", files["space"]]) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
 
 
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
@@ -1068,10 +1134,10 @@ def _cli(argv) -> tuple:
 @example(bounds=fuzz.FuzzBounds(1, 512, 8, 2**63 - 1), seed=1, index=22)
 def test_cli_prints_the_library_answer_for_accepted_bounds(bounds, seed,
                                                            index):
-    """validate, convert, equiv, payoff --check-kuhn and game --route both
-    on a fuzzed instance: each exits 0 (equiv 1 on a pair that differs)
-    and prints the library's exact answer; a corrupted mixed time is
-    rejected with exit 1."""
+    """validate, convert, equiv, payoff --check-kuhn, game --route both and
+    sample on a fuzzed instance: each exits 0 (equiv 1 on a pair that
+    differs) and prints the library's answer, a mass's draws those of its
+    path; a corrupted mixed time is rejected with exit 1."""
     inst = fuzz.random_instance(experiment._rng_for(seed, index), bounds)
     space = inst.space
     stops = ("pure", "mixed", "randomized", "distribution", "mixed2")
@@ -1079,7 +1145,8 @@ def test_cli_prints_the_library_answer_for_accepted_bounds(bounds, seed,
     game = games.StoppingGame(space, inst.x, inst.y, inst.z)
     with unlimited_int_digits(), tempfile.TemporaryDirectory() as tmp:
         paths = {key: os.path.join(tmp, f"{key}.json")
-                 for key in ("space", "reward", *"xyz", *stops, "corrupt")}
+                 for key in ("space", "reward", *"xyz", *stops, "corrupt",
+                             "rho")}
         dump_json(space_to_dict(space), paths["space"])
         for key in ("reward", *"xyz"):
             dump_json(process_to_dict(getattr(inst, key)), paths[key])
@@ -1119,6 +1186,25 @@ def test_cli_prints_the_library_answer_for_accepted_bounds(bounds, seed,
                      "--z", paths["z"], "--p1", paths["mixed"], "--p2",
                      paths["mixed2"], "--route", "both"]) == (
             0, f"lift:      {value}\nsymmetric: {value}\n")
+
+        reference = convert.to_distribution(space, inst.distribution)
+        draws = ("--n", 2000, "--seed", seed, "--ref", paths["distribution"])
+        for key in stops[:4]:
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                cli._seed(argparse.Namespace(seed=seed)))))
+            freq, tv = sampling.frequencies(space, sampling.sample_counts(
+                space, getattr(inst, key), rng, 2000), reference)
+            want = "".join(f"{w},{space.grid[j]},{f:.6f}\n"
+                           for (w, j), f in sorted(freq.items()))
+            assert _cli(["sample", *on, "--stop", paths[key], *draws]) == (
+                0, f"{want}tv,{tv:.6f}\n")
+        code, out = _cli(["convert", paths["distribution"], "--to",
+                          "randomized", *on])
+        assert code == 0
+        Path(paths["rho"]).write_text(out)
+        assert (_cli(["sample", *on, "--stop", paths["rho"], *draws])
+                == _cli(["sample", *on, "--stop", paths["distribution"],
+                         *draws]))
 
         if corrupt is not None:
             dump_json(stopping_time_to_dict(corrupt), paths["corrupt"])

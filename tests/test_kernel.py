@@ -177,7 +177,7 @@ def _count_over_common(monkeypatch) -> list:
     """Every later over_common call's argument, through each stoptime
     module's binding of the name."""
     calls = []
-    honest = times.over_common
+    honest = over_common
 
     def counted(row):
         calls.append(row)

@@ -8,6 +8,7 @@ partitions are indexed only in space.py (and by the fuzz generators), so
 a bypass of either fails here too.  Library callers of
 the sampler tally draws as counts, never as one record per draw."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -103,6 +104,26 @@ def test_no_library_module_writes_a_hidden_per_object_cache():
     # a frozen value is equal to what its fields say: no memo is written
     # into an object's __dict__ behind its constructor
     assert _uses(r"__dict__", set()) == []
+
+
+def _unread_imports(path: Path) -> list:
+    """file:line name of every name path imports and never reads."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{node.lineno} {name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (name := alias.asname or alias.name.split(".")[0]) not in read]
+
+
+def test_no_library_module_imports_a_name_it_never_reads():
+    # __init__ imports to re-export; every other import is read
+    assert [hit for path in sorted(SRC.glob("*.py"))
+            if path.name != "__init__.py"
+            for hit in _unread_imports(path)] == []
 
 
 def test_library_callers_tally_draws_as_counts():

@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from stoptime import (DistributionST, EmptySamples, MixedST, PureST,
                       RandomizedST, RStepFunction, SampleRecord, build_space,
                       common_refinement, demo, embed_pure, empirical_delta,
-                      frequencies, fuzz, sample_counts, sample_many, sampling)
+                      frequencies, fuzz, randomized_of_distribution,
+                      sample_counts, sample_many, sampling)
 
 F = Fraction
 CHUNK = sampling._CHUNK
@@ -221,6 +223,27 @@ def test_counts_tally_the_records_on_fuzzed_instances(seed, n):
     for eta in (inst.pure, inst.mixed, inst.randomized, inst.distribution):
         assert_counts_match_records(inst.space, eta, seed + 1, n,
                                     inst.distribution)
+    # a joint mass draws exactly what its path draws
+    path = randomized_of_distribution(inst.space, inst.distribution)
+    assert np.array_equal(
+        sample_counts(inst.space, inst.distribution, rng(seed + 1), n),
+        sample_counts(inst.space, path, rng(seed + 1), n))
+
+
+def test_a_mass_below_float_range_draws_without_a_warning():
+    # atom a has P = 10**-400: the float cdf of its row was 0 / 0, NaN,
+    # with a RuntimeWarning
+    tiny = F(1, 10**400)
+    space = build_space(("a", "b"), (tiny, 1 - tiny), (0, 1),
+                        (({"a"}, {"b"}),) * 2)
+    delta = DistributionST({"a": (tiny / 3, 2 * tiny / 3),
+                            "b": (F(1, 2) - tiny, F(1, 2))})
+    rho = randomized_of_distribution(space, delta)
+    assert rho.paths == {"a": (F(1, 3), F(1)),
+                         "b": ((F(1, 2) - tiny) / (1 - tiny), F(1))}
+    counts = sample_counts(space, delta, rng(4), 5000)
+    assert counts[0].sum() == 0 and counts.sum() == 5000
+    assert np.array_equal(counts, sample_counts(space, rho, rng(4), 5000))
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -313,9 +336,13 @@ def path_indices(rho: RandomizedST, w, rs: np.ndarray) -> np.ndarray:
 
 
 def mass_indices(delta: DistributionST, w, rs: np.ndarray) -> np.ndarray:
-    """The inverse of the outcome's conditional stop cdf at each r."""
-    row = np.array([n / delta.rows[w][1] for n in delta.rows[w][0]])
-    return np.searchsorted(np.cumsum(row / row.sum()), rs, side="left")
+    """The generalized inverse of the mass's path at each r: the running
+    sums of the outcome's row over their total, P(w), each a correctly
+    rounded float."""
+    nums, _ = delta.rows[w]
+    total = sum(nums)
+    path = np.array([float(F(c, total)) for c in accumulate(nums)])
+    return np.searchsorted(path, rs, side="left")
 
 
 READERS = {MixedST: section_indices, RandomizedST: path_indices,

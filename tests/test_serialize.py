@@ -4,7 +4,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from conftest import at, le_intervals, seed_parse_fraction
+from conftest import at, le_intervals, reference_parse_fraction
 from hypothesis import example, given, settings, strategies as st
 
 from stoptime import fuzz
@@ -36,6 +36,37 @@ def test_parse_fraction_rejects_exponents():
     assert parse_fraction("0.25") == F(1, 4)
 
 
+@pytest.mark.parametrize("cell, why", [
+    (True, "a boolean is not a rational"),
+    (False, "a boolean is not a rational"),
+    (None, "null is not a rational"),
+    (["1"], "a list is not a rational"),
+    ({"p": 1}, "an object is not a rational"),
+    ("seven", "Invalid literal for Fraction: 'seven'"),
+    ("one", "Invalid literal for Fraction: 'one'"),
+    ("e5", "Invalid literal for Fraction: 'e5'"),
+])
+def test_a_cell_that_is_no_number_is_named(cell, why):
+    # only an exponent is called one: a JSON type is named, and a word
+    # gets Fraction's own text
+    with pytest.raises(InputError) as raised:
+        parse_ratio(cell)
+    assert str(raised.value) == f"bad rational {cell!r}: {why}"
+
+
+@given(st.from_regex(r"\s?[-+]?(\d+(\.\d*)?|\.\d+)[eE][-+]?\d{1,2}\s?",
+                     fullmatch=True))
+@example("1e3")
+@example("\u0661e\u0663")
+@example("1.E-\uff12")
+def test_every_exponent_fraction_reads_is_refused(text):
+    # Fraction reads these, its \d any Unicode digit; a long exponent
+    # would expand 10**exp exactly
+    Fraction(text)
+    with pytest.raises(InputError, match="exponents are not accepted"):
+        parse_ratio(text)
+
+
 def _parsed(parse, cell):
     """parse(cell), or the text of the InputError it raises."""
     try:
@@ -53,15 +84,17 @@ CELL_TEXTS = st.one_of(
                      "1e3", "1E-2", "inf", "nan", "", "/", "5" * 5000,
                      "1/" + "5" * 5000]))
 CELLS = st.one_of(CELL_TEXTS, st.integers(), st.floats(), st.booleans(),
-                  st.none(), st.lists(st.integers(), max_size=2))
+                  st.none(), st.lists(st.integers(), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(),
+                                  max_size=2))
 
 
 @settings(max_examples=500)
 @given(CELLS)
 def test_parse_ratio_matches_the_fraction_parser(cell):
     # the same value, or the same InputError text, on every JSON cell as
-    # the seed's Fraction(str(s)) parser
-    want = _parsed(seed_parse_fraction, cell)
+    # the reference per-cell parser
+    want = _parsed(reference_parse_fraction, cell)
     got = _parsed(parse_ratio, cell)
     assert _parsed(parse_fraction, cell) == want
     if isinstance(want, str):

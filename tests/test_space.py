@@ -237,8 +237,8 @@ def _blockwise_refinement(partitions) -> list:
             if not any(block <= cb for cb in coarse):
                 out.append(Violation(
                     "RefinementViolated",
-                    f"block {set(block)} at level {j} not inside a "
-                    f"level-{j-1} block"))
+                    f"block {sorted(map(str, block))} at level {j} "
+                    f"not inside a level-{j-1} block"))
     return out
 
 
