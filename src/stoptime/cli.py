@@ -20,7 +20,7 @@ from .experiment import ExperimentConfig, run_experiment
 from .serialize import (InputError, dump_json, load_json, process_from_dict,
                         space_from_dict, stopping_time_from_dict,
                         stopping_time_to_dict)
-from .space import SpaceError, row_violations
+from .space import row_violations
 from .times import validate
 
 EXIT_OK = 0
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # exact values may pass 4300 digits
     try:
         return args.func(args)
-    except (InputError, SpaceError, ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError) as e:  # InputError, SpaceError too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     finally:

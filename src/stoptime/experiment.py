@@ -20,6 +20,7 @@ from itertools import chain
 import numpy as np
 
 from . import convert, demo, fuzz, games, problems, sampling
+from .space import AdaptedProcess
 from .times import (DistributionST, embed_pure, validate,
                     validate_mixed_product, validate_mixed_sections)
 
@@ -218,7 +219,7 @@ def _game_checks(name: str, inst: fuzz.Instance,
 
     # zero-sum sanity: negating all payoff tables negates the value
     neg = games.StoppingGame(space, *(
-        games.AdaptedProcess._of_canonical({
+        AdaptedProcess._of_canonical({
             w: (tuple([-n for n in nums]), d) for w, (nums, d) in p.rows.items()})
         for p in (inst.x, inst.y, inst.z)))
     neg_val = games.game_payoff_symmetric(neg, delta1, delta2)

@@ -19,7 +19,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
 
 import numpy as np
 
@@ -84,7 +83,7 @@ def random_space(rng: np.random.Generator, bounds: FuzzBounds,
     total = sum(weights)
     probs = tuple(Fraction(x, total) for x in weights)
 
-    lo = min(2, bounds.max_grid_points) if bounds.max_grid_points > 1 else 1
+    lo = min(2, bounds.max_grid_points)
     n_times = int(rng.integers(lo, bounds.max_grid_points + 1))
     steps = rng.integers(1, m, size=n_times - 1, endpoint=True).tolist()
     grid = [Fraction(t, m) for t in accumulate(steps, initial=0)]
@@ -122,28 +121,26 @@ def random_pure(rng: np.random.Generator, space: FilteredSpace) -> PureST:
 
 def random_randomized(rng: np.random.Generator, space: FilteredSpace,
                       bounds: FuzzBounds) -> RandomizedST:
-    """Build paths from block-constant per-level stop fractions h: each
-    step leaves (1 - path)(1 - h) to go, as a reduced int pair (a, b)."""
+    """Build paths from block-constant per-level stop fractions num / den:
+    1 - path is a / b, the running products of den - num and of den, and a
+    row goes to from_rows, which reduces it, over its last b."""
     cells = {w: [] for w in space.outcomes}
-    rest = {w: (1, 1) for w in space.outcomes}  # 1 - path, as (num, den)
+    rest = {w: (1, 1) for w in space.outcomes}  # 1 - path = a / b
     for j in range(space.n_times):
         last = j == space.last_index
         for block in space.partitions[j]:
-            if last:  # h = num / den
+            if last:
                 num, den = 1, 1
             else:
                 den = int(rng.integers(1, bounds.max_denominator + 1))
                 num = int(rng.integers(0, den + 1))
             for w in block:
                 a, b = rest[w]
-                a, b = a * (den - num), b * den
-                g = gcd(a, b)
-                a, b = a // g, b // g
-                rest[w] = a, b
+                rest[w] = a, b = a * (den - num), b * den
                 cells[w].append((a, b))
     rows = {}
     for w, row in cells.items():
-        d = lcm(*(b for _, b in row))
+        d = row[-1][1]
         rows[w] = [(b - a) * (d // b) for a, b in row], d
     return RandomizedST.from_rows(rows)
 
@@ -166,26 +163,19 @@ def shuffle_sections(rng: np.random.Generator, space: FilteredSpace,
 
 
 def random_process(rng: np.random.Generator, space: FilteredSpace,
-                   bounds: FuzzBounds, adapted: bool = False) -> AdaptedProcess:
-    """A bounded rational table; block-constant per level when adapted.
-    Each value is a numerator over a denominator from 1 to 8, written as an
-    int over their common multiple DRAW_DENOMINATOR.  All (den, num) pairs
-    come from one broadcast call, the stream of one scalar call per entry."""
-    m = bounds.max_denominator
-    cells = [part if adapted else [(w,) for w in space.outcomes]
-             for part in space.partitions]
-    k = sum(map(len, cells))
+                   bounds: FuzzBounds) -> AdaptedProcess:
+    """A bounded rational table, not adapted: each value a numerator over
+    a denominator from 1 to 8, as an int over DRAW_DENOMINATOR.  The (den,
+    num) pairs of all n outcomes come level by level from one broadcast
+    call, the stream of one scalar call per entry, so row i is drawn[i::n]."""
+    m, n = bounds.max_denominator, len(space.outcomes)
+    k = n * space.n_times
     draws = rng.integers([1, -m] * k, [8, m] * k, endpoint=True).tolist()
-    drawn = iter([num * (DRAW_DENOMINATOR // den)
-                  for den, num in zip(draws[::2], draws[1::2])])
-    values = {w: [None] * space.n_times for w in space.outcomes}
-    for j, part in enumerate(cells):
-        for block in part:
-            v = next(drawn)
-            for w in block:
-                values[w][j] = v
+    drawn = [num * (DRAW_DENOMINATOR // den)
+             for den, num in zip(draws[::2], draws[1::2])]
     return AdaptedProcess.from_rows(
-        {w: (row, DRAW_DENOMINATOR) for w, row in values.items()})
+        {w: (drawn[i::n], DRAW_DENOMINATOR)
+         for i, w in enumerate(space.outcomes)})
 
 
 def random_instance(rng: np.random.Generator,

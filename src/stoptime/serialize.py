@@ -5,8 +5,8 @@ built only for a space's probs and grid, and for a cell in another form.
 A row of "p" and "p/q" texts is read at once, any other cell by cell.
 Loaders check every document's types first, each list in one pass:
 tables are objects, rows are lists, outcome labels are strings, and stop
-indices and section values are integers; a mismatch, or a key the
-document's kind does not define, raises InputError.
+indices and section values are integers; a mismatch, a repeated key or
+a key the document's kind does not define raises InputError.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def _blocks(part: list) -> list:
             and set(map(type, chain.from_iterable(part))) <= {str}):
         for b in part:
             _each(_expect(b, list, "block"), str, "outcome label")
-    return list(map(frozenset, part))
+    return part
 
 
 def _row_texts(nums, d) -> list:
@@ -211,12 +211,22 @@ def stopping_time_from_dict(doc: dict):
                                      for w, row in table.items()})
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is an InputError."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for k in doc if keys.count(k) > 1)
+        raise InputError(f"repeated key {key!r}")
+    return doc
+
+
 def load_json(path) -> dict:
-    """The JSON object in the file at path; any other document is an
-    InputError."""
+    """The JSON object in the file at path; any other document, or an
+    object that repeats a key, is an InputError."""
     try:
         with open(path) as f:
-            doc = json.load(f)
+            doc = json.load(f, object_pairs_hook=_object)
     except (OSError, ValueError, RecursionError) as e:  # JSONDecodeError too
         raise InputError(f"{path}: {e}") from None
     return _expect(doc, dict, f"{path}: the document")

@@ -115,11 +115,6 @@ class CanonicalRows:
         return f"{type(self).__name__}({self._view}={self.fractions()!r})"
 
 
-def _canonical_partition(blocks, order: dict) -> tuple:
-    """Sort blocks by their earliest outcome so equal partitions compare equal."""
-    return tuple(sorted(blocks, key=lambda b: min(map(order.__getitem__, b))))
-
-
 @dataclass(frozen=True)
 class FilteredSpace:
     """Outcomes with exact atom probabilities, a time grid, and a
@@ -170,7 +165,7 @@ class FilteredSpace:
 
 def check_space(outcomes, probs, grid, partitions) -> list:
     """Collect every violated invariant of the space inputs, given as
-    build_space normalises them: Fraction probs and grid, frozenset blocks."""
+    build_space passes them: Fraction probs and grid, blocks as listed."""
     violations = []
     if len(outcomes) == 0:
         violations.append(Violation("EmptyOutcomes", "need at least one outcome"))
@@ -211,11 +206,12 @@ def check_space(outcomes, probs, grid, partitions) -> list:
     for j, part in enumerate(partitions):
         seen = set()
         for block in part:
-            if not block or not block <= universe or block & seen:
+            k = len(seen)
+            seen.update(block)
+            if not block or len(seen) != k + len(block) or not universe.issuperset(block):
                 violations.append(Violation(
                     "NotAPartition", f"level {j}: bad block {sorted(map(str, block))}"))
                 break
-            seen |= block
         else:
             if seen != universe:
                 violations.append(Violation(
@@ -223,9 +219,9 @@ def check_space(outcomes, probs, grid, partitions) -> list:
     if not any(v.code == "NotAPartition" for v in violations):
         for j in range(1, len(partitions)):
             # a block refines iff it lies in the level-(j-1) block of a member
-            parent = {w: cb for cb in partitions[j - 1] for w in cb}
+            parent = {w: cb for cb in map(frozenset, partitions[j - 1]) for w in cb}
             for block in partitions[j]:
-                if not block <= parent[next(iter(block))]:
+                if not parent[next(iter(block))].issuperset(block):
                     violations.append(Violation(
                         "RefinementViolated",
                         f"block {sorted(map(str, block))} at level {j} not inside a level-{j-1} block"))
@@ -236,20 +232,21 @@ def build_space(outcomes, probs, grid, partitions) -> FilteredSpace:
     """Validate the inputs and return a canonical FilteredSpace.
 
     Raises SpaceError carrying the full list of violations otherwise.  The
-    inputs are normalised once, here, before check_space reads them.
+    inputs are normalised once, here; a block becomes a frozenset after
+    check_space has read it as listed, so a repeated member is seen.
     """
     outcomes = tuple(outcomes)
     probs = tuple(_as_fraction(p) for p in probs)
     grid = tuple(_as_fraction(t) for t in grid)
-    partitions = tuple(tuple(frozenset(b) for b in part) for part in partitions)
+    partitions = tuple(map(tuple, partitions))
     violations = check_space(outcomes, probs, grid, partitions)
     if violations:
         raise SpaceError(violations)
-    order = {w: i for i, w in enumerate(outcomes)}
-    return FilteredSpace(
-        outcomes=outcomes, probs=probs, grid=grid,
-        partitions=tuple(_canonical_partition(part, order) for part in partitions),
-    )
+    order = {w: i for i, w in enumerate(outcomes)}.__getitem__
+    # blocks sorted by their earliest outcome, so equal partitions are ==
+    partitions = tuple(tuple(sorted(map(frozenset, part), key=lambda b: min(map(order, b))))
+                       for part in partitions)
+    return FilteredSpace(outcomes=outcomes, probs=probs, grid=grid, partitions=partitions)
 
 
 def _pull_back(base: FilteredSpace, atoms: Mapping, probs) -> FilteredSpace:

@@ -69,6 +69,33 @@ def test_validate_garbage_json(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
+def test_validate_refuses_a_block_that_lists_an_outcome_twice(tmp_path,
+                                                              capsys):
+    path = tmp_path / "space.json"
+    dump_json({"grid": ["0", "1"], "outcomes": ["w1", "w2"],
+               "probs": ["1/2", "1/2"],
+               "partitions": [[["w1", "w2", "w1"]], [["w1"], ["w2"]]]}, path)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: NotAPartition: level 0: bad block ['w1', 'w1', 'w2']\n")
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"kind": "pure", "stop_index": {"w1": 0, "w2": 1, "w1": 1}}', "w1"),
+    ('{"grid": ["0", "1"], "outcomes": ["w1", "w2"], "probs": ["1/2", "1/2"],'
+     ' "grid": ["0", "1/2"], "partitions": [[["w1", "w2"]], [["w1"], ["w2"]]]}',
+     "grid"),
+], ids=["stop-index", "space-grid"])
+def test_validate_refuses_a_repeated_key(text, key, files, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["validate", str(path), "--space", files["space"]]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {path}: repeated key {key!r}\n")
+
+
 @pytest.mark.parametrize("partitions, text", [
     ([[["w1", "w3"], ["w3", "w2", "w4"]], [["w1"], ["w2"], ["w3"], ["w4"]]],
      "NotAPartition: level 0: bad block ['w2', 'w3', 'w4']"),

@@ -80,7 +80,7 @@ def seed_random_randomized(rng, space, bounds):
     return {w: tuple(row) for w, row in paths.items()}
 
 
-def seed_random_process(rng, space, bounds, adapted=False):
+def seed_random_process(rng, space, bounds):
     """The Fraction body: one Fraction over a denominator 1..8 per draw."""
     def draw():
         den = int(rng.integers(1, 9))
@@ -89,14 +89,8 @@ def seed_random_process(rng, space, bounds, adapted=False):
 
     values = {w: [None] * space.n_times for w in space.outcomes}
     for j in range(space.n_times):
-        if adapted:
-            for block in space.partitions[j]:
-                v = draw()
-                for w in block:
-                    values[w][j] = v
-        else:
-            for w in space.outcomes:
-                values[w][j] = draw()
+        for w in space.outcomes:
+            values[w][j] = draw()
     return {w: tuple(row) for w, row in values.items()}
 
 
@@ -155,15 +149,14 @@ def test_random_randomized_matches_the_fraction_body(spaces, bounds):
 @pytest.mark.parametrize("spaces, bounds", CASES)
 def test_random_process_matches_the_fraction_body(spaces, bounds):
     for rng, twin, space in spaces():
-        for adapted in (False, True):
-            twin.bit_generator.state = rng.bit_generator.state
-            proc = fuzz.random_process(rng, space, bounds, adapted=adapted)
-            expected = seed_random_process(twin, space, bounds, adapted)
-            assert proc.values == expected
-            assert rng.bit_generator.state == twin.bit_generator.state
-            # int_dot reads these: a numpy.int64 would overflow silently
-            assert all(type(x) is int for nums, d in proc.rows.values()
-                       for x in (*nums, d))
+        twin.bit_generator.state = rng.bit_generator.state
+        proc = fuzz.random_process(rng, space, bounds)
+        expected = seed_random_process(twin, space, bounds)
+        assert proc.values == expected
+        assert rng.bit_generator.state == twin.bit_generator.state
+        # int_dot reads these: a numpy.int64 would overflow silently
+        assert all(type(x) is int for nums, d in proc.rows.values()
+                   for x in (*nums, d))
 
 
 def _layout_digest(n_instances: int) -> str:

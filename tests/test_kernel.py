@@ -13,8 +13,8 @@ from conftest import (le_intervals, mass_of_index,
                       symmetric_difference_measure)
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
-                      RandomizedST, build_space, common_refinement, convert,
+from stoptime import (AdaptedProcess, DistributionST, MixedST, PureST,
+                      RStepFunction, RandomizedST, build_space, common_refinement, convert,
                       embed_pure, fuzz, games, mixed_of_randomized,
                       over_common, problems, randomized_of_distribution,
                       rn_derivative, times,
@@ -844,8 +844,12 @@ def test_validators_match_seed_block_loops(seed, fuzz_bounds):
                 + _moved_paths(space, inst.randomized2, rng)):
         assert (validate_randomized(space, rho)
                 == naive_validate_randomized(space, rho))
-    # the fuzz rewards are not adapted; the adapted draw is
-    adapted = fuzz.random_process(rng, space, fuzz_bounds, adapted=True)
+    # the fuzz rewards are not adapted; the index of each outcome's
+    # level-j block, at level j, is
+    adapted = AdaptedProcess({
+        w: [next(k for k, block in enumerate(part) if w in block)
+            for part in space.partitions]
+        for w in space.outcomes})
     assert validate_adapted(space, adapted) == []
     for process in (inst.reward, inst.x, adapted):
         assert (validate_adapted(space, process)

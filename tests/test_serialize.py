@@ -216,3 +216,18 @@ def test_long_integer_literal_is_an_input_error(tmp_path):
             load_json(path)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"kind": "pure", "stop_index": {"w1": 0, "w2": 1, "w1": 1}}', "w1"),
+    ('{"values": {"w": ["1"]}, "values": {"w": ["2"]}}', "values"),
+    ('{"a": [{"b": 1, "c": 2, "b": 1}]}', "b"),
+], ids=["table", "top-level", "nested"])
+def test_a_repeated_key_is_an_input_error(text, key, tmp_path):
+    # json keeps a repeated key's last value; a document is read whole
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(InputError) as e:
+        load_json(path)
+    assert str(e.value) == f"{path}: repeated key {key!r}"
+

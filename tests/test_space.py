@@ -64,6 +64,14 @@ def test_not_a_partition():
     assert "NotAPartition" in codes
 
 
+def test_a_block_that_lists_an_outcome_twice_is_no_partition():
+    with pytest.raises(SpaceError) as e:
+        build_space(("w1", "w2"), (F(1, 2), F(1, 2)), (0, 1),
+                    ([["w1", "w2", "w1"]], [["w1"], ["w2"]]))
+    assert e.value.violations == [Violation(
+        "NotAPartition", "level 0: bad block ['w1', 'w1', 'w2']")]
+
+
 def test_refinement_violated():
     codes = {v.code for v in check_space(
         ("w1", "w2"), (F(1, 2), F(1, 2)), (F(0), F(1)),
