@@ -108,14 +108,13 @@ def cmd_payoff(args) -> int:
     space = _load_space(args.space)
     reward = process_from_dict(load_json(args.reward))
     problem = problems.StoppingProblem(space, reward)
-    eta = _load_valid_stop(args.stop, space)
-    value = problems.payoff(problem, eta)
+    delta = convert.to_distribution(space, _load_valid_stop(args.stop, space))
+    value = problems.payoff_distribution(problem, delta)
     print(_exact(value))
     if args.check_kuhn:
-        delta = convert.to_distribution(space, eta)
         rho = convert.randomized_of_distribution(space, delta)
         routes = {
-            "distribution": problems.payoff_distribution(problem, delta),
+            "distribution": value,
             "randomized": problems.payoff_randomized(problem, rho),
             "mixed": problems.payoff_mixed(
                 problem, convert.mixed_of_randomized(space, rho)),

@@ -7,9 +7,11 @@ it as its path, which every lifted atom of an outcome shares.  The payoff
 uses X when Player 1 stops strictly first, Y when Player 2 stops strictly
 first, and Z on a tie, always evaluated at the time of the first stopper.
 
-The lifted space keeps only the positive-mass atoms (an atom of zero mass
-carries no payoff mass) and pulls each base block back to the atoms of its
-outcomes.  Base and opponent mass are validated first, so it is valid by
+The lift walks the opponent's mass once: per base outcome it scales the
+reward rows, then makes each positive-mass stop an atom (an atom of zero
+mass carries no payoff mass) with its probability and lifted reward row.
+The lifted space pulls each base block back to the atoms of its outcomes.
+Base and opponent mass are validated first, so it is valid by
 construction and built by space._pull_back without a second check.
 """
 
@@ -41,17 +43,6 @@ class StoppingGame:
             require_rows(self.space, table.numerators(), name)
 
 
-def _lifted_space(base: FilteredSpace, delta: DistributionST) -> FilteredSpace:
-    """Outcomes (w, s) with delta(w, s) > 0, pulled back from base without a
-    second check: delta is validated, so a nonzero entry is positive and
-    each row, summing to P(w) > 0, keeps at least one atom."""
-    rows = delta.rows
-    atoms = {w: [(w, s) for s, n in enumerate(rows[w][0]) if n]
-             for w in base.outcomes}
-    return _pull_back(base, atoms, [Fraction(rows[w][0][s], rows[w][1])
-                                    for w in base.outcomes for _, s in atoms[w]])
-
-
 def lift(game: StoppingGame, delta2: DistributionST) -> StoppingProblem:
     """The stopping problem Player 1 faces when Player 2 stops per delta2."""
     return _lift(game, delta2, game.x, game.y)
@@ -69,27 +60,31 @@ def _lift(game: StoppingGame, delta: DistributionST, first: AdaptedProcess,
           second: AdaptedProcess) -> StoppingProblem:
     """Lift against the opponent mass delta; first is paid when the lifted
     player stops strictly first, second when the opponent does."""
-    bad = validate_distribution(game.space, delta)
+    base = game.space
+    bad = validate_distribution(base, delta)
     if bad:
         raise ValueError(f"opponent stop mass invalid: {bad[0]}")
-    space = _lifted_space(game.space, delta)
-    n = space.n_times
-    # before the opponent's stop s the lifted player is first, at s a tie,
-    # after s the opponent was first and the reward is frozen at s; row
-    # (w, s) over the lcm d of w's base rows is divided by its entries' gcd
-    scaled = {}
-    rows = {}
-    for w, s in space.outcomes:
-        if w not in scaled:
-            tables = (first.rows[w], game.z.rows[w], second.rows[w])
-            d = lcm(*(k for _, k in tables))
-            f, t, g = ([x * (d // k) for x in nums] for nums, k in tables)
-            scaled[w] = f, t, g, d, list(accumulate(f, gcd, initial=d))
-        f, t, g, d, pg = scaled[w]
-        c = gcd(pg[s], t[s], g[s] if s < n - 1 else 0)
-        rows[(w, s)] = (tuple([x // c for x in f[:s]] + [t[s] // c]
-                              + [g[s] // c] * (n - s - 1)), d // c)
-    return StoppingProblem(space, AdaptedProcess._of_canonical(rows))
+    n = base.n_times
+    # per outcome w, once: the three rows scaled to their lcm d and the
+    # prefix gcds pg of the first-stopper row; then per atom (w, s), s a stop
+    # of positive mass (delta is validated), the row paying first before s,
+    # the tie at s and second frozen at s after, divided by its entries' gcd
+    atoms, probs, rows = {}, [], {}
+    for w in base.outcomes:
+        mass, k = delta.rows[w]
+        tables = (first.rows[w], game.z.rows[w], second.rows[w])
+        d = lcm(*(e for _, e in tables))
+        f, t, g = ([x * (d // e) for x in nums] for nums, e in tables)
+        pg = list(accumulate(f, gcd, initial=d))
+        atoms[w] = [(w, s) for s, m in enumerate(mass) if m]
+        for a in atoms[w]:
+            s = a[1]
+            probs.append(Fraction(mass[s], k))
+            c = gcd(pg[s], t[s], g[s] if s < n - 1 else 0)
+            rows[a] = (tuple([x // c for x in f[:s]] + [t[s] // c]
+                             + [g[s] // c] * (n - s - 1)), d // c)
+    return StoppingProblem(_pull_back(base, atoms, probs),
+                           AdaptedProcess._of_canonical(rows))
 
 
 def lift_mixed(mu: MixedST, lifted_space: FilteredSpace) -> MixedST:

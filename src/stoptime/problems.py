@@ -1,8 +1,10 @@
 """Payoff evaluation for single-agent stopping problems.
 
 The reward table need not be adapted; evaluation only needs the value of
-the reward at each (outcome, grid time).  All four stopping-time kinds
-are supported and equivalent times yield the same exact payoff.
+the reward at each (outcome, grid time).  payoff prices the joint mass of
+a time of any kind, so equivalent times get the same exact payoff by
+construction; the per-kind routes price each kind's own table and serve
+as oracles for that.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .convert import to_distribution
 from .space import AdaptedProcess, FilteredSpace, require_rows
 from .times import (DistributionST, MixedST, PureST, RandomizedST,
                     add_term, fraction_sum, int_dot)
@@ -83,13 +86,5 @@ def payoff_distribution(problem: StoppingProblem, delta: DistributionST) -> Frac
 
 
 def payoff(problem: StoppingProblem, eta) -> Fraction:
-    """Dispatch on the stopping-time kind."""
-    if isinstance(eta, PureST):
-        return payoff_pure(problem, eta)
-    if isinstance(eta, MixedST):
-        return payoff_mixed(problem, eta)
-    if isinstance(eta, RandomizedST):
-        return payoff_randomized(problem, eta)
-    if isinstance(eta, DistributionST):
-        return payoff_distribution(problem, eta)
-    raise TypeError(f"not a stopping time: {type(eta).__name__}")
+    """The price of eta's joint mass, whatever eta's kind."""
+    return payoff_distribution(problem, to_distribution(problem.space, eta))

@@ -4,10 +4,59 @@ from fractions import Fraction
 
 import pytest
 
-from stoptime import demo
+from stoptime import build_space, demo, fuzz
 from stoptime.serialize import InputError
 from stoptime.space import Violation
-from stoptime.times import PureST, _section_violations, validate_pure
+from stoptime.times import (DistributionST, MixedST, PureST, RStepFunction,
+                            _section_violations, validate_pure)
+
+
+def coin_space_coarse():
+    """The coin space with no information at time 0 (one block)."""
+    return build_space(
+        outcomes=("w1", "w2"), probs=(Fraction(1, 2),) * 2, grid=(0, 1),
+        partitions=((frozenset({"w1", "w2"}),),
+                    (frozenset({"w1"}), frozenset({"w2"}))))
+
+
+def coin_mixed_flipped():
+    """The coin's stop law; the second outcome uses the opposite half of
+    [0,1], so the coarse space tells the two sections apart."""
+    section = RStepFunction(((0, 1, 2), 2), (0, 1))
+    flipped = RStepFunction(((0, 1, 2), 2), (1, 0))
+    return MixedST({"w1": section, "w2": flipped})
+
+
+def split(inst):
+    """inst with every outcome w split into twins w + "a" and w + "b" of
+    P(w)/2 each, both in every block of w: time and process rows copied,
+    mass rows halved.  Nothing tells the twins apart, so every verdict,
+    payoff and game value must survive the split."""
+    space = inst.space
+    twins = {w: (w + "a", w + "b") for w in space.outcomes}
+
+    def copied(table):
+        return {t: table[w] for w in space.outcomes for t in twins[w]}
+
+    def rows(table):
+        return type(table)._of_canonical(copied(table.rows))
+
+    return fuzz.Instance(
+        space=build_space(
+            outcomes=[t for w in space.outcomes for t in twins[w]],
+            probs=[p / 2 for p in space.probs for _ in "ab"],
+            grid=space.grid,
+            partitions=[[[t for w in block for t in twins[w]]
+                         for block in part] for part in space.partitions]),
+        pure=PureST(copied(inst.pure.stop_index)),
+        mixed=MixedST(copied(inst.mixed.sections)),
+        randomized=rows(inst.randomized),
+        distribution=DistributionST.from_rows(
+            {t: (nums, 2 * d) for t, (nums, d)
+             in copied(inst.distribution.rows).items()}),
+        reward=rows(inst.reward), x=rows(inst.x), y=rows(inst.y),
+        z=rows(inst.z), mixed2=MixedST(copied(inst.mixed2.sections)),
+        randomized2=rows(inst.randomized2))
 
 
 @pytest.fixture
@@ -15,9 +64,9 @@ def coin_space():
     return demo.coin_space()
 
 
-@pytest.fixture
-def coin_space_coarse():
-    return demo.coin_space_coarse()
+@pytest.fixture(name="coin_space_coarse")
+def coin_space_coarse_fixture():
+    return coin_space_coarse()
 
 
 @pytest.fixture
@@ -25,9 +74,9 @@ def coin_mixed():
     return demo.coin_mixed()
 
 
-@pytest.fixture
-def coin_mixed_flipped():
-    return demo.coin_mixed_flipped()
+@pytest.fixture(name="coin_mixed_flipped")
+def coin_mixed_flipped_fixture():
+    return coin_mixed_flipped()
 
 
 @pytest.fixture

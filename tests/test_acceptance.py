@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import coin_mixed_flipped
 
 from stoptime import (cdf_of_mixed, delta_of_mixed, delta_of_randomized,
                       embed_pure, equivalent, game_payoff_player2_view,
@@ -43,7 +44,7 @@ def instances():
 
 def test_criterion_1_two_interval_representations_of_one_law():
     space = demo.coin_space()
-    mu, mu_tilde = demo.coin_mixed(), demo.coin_mixed_flipped()
+    mu, mu_tilde = demo.coin_mixed(), coin_mixed_flipped()
     uniform = demo.coin_uniform_delta()
     ok = (delta_of_mixed(space, mu) == uniform
           and delta_of_mixed(space, mu_tilde) == uniform

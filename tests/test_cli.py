@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import coin_mixed_flipped, coin_space_coarse
 from hypothesis import example, given, settings, strategies as st
 
 from stoptime import (build_space, cli, convert, demo, experiment, fuzz, games,
@@ -32,7 +33,7 @@ def files(tmp_path):
     paths = {"space": tmp_path / "space.json"}
     dump_json(space_to_dict(space), paths["space"])
     for name, eta in (("mixed", demo.coin_mixed()),
-                      ("flipped", demo.coin_mixed_flipped()),
+                      ("flipped", coin_mixed_flipped()),
                       ("randomized", demo.coin_randomized()),
                       ("delta", demo.coin_uniform_delta())):
         paths[name] = tmp_path / f"{name}.json"
@@ -263,7 +264,7 @@ def test_game_normalises_each_time_once(files, tmp_path, capsys,
     game = games.StoppingGame(demo.coin_space(), *(
         process_from_dict(json.loads(tables[k].read_text())) for k in "xyz"))
     value = cli._exact(games.game_payoff_symmetric(
-        game, demo.coin_mixed(), demo.coin_mixed_flipped()))
+        game, demo.coin_mixed(), coin_mixed_flipped()))
     assert capsys.readouterr().out == (f"lift:      {value}\n"
                                        f"symmetric: {value}\n")
 
@@ -1088,7 +1089,7 @@ def test_redundant_break_prints_what_its_merged_form_prints(tmp_path,
     # coarse coin space cuts the flipped sections apart, so validate
     # reports there, and convert and equiv take the time on the fine space
     spaces = {}
-    for name, space in (("coarse", demo.coin_space_coarse()),
+    for name, space in (("coarse", coin_space_coarse()),
                         ("fine", demo.coin_space())):
         spaces[name] = tmp_path / f"{name}.json"
         dump_json(space_to_dict(space), spaces[name])

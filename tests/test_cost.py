@@ -1,0 +1,105 @@
+"""A deterministic cost contract: executed bytecodes per layer at doubling
+sizes.
+
+Each layer runs on the twin-split family of one fixed 16 x 8 instance:
+16, 32, 64 and 128 outcomes with the same structure at every size.  The
+opcode events executed in stoptime frames are counted, which is exact and
+independent of the host's speed; a layer may grow by at most RATIO per
+doubling, where work quadratic in the outcomes grows by about 4.  Work
+done in C (big-int arithmetic, gcd, sorted) is not counted.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+from conftest import split
+
+from stoptime import (StoppingGame, StoppingProblem, fuzz, games, problems,
+                      to_distribution)
+
+RATIO = 2.3
+KINDS = ("pure", "mixed", "randomized", "distribution")
+
+
+def executed(fn, *args) -> int:
+    """The opcode events run in stoptime frames during fn(*args)."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if not frame.f_globals.get("__name__", "").startswith("stoptime"):
+            return None
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return trace
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(old)
+    return count
+
+
+def growth(counts) -> list:
+    """The count's ratio at each doubling."""
+    return [b / a for a, b in zip(counts, counts[1:])]
+
+
+@pytest.fixture(scope="module")
+def family():
+    """The first seeded instance of 16 outcomes and 8 grid points, then
+    its twin splits to 128 outcomes."""
+    bounds = fuzz.FuzzBounds(max_outcomes=16, max_grid_points=8,
+                             max_breaks=16, max_denominator=97)
+    seed = 0
+    while True:
+        inst = fuzz.random_instance(
+            np.random.Generator(np.random.PCG64(seed)), bounds,
+            min_outcomes=16)
+        if inst.space.n_times == 8:
+            break
+        seed += 1
+    out = [inst]
+    for _ in range(3):
+        out.append(split(out[-1]))
+    assert [len(i.space.outcomes) for i in out] == [16, 32, 64, 128]
+    return out
+
+
+def calls(layer, inst) -> tuple:
+    """(function, *args) of one layer on one instance; the opponent's
+    mass is normalised beforehand, so only the layer is counted."""
+    space = inst.space
+    game = StoppingGame(space, inst.x, inst.y, inst.z)
+    problem = StoppingProblem(space, inst.reward)
+    if layer == "lift":
+        return games.lift, game, to_distribution(space, inst.mixed2)
+    if layer == "lift_player2":
+        return games.lift_player2, game, to_distribution(space, inst.mixed)
+    if layer == "game_payoff_via_lift":
+        return games.game_payoff_via_lift, game, inst.mixed, inst.mixed2
+    if layer == "planted_quadratic":
+        return planted_quadratic, problem
+    return problems.payoff, problem, getattr(inst, layer.split(":")[1])
+
+
+def planted_quadratic(problem) -> list:
+    """Each outcome's probability looked up once per outcome: n^2 calls."""
+    space = problem.space
+    return [space.prob(v) for _ in space.outcomes for v in space.outcomes]
+
+
+@pytest.mark.parametrize("layer", [
+    "lift", "lift_player2", "game_payoff_via_lift",
+    *(f"payoff:{kind}" for kind in KINDS)])
+def test_layer_grows_at_most_linearly_in_the_outcomes(family, layer):
+    counts = [executed(*calls(layer, inst)) for inst in family]
+    assert max(growth(counts)) <= RATIO, (layer, counts)
+
+
+def test_the_counter_rejects_a_planted_quadratic_helper(family):
+    counts = [executed(*calls("planted_quadratic", inst)) for inst in family]
+    assert max(growth(counts)) > RATIO, counts

@@ -6,7 +6,8 @@ import pytest
 from stoptime import (AdaptedProcess, PureST, RandomizedST, StoppingProblem,
                       delta_of_mixed, embed_pure, payoff, payoff_distribution,
                       payoff_mixed, payoff_pure, payoff_randomized)
-from stoptime import fuzz
+from stoptime import fuzz, problems
+from stoptime.experiment import ExperimentConfig, _rng_for
 
 F = Fraction
 H = F(1, 2)
@@ -98,3 +99,27 @@ def test_linearity_and_bounds_fuzzed():
             assert vc == 3 * va - H * vb
             rows = inst.reward.values.values()
             assert min(map(min, rows)) <= va <= max(map(max, rows))
+
+
+def test_payoff_prices_the_joint_mass_of_every_kind(monkeypatch):
+    # payoff reads the joint mass only: with the three per-kind routes
+    # refusing, every kind of the first seed-7 instances still gets the
+    # value its own route gave
+    bounds = ExperimentConfig(seed=7).bounds()
+    cases = []
+    for index in range(20):
+        inst = fuzz.random_instance(_rng_for(7, index), bounds)
+        problem = StoppingProblem(inst.space, inst.reward)
+        for route, eta in ((payoff_pure, inst.pure),
+                           (payoff_mixed, inst.mixed),
+                           (payoff_randomized, inst.randomized),
+                           (payoff_distribution, inst.distribution)):
+            cases.append((problem, eta, route(problem, eta)))
+
+    def refuse(*args):
+        raise AssertionError("payoff ran a per-kind route")
+
+    for name in ("payoff_pure", "payoff_mixed", "payoff_randomized"):
+        monkeypatch.setattr(problems, name, refuse)
+    for problem, eta, value in cases:
+        assert payoff(problem, eta) == value

@@ -3,17 +3,20 @@
 from fractions import Fraction
 
 import numpy as np
-from conftest import le_intervals, mass_of_index
+from conftest import le_intervals, mass_of_index, split
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (MixedST, RStepFunction, StoppingProblem, cdf_of_mixed,
-                      delta_of_mixed, delta_of_randomized, embed_pure,
-                      equivalent, mixed_of_randomized, payoff_mixed,
+from stoptime import (MixedST, RStepFunction, StoppingGame, StoppingProblem,
+                      cdf_of_mixed, delta_of_mixed, delta_of_randomized,
+                      embed_pure, equivalent, game_payoff_player2_view,
+                      game_payoff_symmetric, game_payoff_via_lift,
+                      mixed_of_randomized, payoff, payoff_distribution,
+                      payoff_mixed, payoff_pure, payoff_randomized,
                       randomized_of_distribution, rn_derivative,
-                      sample_counts, sub_measure, validate_distribution,
-                      validate_mixed, validate_mixed_product,
-                      validate_mixed_sections, validate_pure,
-                      validate_randomized)
+                      sample_counts, sub_measure, validate,
+                      validate_distribution, validate_mixed,
+                      validate_mixed_product, validate_mixed_sections,
+                      validate_pure, validate_randomized)
 from stoptime import fuzz
 from stoptime.serialize import (format_ratio, stopping_time_from_dict,
                                 stopping_time_to_dict)
@@ -223,3 +226,36 @@ def test_split_intervals_give_the_same_section(seed, data):
             for w, ((nums, k), values) in lists.items()}}
         assert stopping_time_from_dict(doc) == mu
         assert stopping_time_from_dict(stopping_time_to_dict(split)) == mu
+
+
+def _prices(inst) -> tuple:
+    """Each kind's own payoff, payoff on every kind, and the three game
+    routes with Player 1 on mixed and Player 2 on mixed2."""
+    problem = StoppingProblem(inst.space, inst.reward)
+    game = StoppingGame(inst.space, inst.x, inst.y, inst.z)
+    kinds = (inst.pure, inst.mixed, inst.randomized, inst.distribution)
+    return ((payoff_pure(problem, inst.pure),
+             payoff_mixed(problem, inst.mixed),
+             payoff_randomized(problem, inst.randomized),
+             payoff_distribution(problem, inst.distribution)),
+            tuple(payoff(problem, eta) for eta in kinds),
+            tuple(route(game, inst.mixed, inst.mixed2)
+                  for route in (game_payoff_via_lift, game_payoff_symmetric,
+                                game_payoff_player2_view)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_splitting_every_atom_into_twins_changes_nothing(seed):
+    # twins share every block, so the split space learns nothing new: every
+    # time stays valid, mixed and mass stay equivalent, and every payoff
+    # and game value is unchanged (pure is drawn apart from the rest)
+    inst, _ = make_instance(seed)
+    twin = split(inst)
+    for eta in (twin.pure, twin.mixed, twin.randomized, twin.distribution,
+                twin.mixed2):
+        assert validate(twin.space, eta) == []
+    assert equivalent(twin.space, twin.mixed, twin.distribution)
+    own, via_payoff, game = _prices(twin)
+    assert (own, via_payoff, game) == _prices(inst)
+    assert own == via_payoff and len(set(own[1:])) == len(set(game)) == 1
