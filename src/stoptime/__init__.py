@@ -1,10 +1,11 @@
 """Random stopping times on finite filtered probability spaces.
 
-Exact-rational implementations of the four stopping-time
-representations, the constructive conversions between them, the
-equivalence relation, payoff evaluation for stopping problems and
-two-player zero-sum stopping games, and a seeded fuzz/Monte Carlo
-harness.
+The root holds the exact core: the four stopping-time representations,
+the constructive conversions between them, the equivalence relation,
+payoff evaluation for stopping problems and two-player zero-sum stopping
+games, all in exact rationals.  It imports no numpy.  The Monte Carlo
+sampler, the seeded fuzz campaign and the command line are reached as
+`stoptime.sampling`, `stoptime.experiment` and `stoptime.cli`.
 """
 
 from .space import (AdaptedProcess, FilteredSpace, IncompatibleSpaces,
@@ -12,11 +13,10 @@ from .space import (AdaptedProcess, FilteredSpace, IncompatibleSpaces,
                     over_common, validate_adapted)
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
                     RandomizedST, common_refinement, embed_pure,
-                    rn_derivative, sub_measure,
-                    validate, validate_distribution, validate_mixed,
+                    validate, validate_distribution,
                     validate_mixed_product, validate_mixed_sections,
                     validate_pure, validate_randomized)
-from .convert import (cdf_of_mixed, delta_of_mixed, delta_of_randomized,
+from .convert import (delta_of_mixed, delta_of_randomized,
                       equivalent, first_difference, mixed_of_distribution,
                       mixed_of_randomized, randomized_of_distribution,
                       to_distribution)
@@ -26,8 +26,5 @@ from .games import (StoppingGame, game_payoff_player2_view,
                     game_payoff_symmetric, game_payoff_via_lift, lift,
                     lift_distribution, lift_mixed, lift_randomized,
                     payoff_on_lift)
-from .sampling import (EmptySamples, SampleRecord, empirical_delta,
-                       frequencies, sample_counts, sample_many)
-from .experiment import ExperimentConfig, ExperimentReport, run_experiment
 
 __version__ = "0.1.0"

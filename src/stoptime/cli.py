@@ -13,10 +13,8 @@ from dataclasses import fields
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
 from . import convert, games, problems, sampling
-from .experiment import ExperimentConfig, run_experiment
+from .experiment import ExperimentConfig, _rng_for, run_experiment
 from .serialize import (InputError, dump_json, load_json, process_from_dict,
                         space_from_dict, stopping_time_from_dict,
                         stopping_time_to_dict)
@@ -158,7 +156,7 @@ def cmd_sample(args) -> int:
     if args.ref:
         reference = convert.to_distribution(
             space, _load_valid_stop(args.ref, space))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(_seed(args))))
+    rng = _rng_for(_seed(args))
     try:
         counts = sampling.sample_counts(space, eta, rng, args.n)
     except MemoryError:  # draws come in chunks: this guards the count array

@@ -85,9 +85,10 @@ class ExperimentReport:
         return self.n_failed == 0
 
 
-def _rng_for(seed: int, stream: int) -> np.random.Generator:
+def _rng_for(seed: int, *stream: int) -> np.random.Generator:
+    """The campaign's seed rule; `stoptime sample` draws with no stream."""
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream)))
 
 
 def _row(results: list, instance: str, check: str, ok: bool, witness):

@@ -59,6 +59,43 @@ def split(inst):
         randomized2=rows(inst.randomized2))
 
 
+def refine(inst, j):
+    """inst with a grid time inserted after t_j (t_j + 1 after the last
+    time) whose partition is level j's: stop indices and section values
+    above j go up by one, path, process and game rows repeat entry j, and
+    mass rows get a 0 at j + 1.  Nothing is learned at the new time and
+    nothing stops there, so every verdict, payoff and game value must
+    survive the refinement."""
+    space = inst.space
+    grid = space.grid
+    added = (grid[j] + grid[j + 1]) / 2 if j + 1 < len(grid) else grid[j] + 1
+
+    def later(i):
+        return i + (i > j)
+
+    def rows(table, entry=None):
+        return type(table)._of_canonical({
+            w: ((*nums[:j + 1], nums[j] if entry is None else entry,
+                 *nums[j + 1:]), d) for w, (nums, d) in table.rows.items()})
+
+    def shifted(mu):
+        return MixedST({w: RStepFunction(s.break_ints, tuple(map(later,
+                                                                 s.values)))
+                        for w, s in mu.sections.items()})
+
+    return fuzz.Instance(
+        space=build_space(
+            outcomes=space.outcomes, probs=space.probs,
+            grid=[*grid[:j + 1], added, *grid[j + 1:]],
+            partitions=[*space.partitions[:j + 1], space.partitions[j],
+                        *space.partitions[j + 1:]]),
+        pure=PureST({w: later(i) for w, i in inst.pure.stop_index.items()}),
+        mixed=shifted(inst.mixed), randomized=rows(inst.randomized),
+        distribution=rows(inst.distribution, 0), reward=rows(inst.reward),
+        x=rows(inst.x), y=rows(inst.y), z=rows(inst.z),
+        mixed2=shifted(inst.mixed2), randomized2=rows(inst.randomized2))
+
+
 @pytest.fixture
 def coin_space():
     return demo.coin_space()

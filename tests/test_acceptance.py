@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 from conftest import coin_mixed_flipped
 
-from stoptime import (cdf_of_mixed, delta_of_mixed, delta_of_randomized,
-                      embed_pure, equivalent, game_payoff_player2_view,
+from stoptime import (delta_of_mixed, delta_of_randomized, embed_pure,
+                      equivalent, game_payoff_player2_view,
                       game_payoff_symmetric, game_payoff_via_lift,
                       mixed_of_randomized, randomized_of_distribution,
                       validate_mixed_product, validate_mixed_sections)
 from stoptime import convert, demo, fuzz, games, problems
 from stoptime.cli import main
+from stoptime.convert import cdf_of_mixed
 from stoptime.experiment import (ExperimentConfig, _mutated_mixed, _rng_for,
                                  monte_carlo_rows)
 

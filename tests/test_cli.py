@@ -560,6 +560,20 @@ def test_sample_seed_env_override(files, capsys, monkeypatch):
     assert capsys.readouterr().out == base
 
 
+def test_sample_draws_through_the_campaign_seed_rule(files, capsys,
+                                                     monkeypatch):
+    # `sample` draws from the campaign's seed rule with no stream, which is
+    # the seed's own SeedSequence: its output is pinned by the seed alone
+    for seed in (0, 1, 3, 2**32 + 5):
+        assert (experiment._rng_for(seed).bit_generator.state
+                == np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence(seed))).bit_generator.state)
+    monkeypatch.delenv("STOPTIME_SEED", raising=False)
+    assert main(["sample", "--space", files["space"], "--stop", files["delta"],
+                 "--n", "10", "--seed", "-1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_fuzz_small_campaign(files, capsys):
     out = files["tmp"] + "/report.csv"
     assert main(["fuzz", "--instances", "5", "--seed", "1",

@@ -6,15 +6,16 @@ from conftest import le_intervals
 from hypothesis import example, given, settings, strategies as st
 
 from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
-                      RandomizedST, build_space, cdf_of_mixed, delta_of_mixed,
+                      RandomizedST, build_space, delta_of_mixed,
                       delta_of_randomized, embed_pure, equivalent,
                       first_difference, mixed_of_distribution,
                       mixed_of_randomized, randomized_of_distribution,
-                      validate_mixed, validate_mixed_sections,
-                      validate_randomized)
+                      validate_mixed_sections, validate_randomized)
 from stoptime import convert, experiment, fuzz
+from stoptime.convert import cdf_of_mixed
 from stoptime.experiment import ExperimentConfig, _rng_for, check_instance
 from stoptime.space import IncompatibleSpaces, over_common
+from stoptime.times import validate_mixed
 
 F = Fraction
 H = F(1, 2)

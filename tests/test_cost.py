@@ -15,11 +15,21 @@ import numpy as np
 import pytest
 from conftest import split
 
-from stoptime import (StoppingGame, StoppingProblem, fuzz, games, problems,
-                      to_distribution)
+from stoptime import (StoppingGame, StoppingProblem, equivalent, fuzz, games,
+                      mixed_of_randomized, problems,
+                      randomized_of_distribution, to_distribution, validate,
+                      validate_mixed_sections)
 
 RATIO = 2.3
 KINDS = ("pure", "mixed", "randomized", "distribution")
+# layers read as f(space, one of the instance's times), named "layer:kind"
+ON_SPACE = {"validate": validate, "to_distribution": to_distribution,
+            "validate_mixed_sections": validate_mixed_sections,
+            "mixed_of_randomized": mixed_of_randomized,
+            "randomized_of_distribution": randomized_of_distribution}
+GAME_ROUTES = {"game_payoff_via_lift": games.game_payoff_via_lift,
+               "game_payoff_symmetric": games.game_payoff_symmetric,
+               "game_payoff_player2_view": games.game_payoff_player2_view}
 
 
 def executed(fn, *args) -> int:
@@ -79,11 +89,16 @@ def calls(layer, inst) -> tuple:
         return games.lift, game, to_distribution(space, inst.mixed2)
     if layer == "lift_player2":
         return games.lift_player2, game, to_distribution(space, inst.mixed)
-    if layer == "game_payoff_via_lift":
-        return games.game_payoff_via_lift, game, inst.mixed, inst.mixed2
+    if layer in GAME_ROUTES:
+        return GAME_ROUTES[layer], game, inst.mixed, inst.mixed2
+    if layer == "equivalent":
+        return equivalent, space, inst.mixed, inst.distribution
     if layer == "planted_quadratic":
         return planted_quadratic, problem
-    return problems.payoff, problem, getattr(inst, layer.split(":")[1])
+    name, kind = layer.split(":")
+    if name in ON_SPACE:
+        return ON_SPACE[name], space, getattr(inst, kind)
+    return problems.payoff, problem, getattr(inst, kind)
 
 
 def planted_quadratic(problem) -> list:
@@ -93,8 +108,11 @@ def planted_quadratic(problem) -> list:
 
 
 @pytest.mark.parametrize("layer", [
-    "lift", "lift_player2", "game_payoff_via_lift",
-    *(f"payoff:{kind}" for kind in KINDS)])
+    "lift", "lift_player2", *GAME_ROUTES,
+    *(f"{name}:{kind}" for name in ("payoff", "validate", "to_distribution")
+      for kind in KINDS),
+    "validate_mixed_sections:mixed", "mixed_of_randomized:randomized",
+    "randomized_of_distribution:distribution", "equivalent"])
 def test_layer_grows_at_most_linearly_in_the_outcomes(family, layer):
     counts = [executed(*calls(layer, inst)) for inst in family]
     assert max(growth(counts)) <= RATIO, (layer, counts)

@@ -17,13 +17,13 @@ from stoptime import (AdaptedProcess, DistributionST, MixedST, PureST,
                       RStepFunction, RandomizedST, build_space, common_refinement, convert,
                       embed_pure, fuzz, games, mixed_of_randomized,
                       over_common, problems, randomized_of_distribution,
-                      rn_derivative, times,
-                      validate_adapted, validate_distribution,
+                      times, validate_adapted, validate_distribution,
                       validate_mixed_product, validate_mixed_sections,
                       validate_pure, validate_randomized)
 from stoptime.serialize import stopping_time_from_dict, stopping_time_to_dict
 from stoptime.space import Violation
-from stoptime.times import add_term, fraction_sum, int_dot, symdiff_measure
+from stoptime.times import (add_term, fraction_sum, int_dot, rn_derivative,
+                            symdiff_measure)
 
 ZERO = Fraction(0)
 seeds = st.integers(min_value=0, max_value=2**63 - 1)

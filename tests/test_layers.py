@@ -6,12 +6,17 @@ The filtration is read in one place: spaces are made by build_space (a
 lifted space is pulled back from a valid one, in space.py too) and level
 partitions are indexed only in space.py (and by the fuzz generators), so
 a bypass of either fails here too.  Library callers of
-the sampler tally draws as counts, never as one record per draw."""
+the sampler tally draws as counts, never as one record per draw.  Only
+the modules that draw import numpy, and the package root loads none of
+them."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -200,3 +205,37 @@ def test_fuzz_instances_build_no_fraction_per_cell(monkeypatch):
     monkeypatch.undo()
     assert all(row.status == "pass" for row in rows)
     assert inside == [] and built
+
+
+def test_the_package_root_loads_no_numpy():
+    # the root is the exact core; the sampler and the campaign, which draw,
+    # load numpy only when they are imported by their module
+    probe = ("import sys, stoptime; "
+             "print(sorted(set(sys.modules) & {'numpy', 'stoptime.sampling', "
+             "'stoptime.experiment', 'stoptime.fuzz'})); "
+             "from stoptime.sampling import sample_counts; "
+             "from stoptime.experiment import run_experiment; "
+             "print(callable(sample_counts) and callable(run_experiment))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    assert done.stdout.splitlines() == ["[]", "True"]
+
+
+def _absolute_imports(path: Path) -> set:
+    """The top-level package of every absolute import in path."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {name.split(".")[0] for name in names}
+
+
+def test_only_the_modules_that_draw_import_numpy():
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "numpy" in _absolute_imports(path)] == [
+                "experiment.py", "fuzz.py", "sampling.py"]

@@ -3,23 +3,25 @@
 from fractions import Fraction
 
 import numpy as np
-from conftest import le_intervals, mass_of_index, split
+from conftest import le_intervals, mass_of_index, refine, split
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (MixedST, RStepFunction, StoppingGame, StoppingProblem,
-                      cdf_of_mixed, delta_of_mixed, delta_of_randomized,
-                      embed_pure, equivalent, game_payoff_player2_view,
+                      delta_of_mixed, delta_of_randomized, embed_pure,
+                      equivalent, game_payoff_player2_view,
                       game_payoff_symmetric, game_payoff_via_lift,
                       mixed_of_randomized, payoff, payoff_distribution,
                       payoff_mixed, payoff_pure, payoff_randomized,
-                      randomized_of_distribution, rn_derivative,
-                      sample_counts, sub_measure, validate,
-                      validate_distribution, validate_mixed,
-                      validate_mixed_product, validate_mixed_sections,
-                      validate_pure, validate_randomized)
+                      randomized_of_distribution, validate,
+                      validate_distribution, validate_mixed_product,
+                      validate_mixed_sections, validate_pure,
+                      validate_randomized)
 from stoptime import fuzz
+from stoptime.convert import cdf_of_mixed
+from stoptime.sampling import sample_counts
 from stoptime.serialize import (format_ratio, stopping_time_from_dict,
                                 stopping_time_to_dict)
+from stoptime.times import rn_derivative, sub_measure, validate_mixed
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 
@@ -257,5 +259,24 @@ def test_splitting_every_atom_into_twins_changes_nothing(seed):
         assert validate(twin.space, eta) == []
     assert equivalent(twin.space, twin.mixed, twin.distribution)
     own, via_payoff, game = _prices(twin)
+    assert (own, via_payoff, game) == _prices(inst)
+    assert own == via_payoff and len(set(own[1:])) == len(set(game)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(min_value=0))
+def test_refining_the_grid_changes_nothing(seed, k):
+    # the inserted time learns nothing and carries no mass: every time stays
+    # valid, mixed and path stay equivalent to the mass, and every payoff
+    # and game value is unchanged
+    inst, _ = make_instance(seed)
+    fine = refine(inst, k % inst.space.n_times)
+    assert fine.space.n_times == inst.space.n_times + 1
+    for eta in (fine.pure, fine.mixed, fine.randomized, fine.distribution,
+                fine.mixed2):
+        assert validate(fine.space, eta) == []
+    assert equivalent(fine.space, fine.mixed, fine.distribution)
+    assert equivalent(fine.space, fine.randomized, fine.distribution)
+    own, via_payoff, game = _prices(fine)
     assert (own, via_payoff, game) == _prices(inst)
     assert own == via_payoff and len(set(own[1:])) == len(set(game)) == 1

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (DistributionST, EmptySamples, MixedST, PureST,
-                      RandomizedST, RStepFunction, SampleRecord, build_space,
-                      common_refinement, demo, embed_pure, empirical_delta,
-                      frequencies, fuzz, randomized_of_distribution,
-                      sample_counts, sample_many, sampling)
+from stoptime import (DistributionST, MixedST, PureST, RandomizedST,
+                      RStepFunction, build_space, common_refinement, demo,
+                      embed_pure, fuzz, randomized_of_distribution, sampling)
+from stoptime.sampling import (EmptySamples, SampleRecord, empirical_delta,
+                               frequencies, sample_counts, sample_many)
 
 F = Fraction
 CHUNK = sampling._CHUNK

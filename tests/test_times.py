@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
                       RandomizedST, common_refinement, delta_of_mixed,
-                      embed_pure, over_common, rn_derivative, sub_measure,
-                      validate_distribution, validate_mixed,
+                      embed_pure, over_common, validate_distribution,
                       validate_mixed_product, validate_mixed_sections,
                       validate_pure, validate_randomized)
 from stoptime import fuzz, games, times
+from stoptime.times import rn_derivative, sub_measure, validate_mixed
 
 F = Fraction
 H = F(1, 2)
