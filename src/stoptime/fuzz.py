@@ -208,16 +208,9 @@ def corrupt_mixed(space: FilteredSpace, mu: MixedST):
     """Break joint measurability of one section, when the filtration has a
     multi-outcome block strictly before the horizon.  Returns the mutated
     time or None when no such block exists."""
-    for j in range(space.last_index):
-        for block in space.partitions[j]:
-            if len(block) >= 2:
-                members = sorted(block)
-                w, mate = members[0], members[1]
-                if min(mu.sections[mate].values) <= j:
-                    bad = RStepFunction.constant(space.last_index)
-                else:
-                    bad = RStepFunction.constant(0)
-                sections = dict(mu.sections)
-                sections[w] = bad
-                return MixedST(sections)
+    for j, block, _, _ in space._shared_blocks[:1]:  # the earliest, by level
+        if j < space.last_index:
+            w, mate = sorted(block)[:2]
+            bad = space.last_index if min(mu.sections[mate].values) <= j else 0
+            return MixedST({**mu.sections, w: RStepFunction.constant(bad)})
     return None

@@ -7,12 +7,12 @@ it as its path, which every lifted atom of an outcome shares.  The payoff
 uses X when Player 1 stops strictly first, Y when Player 2 stops strictly
 first, and Z on a tie, always evaluated at the time of the first stopper.
 
-The lift walks the opponent's mass once: per base outcome it scales the
-reward rows, then makes each positive-mass stop an atom (an atom of zero
-mass carries no payoff mass) with its probability and lifted reward row.
-The lifted space pulls each base block back to the atoms of its outcomes.
-Base and opponent mass are validated first, so it is valid by
-construction and built by space._pull_back without a second check.
+There is one lift, Player 1's; Player 2's problem is the lift of the
+mirrored game, where X and Y trade places.  It walks the opponent's mass
+once, making each positive-mass stop an atom, and pulls each base block
+back to the atoms of its outcomes.  Base and opponent mass are validated
+first, so the lifted space is valid by construction and built by
+space._pull_back without a second check.
 """
 
 from __future__ import annotations
@@ -45,34 +45,19 @@ class StoppingGame:
 
 def lift(game: StoppingGame, delta2: DistributionST) -> StoppingProblem:
     """The stopping problem Player 1 faces when Player 2 stops per delta2."""
-    return _lift(game, delta2, game.x, game.y)
-
-
-def lift_player2(game: StoppingGame, delta1: DistributionST) -> StoppingProblem:
-    """Mirror lift: the problem Player 2 faces when Player 1 stops per delta1.
-
-    X and Y swap roles because the lifted coordinate is now Player 1's stop.
-    """
-    return _lift(game, delta1, game.y, game.x)
-
-
-def _lift(game: StoppingGame, delta: DistributionST, first: AdaptedProcess,
-          second: AdaptedProcess) -> StoppingProblem:
-    """Lift against the opponent mass delta; first is paid when the lifted
-    player stops strictly first, second when the opponent does."""
     base = game.space
-    bad = validate_distribution(base, delta)
+    bad = validate_distribution(base, delta2)
     if bad:
         raise ValueError(f"opponent stop mass invalid: {bad[0]}")
     n = base.n_times
     # per outcome w, once: the three rows scaled to their lcm d and the
     # prefix gcds pg of the first-stopper row; then per atom (w, s), s a stop
-    # of positive mass (delta is validated), the row paying first before s,
-    # the tie at s and second frozen at s after, divided by its entries' gcd
+    # of positive mass (delta2 is validated), the row paying X before s,
+    # the tie at s and Y frozen at s after, divided by its entries' gcd
     atoms, probs, rows = {}, [], {}
     for w in base.outcomes:
-        mass, k = delta.rows[w]
-        tables = (first.rows[w], game.z.rows[w], second.rows[w])
+        mass, k = delta2.rows[w]
+        tables = (game.x.rows[w], game.z.rows[w], game.y.rows[w])
         d = lcm(*(e for _, e in tables))
         f, t, g = ([x * (d // e) for x in nums] for nums, e in tables)
         pg = list(accumulate(f, gcd, initial=d))
@@ -85,6 +70,12 @@ def _lift(game: StoppingGame, delta: DistributionST, first: AdaptedProcess,
                              + [g[s] // c] * (n - s - 1)), d // c)
     return StoppingProblem(_pull_back(base, atoms, probs),
                            AdaptedProcess._of_canonical(rows))
+
+
+def lift_player2(game: StoppingGame, delta1: DistributionST) -> StoppingProblem:
+    """The problem Player 2 faces when Player 1 stops per delta1: Player 1's
+    lift of the mirrored game, where X and Y trade places."""
+    return lift(StoppingGame(game.space, game.y, game.x, game.z), delta1)
 
 
 def lift_mixed(mu: MixedST, lifted_space: FilteredSpace) -> MixedST:

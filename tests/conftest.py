@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from bisect import bisect_right
 from fractions import Fraction
@@ -94,6 +95,17 @@ def refine(inst, j):
         distribution=rows(inst.distribution, 0), reward=rows(inst.reward),
         x=rows(inst.x), y=rows(inst.y), z=rows(inst.z),
         mixed2=shifted(inst.mixed2), randomized2=rows(inst.randomized2))
+
+
+def permute(inst, order):
+    """inst on a space listing its outcomes in order (a permutation of their
+    indices) and each level's blocks in reverse: the times and tables are
+    unchanged, so no verdict, payoff or game value may read either order."""
+    space = inst.space
+    return dataclasses.replace(inst, space=build_space(
+        outcomes=[space.outcomes[i] for i in order],
+        probs=[space.probs[i] for i in order], grid=space.grid,
+        partitions=[part[::-1] for part in space.partitions]))
 
 
 @pytest.fixture

@@ -1,24 +1,27 @@
 """A deterministic cost contract: executed bytecodes per layer at doubling
 sizes.
 
-Each layer runs on the twin-split family of one fixed 16 x 8 instance:
-16, 32, 64 and 128 outcomes with the same structure at every size.  The
-opcode events executed in stoptime frames are counted, which is exact and
-independent of the host's speed; a layer may grow by at most RATIO per
-doubling, where work quadratic in the outcomes grows by about 4.  Work
-done in C (big-int arithmetic, gcd, sorted) is not counted.
+Each layer runs on two families of one fixed 16 x 8 instance: its twin
+splits, 16, 32, 64 and 128 outcomes with the same structure at every size,
+and its refinements after every time, 8, 16, 32 and 64 grid points at
+which nothing more is learned.  The opcode events executed in stoptime
+frames are counted, which is exact and independent of the host's speed; a
+layer may grow by at most RATIO per doubling, where work quadratic in the
+outcomes or the times grows by about 4.  Work done in C (big-int
+arithmetic, gcd, sorted) is not counted.
 """
 
 import sys
 
 import numpy as np
 import pytest
-from conftest import split
+from conftest import refine, split
 
 from stoptime import (StoppingGame, StoppingProblem, equivalent, fuzz, games,
                       mixed_of_randomized, problems,
                       randomized_of_distribution, to_distribution, validate,
                       validate_mixed_sections)
+from stoptime.experiment import ExperimentConfig, check_instance
 
 RATIO = 2.3
 KINDS = ("pure", "mixed", "randomized", "distribution")
@@ -79,6 +82,20 @@ def family():
     return out
 
 
+@pytest.fixture(scope="module")
+def refined_family(family):
+    """The same 16 x 8 instance refined after every time, three times over:
+    8, 16, 32 and 64 grid points."""
+    out = [family[0]]
+    for _ in range(3):
+        inst = out[-1]
+        for j in reversed(range(inst.space.n_times)):
+            inst = refine(inst, j)
+        out.append(inst)
+    assert [i.space.n_times for i in out] == [8, 16, 32, 64]
+    return out
+
+
 def calls(layer, inst) -> tuple:
     """(function, *args) of one layer on one instance; the opponent's
     mass is normalised beforehand, so only the layer is counted."""
@@ -107,15 +124,39 @@ def planted_quadratic(problem) -> list:
     return [space.prob(v) for _ in space.outcomes for v in space.outcomes]
 
 
-@pytest.mark.parametrize("layer", [
+LAYERS = [
     "lift", "lift_player2", *GAME_ROUTES,
     *(f"{name}:{kind}" for name in ("payoff", "validate", "to_distribution")
       for kind in KINDS),
     "validate_mixed_sections:mixed", "mixed_of_randomized:randomized",
-    "randomized_of_distribution:distribution", "equivalent"])
+    "randomized_of_distribution:distribution", "equivalent"]
+
+
+@pytest.mark.parametrize("layer", LAYERS)
 def test_layer_grows_at_most_linearly_in_the_outcomes(family, layer):
     counts = [executed(*calls(layer, inst)) for inst in family]
     assert max(growth(counts)) <= RATIO, (layer, counts)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_grows_at_most_linearly_in_the_times(refined_family, layer):
+    counts = [executed(*calls(layer, inst)) for inst in refined_family]
+    assert max(growth(counts)) <= RATIO, (layer, counts)
+
+
+@pytest.mark.parametrize("sizes", ["family", "refined_family"])
+def test_check_instance_grows_at_most_linearly(request, monkeypatch, sizes):
+    # every campaign row on the family's instance, handed to check_instance
+    # in place of its drawn one; the smallest three sizes keep the file fast
+    counts = []
+    for inst in request.getfixturevalue(sizes)[:3]:
+        monkeypatch.setattr(fuzz, "random_instance",
+                            lambda *_, inst=inst: inst)
+        rows = []
+        counts.append(executed(
+            lambda: rows.extend(check_instance(ExperimentConfig(), 0))))
+        assert {row.status for row in rows} == {"pass"}, rows
+    assert max(growth(counts)) <= RATIO, (sizes, counts)
 
 
 def test_the_counter_rejects_a_planted_quadratic_helper(family):

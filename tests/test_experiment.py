@@ -394,8 +394,10 @@ def test_negated_game_tables_equal_from_rows(monkeypatch):
         assert _status(check_instance(config, index),
                        "zero_sum_negation") == "pass"
     monkeypatch.undo()
-    assert len(built) == 10  # the game, then its negation, per instance
-    for game, neg in zip(built[::2], built[1::2]):
+    # the game, the mirror Player 2's lift builds, then the negation
+    assert len(built) == 15
+    for game, mirror, neg in zip(built[::3], built[1::3], built[2::3]):
+        assert (mirror.x, mirror.y, mirror.z) == (game.y, game.x, game.z)
         for table, negated in ((game.x, neg.x), (game.y, neg.y),
                                (game.z, neg.z)):
             assert negated == AdaptedProcess.from_rows(

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import numpy as np
-from conftest import le_intervals, mass_of_index, refine, split
+from conftest import le_intervals, mass_of_index, permute, refine, split
 from hypothesis import given, settings, strategies as st
 
-from stoptime import (MixedST, RStepFunction, StoppingGame, StoppingProblem,
+from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
+                      RandomizedST, StoppingGame, StoppingProblem,
                       delta_of_mixed, delta_of_randomized, embed_pure,
                       equivalent, game_payoff_player2_view,
                       game_payoff_symmetric, game_payoff_via_lift,
@@ -280,3 +281,64 @@ def test_refining_the_grid_changes_nothing(seed, k):
     own, via_payoff, game = _prices(fine)
     assert (own, via_payoff, game) == _prices(inst)
     assert own == via_payoff and len(set(own[1:])) == len(set(game)) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_the_mirrored_game_swaps_the_players(seed):
+    # X and Y trade places in the mirror, so Player 1's payoff there with the
+    # strategies swapped is the game's payoff, for every pair of kinds
+    inst, _ = make_instance(seed)
+    space = inst.space
+    game = StoppingGame(space, inst.x, inst.y, inst.z)
+    mirror = StoppingGame(space, inst.y, inst.x, inst.z)
+    player2 = (inst.pure, inst.mixed2, inst.randomized2,
+               delta_of_mixed(space, inst.mixed2))
+    for tau1 in (inst.pure, inst.mixed, inst.randomized, inst.distribution):
+        for tau2 in player2:
+            for route in (game_payoff_symmetric, game_payoff_via_lift):
+                assert route(game, tau1, tau2) == route(mirror, tau2, tau1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_listing_outcomes_and_blocks_in_another_order_changes_nothing(seed):
+    # the space is the same set of outcomes, blocks and probabilities, so
+    # every time stays valid, mixed and path stay equivalent to the mass,
+    # and every payoff and game value is unchanged
+    inst, rng = make_instance(seed)
+    moved = permute(inst, rng.permutation(len(inst.space.outcomes)).tolist())
+    for eta in (moved.pure, moved.mixed, moved.randomized, moved.distribution,
+                moved.mixed2):
+        assert validate(moved.space, eta) == []
+    assert equivalent(moved.space, moved.mixed, moved.distribution)
+    assert equivalent(moved.space, moved.randomized, moved.distribution)
+    assert _prices(moved) == _prices(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_a_time_that_tells_twins_apart_fails_validate(seed):
+    # every block holds both twins of an outcome, so a time of any kind that
+    # stops one twin at another index than the other is not adapted: the
+    # first twin is moved to stop at index j for sure, 0 unless it already
+    # stops there for sure, and the last index then
+    twin = split(make_instance(seed)[0])
+    space = twin.space
+    w, last = space.outcomes[0], space.last_index
+    nums, d = twin.randomized.rows[w]
+    j = 0 if nums[0] < d else last
+    p = space.prob(w)
+    moved = {
+        "NotStoppingTime": PureST({**twin.pure.stop_index,
+                                   w: 0 if twin.pure.stop_index[w] else last}),
+        "NotJointlyMeasurable": MixedST({**twin.mixed.sections,
+                                         w: RStepFunction.constant(j)}),
+        "NotAdapted": RandomizedST.from_rows({**twin.randomized.rows, w: (
+            [int(i >= j) for i in range(space.n_times)], 1)}),
+        "DensityNotAdapted": DistributionST.from_rows({
+            **twin.distribution.rows, w: ([p.numerator * (i == j)
+                                          for i in range(space.n_times)],
+                                         p.denominator)})}
+    for code, eta in moved.items():
+        assert {v.code for v in validate(space, eta)} == {code}
