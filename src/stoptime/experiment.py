@@ -9,7 +9,6 @@ time's cumulative, a RandomizedST, with a path by ==.
 
 from __future__ import annotations
 
-import concurrent.futures  # its process pool loads on first use
 import io
 import math
 import os
@@ -258,6 +257,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if workers == 1:
         rows = list(chain.from_iterable(map(check, indices)))
     else:  # pool.map, like map, keeps instance order
+        import concurrent.futures  # only a campaign with a pool loads it
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             rows = list(chain.from_iterable(pool.map(check, indices)))
     rows.extend(monte_carlo_rows(config))

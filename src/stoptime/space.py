@@ -166,13 +166,19 @@ class FilteredSpace:
 def check_space(outcomes, probs, grid, partitions) -> list:
     """Collect every violated invariant of the space inputs, given as
     build_space passes them: Fraction probs and grid, blocks as listed."""
+    return _check_space(outcomes, probs, grid, partitions)[0]
+
+
+def _check_space(outcomes, probs, grid, partitions) -> tuple:
+    """check_space's violations, and each level's blocks frozen once: all
+    levels when there is no violation, which build_space then keeps."""
     violations = []
     if len(outcomes) == 0:
         violations.append(Violation("EmptyOutcomes", "need at least one outcome"))
-        return violations
+        return violations, ()
     if len(set(outcomes)) != len(outcomes):
         violations.append(Violation("DuplicateOutcome", "outcome labels must be distinct"))
-        return violations
+        return violations, ()
     universe = frozenset(outcomes)
 
     if len(probs) != len(outcomes):
@@ -202,50 +208,57 @@ def check_space(outcomes, probs, grid, partitions) -> list:
         violations.append(Violation(
             "PartitionShapeMismatch",
             f"{len(partitions)} partitions for {len(grid)} grid times"))
-        return violations
+        return violations, ()
+    levels = []
     for j, part in enumerate(partitions):
-        seen = set()
+        # each block is frozen once; a repeated member shows as a block
+        # that adds fewer outcomes than it lists
+        seen, blocks = set(), []
         for block in part:
+            frozen = frozenset(block)
             k = len(seen)
-            seen.update(block)
-            if not block or len(seen) != k + len(block) or not universe.issuperset(block):
+            seen.update(frozen)
+            if not frozen or len(seen) != k + len(block) or not universe.issuperset(frozen):
                 violations.append(Violation(
                     "NotAPartition", f"level {j}: bad block {sorted(map(str, block))}"))
                 break
+            blocks.append(frozen)
         else:
-            if seen != universe:
+            if seen == universe:
+                levels.append(tuple(blocks))
+            else:
                 violations.append(Violation(
                     "NotAPartition", f"level {j}: blocks do not cover all outcomes"))
-    if not any(v.code == "NotAPartition" for v in violations):
-        for j in range(1, len(partitions)):
+    if len(levels) == len(partitions):
+        for j in range(1, len(levels)):
             # a block refines iff it lies in the level-(j-1) block of a member
-            parent = {w: cb for cb in map(frozenset, partitions[j - 1]) for w in cb}
-            for block in partitions[j]:
+            parent = {w: cb for cb in levels[j - 1] for w in cb}
+            for block in levels[j]:
                 if not parent[next(iter(block))].issuperset(block):
                     violations.append(Violation(
                         "RefinementViolated",
                         f"block {sorted(map(str, block))} at level {j} not inside a level-{j-1} block"))
-    return violations
+    return violations, levels
 
 
 def build_space(outcomes, probs, grid, partitions) -> FilteredSpace:
     """Validate the inputs and return a canonical FilteredSpace.
 
     Raises SpaceError carrying the full list of violations otherwise.  The
-    inputs are normalised once, here; a block becomes a frozenset after
-    check_space has read it as listed, so a repeated member is seen.
+    inputs are normalised once, here; check_space reads each block as
+    listed, so a repeated member is seen, and freezes it once.
     """
     outcomes = tuple(outcomes)
     probs = tuple(_as_fraction(p) for p in probs)
     grid = tuple(_as_fraction(t) for t in grid)
-    partitions = tuple(map(tuple, partitions))
-    violations = check_space(outcomes, probs, grid, partitions)
+    violations, levels = _check_space(outcomes, probs, grid,
+                                      tuple(map(tuple, partitions)))
     if violations:
         raise SpaceError(violations)
     order = {w: i for i, w in enumerate(outcomes)}.__getitem__
     # blocks sorted by their earliest outcome, so equal partitions are ==
-    partitions = tuple(tuple(sorted(map(frozenset, part), key=lambda b: min(map(order, b))))
-                       for part in partitions)
+    partitions = tuple(tuple(sorted(level, key=lambda b: min(map(order, b))))
+                       for level in levels)
     return FilteredSpace(outcomes=outcomes, probs=probs, grid=grid, partitions=partitions)
 
 

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import coin_mixed_flipped, coin_space_coarse
+from conftest import (coin_mixed_flipped, coin_space_coarse, permute, refine,
+                      split)
 from hypothesis import example, given, settings, strategies as st
 
 from stoptime import (build_space, cli, convert, demo, experiment, fuzz, games,
@@ -1319,3 +1320,67 @@ def test_one_pass_type_checks_name_the_first_offender(doc, on_space, text,
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {text}\n")
+
+
+# ---------------------------------------------------------------------------
+# the exact commands print the same on an instance and on its split,
+# refined or permuted copy
+
+TIMES = ("pure", "mixed", "randomized", "distribution", "mixed2")
+PROCESSES = ("reward", "x", "y", "z")
+TRANSFORMS = {
+    "split": split,
+    "refine": lambda inst: refine(inst, inst.space.n_times // 2),
+    "permute": lambda inst: permute(
+        inst, range(len(inst.space.outcomes))[::-1]),
+}
+
+
+def _dump_instance(inst, folder) -> dict:
+    """The path of each of the instance's documents, written in folder."""
+    folder.mkdir()
+    docs = {"space": space_to_dict(inst.space),
+            **{k: stopping_time_to_dict(getattr(inst, k)) for k in TIMES},
+            **{k: process_to_dict(getattr(inst, k)) for k in PROCESSES}}
+    for name, doc in docs.items():
+        dump_json(doc, folder / f"{name}.json")
+    return {name: str(folder / f"{name}.json") for name in docs}
+
+
+def _exact_verdicts(paths, capsys) -> list:
+    """(exit code, output) of validate, equiv, payoff --check-kuhn and game
+    --route both on the documents; a non-equivalence witness names an
+    outcome and a time, so only its verdict is kept."""
+    space = ["--space", paths["space"]]
+    runs = [["validate", paths["space"]]]
+    runs += [["validate", paths[k], *space] for k in TIMES + PROCESSES]
+    runs += [["equiv", paths[a], paths[b], *space]
+             for a, b in (("mixed", "distribution"),
+                          ("randomized", "distribution"), ("mixed", "mixed2"))]
+    runs += [["payoff", *space, "--reward", paths["reward"], "--stop",
+              paths[k], "--check-kuhn"] for k in TIMES]
+    runs.append(["game", *space, "--x", paths["x"], "--y", paths["y"],
+                 "--z", paths["z"], "--p1", paths["mixed"], "--p2",
+                 paths["mixed2"], "--route", "both"])
+    seen = []
+    for argv in runs:
+        code = main(argv)
+        out = capsys.readouterr().out
+        seen.append((code, out.split(":")[0] if code == 1 else out))
+    return seen
+
+
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+def test_exact_commands_print_the_same_on_a_transformed_instance(
+        transform, tmp_path, capsys):
+    # instance 31 of the seed-7 campaign: 8 outcomes, 6 grid points, every
+    # level but the first with shared blocks, and two mixed times that differ
+    inst = fuzz.random_instance(experiment._rng_for(7, 31),
+                                ExperimentConfig().bounds())
+    want = _exact_verdicts(_dump_instance(inst, tmp_path / "original"),
+                           capsys)
+    moved = TRANSFORMS[transform](inst)
+    assert _exact_verdicts(_dump_instance(moved, tmp_path / transform),
+                           capsys) == want
+    assert [code for code, _ in want].count(1) == 1
+    assert want[-1][1].startswith("lift:")

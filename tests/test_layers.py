@@ -224,6 +224,20 @@ def test_the_package_root_loads_no_numpy():
     assert done.stdout.splitlines() == ["[]", "True"]
 
 
+def test_the_cli_loads_no_process_pool_and_no_random_module():
+    # the exact commands never draw and never start a pool: fuzz loads
+    # concurrent.futures only with a pool, and numpy.random loads on first use
+    probe = ("import sys, stoptime.cli; "
+             "print(sorted(set(sys.modules) & {'concurrent.futures', "
+             "'numpy.random'}))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    assert done.stdout.splitlines() == ["[]"]
+
+
 def _absolute_imports(path: Path) -> set:
     """The top-level package of every absolute import in path."""
     names = set()

@@ -2,6 +2,7 @@ import gc
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
+from operator import eq
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from stoptime.sampling import (EmptySamples, SampleRecord, empirical_delta,
 
 F = Fraction
 CHUNK = sampling._CHUNK
+WIDE = 1 << 16  # the chunk of a space of 256 outcomes or more
 
 
 def rng(seed=0):
@@ -88,11 +90,11 @@ def test_empirical_delta_empty(coin_space, coin_delta):
 
 @pytest.mark.parametrize("cell", [("w3", 0), ("w1", -1), ("w2", 2), ("w2", 9),
                                   ("w1", 1.5), ("w1", "1"), ("w2", 2**70)])
-@pytest.mark.parametrize("at", [0, 5, CHUNK - 1, CHUNK, 2 * CHUNK + 3])
+@pytest.mark.parametrize("at", [0, 5, WIDE - 1, WIDE, 2 * WIDE + 3])
 def test_empirical_delta_names_the_first_cell_off_the_space(coin_space, cell,
                                                             at):
-    # the first off-space cell in sample order, also in a later chunk, and
-    # not one of the off-space cells after it
+    # the first off-space cell in sample order, also in a later chunk (WIDE
+    # is a multiple of CHUNK), and not one of the off-space cells after it
     good = [SampleRecord("w1", 1, i) for i in range(at)]
     later = [SampleRecord("w4", 0, at + 1), SampleRecord("w1", 7, at + 2)]
     records = good + [SampleRecord(*cell, at)] + later + good
@@ -374,34 +376,46 @@ def same_state(a, b) -> bool:
     return np.array_equal(a, b)
 
 
-def stoppers():
-    """(space, eta) for every kind on the coin and on 32 outcomes."""
-    coin = demo.coin_space()
+def fuzzed(outcomes: int, grid_points: int) -> fuzz.Instance:
+    """A fuzzed instance of exactly that many outcomes."""
     inst = fuzz.random_instance(rng(5), fuzz.FuzzBounds(
-        max_outcomes=32, max_grid_points=8), min_outcomes=32)
-    assert len(inst.space.outcomes) == 32
+        max_outcomes=outcomes, max_grid_points=grid_points),
+        min_outcomes=outcomes)
+    assert len(inst.space.outcomes) == outcomes
+    return inst
+
+
+def stoppers():
+    """(space, eta) for every kind on the coin and on 32 outcomes, which
+    draw CHUNK at a time, and on 256 outcomes, which draw WIDE at a time."""
+    coin = demo.coin_space()
     return [(coin, eta) for eta in (PureST({"w1": 0, "w2": 1}),
                                     demo.coin_mixed(), demo.coin_randomized(),
                                     demo.coin_uniform_delta())] + [
-        (inst.space, eta) for eta in (inst.pure, inst.mixed, inst.randomized,
-                                      inst.distribution)]
+        (inst.space, eta) for inst in (fuzzed(32, 8), fuzzed(256, 4))
+        for eta in (inst.pure, inst.mixed, inst.randomized,
+                    inst.distribution)]
 
 
 BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.MT19937]
 
 
 @pytest.mark.parametrize("bits", BIT_GENERATORS, ids=lambda b: b.__name__)
-@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1,
+                               WIDE - 1, WIDE, WIDE + 1, 2 * WIDE + 7])
 def test_chunked_draws_are_the_one_shot_draws(bits, n):
     for space, eta in stoppers():
         oracle = np.random.Generator(bits(11))
         which, indices = one_shot_draw(space, eta, oracle, n)
-        want = [SampleRecord(space.outcomes[i], j, r) for r, (i, j)
-                in enumerate(zip(which.tolist(), indices.tolist()))]
+        # a record equals the tuple of its fields
+        want = zip(map(space.outcomes.__getitem__, which.tolist()),
+                   indices.tolist(), range(n))
         counts = np.bincount(which * space.n_times + indices,
                              minlength=len(space.outcomes) * space.n_times)
         caller = np.random.Generator(bits(11))
-        assert sample_many(space, eta, caller, n) == want
+        records = sample_many(space, eta, caller, n)
+        assert len(records) == n and all(map(eq, records, want))
+        assert set(map(type, records)) == {SampleRecord}
         assert same_state(caller.bit_generator.state, oracle.bit_generator.state)
         caller = np.random.Generator(bits(11))
         assert np.array_equal(sample_counts(space, eta, caller, n).ravel(), counts)
@@ -428,7 +442,8 @@ def test_chunked_draws_keep_a_buffered_32_bit_half(bits, coin_space,
 
 
 def test_sample_counts_draws_in_bounded_memory(coin_space, coin_mixed):
-    # the one-shot sampler peaked at 391 MiB here
+    # the one-shot sampler peaked at 391 MiB here, 2**16-draw chunks at
+    # 4.5 MiB
     tracemalloc.start()
     try:
         counts = sample_counts(coin_space, coin_mixed, rng(8), 10**7)
@@ -436,7 +451,7 @@ def test_sample_counts_draws_in_bounded_memory(coin_space, coin_mixed):
     finally:
         tracemalloc.stop()
     assert counts.sum() == 10**7
-    assert peak < 16 * 2**20
+    assert peak < 2 * 2**20
 
 
 class Reads(dict):
