@@ -3,8 +3,11 @@
 Every instance gets its own RNG stream derived from (seed, instance id)
 by seed-sequence spawn keys, so results do not depend on execution order
 or worker count; reports are assembled keyed by instance id and sorted
-before serialization.  The cumulative criterion rows compare a mixed
-time's cumulative, a RandomizedST, with a path by ==.
+before serialization.  draw(config, index) is an instance with its
+stream, run_checks(config, inst, rng) runs the exact checks on any
+instance, and check_instance(config, index) is the two composed.  The
+cumulative criterion rows compare a mixed time's cumulative, a
+RandomizedST, with a path by ==.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 
 from . import convert, demo, fuzz, games, problems, sampling
 from .space import AdaptedProcess
-from .times import (DistributionST, embed_pure, validate,
-                    validate_mixed_product, validate_mixed_sections)
+from .times import (embed_pure, validate, validate_mixed_product,
+                    validate_mixed_sections)
 
 CSV_HEADER = "instance,check,status,witness"
 
@@ -90,62 +93,66 @@ def _rng_for(seed: int, *stream: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream)))
 
 
-def _row(results: list, instance: str, check: str, ok: bool, witness):
-    """One check's row; witness() builds its failure text, only if it fails."""
-    results.append(CheckRow(instance, check, "pass" if ok else "fail",
-                            "" if ok else witness()))
+def draw(config: ExperimentConfig, index: int):
+    """Instance `index` of the campaign and the stream it was drawn from,
+    which run_checks reads on."""
+    rng = _rng_for(config.seed, index)
+    return fuzz.random_instance(rng, config.bounds()), rng
 
 
 def check_instance(config: ExperimentConfig, index: int) -> list:
     """Run every exact property on one fuzzed instance."""
-    rng = _rng_for(config.seed, index)
-    inst = fuzz.random_instance(rng, config.bounds())
+    return [CheckRow(str(index), check, "pass" if ok else "fail",
+                     "" if ok else witness())
+            for check, ok, witness in run_checks(config, *draw(config, index))]
+
+
+def run_checks(config: ExperimentConfig, inst: fuzz.Instance, rng):
+    """Yield (check, ok, witness) per exact property of inst, in report
+    order; witness() builds the failure text, and builds the same text
+    after later checks.  Only the mutated mixed time reads on from rng."""
     space = inst.space
-    name = str(index)
-    results: list = []
 
     # every generated object passes its validator
     kinds = ("pure", "mixed", "randomized", "distribution")
     reports = {k: validate(space, getattr(inst, k)) for k in kinds}
     bad = {k: v for k, v in reports.items() if v}
-    _row(results, name, "validators", not bad, lambda: f"invalid: {bad}")
+    yield "validators", not bad, lambda: f"invalid: {bad}"
 
     # interval representation from a path: equivalent, matching cumulatives
     mu_from_rho = convert.mixed_of_randomized(space, inst.randomized)
     ok = convert.equivalent(space, inst.randomized, mu_from_rho)
     cdf_ok = mu_from_rho.cumulative(space.n_times) == inst.randomized
-    _row(results, name, "path_to_intervals", ok and cdf_ok,
-         lambda: f"equivalent={ok} cdf_match={cdf_ok}")
+    yield ("path_to_intervals", ok and cdf_ok,
+           lambda: f"equivalent={ok} cdf_match={cdf_ok}")
 
     # joint-mass round trip and uniqueness of the path representation
     rho_back = convert.randomized_of_distribution(space, inst.distribution)
     delta_back = convert.delta_of_randomized(space, rho_back)
     round_ok = delta_back == inst.distribution
     unique_ok = rho_back == inst.randomized
-    _row(results, name, "mass_round_trip", round_ok and unique_ok,
-         lambda: f"round={round_ok} unique={unique_ok}")
+    yield ("mass_round_trip", round_ok and unique_ok,
+           lambda: f"round={round_ok} unique={unique_ok}")
 
     # cumulative densities of the pushed-forward mass match the sections
     delta1 = convert.delta_of_mixed(space, inst.mixed)
     dens_ok = (inst.mixed.cumulative(space.n_times)
                == convert.randomized_of_distribution(space, delta1))
-    _row(results, name, "density_vs_cdf", dens_ok, lambda: "densities differ")
+    yield "density_vs_cdf", dens_ok, lambda: "densities differ"
 
     # one payoff per equivalence class, through all routes
     problem = problems.StoppingProblem(space, inst.reward)
-    vals = {
-        "mixed": problems.payoff_mixed(problem, inst.mixed),
-        "randomized": problems.payoff_randomized(problem, inst.randomized),
-        "distribution": problems.payoff_distribution(problem, inst.distribution),
-    }
-    pay_ok = len(set(vals.values())) == 1
+    pays = (problems.payoff_mixed(problem, inst.mixed),
+            problems.payoff_randomized(problem, inst.randomized),
+            problems.payoff_distribution(problem, inst.distribution))
+    pay_ok = len(set(pays)) == 1
     pure_val = problems.payoff_pure(problem, inst.pure)
     embedded = embed_pure(inst.pure)
     emb_val = problems.payoff_mixed(problem, embedded)
     pure_ok = pure_val == emb_val
-    _row(results, name, "payoff_invariance", pay_ok and pure_ok,
-         lambda: f"values={[str(v) for v in vals.values()]} "
-         f"pure={pure_val} embedded={emb_val}")
+    yield ("payoff_invariance", pay_ok and pure_ok,
+           lambda: f"values={[str(v) for v in pays]} "
+           f"pure={pure_val} embedded={emb_val}")
 
     # the two mixed validators agree, on valid times and on a mutated instance
     agree_valid = all(
@@ -156,12 +163,50 @@ def check_instance(config: ExperimentConfig, index: int) -> list:
     sec = validate_mixed_sections(mspace, mutated)
     prod = validate_mixed_product(mspace, mutated)
     agree_mut = bool(sec) == bool(prod) and bool(sec)
-    _row(results, name, "mixed_validators_agree", agree_valid and agree_mut,
-         lambda: f"valid_agree={agree_valid} "
-         f"mutated: sections={bool(sec)} product={bool(prod)}")
+    yield ("mixed_validators_agree", agree_valid and agree_mut,
+           lambda: f"valid_agree={agree_valid} "
+           f"mutated: sections={bool(sec)} product={bool(prod)}")
 
-    results.extend(_game_checks(name, inst, delta1))
-    return results
+    game = games.StoppingGame(space, inst.x, inst.y, inst.z)
+    delta2 = convert.delta_of_mixed(space, inst.mixed2)
+    lifted = games.lift(game, delta2)
+
+    # both evaluation routes and both perspectives give one value
+    via_lift = games.payoff_on_lift(space, lifted, delta1)
+    symmetric = games.game_payoff_symmetric(game, delta1, delta2)
+    p2view = games.game_payoff_player2_view(game, delta1, delta2)
+    yield ("game_routes_agree", via_lift == symmetric == p2view,
+           lambda: f"lift={via_lift} symmetric={symmetric} p2view={p2view}")
+
+    # equivalent strategies of Player 1 cannot change the payoff: each
+    # kind's own payoff route on the same lifted problem, and the lift route;
+    # the distribution entry prices a lifted mass, which no game route builds
+    mu_l = games.lift_mixed(inst.mixed, lifted.space)
+    rho_l = games.lift_randomized(inst.randomized, lifted.space)
+    lift_vals = (problems.payoff_mixed(lifted, mu_l),
+                 problems.payoff_randomized(lifted, rho_l),
+                 problems.payoff_distribution(lifted, games.lift_distribution(
+                     inst.distribution, space, lifted.space)))
+    yield ("game_strategy_equivalence",
+           lift_vals[0] == lift_vals[1] == lift_vals[2] == via_lift,
+           lambda: "mixed={} randomized={} distribution={} lift={}".format(
+               *lift_vals, via_lift))
+
+    # lifting preserves equivalence of the base pair, by joint mass and by
+    # the cumulative criterion (the sections' cumulative is the path)
+    lift_cdf_ok = mu_l.cumulative(space.n_times) == rho_l
+    yield ("lift_preserves_equivalence",
+           convert.equivalent(lifted.space, mu_l, rho_l) and lift_cdf_ok,
+           lambda: f"lifted pair not equivalent (cdf_match={lift_cdf_ok})")
+
+    # zero-sum sanity: negating all payoff tables negates the value
+    neg = games.StoppingGame(space, *(
+        AdaptedProcess._of_canonical({
+            w: (tuple([-n for n in nums]), d) for w, (nums, d) in p.rows.items()})
+        for p in (inst.x, inst.y, inst.z)))
+    neg_val = games.game_payoff_symmetric(neg, delta1, delta2)
+    yield ("zero_sum_negation", neg_val == -symmetric,
+           lambda: f"negated={neg_val} original={symmetric}")
 
 
 def _mutated_mixed(config, rng, inst):
@@ -180,54 +225,6 @@ def _mutated_mixed(config, rng, inst):
     return fuzz.corrupt_mixed(space, mu), space
 
 
-def _game_checks(name: str, inst: fuzz.Instance,
-                 delta1: DistributionST) -> list:
-    space = inst.space
-    results: list = []
-    game = games.StoppingGame(space, inst.x, inst.y, inst.z)
-    delta2 = convert.delta_of_mixed(space, inst.mixed2)
-    lifted = games.lift(game, delta2)
-
-    # both evaluation routes and both perspectives give one value
-    via_lift = games.payoff_on_lift(space, lifted, delta1)
-    symmetric = games.game_payoff_symmetric(game, delta1, delta2)
-    p2view = games.game_payoff_player2_view(game, delta1, delta2)
-    _row(results, name, "game_routes_agree",
-         via_lift == symmetric == p2view,
-         lambda: f"lift={via_lift} symmetric={symmetric} p2view={p2view}")
-
-    # equivalent strategies of Player 1 cannot change the payoff: each
-    # kind's own payoff route on the same lifted problem, and the lift route;
-    # the distribution entry prices a lifted mass, which no game route builds
-    mu_l = games.lift_mixed(inst.mixed, lifted.space)
-    rho_l = games.lift_randomized(inst.randomized, lifted.space)
-    vals = (problems.payoff_mixed(lifted, mu_l),
-            problems.payoff_randomized(lifted, rho_l),
-            problems.payoff_distribution(lifted, games.lift_distribution(
-                inst.distribution, space, lifted.space)))
-    _row(results, name, "game_strategy_equivalence",
-         vals[0] == vals[1] == vals[2] == via_lift,
-         lambda: "mixed={} randomized={} distribution={} lift={}".format(
-             *vals, via_lift))
-
-    # lifting preserves equivalence of the base pair, by joint mass and by
-    # the cumulative criterion (the sections' cumulative is the path)
-    cdf_ok = mu_l.cumulative(space.n_times) == rho_l
-    _row(results, name, "lift_preserves_equivalence",
-         convert.equivalent(lifted.space, mu_l, rho_l) and cdf_ok,
-         lambda: f"lifted pair not equivalent (cdf_match={cdf_ok})")
-
-    # zero-sum sanity: negating all payoff tables negates the value
-    neg = games.StoppingGame(space, *(
-        AdaptedProcess._of_canonical({
-            w: (tuple([-n for n in nums]), d) for w, (nums, d) in p.rows.items()})
-        for p in (inst.x, inst.y, inst.z)))
-    neg_val = games.game_payoff_symmetric(neg, delta1, delta2)
-    _row(results, name, "zero_sum_negation", neg_val == -symmetric,
-         lambda: f"negated={neg_val} original={symmetric}")
-    return results
-
-
 def monte_carlo_rows(config: ExperimentConfig) -> list:
     """Sample the three representations of the uniform two-state stop law
     and compare each table of draw counts to the exact one."""
@@ -243,8 +240,10 @@ def monte_carlo_rows(config: ExperimentConfig) -> list:
         rng = _rng_for(config.seed, MC_STREAM + i)
         counts = sampling.sample_counts(space, eta, rng, config.n_samples)
         _, tv = sampling.frequencies(space, counts, reference)
-        _row(results, label, "tv_within_tolerance", tv <= config.tv_tolerance,
-             lambda: f"tv={tv:.6f} tolerance={config.tv_tolerance}")
+        ok = tv <= config.tv_tolerance
+        witness = "" if ok else f"tv={tv:.6f} tolerance={config.tv_tolerance}"
+        results.append(CheckRow(label, "tv_within_tolerance",
+                                "pass" if ok else "fail", witness))
     return results
 
 

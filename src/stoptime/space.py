@@ -288,11 +288,6 @@ class AdaptedProcess(CanonicalRows):
     _view = "values"
     values = property(CanonicalRows.fractions)
 
-    @staticmethod
-    def time_process(space: FilteredSpace) -> "AdaptedProcess":
-        """The deterministic process whose value at t_j is t_j."""
-        return AdaptedProcess({w: tuple(space.grid) for w in space.outcomes})
-
 
 def row_violations(space: FilteredSpace, table: Mapping, what: str) -> list:
     """ExtraOutcome per key that is not an outcome, then RowMissing per

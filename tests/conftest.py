@@ -7,7 +7,7 @@ import pytest
 
 from stoptime import build_space, demo, fuzz
 from stoptime.serialize import InputError
-from stoptime.space import Violation
+from stoptime.space import AdaptedProcess, Violation
 from stoptime.times import (DistributionST, MixedST, PureST, RStepFunction,
                             _section_violations, validate_pure)
 
@@ -140,6 +140,11 @@ def coin_delta():
 
 def F(x):
     return Fraction(x)
+
+
+def time_process(space) -> AdaptedProcess:
+    """The deterministic process whose value at t_j is t_j."""
+    return AdaptedProcess({w: tuple(space.grid) for w in space.outcomes})
 
 
 # The seed's Fraction readers of a section, which the library now reads as

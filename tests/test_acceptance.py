@@ -17,10 +17,10 @@ from stoptime import (delta_of_mixed, delta_of_randomized, embed_pure,
                       game_payoff_symmetric, game_payoff_via_lift,
                       mixed_of_randomized, randomized_of_distribution,
                       validate_mixed_product, validate_mixed_sections)
-from stoptime import convert, demo, fuzz, games, problems
+from stoptime import convert, demo, games, problems
 from stoptime.cli import main
 from stoptime.convert import cdf_of_mixed
-from stoptime.experiment import (ExperimentConfig, _mutated_mixed, _rng_for,
+from stoptime.experiment import (ExperimentConfig, _mutated_mixed, draw,
                                  monte_carlo_rows)
 
 F = Fraction
@@ -36,11 +36,7 @@ def report(criterion: str, ok: bool):
 @pytest.fixture(scope="module")
 def instances():
     config = ExperimentConfig(seed=SEED, n_instances=N_INSTANCES)
-    out = []
-    for i in range(N_INSTANCES):
-        rng = _rng_for(SEED, i)
-        out.append((fuzz.random_instance(rng, config.bounds()), rng, config))
-    return out
+    return [(*draw(config, i), config) for i in range(N_INSTANCES)]
 
 
 def test_criterion_1_two_interval_representations_of_one_law():

@@ -315,8 +315,7 @@ def test_game_prints_exact_values_beyond_the_int_digit_limit(tmp_path,
     # digits in numerator and denominator
     config = ExperimentConfig(seed=1, max_outcomes=8, max_grid_points=64,
                               max_denominator=2**63 - 1)
-    inst = fuzz.random_instance(experiment._rng_for(config.seed, 1),
-                                config.bounds())
+    inst, _ = experiment.draw(config, 1)
     docs = {"space": space_to_dict(inst.space),
             "p1": stopping_time_to_dict(inst.mixed),
             "p2": stopping_time_to_dict(inst.mixed2),
@@ -408,9 +407,8 @@ def test_game_routes_build_no_lifted_mass(tmp_path, monkeypatch, capsys):
     # payoff_on_lift once pushed the lifted player's joint mass onto the
     # lifted space through lift_distribution; every game route now prices
     # that player's path, so none of them needs a lifted mass
-    bounds = fuzz.FuzzBounds(max_outcomes=32, max_grid_points=8)
-    inst = next(i for i in (fuzz.random_instance(experiment._rng_for(5, k),
-                                                 bounds) for k in range(50))
+    config = ExperimentConfig(seed=5, max_outcomes=32, max_grid_points=8)
+    inst = next(i for i, _ in (experiment.draw(config, k) for k in range(50))
                 if len(i.space.outcomes) >= 8)
     space = inst.space
     game = games.StoppingGame(space, inst.x, inst.y, inst.z)
@@ -1181,7 +1179,8 @@ def test_cli_prints_the_library_answer_for_accepted_bounds(bounds, seed,
     sample on a fuzzed instance: each exits 0 (equiv 1 on a pair that
     differs) and prints the library's answer, a mass's draws those of its
     path; a corrupted mixed time is rejected with exit 1."""
-    inst = fuzz.random_instance(experiment._rng_for(seed, index), bounds)
+    inst, _ = experiment.draw(ExperimentConfig(seed=seed, **vars(bounds)),
+                              index)
     space = inst.space
     stops = ("pure", "mixed", "randomized", "distribution", "mixed2")
     corrupt = fuzz.corrupt_mixed(space, inst.mixed)
@@ -1375,8 +1374,7 @@ def test_exact_commands_print_the_same_on_a_transformed_instance(
         transform, tmp_path, capsys):
     # instance 31 of the seed-7 campaign: 8 outcomes, 6 grid points, every
     # level but the first with shared blocks, and two mixed times that differ
-    inst = fuzz.random_instance(experiment._rng_for(7, 31),
-                                ExperimentConfig().bounds())
+    inst, _ = experiment.draw(ExperimentConfig(seed=7), 31)
     want = _exact_verdicts(_dump_instance(inst, tmp_path / "original"),
                            capsys)
     moved = TRANSFORMS[transform](inst)

@@ -11,9 +11,9 @@ from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
                       first_difference, mixed_of_distribution,
                       mixed_of_randomized, randomized_of_distribution,
                       validate_mixed_sections, validate_randomized)
-from stoptime import convert, experiment, fuzz
+from stoptime import convert, experiment
 from stoptime.convert import cdf_of_mixed
-from stoptime.experiment import ExperimentConfig, _rng_for, check_instance
+from stoptime.experiment import ExperimentConfig, check_instance, draw
 from stoptime.space import IncompatibleSpaces, over_common
 from stoptime.times import validate_mixed
 
@@ -183,7 +183,7 @@ def test_path_to_intervals_row_catches_a_wrong_cumulative_row(monkeypatch):
     for an equivalent pair, and a pair of other laws whose cumulative rows
     are planted to match the paths."""
     config = ExperimentConfig(seed=5)
-    inst = fuzz.random_instance(_rng_for(config.seed, 0), config.bounds())
+    inst, _ = draw(config, 0)
 
     def status(planted_mixed):
         planted = types.SimpleNamespace(**vars(convert))

@@ -21,7 +21,7 @@ from stoptime import (StoppingGame, StoppingProblem, equivalent, fuzz, games,
                       mixed_of_randomized, problems,
                       randomized_of_distribution, to_distribution, validate,
                       validate_mixed_sections)
-from stoptime.experiment import ExperimentConfig, check_instance
+from stoptime.experiment import ExperimentConfig, run_checks
 
 RATIO = 2.3
 KINDS = ("pure", "mixed", "randomized", "distribution")
@@ -145,17 +145,16 @@ def test_layer_grows_at_most_linearly_in_the_times(refined_family, layer):
 
 
 @pytest.mark.parametrize("sizes", ["family", "refined_family"])
-def test_check_instance_grows_at_most_linearly(request, monkeypatch, sizes):
-    # every campaign row on the family's instance, handed to check_instance
-    # in place of its drawn one; the smallest three sizes keep the file fast
+def test_check_instance_grows_at_most_linearly(request, sizes):
+    # every campaign check run on the family's instances; the smallest
+    # three sizes keep the file fast
     counts = []
     for inst in request.getfixturevalue(sizes)[:3]:
-        monkeypatch.setattr(fuzz, "random_instance",
-                            lambda *_, inst=inst: inst)
-        rows = []
-        counts.append(executed(
-            lambda: rows.extend(check_instance(ExperimentConfig(), 0))))
-        assert {row.status for row in rows} == {"pass"}, rows
+        rng = np.random.Generator(np.random.PCG64(0))
+        checks = []
+        counts.append(executed(lambda: checks.extend(
+            run_checks(ExperimentConfig(), inst, rng))))
+        assert [check for check, ok, _ in checks if not ok] == [], checks
     assert max(growth(counts)) <= RATIO, (sizes, counts)
 
 

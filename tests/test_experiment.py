@@ -10,8 +10,8 @@ import pytest
 
 from stoptime import build_space, convert, experiment, fuzz, games, times
 from stoptime.experiment import (CheckRow, ExperimentConfig, ExperimentReport,
-                                 _rng_for, check_instance, monte_carlo_rows,
-                                 run_experiment)
+                                 _rng_for, check_instance, draw,
+                                 monte_carlo_rows, run_checks, run_experiment)
 from stoptime.space import AdaptedProcess
 from stoptime.times import DistributionST, RandomizedST
 
@@ -19,8 +19,7 @@ from stoptime.times import DistributionST, RandomizedST
 def _first_instance(config, accept):
     """(index, instance) of the first fuzzed instance that passes accept."""
     for index in range(200):
-        inst = fuzz.random_instance(_rng_for(config.seed, index),
-                                    config.bounds())
+        inst, _ = draw(config, index)
         if accept(inst):
             return index, inst
     raise AssertionError("no such instance in the first 200")
@@ -420,29 +419,69 @@ def test_negated_game_tables_equal_from_rows(monkeypatch):
                  for w, (nums, d) in table.rows.items()})
 
 
-def test_game_strategy_equivalence_fails_on_a_planted_distribution(
-        monkeypatch):
+def _planted_distribution():
+    """(config, instance, planted, rng): the first seed-5 instance of 16
+    or more outcomes at 32 x 8, its copy with the joint mass doubled, and
+    its stream."""
+    config = ExperimentConfig(seed=5, max_outcomes=32, max_grid_points=8)
+    index, _ = _first_instance(config, lambda i: len(i.space.outcomes) >= 16)
+    inst, rng = draw(config, index)
+    return config, inst, dataclasses.replace(inst, distribution=DistributionST(
+        {w: tuple(2 * m for m in row)
+         for w, row in inst.distribution.mass.items()})), rng
+
+
+def test_game_strategy_equivalence_fails_on_a_planted_distribution():
     # when inst.distribution differs from delta1 it is lifted and priced on
     # its own, so a wrong joint mass still fails the row
-    config = ExperimentConfig(seed=5, max_outcomes=32, max_grid_points=8)
-    index, inst = _first_instance(config,
-                                  lambda i: len(i.space.outcomes) >= 16)
+    config, inst, planted, rng = _planted_distribution()
     space = inst.space
     lifted = games.lift(games.StoppingGame(space, inst.x, inst.y, inst.z),
                         convert.delta_of_mixed(space, inst.mixed2))
     assert games.payoff_on_lift(space, lifted, inst.distribution) != 0
-    honest = fuzz.random_instance
+    verdicts = {check: ok
+                for check, ok, _ in run_checks(config, planted, rng)}
+    assert not verdicts["game_strategy_equivalence"]
+    assert verdicts["game_routes_agree"]
 
-    def doubled(*args, **kwargs):
-        inst = honest(*args, **kwargs)
-        return dataclasses.replace(inst, distribution=DistributionST(
-            {w: tuple(2 * m for m in row)
-             for w, row in inst.distribution.mass.items()}))
 
-    monkeypatch.setattr(fuzz, "random_instance", doubled)
-    rows = check_instance(config, index)
-    assert _status(rows, "game_strategy_equivalence") == "fail"
-    assert _status(rows, "game_routes_agree") == "pass"
+def test_witnesses_called_late_build_the_texts_read_at_once():
+    # every check's witness reads one scope: a name bound there twice, as
+    # the payoff and the game checks each bound vals, once changed the text
+    # of a witness called after the generator had moved on
+    config, _, planted, rng = _planted_distribution()
+    at_once = [(check, witness())
+               for check, ok, witness in run_checks(config, planted, rng)
+               if not ok]
+    config, _, planted, rng = _planted_distribution()
+    late = [(check, witness())
+            for check, ok, witness in list(run_checks(config, planted, rng))
+            if not ok]
+    assert [check for check, _ in at_once] == [
+        "validators", "mass_round_trip", "payoff_invariance",
+        "game_strategy_equivalence"]
+    assert late == at_once
+
+
+def test_run_experiment_runs_the_check_instance_set_on_the_module(
+        monkeypatch):
+    # benchmarks/workloads.py times each instance by setting its own
+    # check_instance on the module: run_experiment must look it up per run
+    seen = []
+    honest = experiment.check_instance
+
+    def timed(config, index):
+        seen.append(index)
+        return honest(config, index)
+
+    monkeypatch.setattr(experiment, "check_instance", timed)
+    config = ExperimentConfig(seed=9, n_instances=3, n_samples=2000,
+                              tv_tolerance=0.05)
+    report = run_experiment(config)
+    assert seen == [0, 1, 2]
+    assert [r for r in report.rows if r.instance.isdigit()] == sorted(
+        (r for i in range(3) for r in honest(config, i)),
+        key=lambda r: (int(r.instance), r.check))
 
 
 # SHA-256 of the seed-7 report below, recorded before the exact core moved
@@ -485,8 +524,7 @@ def _golden_values(n_instances: int) -> list:
                   times.validate_randomized, times.validate_distribution)
     out = []
     for index in range(n_instances):
-        rng = _rng_for(config.seed, index)
-        inst = fuzz.random_instance(rng, config.bounds())
+        inst, rng = draw(config, index)
         space = inst.space
         kinds = (inst.pure, inst.mixed, inst.randomized, inst.distribution,
                  inst.mixed2, inst.randomized2)

@@ -173,7 +173,8 @@ def test_no_game_route_builds_lifted_partitions(monkeypatch, tmp_path,
         return get(space, name)
 
     monkeypatch.setattr(FilteredSpace, "__getattr__", counted)
-    inst = fuzz.random_instance(np.random.Generator(np.random.PCG64(3)))
+    rng = np.random.Generator(np.random.PCG64(3))
+    inst = fuzz.random_instance(rng)
     game = StoppingGame(inst.space, inst.x, inst.y, inst.z)
     game_payoff_via_lift(game, inst.mixed, inst.mixed2)
     game_payoff_player2_view(game, inst.randomized, inst.distribution)
@@ -188,7 +189,7 @@ def test_no_game_route_builds_lifted_partitions(monkeypatch, tmp_path,
         assert main(["game", *(f"--{k}={v}" for k, v in paths.items()),
                      "--route", route]) == 0
     capsys.readouterr()
-    experiment._game_checks("0", inst, delta_of_mixed(inst.space, inst.mixed))
+    list(experiment.run_checks(experiment.ExperimentConfig(), inst, rng))
     assert "partitions" not in built
     lifted = lift(game, convert.to_distribution(inst.space, inst.mixed2))
     first = lifted.space.partitions

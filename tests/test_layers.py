@@ -137,6 +137,17 @@ def test_library_callers_tally_draws_as_counts():
     assert _uses(r"\b(sample_many|SampleRecord)\s*\(", {"sampling.py"}) == []
 
 
+def test_campaign_instances_drawn_only_by_experiment_draw():
+    # a campaign instance is experiment.draw(config, index), and its checks
+    # run on any instance through run_checks: no other module draws one
+    assert _uses(r"\brandom_instance\(", {"fuzz.py", "experiment.py"}) == []
+
+
+def test_campaign_streams_made_only_by_the_campaign_and_sample():
+    # the seed rule is the campaign's; `stoptime sample` reads it unstreamed
+    assert _uses(r"\b_rng_for\(", {"experiment.py", "cli.py"}) == []
+
+
 def test_documents_load_and_print_without_a_fraction_per_cell(monkeypatch):
     # stopping times and processes load into canonical int rows and print
     # from them: no Fraction is built from an integer or "p/q" cell (the

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import time_process
 
 from stoptime import (AdaptedProcess, PureST, RandomizedST, StoppingProblem,
                       delta_of_mixed, embed_pure, payoff, payoff_distribution,
                       payoff_mixed, payoff_pure, payoff_randomized)
 from stoptime import fuzz, problems
-from stoptime.experiment import ExperimentConfig, _rng_for
+from stoptime.experiment import ExperimentConfig, draw
 
 F = Fraction
 H = F(1, 2)
@@ -15,7 +16,7 @@ H = F(1, 2)
 
 @pytest.fixture
 def time_problem(coin_space):
-    return StoppingProblem(coin_space, AdaptedProcess.time_process(coin_space))
+    return StoppingProblem(coin_space, time_process(coin_space))
 
 
 @pytest.fixture
@@ -105,10 +106,10 @@ def test_payoff_prices_the_joint_mass_of_every_kind(monkeypatch):
     # payoff reads the joint mass only: with the three per-kind routes
     # refusing, every kind of the first seed-7 instances still gets the
     # value its own route gave
-    bounds = ExperimentConfig(seed=7).bounds()
+    config = ExperimentConfig(seed=7)
     cases = []
     for index in range(20):
-        inst = fuzz.random_instance(_rng_for(7, index), bounds)
+        inst, _ = draw(config, index)
         problem = StoppingProblem(inst.space, inst.reward)
         for route, eta in ((payoff_pure, inst.pure),
                            (payoff_mixed, inst.mixed),

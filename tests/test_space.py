@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import at
+from conftest import at, time_process
 from hypothesis import given, settings, strategies as st
 
 from stoptime import (AdaptedProcess, DistributionST, PureST, SpaceError,
@@ -100,7 +100,7 @@ def test_validate_adapted_constant(coin_space):
 
 
 def test_validate_adapted_time_process(coin_space_coarse):
-    proc = AdaptedProcess.time_process(coin_space_coarse)
+    proc = time_process(coin_space_coarse)
     assert validate_adapted(coin_space_coarse, proc) == []
 
 
@@ -173,7 +173,7 @@ def test_process_accepts_number_rows_and_keeps_no_view():
 def test_constant_and_time_process_rows(coin_space):
     constant = AdaptedProcess({w: (F(7, 3),) * 2 for w in coin_space.outcomes})
     assert constant.rows == {"w1": ((7, 7), 3), "w2": ((7, 7), 3)}
-    assert AdaptedProcess.time_process(coin_space).rows == {
+    assert time_process(coin_space).rows == {
         "w1": ((0, 1), 1), "w2": ((0, 1), 1)}
 
 
