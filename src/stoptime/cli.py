@@ -65,7 +65,7 @@ def cmd_validate(args) -> int:
     elif "values" in doc:
         process = process_from_dict(doc)
         report = [] if args.space is None else row_violations(
-            _load_space(args.space), process.numerators(), "values")
+            _load_space(args.space), process, "values")
     else:
         raise InputError("unrecognized document (no kind/partitions/values)")
     for v in report:

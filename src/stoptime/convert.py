@@ -24,15 +24,16 @@ def _weighted(space: FilteredSpace, rows: dict) -> DistributionST:
     """The joint mass P(w) * rows[w] from per-outcome int rows (row, d),
     reduced by gcd(k * d, n * gcd(*row)) for P(w) = n / k, as from_rows."""
     cut, mass = {}, {}  # cut: (g, row / g) once per distinct row object
-    for w, p in zip(space.outcomes, space.probs):
+    nums, k = space.prob_row
+    for w, n in zip(space.outcomes, nums):
         row, d = rows[w]
         if id(row) not in cut:
             g = gcd(*row)
             cut[id(row)] = g, [x // g for x in row] if g > 1 else row
         g, base = cut[id(row)]
-        c = gcd(p.denominator * d, p.numerator * g)
-        m = p.numerator * g // c
-        mass[w] = tuple([x * m for x in base]), p.denominator * d // c
+        c = gcd(k * d, n * g)
+        m = n * g // c
+        mass[w] = tuple([x * m for x in base]), k * d // c
     return DistributionST._of_canonical(mass)
 
 
@@ -94,10 +95,10 @@ def to_distribution(space: FilteredSpace, eta) -> DistributionST:
         require_rows(space, eta.sections, "MixedST")
         return delta_of_mixed(space, eta)
     if isinstance(eta, RandomizedST):
-        require_rows(space, eta.numerators(), "RandomizedST")
+        require_rows(space, eta, "RandomizedST")
         return delta_of_randomized(space, eta)
     if isinstance(eta, DistributionST):
-        require_rows(space, eta.numerators(), "DistributionST")
+        require_rows(space, eta, "DistributionST")
         return eta
     raise TypeError(f"not a stopping time: {type(eta).__name__}")
 

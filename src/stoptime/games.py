@@ -40,7 +40,7 @@ class StoppingGame:
 
     def __post_init__(self):
         for name, table in (("x", self.x), ("y", self.y), ("z", self.z)):
-            require_rows(self.space, table.numerators(), name)
+            require_rows(self.space, table, name)
 
 
 def lift(game: StoppingGame, delta2: DistributionST) -> StoppingProblem:
@@ -52,11 +52,14 @@ def lift(game: StoppingGame, delta2: DistributionST) -> StoppingProblem:
     n = base.n_times
     # per outcome w, once: the three rows scaled to their lcm d and the
     # prefix gcds pg of the first-stopper row; then per atom (w, s), s a stop
-    # of positive mass (delta2 is validated), the row paying X before s,
-    # the tie at s and Y frozen at s after, divided by its entries' gcd
+    # of positive mass (delta2 is validated), its mass over the masses' lcm
+    # k and the row paying X before s, the tie at s and Y frozen at s after,
+    # divided by its entries' gcd
+    k = lcm(*(e for _, e in delta2.rows.values()))
     atoms, probs, rows = {}, [], {}
     for w in base.outcomes:
-        mass, k = delta2.rows[w]
+        mass, dm = delta2.rows[w]
+        probs += [m * (k // dm) for m in mass if m]
         tables = (game.x.rows[w], game.z.rows[w], game.y.rows[w])
         d = lcm(*(e for _, e in tables))
         f, t, g = ([x * (d // e) for x in nums] for nums, e in tables)
@@ -64,11 +67,10 @@ def lift(game: StoppingGame, delta2: DistributionST) -> StoppingProblem:
         atoms[w] = [(w, s) for s, m in enumerate(mass) if m]
         for a in atoms[w]:
             s = a[1]
-            probs.append(Fraction(mass[s], k))
             c = gcd(pg[s], t[s], g[s] if s < n - 1 else 0)
-            rows[a] = (tuple([x // c for x in f[:s]] + [t[s] // c]
-                             + [g[s] // c] * (n - s - 1)), d // c)
-    return StoppingProblem(_pull_back(base, atoms, probs),
+            rows[a] = ((*[x // c for x in f[:s]], t[s] // c,
+                        *[g[s] // c] * (n - s - 1)), d // c)
+    return StoppingProblem(_pull_back(base, atoms, (tuple(probs), k)),
                            AdaptedProcess._of_canonical(rows))
 
 
@@ -136,17 +138,17 @@ def game_payoff_symmetric(game: StoppingGame, tau1, tau2) -> Fraction:
     rows1 = to_distribution(space, tau1).rows
     rows2 = to_distribution(space, tau2).rows
     x, y, z = game.x.rows, game.y.rows, game.z.rows
+    probs, k = space.prob_row
     by_den = {}
-    for w, p in zip(space.outcomes, space.probs):
-        n1, d1 = rows1[w]
-        n2, d2 = rows2[w]
+    for w, p in zip(space.outcomes, probs):
+        (n1, d1), (n2, d2) = rows1[w], rows2[w]
         after2 = _mass_after(n2)  # Player 2 stops strictly later than j
         after1 = _mass_after(n1)  # Player 1 stops strictly later than j
-        k = p.numerator * d1 * d2
+        e = p * d1 * d2
         for weights, (r, d_r) in ((list(map(mul, n1, after2)), x[w]),
                                   (list(map(mul, n2, after1)), y[w]),
                                   (list(map(mul, n1, n2)), z[w])):
-            add_term(by_den, k * d_r, p.denominator * int_dot(weights, r))
+            add_term(by_den, e * d_r, k * int_dot(weights, r))
     return fraction_sum(by_den)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .convert import to_distribution
 from .space import AdaptedProcess, FilteredSpace, require_rows
 from .times import (DistributionST, MixedST, PureST, RandomizedST,
-                    add_term, fraction_sum, int_dot)
+                    add_term, fraction_sum, int_dot, per_object)
 
 
 @dataclass(frozen=True)
@@ -24,37 +24,41 @@ class StoppingProblem:
     reward: AdaptedProcess
 
     def __post_init__(self):
-        require_rows(self.space, self.reward.numerators(), "reward")
+        require_rows(self.space, self.reward, "reward")
 
 
-# Each route sums ints per denominator with add_term: with P(w) = p, the
-# reward row of w as ints over d_R and the stop weights of w as ints over
-# d, outcome w adds p.numerator * (weights . reward ints) under the key
-# p.denominator * d * d_R; fraction_sum normalises the value once.
+# Each route sums ints per denominator with add_term: with P(w) = p / k from
+# the space's prob_row, the reward row of w as ints over d_R and the stop
+# weights of w as ints over d, outcome w adds p * (weights . reward ints)
+# under the key k * d * d_R; fraction_sum normalises the value once.
 
 
 def payoff_pure(problem: StoppingProblem, sigma: PureST) -> Fraction:
     space, rewards = problem.space, problem.reward.rows
     stop = sigma.stop_index
+    probs, k = space.prob_row
     by_den = {}
-    for w, p in zip(space.outcomes, space.probs):
+    for w, p in zip(space.outcomes, probs):
         r, d_r = rewards[w]
-        add_term(by_den, p.denominator * d_r, p.numerator * r[stop[w]])
+        add_term(by_den, k * d_r, p * r[stop[w]])
     return fraction_sum(by_den)
 
 
 def payoff_mixed(problem: StoppingProblem, mu: MixedST) -> Fraction:
     """The integer interval lengths of each section (its break_ints, over
-    d) against the rewards at the interval values."""
+    d), taken once per distinct section, against the rewards at the
+    interval values."""
     space, rewards = problem.space, problem.reward.rows
-    by_den = {}
-    for w, p in zip(space.outcomes, space.probs):
-        s = mu.sections[w]
+    probs, k = space.prob_row
+
+    def part(s):
         nums, d = s.break_ints
-        r, d_r = rewards[w]
-        lengths = [b - a for a, b in zip(nums, nums[1:])]
-        add_term(by_den, p.denominator * d * d_r,
-                 p.numerator * int_dot(lengths, [r[v] for v in s.values]))
+        return s.values, k * d, [b - a for a, b in zip(nums, nums[1:])]
+    parts = per_object(mu.sections, part)
+    by_den = {}
+    for w, p in zip(space.outcomes, probs):
+        (values, d, lengths), (r, d_r) = parts[w], rewards[w]
+        add_term(by_den, d * d_r, p * int_dot(lengths, [r[v] for v in values]))
     return fraction_sum(by_den)
 
 
@@ -64,12 +68,11 @@ def payoff_randomized(problem: StoppingProblem, rho: RandomizedST) -> Fraction:
     The increments are integers over the path's common denominator d."""
     space, rewards = problem.space, problem.reward.rows
     increments = rho.increments()
+    probs, k = space.prob_row
     by_den = {}
-    for w, p in zip(space.outcomes, space.probs):
-        row, d = increments[w]
-        r, d_r = rewards[w]
-        add_term(by_den, p.denominator * d * d_r,
-                 p.numerator * int_dot(row, r))
+    for w, p in zip(space.outcomes, probs):
+        (row, d), (r, d_r) = increments[w], rewards[w]
+        add_term(by_den, k * d * d_r, p * int_dot(row, r))
     return fraction_sum(by_den)
 
 

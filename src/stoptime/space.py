@@ -4,11 +4,11 @@ The filtration is stored as one partition of the outcome set per grid
 time; measurability of a random variable at time t_j means constancy on
 the blocks of partitions[j]; unadapted_blocks is the one walk that asks
 it, and row_violations the one check of a per-outcome table's shape.
-Probabilities and times are `fractions.Fraction`.  Per-outcome tables of
-values (a process here, a joint mass in times) are CanonicalRows: each
-row is held once as Python ints over one reduced denominator, and their
-Fraction views are built only for output.  So every check in this package
-is exact.
+Times and the public probs are `fractions.Fraction`; sums read the probs
+as prob_row, one int row.  Per-outcome tables of values (a process here,
+a joint mass in times) are CanonicalRows: each row is held once as Python
+ints over one reduced denominator, and their Fraction views are built only
+for output.  So every check in this package is exact.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class CanonicalRows:
                 for w, (nums, d) in self.rows.items()}
 
     def numerators(self) -> dict:
-        """{w: nums}: the table the row-shape checks read."""
+        """{w: nums}: the table row_violations explains a bad shape from."""
         return {w: nums for w, (nums, _) in self.rows.items()}
 
     def same(self, j: int, a, b) -> bool:
@@ -141,14 +141,23 @@ class FilteredSpace:
         """The index of each outcome, for canonical ordering and lookups."""
         return {w: i for i, w in enumerate(self.outcomes)}
 
+    @cached_property
+    def prob_row(self) -> tuple:
+        """(nums, d), probs[i] == Fraction(nums[i], d): what sums read."""
+        return over_common(self.probs)
+
     def __getattr__(self, name):
-        """The partitions of a space _pull_back made, set on first read."""
-        if name != "partitions":
+        """The partitions and probs of a space _pull_back made, set on first read."""
+        if name == "probs":
+            value = tuple(Fraction(n, self.prob_row[1]) for n in self.prob_row[0])
+        elif name == "partitions":
+            base, atoms = self._pulled
+            value = tuple(tuple(frozenset(a for w in b for a in atoms[w])
+                                for b in part) for part in base.partitions)
+        else:
             raise AttributeError(f"no attribute {name!r}")
-        base, atoms = self._pulled
-        object.__setattr__(self, name, tuple(tuple(frozenset(
-            a for w in b for a in atoms[w]) for b in part) for part in base.partitions))
-        return self.partitions
+        object.__setattr__(self, name, value)
+        return value
 
     @cached_property
     def _shared_blocks(self) -> tuple:
@@ -188,9 +197,8 @@ def _check_space(outcomes, probs, grid, partitions) -> tuple:
         for w, p in zip(outcomes, probs):
             if p.numerator <= 0:
                 violations.append(Violation("NonPositiveProb", f"P({w!r}) = {p}"))
-        # the probs sum to 1 iff their numerators over the lcm d sum to d
-        d = lcm(*(p.denominator for p in probs))
-        if sum(p.numerator * (d // p.denominator) for p in probs) != d:
+        nums, d = over_common(probs)  # the probs sum to 1 iff nums sum to d
+        if sum(nums) != d:
             violations.append(Violation(
                 "ProbsNotSummingToOne", f"sum is {sum(probs)}"))
 
@@ -262,17 +270,16 @@ def build_space(outcomes, probs, grid, partitions) -> FilteredSpace:
     return FilteredSpace(outcomes=outcomes, probs=probs, grid=grid, partitions=partitions)
 
 
-def _pull_back(base: FilteredSpace, atoms: Mapping, probs) -> FilteredSpace:
+def _pull_back(base: FilteredSpace, atoms: Mapping, prob_row) -> FilteredSpace:
     """The space of the atoms[w] over each outcome w of the valid base, in
-    base order with probs in that order, each base block becoming its
-    outcomes' atoms.  For a lift only, as check_space is not run: the atoms
-    are distinct, each atoms[w] nonempty with positive Fraction probs that
-    sum to P(w), so the blocks partition, refine and keep canonical order."""
-    space = FilteredSpace(
-        outcomes=tuple(a for w in base.outcomes for a in atoms[w]),
-        probs=tuple(probs), grid=base.grid, partitions=None)
-    object.__delattr__(space, "partitions")  # set by __getattr__ when read
-    object.__setattr__(space, "_pulled", (base, atoms))
+    base order with their probabilities the ints prob_row in that order,
+    each base block becoming its outcomes' atoms.  For a lift only, as
+    check_space is not run: the atoms are distinct, each atoms[w] nonempty
+    with positive probabilities that sum to P(w), so the blocks partition,
+    refine and keep canonical order.  __getattr__ sets partitions and probs."""
+    space = object.__new__(FilteredSpace)
+    vars(space).update(outcomes=tuple(a for w in base.outcomes for a in atoms[w]),
+                       grid=base.grid, prob_row=prob_row, _pulled=(base, atoms))
     return space
 
 
@@ -289,11 +296,16 @@ class AdaptedProcess(CanonicalRows):
     values = property(CanonicalRows.fractions)
 
 
-def row_violations(space: FilteredSpace, table: Mapping, what: str) -> list:
+def row_violations(space: FilteredSpace, table, what: str) -> list:
     """ExtraOutcome per key that is not an outcome, then RowMissing per
     outcome without a row and RowShapeMismatch per row whose length is not
     n_times (a row without a length, such as a stop index, need only exist)."""
     n = space.n_times
+    if isinstance(table, CanonicalRows):  # its numerator rows, read in place
+        if table.rows.keys() == space._order.keys() and {
+                len(nums) for nums, _ in table.rows.values()} == {n}:
+            return []
+        table = table.numerators()
     if table.keys() == space._order.keys() and all(
             len(row) == n if hasattr(row, "__len__") else row is not None
             for row in table.values()):
@@ -311,7 +323,7 @@ def row_violations(space: FilteredSpace, table: Mapping, what: str) -> list:
     return out
 
 
-def require_rows(space: FilteredSpace, table: Mapping, what: str) -> None:
+def require_rows(space: FilteredSpace, table, what: str) -> None:
     """Raise IncompatibleSpaces with every row violation of the table."""
     bad = row_violations(space, table, what)
     if bad:
@@ -333,7 +345,7 @@ def unadapted_blocks(space: FilteredSpace, same):
 def validate_adapted(space: FilteredSpace, process: AdaptedProcess) -> list:
     """Report every (level, block) on which the process is not constant;
     values are compared as ints by cross-multiplication."""
-    return row_violations(space, process.numerators(), "values") or [
+    return row_violations(space, process, "values") or [
         Violation("NotConstantOnBlock",
                   f"level {j}, block {sorted(map(str, block))}: values differ")
         for j, block, _, _ in unadapted_blocks(space, process.same)]

@@ -311,7 +311,7 @@ def validate_mixed(space: FilteredSpace, mu: MixedST) -> list:
 
 def validate_randomized(space: FilteredSpace, rho: RandomizedST) -> list:
     """Paths in [0,1], nondecreasing, ending at 1, adapted: read as ints."""
-    violations = row_violations(space, rho.numerators(), "paths")
+    violations = row_violations(space, rho, "paths")
     if violations:
         return violations
     for w in space.outcomes:
@@ -333,17 +333,18 @@ def validate_randomized(space: FilteredSpace, rho: RandomizedST) -> list:
 def validate_distribution(space: FilteredSpace, delta: DistributionST) -> list:
     """Nonnegative rows with marginal P whose cumulative densities, the
     paths of randomized_of_distribution, are adapted: read as ints."""
-    violations = row_violations(space, delta.numerators(), "mass")
+    violations = row_violations(space, delta, "mass")
     if violations:
         return violations
-    for w, p in zip(space.outcomes, space.probs):
+    probs, k = space.prob_row
+    for w, p in zip(space.outcomes, probs):
         nums, d = delta.rows[w]
         if any(n < 0 for n in nums):
             violations.append(Violation("NegativeMass", f"row of {w!r}"))
-        if sum(nums) * p.denominator != d * p.numerator:
+        if sum(nums) * k != d * p:
             violations.append(Violation(
-                "MarginalMismatch",
-                f"row of {w!r} sums to {Fraction(sum(nums), d)}, P = {p}"))
+                "MarginalMismatch", f"row of {w!r} sums to "
+                f"{Fraction(sum(nums), d)}, P = {Fraction(p, k)}"))
     return violations or [
         Violation("DensityNotAdapted",
                   f"level {j}, block {sorted(map(str, block))}: "
@@ -382,10 +383,10 @@ def randomized_of_distribution(space: FilteredSpace,
     running sum of delta's row (nums, d) at j, over d * P(w), as one int row.
     """
     rows = {}
-    for w, p in zip(space.outcomes, space.probs):
+    probs, k = space.prob_row
+    for w, p in zip(space.outcomes, probs):
         nums, d = delta.rows[w]
-        a = p.denominator
-        rows[w] = [c * a for c in accumulate(nums)], d * p.numerator
+        rows[w] = [c * k for c in accumulate(nums)], d * p
     return RandomizedST.from_rows(rows)
 
 

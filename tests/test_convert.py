@@ -224,6 +224,13 @@ def test_path_to_intervals_row_catches_a_wrong_cumulative_row(monkeypatch):
 BIG = 2**63 - 1
 
 
+def fake_space(outcomes, probs):
+    """The outcomes and probs _weighted reads, the probs also as the int
+    row a space keeps; they need not sum to 1."""
+    return types.SimpleNamespace(outcomes=outcomes, probs=probs,
+                                 prob_row=over_common(probs))
+
+
 @st.composite
 def weighted_inputs(draw):
     """Outcomes with probs at denominators up to 2**63 - 1, each mapped to
@@ -244,13 +251,12 @@ def weighted_inputs(draw):
                           min_size=len(picks), max_size=len(picks)))
     outcomes = [f"w{i}" for i in range(len(picks))]
     rows = {w: distinct[i] for w, i in zip(outcomes, picks)}
-    return types.SimpleNamespace(outcomes=outcomes, probs=probs), rows
+    return fake_space(outcomes, probs), rows
 
 
 @settings(max_examples=300, deadline=None)
 @given(weighted_inputs())
-@example((types.SimpleNamespace(outcomes=["a", "b"],
-                                probs=[F(2, 3), F(1, 3)]),
+@example((fake_space(["a", "b"], [F(2, 3), F(1, 3)]),
           {"a": ([0, 3, 6], 9), "b": ([0, 0, 0], 1)}))
 def test_weighted_rows_are_the_from_rows_rows(case):
     # one two-int gcd per row gives the rows from_rows reduces by the gcd

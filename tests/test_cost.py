@@ -8,10 +8,14 @@ which nothing more is learned.  The opcode events executed in stoptime
 frames are counted, which is exact and independent of the host's speed; a
 layer may grow by at most RATIO per doubling, where work quadratic in the
 outcomes or the times grows by about 4.  Work done in C (big-int
-arithmetic, gcd, sorted) is not counted.
+arithmetic, gcd, sorted) is not counted, nor is work in other modules:
+Fraction's constructor runs in fractions, so the Fractions a layer builds
+are counted on their own, and a game layer may build no more of them at
+128 outcomes than at 16.
 """
 
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +57,26 @@ def executed(fn, *args) -> int:
         fn(*args)
     finally:
         sys.settrace(old)
+    return count
+
+
+def fractions_built(fn, *args) -> int:
+    """The Fractions constructed during fn(*args), wherever the call is."""
+    codes = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and later
+        codes.add(Fraction._from_coprime_ints.__func__.__code__)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code in codes
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(old)
     return count
 
 
@@ -142,6 +166,12 @@ def test_layer_grows_at_most_linearly_in_the_outcomes(family, layer):
 def test_layer_grows_at_most_linearly_in_the_times(refined_family, layer):
     counts = [executed(*calls(layer, inst)) for inst in refined_family]
     assert max(growth(counts)) <= RATIO, (layer, counts)
+
+
+@pytest.mark.parametrize("layer", ["lift", "lift_player2", *GAME_ROUTES])
+def test_game_layer_builds_no_fraction_per_outcome(family, layer):
+    counts = [fractions_built(*calls(layer, inst)) for inst in family]
+    assert max(counts) <= counts[0], (layer, counts)
 
 
 @pytest.mark.parametrize("sizes", ["family", "refined_family"])

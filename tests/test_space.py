@@ -226,8 +226,13 @@ def test_row_violations_match_the_per_outcome_walk(coin_space, coin_delta):
         (lifted.space, dict(list(reward.items())[1:])),
     ]
     for space, table in cases:
-        assert (row_violations(space, table, "t")
-                == walk_row_violations(space, table, "t"))
+        want = walk_row_violations(space, table, "t")
+        assert row_violations(space, table, "t") == want
+        if all(type(row) is tuple for row in table.values()):
+            # a table of int rows is read as its numerator rows, in place
+            rows = AdaptedProcess._of_canonical(
+                {w: (nums, 1) for w, nums in table.items()})
+            assert row_violations(space, rows, "t") == want
     assert row_violations(lifted.space, reward, "t") == []
     assert [v.code for v in validate_pure(coin_space, PureST(
         {"w1": None, "w2": 0}))] == ["RowMissing"]
