@@ -1,11 +1,11 @@
 """Constructive conversions between stopping-time kinds, and equivalence.
 
 Two random stopping times are equivalent when they induce the same joint
-mass on outcomes x grid times.  to_distribution, the one place that maps a
-kind to its table, normalizes every kind to that DistributionST: mixed and
-randomized times through one P(w)-weighting, _weighted.  Equivalence
-compares the masses.  randomized_of_distribution, the path of a mass, is
-defined in times, whose distribution validator reads it too.
+mass on outcomes x grid times: as every P(w) > 0, the same stop-index law
+given each outcome.  _given, the one place that maps a kind to its table,
+reads those laws as int rows; to_distribution weights them by P(w) in
+_weighted, and equivalence compares them, once per distinct row pair.
+randomized_of_distribution, the path of a mass, is defined in times.
 cdf_of_mixed reads cdf_row; the cumulative criterion (a mixed time's
 cumulative equal to a path) is not run here but in the fuzz campaign.
 """
@@ -17,7 +17,8 @@ from math import gcd
 
 from .space import FilteredSpace, require_rows
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
-                    RandomizedST, embed_pure, randomized_of_distribution)
+                    RandomizedST, embed_pure, per_object,
+                    randomized_of_distribution)
 
 
 def _weighted(space: FilteredSpace, rows: dict) -> DistributionST:
@@ -27,20 +28,19 @@ def _weighted(space: FilteredSpace, rows: dict) -> DistributionST:
     nums, k = space.prob_row
     for w, n in zip(space.outcomes, nums):
         row, d = rows[w]
-        if id(row) not in cut:
+        if (cut_row := cut.get(id(row))) is None:
             g = gcd(*row)
-            cut[id(row)] = g, [x // g for x in row] if g > 1 else row
-        g, base = cut[id(row)]
-        c = gcd(k * d, n * g)
-        m = n * g // c
-        mass[w] = tuple([x * m for x in base]), k * d // c
+            cut_row = cut[id(row)] = g, [x // g for x in row] if g > 1 else row
+        g, base = cut_row
+        c = gcd(kd := k * d, ng := n * g)
+        m = ng // c
+        mass[w] = tuple([x * m for x in base]), kd // c
     return DistributionST._of_canonical(mass)
 
 
 def delta_of_mixed(space: FilteredSpace, mu: MixedST) -> DistributionST:
     """Push the product of P and Lebesgue measure forward through mu."""
-    return _weighted(space, {w: (row, d) for w, (_, row, d)
-                             in mu.mass_numerators(space.n_times).items()})
+    return _weighted(space, _given(space, mu))
 
 
 def delta_of_randomized(space: FilteredSpace, rho: RandomizedST) -> DistributionST:
@@ -84,23 +84,39 @@ def cdf_of_mixed(space: FilteredSpace, mu: MixedST, outcome,
     return Fraction(cum[grid_index], d)
 
 
-def to_distribution(space: FilteredSpace, eta) -> DistributionST:
-    """Normalize any stopping-time kind to its joint mass; IncompatibleSpaces
-    when the kind's table fails the space's row check (other outcomes, or
-    rows of another length than the grid)."""
+def _given(space: FilteredSpace, eta) -> dict:
+    """{w: (row, d)}, the stop-index law row[j] / d given w: a section's mass
+    row, a path's increments, a mass row over P(w) = p / k as (nums * k,
+    d * p), one (row, d) object per distinct section or path object;
+    IncompatibleSpaces when the kind's table fails the space's row check."""
     if isinstance(eta, PureST):
         require_rows(space, eta.stop_index, "PureST")
-        return delta_of_mixed(space, embed_pure(eta))
-    if isinstance(eta, MixedST):
+        sections = embed_pure(eta).sections
+    elif isinstance(eta, MixedST):
         require_rows(space, eta.sections, "MixedST")
-        return delta_of_mixed(space, eta)
-    if isinstance(eta, RandomizedST):
+        sections = eta.sections
+    elif isinstance(eta, RandomizedST):
         require_rows(space, eta, "RandomizedST")
-        return delta_of_randomized(space, eta)
+        return eta.increments()
+    elif isinstance(eta, DistributionST):
+        require_rows(space, eta, "DistributionST")
+        probs, k = space.prob_row
+        rows = map(eta.rows.__getitem__, space.outcomes)
+        return {w: ([x * k for x in nums], d * p)
+                for w, p, (nums, d) in zip(space.outcomes, probs, rows)}
+    else:
+        raise TypeError(f"not a stopping time: {type(eta).__name__}")
+    n = space.n_times
+    return per_object(sections, lambda s: s.mass_numerators(n)[1:])
+
+
+def to_distribution(space: FilteredSpace, eta) -> DistributionST:
+    """Normalize any stopping-time kind to its joint mass: a mass as it is,
+    any other kind as its _given rows weighted by P(w)."""
     if isinstance(eta, DistributionST):
         require_rows(space, eta, "DistributionST")
         return eta
-    raise TypeError(f"not a stopping time: {type(eta).__name__}")
+    return _weighted(space, _given(space, eta))
 
 
 def equivalent(space: FilteredSpace, a, b) -> bool:
@@ -109,15 +125,23 @@ def equivalent(space: FilteredSpace, a, b) -> bool:
 
 
 def first_difference(space: FilteredSpace, a, b):
-    """The first differing (outcome, time, mass_a, mass_b), or None; rows
-    are compared as canonical int tuples, Fractions built for the witness."""
-    da = to_distribution(space, a)
-    db = to_distribution(space, b)
-    for w in space.outcomes:
-        ra, rb = da.rows[w], db.rows[w]
-        if ra != rb:
-            (na, ka), (nb, kb) = ra, rb
-            for t, x, y in zip(space.grid, na, nb):
-                if x * kb != y * ka:
-                    return (w, t, Fraction(x, ka), Fraction(y, kb))
+    """The first differing (outcome, time, mass_a, mass_b), or None: the laws
+    given w cross-multiplied once per distinct row pair, walked in outcome
+    order (two masses: their own rows), the witness masses P(w) * x / d."""
+    if isinstance(a, DistributionST) and isinstance(b, DistributionST):
+        ga, gb = (to_distribution(space, x).rows for x in (a, b))
+        probs, k = [1] * len(space.outcomes), 1  # the rows hold P(w) already
+    else:
+        ga, gb = _given(space, a), _given(space, b)
+        probs, k = space.prob_row
+    outcomes = space.outcomes
+    la, lb = (list(map(g.__getitem__, outcomes)) for g in (ga, gb))
+    pairs = list(zip(map(id, la), map(id, lb)))
+    # each distinct pair in order of its first outcome, read at its last
+    for pair, i in dict(zip(pairs, range(len(pairs)))).items():
+        (na, da), (nb, db) = la[i], lb[i]
+        for t, x, y in zip(space.grid, na, nb):
+            if x * db != y * da:
+                p = probs[i := pairs.index(pair)]
+                return outcomes[i], t, Fraction(p * x, k * da), Fraction(p * y, k * db)
     return None

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, chain
 from math import lcm
 from operator import lt, mul, ne
@@ -126,9 +126,9 @@ class RStepFunction:
 def per_object(table: Mapping, fn) -> dict:
     """{k: fn(v)} for every entry, fn called once per distinct value object:
     a lifted mixed time repeats one section object per opponent stop."""
-    distinct = {id(v): v for v in table.values()}
-    done = {i: fn(v) for i, v in distinct.items()}
-    return {k: done[id(v)] for k, v in table.items()}
+    ids = list(map(id, table.values()))
+    done = {i: fn(v) for i, v in dict(zip(ids, table.values())).items()}
+    return dict(zip(table, map(done.__getitem__, ids)))
 
 
 def common_refinement(sections: Mapping) -> tuple:
@@ -253,6 +253,7 @@ def validate_mixed_sections(space: FilteredSpace, mu: MixedST) -> list:
             moves[c].append((w, u, v))
     count = [0] * len(size)  # the last slot, of size 0, takes unshared levels
     cut = set()
+    text = cache(lambda i: _cut_text(*shared[i][:2]))  # once per cut block
     for c in range(len(cuts) - 1):
         moved = set()
         for w, u, v in moves[c]:
@@ -265,7 +266,7 @@ def validate_mixed_sections(space: FilteredSpace, mu: MixedST) -> list:
         if cut:
             on = f"r in [{Fraction(cuts[c], d)},{Fraction(cuts[c + 1], d)}): "
             violations += [Violation("SectionNotStoppingTime",
-                                     on + _cut_text(*shared[i][:2]))
+                                     on + text(i))
                            for i in sorted(cut)]
     return violations
 
@@ -332,25 +333,30 @@ def validate_randomized(space: FilteredSpace, rho: RandomizedST) -> list:
 
 def validate_distribution(space: FilteredSpace, delta: DistributionST) -> list:
     """Nonnegative rows with marginal P whose cumulative densities, the
-    paths of randomized_of_distribution, are adapted: read as ints."""
+    paths of randomized_of_distribution, are adapted: read as ints.  Entry
+    j of w's path is cum[j] * k / (d * p) for the row's running sums cum
+    over d and P(w) = p / k, so two are compared with k cancelled."""
     violations = row_violations(space, delta, "mass")
     if violations:
         return violations
     probs, k = space.prob_row
+    cum = {}
     for w, p in zip(space.outcomes, probs):
         nums, d = delta.rows[w]
+        sums = list(accumulate(nums))
+        cum[w] = sums, d * p
         if any(n < 0 for n in nums):
             violations.append(Violation("NegativeMass", f"row of {w!r}"))
-        if sum(nums) * k != d * p:
+        if sums[-1] * k != d * p:
             violations.append(Violation(
                 "MarginalMismatch", f"row of {w!r} sums to "
-                f"{Fraction(sum(nums), d)}, P = {Fraction(p, k)}"))
+                f"{Fraction(sums[-1], d)}, P = {Fraction(p, k)}"))
     return violations or [
         Violation("DensityNotAdapted",
                   f"level {j}, block {sorted(map(str, block))}: "
                   "cumulative densities differ")
-        for j, block, _, _ in unadapted_blocks(
-            space, randomized_of_distribution(space, delta).same)]
+        for j, block, _, _ in unadapted_blocks(space, lambda j, a, b: (
+            cum[a][0][j] * cum[b][1] == cum[b][0][j] * cum[a][1]))]
 
 
 def validate(space: FilteredSpace, eta) -> list:

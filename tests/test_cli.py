@@ -155,18 +155,19 @@ def test_equiv_false_prints_witness(files, tmp_path, capsys):
 def test_equiv_normalises_each_argument_once(files, tmp_path, monkeypatch,
                                              capsys):
     # equiv once asked equivalent and then first_difference, so a pair
-    # that differs was normalised four times
+    # that differs was normalised four times; each argument is now read
+    # once as its laws given each outcome
     other = tmp_path / "other.json"
     dump_json({"kind": "randomized",
                "paths": {"w1": ["1/3", "1"], "w2": ["1/3", "1"]}}, other)
     calls = []
-    honest = convert.to_distribution
+    honest = convert._given
 
     def counted(space, eta):
         calls.append(eta)
         return honest(space, eta)
 
-    monkeypatch.setattr(convert, "to_distribution", counted)
+    monkeypatch.setattr(convert, "_given", counted)
     assert main(["equiv", files["mixed"], str(other),
                  "--space", files["space"]]) == 1
     assert "not equivalent" in capsys.readouterr().out
@@ -241,7 +242,8 @@ def test_validate_names_an_outcome_or_prob_shape_violation(doc, message,
 def test_game_normalises_each_time_once(files, tmp_path, capsys,
                                         monkeypatch):
     # each route once pushed the two loaded mixed times forward itself, so
-    # --route both pushed each of them twice
+    # --route both pushed each of them twice; a push reads the time's laws
+    # given each outcome, _given, once
     tables = {}
     for name, values in (("x", ["1", "2"]), ("y", ["5", "-3"]),
                          ("z", ["7/2", "11"])):
@@ -249,13 +251,13 @@ def test_game_normalises_each_time_once(files, tmp_path, capsys,
         dump_json({"values": {"w1": values, "w2": values[::-1]}},
                   tables[name])
     pushed = []
-    honest = convert.delta_of_mixed
+    honest = convert._given
 
     def counted(space, mu):
         pushed.append(mu)
         return honest(space, mu)
 
-    monkeypatch.setattr(convert, "delta_of_mixed", counted)
+    monkeypatch.setattr(convert, "_given", counted)
     assert main(["game", "--space", files["space"], "--x", str(tables["x"]),
                  "--y", str(tables["y"]), "--z", str(tables["z"]),
                  "--p1", files["mixed"], "--p2", files["flipped"],

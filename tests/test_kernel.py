@@ -21,7 +21,7 @@ from stoptime import (AdaptedProcess, DistributionST, MixedST, PureST,
                       validate_mixed_product, validate_mixed_sections,
                       validate_pure, validate_randomized)
 from stoptime.serialize import stopping_time_from_dict, stopping_time_to_dict
-from stoptime.space import Violation
+from stoptime.space import Violation, unadapted_blocks
 from stoptime.times import (add_term, fraction_sum, int_dot, rn_derivative,
                             symdiff_measure)
 
@@ -211,6 +211,99 @@ def test_hot_path_reads_int_rows(monkeypatch):
     problems.payoff_mixed(lifted, mu_l)
     assert len(calls) <= len({id(s) for s in mu_l.sections.values()})
     assert len(lifted.space.outcomes) > len(space.outcomes)
+
+
+def test_lifted_equivalence_builds_no_joint_mass(monkeypatch):
+    # equivalent once weighted both lifted times into joint masses over
+    # every lifted atom; the laws given w repeat one base row per opponent
+    # stop, so the pair is compared per distinct row pair, as base rows
+    rng = np.random.Generator(np.random.PCG64(11))
+    inst = next(i for i in (fuzz.random_instance(rng, fuzz.FuzzBounds(
+        max_outcomes=32, max_grid_points=8, max_breaks=16))
+        for _ in range(400)) if len(i.space.outcomes) == 32
+        and i.space.n_times == 8)
+    lifted = _lifted(inst)
+    mu_l = games.lift_mixed(inst.mixed, lifted.space)
+    rho_l = games.lift_randomized(inst.randomized, lifted.space)
+    weighted, rows = [], []
+    honest_weighted, honest_rows = convert._weighted, RStepFunction.mass_numerators
+
+    def counted_weighted(space, table):
+        weighted.append(table)
+        return honest_weighted(space, table)
+
+    def counted_rows(self, n_times):
+        rows.append(self)
+        return honest_rows(self, n_times)
+
+    monkeypatch.setattr(convert, "_weighted", counted_weighted)
+    monkeypatch.setattr(RStepFunction, "mass_numerators", counted_rows)
+    assert convert.equivalent(lifted.space, mu_l, rho_l)
+    assert weighted == []
+    assert len(rows) <= len({id(s) for s in mu_l.sections.values()})
+    assert len(lifted.space.outcomes) > 2 * len(inst.space.outcomes)
+
+
+def reference_mass(space, eta) -> dict:
+    """The joint mass as Fractions from each kind's definition: P(w) times
+    the stop law given w, read off the section's intervals, the path's
+    increments or the stop index; a mass is its own."""
+    n = space.n_times
+    if isinstance(eta, DistributionST):
+        return {w: list(row) for w, row in eta.mass.items()}
+    if isinstance(eta, PureST):
+        law = {w: [Fraction(j == i) for j in range(n)]
+               for w, i in eta.stop_index.items()}
+    elif isinstance(eta, MixedST):
+        law = {w: [mass_of_index(s, j) for j in range(n)]
+               for w, s in eta.sections.items()}
+    else:
+        law = {w: [b - a for a, b in zip((ZERO, *path), path)]
+               for w, path in eta.paths.items()}
+    return {w: [space.prob(w) * x for x in law[w]] for w in space.outcomes}
+
+
+def reference_first_difference(space, ma, mb):
+    """The first (w, t, mass_a, mass_b) whose joint masses differ, walked in
+    outcome x grid order, as first_difference once did on two masses."""
+    for w in space.outcomes:
+        for t, x, y in zip(space.grid, ma[w], mb[w]):
+            if x != y:
+                return w, t, x, y
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, bounds)
+def test_first_difference_is_the_first_joint_mass_difference(seed, fuzz_bounds):
+    # every kind against every kind, on the base space and on a lifted one
+    # whose tables repeat one row object per opponent stop; mixed2 and the
+    # corrupted section differ from the rest, the pure time mostly does
+    inst, _ = make_instance(seed, fuzz_bounds)
+    space = inst.space
+    lifted = _lifted(inst).space
+    delta2 = convert.delta_of_mixed(space, inst.mixed2)
+    corrupt = fuzz.corrupt_mixed(space, inst.mixed)
+    base = {"pure": inst.pure, "mixed": inst.mixed, "mixed2": inst.mixed2,
+            "randomized": inst.randomized, "distribution": inst.distribution,
+            "distribution2": delta2, "corrupt": corrupt}
+    on_lift = {
+        "pure": PureST({a: inst.pure.stop_index[a[0]] for a in lifted.outcomes}),
+        "mixed": games.lift_mixed(inst.mixed, lifted),
+        "mixed2": games.lift_mixed(inst.mixed2, lifted),
+        "randomized": games.lift_randomized(inst.randomized, lifted),
+        "distribution": games.lift_distribution(inst.distribution, space, lifted),
+        "distribution2": games.lift_distribution(delta2, space, lifted),
+        "corrupt": corrupt and games.lift_mixed(corrupt, lifted)}
+    verdicts = set()
+    for sp, table in ((space, base), (lifted, on_lift)):
+        kinds = {k: eta for k, eta in table.items() if eta is not None}
+        masses = {k: reference_mass(sp, eta) for k, eta in kinds.items()}
+        for a, b in ((a, b) for a in kinds for b in kinds):
+            expected = reference_first_difference(sp, masses[a], masses[b])
+            assert convert.first_difference(sp, kinds[a], kinds[b]) == expected
+            verdicts.add(expected is None)
+    assert verdicts == {True, False}
 
 
 def test_lifted_paths_are_converted_once(monkeypatch):
@@ -536,6 +629,66 @@ def test_validate_distribution_matches_fraction_definition(seed, fuzz_bounds):
     for delta in _broken_masses(inst.space, inst.distribution, rng):
         assert (validate_distribution(inst.space, delta)
                 == naive_validate_distribution(inst.space, delta))
+
+
+def path_density_violations(space, delta) -> list:
+    """DensityNotAdapted as the validator once found it: by building the
+    mass's path and asking it per block (rows assumed well formed)."""
+    return [Violation("DensityNotAdapted",
+                      f"level {j}, block {sorted(map(str, block))}: "
+                      "cumulative densities differ")
+            for j, block, _, _ in unadapted_blocks(
+                space, randomized_of_distribution(space, delta).same)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, bounds, st.data())
+def test_density_check_matches_the_built_path(seed, fuzz_bounds, data):
+    # mass moved within one row keeps the marginal and splits the
+    # cumulatives of every block the outcome shares between the two times
+    inst, _ = make_instance(seed, fuzz_bounds)
+    lifted = _lifted(inst).space
+    for space, delta in ((inst.space, inst.distribution),
+                         (lifted, games.lift_distribution(
+                             inst.distribution, inst.space, lifted))):
+        w = data.draw(st.sampled_from(space.outcomes))
+        nums, d = delta.rows[w]
+        src = data.draw(st.sampled_from([j for j, x in enumerate(nums) if x]))
+        dst = data.draw(st.integers(0, space.last_index))
+        amount = data.draw(st.integers(1, nums[src]))
+        moved = list(nums)
+        moved[src] -= amount
+        moved[dst] += amount
+        planted = DistributionST.from_rows({**delta.rows, w: (moved, d)})
+        for mass in (delta, planted):
+            assert (validate_distribution(space, mass)
+                    == path_density_violations(space, mass))
+
+
+def test_section_check_writes_a_block_once_per_call(monkeypatch):
+    # one block cut on two intervals of [0,1]: each violation keeps the
+    # text built for it alone, and the block's text is built once
+    part = (frozenset({"a", "b"}),)
+    space = build_space(("a", "b"), (Fraction(1, 2), Fraction(1, 2)),
+                        (0, 1), ((part[0],), (frozenset("a"), frozenset("b"))))
+    third = Fraction(1, 3)
+    mu = MixedST({"a": RStepFunction(over_common(
+        (ZERO, third, 2 * third, Fraction(1))), (0, 1, 0)),
+        "b": RStepFunction.constant(1)})
+    expected = [Violation("SectionNotStoppingTime",
+                          f"r in [{a},{b}): " + times._cut_text(0, part[0]))
+                for a, b in ((ZERO, third), (2 * third, Fraction(1)))]
+    assert naive_validate_mixed_sections(space, mu) == expected
+    texts = []
+    honest = times._cut_text
+
+    def counted(j, block):
+        texts.append(block)
+        return honest(j, block)
+
+    monkeypatch.setattr(times, "_cut_text", counted)
+    assert validate_mixed_sections(space, mu) == expected
+    assert len(texts) == 1
 
 
 def measure_validate_mixed_product(space, mu) -> list:
