@@ -2,16 +2,15 @@
 
 Sampling is float-based (it feeds statistical checks only; all theorem
 checks elsewhere stay exact).  Each kind is read by one of the paper's two
-rules, on one float table per outcome of ints n / d, correctly rounded: a
+rules, on one float row per outcome of ints n / d, correctly rounded: a
 section (a mixed time's, or a pure one's embedded) stops at the value of
 its piece holding the uniform r, inner breaks searched from the right; a
 path (a randomized time's, or a mass's randomized_of_distribution) stops
 at min{j : path_j >= r}, searched from the left.
 
-Draws come in bounded chunks, with the numbers of one choice(n) and one
-random(n); a chunk holds 256 draws per outcome, no fewer than 2**14 and
-no more than 2**16.  sample_counts tallies them as an outcomes x grid
-count array.
+Both rules are one exact indexed search, as is the outcome's: choice's
+own cdf.  Draws come in chunks of _CHUNK, the numbers of one choice(n)
+and one random(n); sample_counts tallies them as an outcomes x grid array.
 sample_many builds one record per draw with the collector paused: records
 are tuple subclasses, which a collection never untracks.
 """
@@ -19,7 +18,7 @@ are tuple subclasses, which a collection never untracks.
 from __future__ import annotations
 
 import gc
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -29,13 +28,9 @@ from .space import FilteredSpace
 from .times import (DistributionST, MixedST, PureST, RandomizedST, embed_pure,
                     randomized_of_distribution)
 
-# records empirical_delta holds at once, and the fewest draws of one of
-# _draw's chunks: a k-outcome space draws min(1 << 16, max(_CHUNK, 256 * k))
-# at once.  The campaign's three rows of 10**5 coin draws peak at 1.1 MiB
-# traced in chunks of 2**14, against 3.3 MiB in chunks of 2**16; but each
-# chunk walks the k outcomes in Python, and 10**6 draws at 2048 outcomes
-# took 0.69 s in chunks of 2**14 against 0.32 s in chunks of 2**16 (best
-# of 7, one core of a 2-core host)
+# draws of one of _draw's chunks, or records empirical_delta holds, at once:
+# no step of a chunk walks the outcomes, so one size serves every space; the
+# campaign's 3 x 10**5 coin draws trace 1 MiB, against 3.3 MiB in 2**16's
 _CHUNK = 1 << 14
 
 
@@ -84,48 +79,80 @@ def _draw(space: FilteredSpace, eta, rng: np.random.Generator, n: int):
     takes.  Where advance does not count doubles, all n come in one chunk."""
     if n <= 0:
         raise EmptySamples("need at least one sample")
-    tables = _tables(space, eta)
-    k, bits = len(space.outcomes), rng.bit_generator
+    stops, values = _tables(space, eta)
     probs = np.array([float(p) for p in space.probs])
-    probs /= probs.sum()
-    ahead, step = rng, n
+    cdf = (probs / probs.sum()).cumsum()  # choice's: it draws #{cdf <= u}
+    outcomes = _guide([cdf / cdf[-1]], True)
+    ahead, step, bits = rng, n, rng.bit_generator
     if type(bits) in (np.random.PCG64, np.random.PCG64DXSM):
         copy = type(bits)()
         copy.state = bits.state
         copy.advance(n)  # which drops a buffered 32-bit half: keep rng's
         copy.state = {**bits.state, "state": copy.state["state"]}
-        ahead = np.random.Generator(copy)
-        step = min(1 << 16, max(_CHUNK, 256 * k))  # see _CHUNK
+        ahead, step = np.random.Generator(copy), _CHUNK
     for start in range(0, n, step):
-        which = rng.choice(k, size=min(step, n - start), p=probs)
-        rs = ahead.random(which.size)
-        order = np.argsort(which.astype(np.min_scalar_type(k - 1)), kind="stable")
-        ends = np.cumsum(np.bincount(which, minlength=k))[:-1]
-        indices = np.empty(which.size, dtype=np.int64)
-        for (edges, values, side), at, r in zip(tables, np.split(order, ends),
-                                                np.split(rs[order], ends)):
-            indices[at] = values[np.searchsorted(edges, r, side)]
-        yield which, indices
+        which = _search(outcomes, rng.random(min(step, n - start)))
+        yield which, values[_search(stops, ahead.random(which.size), which)
+                            + which]
     bits.state = ahead.bit_generator.state
 
 
-def _tables(space: FilteredSpace, eta) -> list:
-    """(edges, values, side) per outcome, in space order, values clipped to
-    the grid: a section's inner breaks, or a path and the grid indices."""
+def _guide(rows: list, right: bool) -> tuple:
+    """(edges, low, high, scale, start, before): sorted float rows laid end
+    to end, row i in 2**g buckets from slot start[i], g the bit length of
+    its length; low and high bound the count of edges before(edge, x) by
+    that count at the bucket's ends, exactly, as x * 2**g is exact."""
+    lens = [len(row) for row in rows]
+    scale = np.array([1 << m.bit_length() for m in lens])
+    start = np.cumsum(scale + 1) - scale - 1  # a last slot for edges of 1.0
+    edges = np.fromiter(chain.from_iterable(rows), np.float64, sum(lens))
+    at, top = np.repeat(start, lens), np.repeat(scale, lens)
+    cells, size = np.clip(edges * top, 0, top), int(start[-1] + scale[-1] + 1)
+    below = np.bincount(at + np.floor(cells).astype(np.intp), minlength=size)
+    high = np.cumsum(below)  # edges < (b + 1) / 2**g
+    low = np.cumsum(np.bincount(at + np.ceil(cells).astype(np.intp),
+                                minlength=size)) if right else high - below
+    return edges, low, high, scale, start, np.less_equal if right else np.less
+
+
+def _search(guide: tuple, x: np.ndarray, rows=0) -> np.ndarray:
+    """np.searchsorted of each x in its row (one per x, or one for all) plus
+    the row's first edge position: the guide's bounds, then a binary search."""
+    edges, low, high, scale, start, before = guide
+    slot = start[rows] + (x * scale[rows]).astype(np.intp)
+    lo, hi = low[slot], high[slot]
+    open_ = np.flatnonzero(lo < hi)
+    while open_.size:
+        a, b = lo[open_], hi[open_]
+        mid = (a + b) >> 1
+        up = before(edges[mid], x[open_])
+        lo[open_] = a = np.where(up, mid + 1, a)
+        hi[open_] = b = np.where(up, b, mid)
+        open_ = open_[a < b]
+    return lo
+
+
+def _tables(space: FilteredSpace, eta) -> tuple:
+    """(guide, values): the _guide of the outcomes' float edges, in space
+    order, and the grid indices they select, clipped, end to end, row i's
+    from its first edge position + i: a section's inner breaks and values,
+    from the right; a path and range(t + 1), from the left."""
     if isinstance(eta, PureST):
         eta = embed_pure(eta)
     elif type(eta) is DistributionST:
         eta = randomized_of_distribution(space, eta)
     t = space.n_times
     if type(eta) is MixedST:
-        rows = [(s.break_ints[0][1:-1], s.break_ints[1], s.values, "right")
+        rows = [(s.break_ints[0][1:-1], s.break_ints[1], s.values)
                 for s in map(eta.sections.__getitem__, space.outcomes)]
     elif type(eta) is RandomizedST:
-        rows = [(*eta.rows[w], range(t + 1), "left") for w in space.outcomes]
+        rows = [(*eta.rows[w], range(t + 1)) for w in space.outcomes]
     else:
         raise TypeError(f"not a samplable stopping time: {type(eta).__name__}")
-    return [(np.array([n / d for n in nums]), np.clip(values, 0, t - 1), side)
-            for nums, d, values, side in rows]
+    values = np.fromiter((min(max(v, 0), t - 1) for r in rows for v in r[2]),
+                         np.int64)
+    return _guide([[n / d for n in nums] for nums, d, _ in rows],
+                  type(eta) is not RandomizedST), values
 
 
 def empirical_delta(space: FilteredSpace, samples,

@@ -164,10 +164,6 @@ class PureST:
 class MixedST:
     sections: Mapping
 
-    def mass_numerators(self, n_times: int) -> dict:
-        """Each section's mass_numerators, computed once per distinct section."""
-        return per_object(self.sections, lambda s: s.mass_numerators(n_times))
-
     def cumulative(self, n_times: int) -> "RandomizedST":
         """The cumulative stop paths lambda{r : section <= t_j}: each
         section's cdf_row, computed and reduced once per distinct section."""
@@ -376,9 +372,11 @@ def validate(space: FilteredSpace, eta) -> list:
 # embeddings and densities
 
 def embed_pure(sigma: PureST) -> MixedST:
-    """The constant-in-r embedding of a pure stopping time."""
-    return MixedST({w: RStepFunction.constant(j)
-                    for w, j in sigma.stop_index.items()})
+    """The constant-in-r embedding of a pure stopping time: one section per
+    distinct stop index, shared, so per_object reads each once."""
+    sections = {j: RStepFunction.constant(j)
+                for j in set(sigma.stop_index.values())}
+    return MixedST({w: sections[j] for w, j in sigma.stop_index.items()})
 
 
 def randomized_of_distribution(space: FilteredSpace,

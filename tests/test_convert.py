@@ -165,6 +165,22 @@ def test_equivalent_pure_enters_via_embedding(coin_space):
     assert equivalent(coin_space, sigma, embed_pure(sigma))
 
 
+def test_pure_rows_are_shared_per_stop_index():
+    # embed_pure builds one section per distinct stop index, so _given
+    # reads one mass row per index, off the grid an all-zero one
+    space = build_space(("a", "b", "c", "d"), (F(1, 4),) * 4, (0, 1),
+                        (tuple(frozenset(w) for w in "abcd"),) * 2)
+    sigma = PureST({"a": 1, "b": 0, "c": 1, "d": 5})
+    sections = embed_pure(sigma).sections
+    assert sections == {w: RStepFunction.constant(j)
+                        for w, j in sigma.stop_index.items()}
+    assert sections["a"] is sections["c"]
+    rows = convert._given(space, sigma)
+    assert rows == {"a": ([0, 1], 1), "b": ([1, 0], 1), "c": ([0, 1], 1),
+                    "d": ([0, 0], 1)}
+    assert rows["a"] is rows["c"]
+
+
 def test_equivalent_incompatible_spaces(coin_space):
     other = MixedST({"a": RStepFunction.constant(0)})
     with pytest.raises(IncompatibleSpaces):

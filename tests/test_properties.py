@@ -140,7 +140,8 @@ def test_section_rows_match_per_index_queries(seed):
     lifted = MixedST({(w, s): inst.mixed.sections[w]
                       for w in space.outcomes for s in range(n)})
     for mu in (inst.mixed, inst.mixed2, lifted):
-        mass, cum = mu.mass_numerators(n), mu.cumulative(n)
+        mass = {w: s.mass_numerators(n) for w, s in mu.sections.items()}
+        cum = mu.cumulative(n)
         assert set(mass) == set(cum.rows) == set(mu.sections)
         for w, section in mu.sections.items():
             _, row, d = mass[w]

@@ -1,4 +1,5 @@
 import gc
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -16,7 +17,7 @@ from stoptime.sampling import (EmptySamples, SampleRecord, empirical_delta,
 
 F = Fraction
 CHUNK = sampling._CHUNK
-WIDE = 1 << 16  # the chunk of a space of 256 outcomes or more
+WIDE = 1 << 16  # four chunks: draws that cross several chunk ends
 
 
 def rng(seed=0):
@@ -279,19 +280,20 @@ def one_outcome_space(n_times: int):
 @settings(max_examples=200, deadline=None)
 @given(wide_sections())
 def test_section_floats_are_those_of_the_fraction_breaks(s):
-    # the sampler searches the inner breaks, each read as a float
+    # the sampler searches the inner breaks, each read as a float: its
+    # guides are built from those rows, then from the outcomes' cdf
     seen = []
-    searchsorted = np.searchsorted
+    guide = sampling._guide
 
-    def spy(a, v, side="left"):
-        seen.append(a.tolist())
-        return searchsorted(a, v, side=side)
+    def spy(rows, right):
+        seen.append([list(map(float, row)) for row in rows])
+        return guide(rows, right)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampling.np, "searchsorted", spy)
+        mp.setattr(sampling, "_guide", spy)
         sample_counts(one_outcome_space(len(s.values)), MixedST({"w": s}),
                       rng(), 1)
-    assert seen == [[float(r) for r in s.breaks[1:-1]]]
+    assert seen == [[[float(r) for r in s.breaks[1:-1]]], [[1.0]]]
 
 
 def fraction_section_indices(mu: MixedST, w, rs: np.ndarray) -> np.ndarray:
@@ -386,8 +388,8 @@ def fuzzed(outcomes: int, grid_points: int) -> fuzz.Instance:
 
 
 def stoppers():
-    """(space, eta) for every kind on the coin and on 32 outcomes, which
-    draw CHUNK at a time, and on 256 outcomes, which draw WIDE at a time."""
+    """(space, eta) for every kind on the coin, on 32 outcomes and on 256
+    outcomes, each CHUNK draws at a time."""
     coin = demo.coin_space()
     return [(coin, eta) for eta in (PureST({"w1": 0, "w2": 1}),
                                     demo.coin_mixed(), demo.coin_randomized(),
@@ -478,3 +480,153 @@ def test_each_row_is_read_once_per_call():
         counts = sample_counts(inst.space, eta, rng(9), 3 * CHUNK)
         assert counts.sum() == 3 * CHUNK
         assert table.reads == dict.fromkeys(inst.space.outcomes, 1)
+
+
+# ---------------------------------------------------------------------------
+# one exact indexed search: np.searchsorted's counts, choice's outcomes
+
+TINY = 5e-324
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+@st.composite
+def sorted_rows(draw):
+    """Nondecreasing rows in [0, 1] from edges a guide finds hardest: repeats,
+    bucket ends b / 2**g of the row's own g, the least subnormal and the
+    floats next to 1, with x's at and beside every edge."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        m = draw(st.integers(0, 40))
+        ends = [b / (1 << m.bit_length()) for b in range(2 << m.bit_length())]
+        pool = st.sampled_from([0.0, TINY, BELOW_ONE, 1.0]
+                               + ends[:len(ends) // 2 + 1])
+        rows.append(sorted(draw(st.lists(
+            pool | st.floats(0, 1), min_size=m, max_size=m))))
+    edges = [e for row in rows for e in row] + [0.0, 1.0]
+    near = [float(np.nextafter(e, to)) for e in edges for to in (0.0, 1.0)]
+    xs = draw(st.lists(st.sampled_from(edges + near) | st.floats(0, 1),
+                       min_size=1, max_size=60))
+    return rows, np.array(xs)
+
+
+def assert_searchsorted(rows, xs, data):
+    """The guide's counts are np.searchsorted's on both sides, each x in a
+    drawn row or, with one row, all x in it."""
+    at = np.array(data.draw(st.lists(st.integers(0, len(rows) - 1),
+                                     min_size=xs.size, max_size=xs.size)))
+    first = np.cumsum([0] + [len(row) for row in rows])
+    for right, side in ((True, "right"), (False, "left")):
+        guide = sampling._guide(rows, right)
+        want = [first[i] + np.searchsorted(np.array(rows[i], dtype=float), x,
+                                           side) for i, x in zip(at, xs)]
+        assert sampling._search(guide, xs, at).tolist() == want
+        if len(rows) == 1:
+            assert sampling._search(guide, xs).tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_rows(), st.data())
+def test_indexed_search_is_searchsorted(case, data):
+    assert_searchsorted(*case, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.floats(-2, 3), max_size=12).map(sorted),
+                min_size=1, max_size=4),
+       st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=30),
+       st.data())
+def test_indexed_search_reads_rows_beyond_the_unit_interval(rows, xs, data):
+    # an unvalidated path may leave [0, 1]: its edges keep to their own
+    # row's slots, and every uniform still counts exactly
+    assert_searchsorted(rows, np.array(xs), data)
+
+
+@st.composite
+def weighted_spaces(draw):
+    """A one-time space of 1 to 300 outcomes with int weights, one of them
+    as small as 10**-300 of the total."""
+    k = draw(st.integers(1, 300))
+    weights = draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        weights = [w * 10**300 for w in weights[:-1]] + [1]
+    total = sum(weights)
+    outcomes = tuple(range(k))
+    return build_space(outcomes, [F(w, total) for w in weights], (0,),
+                       (tuple({w} for w in outcomes),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_spaces(), st.integers(1, 70_000),
+       st.sampled_from([np.random.PCG64, np.random.MT19937]),
+       st.integers(0, 2**32))
+def test_outcome_search_is_choice(space, n, bits, seed):
+    # every chunk's outcomes are choice's, and the caller's generator ends
+    # where choice(n) then random(n) leave its twin
+    caller, twin = (np.random.Generator(bits(seed)) for _ in range(2))
+    sigma = PureST(dict.fromkeys(space.outcomes, 0))
+    which = np.concatenate([w for w, _ in sampling._draw(space, sigma, caller,
+                                                         n)])
+    probs = np.array([float(p) for p in space.probs])
+    want = twin.choice(len(space.outcomes), n, p=probs / probs.sum())
+    twin.random(n)
+    assert np.array_equal(which, want)
+    assert same_state(caller.bit_generator.state, twin.bit_generator.state)
+
+
+def uniform_stopper(k: int):
+    """k equally likely outcomes, each section stepping at 1/3 and 2/3: the
+    outcomes' cdf sits on bucket ends, and every draw between the breaks
+    takes one binary-search step."""
+    outcomes = tuple(range(k))
+    space = build_space(outcomes, [F(1, k)] * k, range(3),
+                        (tuple({w} for w in outcomes),) * 3)
+    section = RStepFunction(((0, 1, 2, 3), 3), (0, 1, 2))
+    return space, MixedST(dict.fromkeys(outcomes, section))
+
+
+def calls_per_chunk(space, eta) -> list:
+    """The Python and C function calls of the second and third chunks."""
+    chunks = sampling._draw(space, eta, rng(12), 4 * CHUNK)
+    next(chunks)
+    counts = []
+    for _ in range(2):
+        seen = []
+        sys.setprofile(lambda frame, event, arg: seen.append(event)
+                       if event in ("call", "c_call") else None)
+        try:
+            next(chunks)
+        finally:
+            sys.setprofile(None)
+        counts.append(len(seen))
+    return counts
+
+
+def test_a_chunk_makes_the_same_calls_at_any_number_of_outcomes():
+    # no step of a chunk walks the outcomes
+    counts = [calls_per_chunk(*uniform_stopper(k)) for k in (2, 256, 2048)]
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_guides_grow_with_the_edges_not_the_longest_row():
+    # one 2**16-break section among 4095 one-break sections: guides of
+    # 2**12 rows of the longest row's 2**16 buckets would take 4 GiB
+    k = 1 << 12
+    outcomes = tuple(range(k))
+    space = build_space(outcomes, [F(1, k)] * k, range(2),
+                        (tuple({w} for w in outcomes),) * 2)
+    wide = RStepFunction((tuple(range((1 << 16) + 1)), 1 << 16),
+                         tuple(i % 2 for i in range(1 << 16)))
+    narrow = RStepFunction(((0, 1, 2), 2), (0, 1))
+    mu = MixedST({w: wide if w == 0 else narrow for w in outcomes})
+    (edges, low, high, *_), values = sampling._tables(space, mu)
+    assert edges.size == (1 << 16) - 1 + (k - 1)
+    assert low.size == high.size <= 2 * (edges.size + k)
+    assert values.size == edges.size + k
+    tracemalloc.start()
+    try:
+        counts = sample_counts(space, mu, rng(13), 2 * CHUNK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 2 * CHUNK
+    assert peak < 16 * 2**20

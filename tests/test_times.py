@@ -10,7 +10,7 @@ from stoptime import (DistributionST, MixedST, PureST, RStepFunction,
                       embed_pure, over_common, validate_distribution,
                       validate_mixed_product, validate_mixed_sections,
                       validate_pure, validate_randomized)
-from stoptime import fuzz, games, times
+from stoptime import build_space, convert, fuzz, games, times
 from stoptime.times import rn_derivative, sub_measure, validate_mixed
 
 F = Fraction
@@ -55,11 +55,14 @@ def test_mixed_rows_shared_sections(monkeypatch):
     shared = RStepFunction(over_common((F(0), H, F(1))), (0, 1))
     mu = MixedST({"a": shared, "b": shared,
                   "c": RStepFunction.constant(1)})
-    rows = mu.mass_numerators(2)
-    assert rows == {"a": (0, [1, 1], 2), "b": (0, [1, 1], 2),
-                    "c": (0, [0, 1], 1)}
+    space = build_space(("a", "b", "c"), (F(1, 3),) * 3, (0, 1),
+                        ((frozenset("abc"),),) * 2)
+    assert {w: s.mass_numerators(2) for w, s in mu.sections.items()} == {
+        "a": (0, [1, 1], 2), "b": (0, [1, 1], 2), "c": (0, [0, 1], 1)}
+    rows = convert._given(space, mu)
+    assert rows == {"a": ([1, 1], 2), "b": ([1, 1], 2), "c": ([0, 1], 1)}
     assert rows["a"] is rows["b"]  # one row per distinct section
-    assert {w: tuple(F(x, d) for x in row) for w, (_, row, d) in rows.items()
+    assert {w: tuple(F(x, d) for x in row) for w, (row, d) in rows.items()
             } == {w: tuple(mass_of_index(s, j) for j in range(2))
                   for w, s in mu.sections.items()}
     read = []
