@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 check failure, 2 input error.
-STOPTIME_SEED overrides --seed wherever a seed is taken.
+Exit codes: 0 success, 1 check failure, 2 input error, 141 when stdout's
+reader has gone.  STOPTIME_SEED overrides --seed wherever a seed is taken.
+Only sample and fuzz load numpy, when they run.
 """
 
 from __future__ import annotations
@@ -9,12 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from functools import cache
 
-from . import convert, games, problems, sampling
-from .experiment import ExperimentConfig, _rng_for, run_experiment
+from . import convert, games, problems
+from .config import ExperimentConfig
 from .serialize import (InputError, dump_json, load_json, process_from_dict,
                         space_from_dict, stopping_time_from_dict,
                         stopping_time_to_dict)
@@ -24,6 +24,7 @@ from .times import validate
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, a shell's status for a writer it kills
 
 
 def _seed(args) -> int:
@@ -150,6 +151,8 @@ def cmd_game(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import sampling
+    from .experiment import _rng_for
     space = _load_space(args.space)
     eta = _load_valid_stop(args.stop, space)
     reference = None
@@ -170,10 +173,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    values = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    values = {name: getattr(args, name) for name in ExperimentConfig._fields}
     config = ExperimentConfig(**{**values, "seed": _seed(args)})
+    from . import experiment
     try:
-        report = run_experiment(config)
+        report = experiment.run_experiment(config)
     except MemoryError:  # as in sample, a guard of the count arrays
         raise InputError(f"--samples {args.n_samples}: too many draws for memory")
     csv_text = report.to_csv()
@@ -242,10 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("fuzz", help="run the fuzzed property campaign")
-    for f in fields(ExperimentConfig):  # one option per campaign setting
-        flag = f.name.removeprefix("n_").replace("_", "-")
-        p.add_argument(f"--{flag}", dest=f.name, type=type(f.default),
-                       default=f.default)
+    defaults = ExperimentConfig()
+    for name in defaults._fields:  # one option per campaign setting
+        flag = name.removeprefix("n_").replace("_", "-")
+        default = getattr(defaults, name)
+        p.add_argument(f"--{flag}", dest=name, type=type(default),
+                       default=default)
     p.add_argument("-o", "--output", help="write the CSV report here")
     p.set_defaults(func=cmd_fuzz)
     return parser
@@ -262,7 +268,12 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact values may pass 4300 digits
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left; the exit flush writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, KeyError, OSError) as e:  # InputError, SpaceError too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR

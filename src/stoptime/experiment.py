@@ -13,15 +13,15 @@ RandomizedST, with a path by ==.
 from __future__ import annotations
 
 import io
-import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
 import numpy as np
 
 from . import convert, demo, fuzz, games, problems, sampling
+from .config import MAX_CELLS, ExperimentConfig, FuzzBounds
 from .space import AdaptedProcess
 from .times import (embed_pure, validate, validate_mixed_product,
                     validate_mixed_sections)
@@ -30,33 +30,6 @@ CSV_HEADER = "instance,check,status,witness"
 
 # offset so the Monte Carlo stream can never collide with an instance stream
 MC_STREAM = 1 << 32
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    seed: int = 0
-    n_instances: int = 200
-    n_samples: int = 100_000
-    max_outcomes: int = fuzz.FuzzBounds.max_outcomes
-    max_grid_points: int = fuzz.FuzzBounds.max_grid_points
-    max_breaks: int = fuzz.FuzzBounds.max_breaks
-    max_denominator: int = fuzz.FuzzBounds.max_denominator
-    tv_tolerance: float = 0.01
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.n_instances < 1 or self.n_samples < 1 or self.jobs < 1:
-            raise ValueError("counts must be positive")
-        if not 0 < self.tv_tolerance < math.inf:
-            raise ValueError("tv_tolerance must be positive and finite")
-        self.bounds()  # FuzzBounds rejects bad bounds here, not per instance
-
-    def bounds(self) -> fuzz.FuzzBounds:
-        return fuzz.FuzzBounds(
-            max_outcomes=self.max_outcomes,
-            max_grid_points=self.max_grid_points,
-            max_breaks=self.max_breaks,
-            max_denominator=self.max_denominator)
 
 
 @dataclass(frozen=True)
@@ -215,10 +188,10 @@ def _mutated_mixed(config, rng, inst):
     mutated = fuzz.corrupt_mixed(inst.space, inst.mixed)
     if mutated is not None:
         return mutated, inst.space
-    outcomes = max(2, min(config.max_outcomes, fuzz.MAX_CELLS // 2))
-    bounds = replace(config.bounds(), max_outcomes=outcomes,
-                     max_grid_points=max(2, min(config.max_grid_points,
-                                                fuzz.MAX_CELLS // outcomes)))
+    outcomes = max(2, min(config.max_outcomes, MAX_CELLS // 2))
+    bounds = FuzzBounds(outcomes, max(2, min(config.max_grid_points,
+                                             MAX_CELLS // outcomes)),
+                        config.max_breaks, config.max_denominator)
     space = fuzz.random_space(rng, bounds, min_outcomes=2)
     rho = fuzz.random_randomized(rng, space, bounds)
     mu = convert.mixed_of_randomized(space, rho)

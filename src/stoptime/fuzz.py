@@ -22,35 +22,15 @@ from itertools import accumulate
 
 import numpy as np
 
+from .config import FuzzBounds
 from .convert import delta_of_randomized, mixed_of_randomized
 from .space import AdaptedProcess, FilteredSpace, build_space
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
                     RandomizedST, common_refinement)
 
 
-# largest outcomes x grid points an instance may reach (128 x 32)
-MAX_CELLS = 4096
-
 # lcm(1, ..., 8): random_process's values are ints over it
 DRAW_DENOMINATOR = 840
-
-
-@dataclass(frozen=True)
-class FuzzBounds:
-    max_outcomes: int = 8
-    max_grid_points: int = 6
-    max_breaks: int = 8
-    max_denominator: int = 64
-
-    def __post_init__(self):
-        if min(self.max_outcomes, self.max_grid_points,
-               self.max_breaks, self.max_denominator) < 1:
-            raise ValueError("all bounds must be >= 1")
-        if self.max_denominator >= 2**63:  # numpy draws int64
-            raise ValueError("max_denominator must be <= 2**63 - 1")
-        if self.max_outcomes * self.max_grid_points > MAX_CELLS:
-            raise ValueError(
-                f"max_outcomes * max_grid_points must be <= {MAX_CELLS}")
 
 
 @dataclass(frozen=True)

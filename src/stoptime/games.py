@@ -17,7 +17,6 @@ space._pull_back without a second check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -25,18 +24,24 @@ from operator import mul
 
 from .convert import (delta_of_randomized, randomized_of_distribution,
                       to_distribution)
-from .space import AdaptedProcess, FilteredSpace, _pull_back, require_rows
+from .space import (AdaptedProcess, FilteredSpace, Record, _pull_back,
+                    require_rows)
 from .times import (DistributionST, MixedST, RandomizedST, add_term,
                     fraction_sum, int_dot, validate_distribution)
 from .problems import StoppingProblem, payoff_randomized
 
 
-@dataclass(frozen=True)
-class StoppingGame:
-    space: FilteredSpace
-    x: AdaptedProcess  # payoff when Player 1 stops strictly first
-    y: AdaptedProcess  # payoff when Player 2 stops strictly first
-    z: AdaptedProcess  # payoff on simultaneous stops
+class StoppingGame(Record):
+    """x pays when Player 1 stops strictly first, y when Player 2 does and z
+    on simultaneous stops."""
+
+    def __init__(self, space: FilteredSpace, x: AdaptedProcess,
+                 y: AdaptedProcess, z: AdaptedProcess):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+        self.__post_init__()
 
     def __post_init__(self):
         for name, table in (("x", self.x), ("y", self.y), ("z", self.z)):

@@ -9,19 +9,19 @@ as oracles for that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .convert import to_distribution
-from .space import AdaptedProcess, FilteredSpace, require_rows
+from .space import AdaptedProcess, FilteredSpace, Record, require_rows
 from .times import (DistributionST, MixedST, PureST, RandomizedST,
                     add_term, fraction_sum, int_dot, per_object)
 
 
-@dataclass(frozen=True)
-class StoppingProblem:
-    space: FilteredSpace
-    reward: AdaptedProcess
+class StoppingProblem(Record):
+    def __init__(self, space: FilteredSpace, reward: AdaptedProcess):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "reward", reward)
+        self.__post_init__()
 
     def __post_init__(self):
         require_rows(self.space, self.reward, "reward")

@@ -9,23 +9,60 @@ as prob_row, one int row.  Per-outcome tables of values (a process here,
 a joint mass in times) are CanonicalRows: each row is held once as Python
 ints over one reduced denominator, and their Fraction views are built only
 for output.  So every check in this package is exact.
+
+The package's frozen values are Records, not dataclasses: importing
+those (with inspect) and generating their methods took about 10 of the
+24 ms of `import stoptime`, which every CLI command pays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Mapping
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class Violation:
+class Record:
+    """A frozen record of the fields its first __init__ takes, in order.
+
+    That __init__ checks them and stores each with object.__setattr__, as a
+    dataclass's does, so they stay inline (vars(self) would build a dict per
+    record); ==, hash and repr read them as a frozen dataclass's do (one
+    field compared and hashed as itself), and no attribute is set after.
+    """
+
+    def __init_subclass__(cls):
+        if not hasattr(cls, "_fields"):  # a subclass keeps its record's
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1:code.co_argcount]
+            cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return (self._key(self) == other._key(other)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Violation(Record):
     """One violated invariant, with a machine-readable code."""
 
-    code: str
-    detail: str
+    def __init__(self, code: str, detail: str):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self):
         return f"{self.code}: {self.detail}"
@@ -115,15 +152,16 @@ class CanonicalRows:
         return f"{type(self).__name__}({self._view}={self.fractions()!r})"
 
 
-@dataclass(frozen=True)
-class FilteredSpace:
+class FilteredSpace(Record):
     """Outcomes with exact atom probabilities, a time grid, and a
     refining chain of partitions (one per grid time)."""
 
-    outcomes: tuple
-    probs: tuple
-    grid: tuple
-    partitions: tuple
+    def __init__(self, outcomes: tuple, probs: tuple, grid: tuple,
+                 partitions: tuple):
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "partitions", partitions)
 
     @property
     def n_times(self) -> int:

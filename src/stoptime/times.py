@@ -18,15 +18,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, chain
 from math import lcm
 from operator import lt, mul, ne
 
-from .space import (CanonicalRows, FilteredSpace, Violation, reduced,
-                    row_violations, unadapted_blocks)
+from .space import (CanonicalRows, FilteredSpace, Record, Violation,
+                    reduced, row_violations, unadapted_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +54,7 @@ def fraction_sum(by_den: dict) -> Fraction:
 # ---------------------------------------------------------------------------
 # step functions on [0,1]
 
-@dataclass(frozen=True)
-class RStepFunction:
+class RStepFunction(Record):
     """A step function on [0,1] with grid-index values.
 
     Intervals are half-open [r_{i-1}, r_i); the point r = 1 belongs to the
@@ -67,12 +65,8 @@ class RStepFunction:
     are equality of functions.  breaks is the Fraction view, for output only.
     """
 
-    break_ints: tuple
-    values: tuple
-
-    def __post_init__(self):
-        nums, d = self.break_ints
-        values = self.values
+    def __init__(self, break_ints: tuple, values: tuple):
+        nums, d = break_ints
         if len(nums) != len(values) + 1:
             raise ValueError("breaks/values length mismatch")
         if d <= 0 or nums[0] != 0 or nums[-1] != d:
@@ -82,9 +76,9 @@ class RStepFunction:
         if type(values) is not tuple or not all(map(ne, values, values[1:])):
             opens = [i for i in range(1, len(values)) if values[i] != values[i - 1]]
             nums = (0, *[nums[i] for i in opens], d)
-            object.__setattr__(self, "values",
-                               (values[0], *[values[i] for i in opens]))
+            values = (values[0], *[values[i] for i in opens])
         object.__setattr__(self, "break_ints", reduced(nums, d))
+        object.__setattr__(self, "values", values)
 
     @property
     def breaks(self) -> tuple:
@@ -155,14 +149,14 @@ def symdiff_measure(xs, ys) -> int:
 # ---------------------------------------------------------------------------
 # the four kinds
 
-@dataclass(frozen=True)
-class PureST:
-    stop_index: Mapping
+class PureST(Record):
+    def __init__(self, stop_index: Mapping):
+        object.__setattr__(self, "stop_index", stop_index)
 
 
-@dataclass(frozen=True)
-class MixedST:
-    sections: Mapping
+class MixedST(Record):
+    def __init__(self, sections: Mapping):
+        object.__setattr__(self, "sections", sections)
 
     def cumulative(self, n_times: int) -> "RandomizedST":
         """The cumulative stop paths lambda{r : section <= t_j}: each

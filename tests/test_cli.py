@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from stoptime import (build_space, cli, convert, demo, experiment, fuzz, games,
                       problems, sampling)
 from stoptime.cli import main
+from stoptime.config import MAX_CELLS
 from stoptime.experiment import ExperimentConfig, ExperimentReport
 from stoptime.serialize import (dump_json, process_from_dict,
                                 process_to_dict, space_to_dict,
@@ -118,6 +119,26 @@ def test_space_errors_print_the_same_under_every_hash_seed(partitions, text,
              os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
         capture_output=True, text=True).stderr for seed in range(6)}
     assert errs == {f"error: {text}\n"}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["raw", "buffered"])
+def test_a_closed_stdout_is_no_input_error(files, unbuffered):
+    # the reader left before the output was written, as `| head` may: no
+    # error line, and a shell's status for a writer that SIGPIPE killed,
+    # not the input error's 2 (a buffered stdout fails at its exit flush)
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered, "PYTHONPATH":
+           os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "stoptime.cli", "validate", files["mixed"],
+             "--space", files["space"]], stdout=write, stderr=subprocess.PIPE,
+            text=True, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 def test_convert_to_randomized(files, capsys):
@@ -615,7 +636,7 @@ def test_fuzz_bound_over_the_cap_is_an_input_error(monkeypatch, capsys):
     def never(config):
         raise AssertionError("campaign started")
 
-    monkeypatch.setattr(cli, "run_experiment", never)
+    monkeypatch.setattr(experiment, "run_experiment", never)
     assert main(["fuzz", "--max-outcomes", "100000000"]) == 2
     assert "max_outcomes" in capsys.readouterr().err
 
@@ -626,7 +647,7 @@ def test_fuzz_max_denominator_over_int64_is_an_input_error(monkeypatch,
     def never(config):
         raise AssertionError("campaign started")
 
-    monkeypatch.setattr(cli, "run_experiment", never)
+    monkeypatch.setattr(experiment, "run_experiment", never)
     assert main(["fuzz", "--max-denominator", str(2**63)]) == 2
     assert "max_denominator" in capsys.readouterr().err
 
@@ -639,7 +660,7 @@ def _fuzz_config(argv, monkeypatch):
         seen.append(config)
         return ExperimentReport((), 0)
 
-    monkeypatch.setattr(cli, "run_experiment", record)
+    monkeypatch.setattr(experiment, "run_experiment", record)
     assert main(["fuzz", *argv]) == 0
     (config,) = seen
     return config
@@ -1147,7 +1168,7 @@ def accepted_bounds(draw):
         denominator = draw(st.integers(1, 64))
     elif scale == "cells":
         outcomes = draw(st.integers(1, 128))
-        grid = draw(st.integers(1, fuzz.MAX_CELLS // outcomes))
+        grid = draw(st.integers(1, MAX_CELLS // outcomes))
         denominator = draw(st.integers(1, 64))
     else:
         outcomes, grid = draw(st.integers(1, 16)), draw(st.integers(1, 16))

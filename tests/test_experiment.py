@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from stoptime import build_space, convert, experiment, fuzz, games, times
+from stoptime.config import MAX_CELLS
 from stoptime.experiment import (CheckRow, ExperimentConfig, ExperimentReport,
                                  _rng_for, check_instance, draw,
                                  monte_carlo_rows, run_checks, run_experiment)
@@ -160,7 +161,7 @@ def test_config_rejects_bad_bounds_when_built(field, value):
 def test_config_caps_outcomes_times_grid_points():
     # an uncapped bound let one instance grow until memory ran out
     ExperimentConfig(max_outcomes=128, max_grid_points=32)
-    ExperimentConfig(max_outcomes=1, max_grid_points=fuzz.MAX_CELLS)
+    ExperimentConfig(max_outcomes=1, max_grid_points=MAX_CELLS)
     for outcomes, points in ((129, 32), (128, 33), (100_000_000, 6)):
         with pytest.raises(ValueError, match="max_outcomes"):
             ExperimentConfig(max_outcomes=outcomes, max_grid_points=points)
@@ -191,7 +192,7 @@ def test_mutated_bounds_stay_under_the_cap():
     space = build_space(("w",), (1,), (0, 1), ([{"w"}], [{"w"}]))
     inst = types.SimpleNamespace(
         space=space, mixed=times.embed_pure(times.PureST({"w": 0})))
-    for outcomes, points in ((1, fuzz.MAX_CELLS), (2049, 1), (4096, 1)):
+    for outcomes, points in ((1, MAX_CELLS), (2049, 1), (4096, 1)):
         config = ExperimentConfig(max_outcomes=outcomes,
                                   max_grid_points=points)
         mutated, mspace = experiment._mutated_mixed(config, _rng_for(0, 0),
@@ -199,7 +200,7 @@ def test_mutated_bounds_stay_under_the_cap():
         n = len(mspace.outcomes)
         assert n == 2 if outcomes == 1 else n >= 2
         assert mspace.n_times == 2 if points == 1 else mspace.n_times >= 2
-        assert n * mspace.n_times <= fuzz.MAX_CELLS
+        assert n * mspace.n_times <= MAX_CELLS
         assert times.validate_mixed_sections(mspace, mutated)
 
 

@@ -8,11 +8,12 @@ partitions are indexed only in space.py (and by the fuzz generators), so
 a bypass of either fails here too.  Library callers of
 the sampler tally draws as counts, never as one record per draw.  Only
 the modules that draw import numpy, and the package root loads none of
-them."""
+them, nor dataclasses; the exact CLI commands load neither."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -23,9 +24,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stoptime import convert, experiment, fuzz, times
-from stoptime.serialize import (process_from_dict, process_to_dict,
-                                stopping_time_from_dict, stopping_time_to_dict)
+from stoptime import convert, demo, experiment, fuzz, times
+from stoptime.serialize import (dump_json, process_from_dict, process_to_dict,
+                                space_to_dict, stopping_time_from_dict,
+                                stopping_time_to_dict)
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "benchmarks" / "spans.py"
@@ -218,12 +220,23 @@ def test_fuzz_instances_build_no_fraction_per_cell(monkeypatch):
     assert inside == [] and built
 
 
+# the modules `import stoptime` runs: the root and what it imports
+ROOT_MODULES = ("__init__.py", "space.py", "times.py", "convert.py",
+                "problems.py", "games.py")
+
+
 def test_the_package_root_loads_no_numpy():
     # the root is the exact core; the sampler and the campaign, which draw,
-    # load numpy only when they are imported by their module
+    # load numpy only when they are imported by their module.  Its records
+    # stand on space.Record: no dataclasses, inspect or typing is imported
+    # (site may load typing before the probe, so the sources are read)
+    assert {name for path in ROOT_MODULES
+            for name in _absolute_imports(SRC / path)} & {
+                "dataclasses", "inspect", "typing"} == set()
     probe = ("import sys, stoptime; "
              "print(sorted(set(sys.modules) & {'numpy', 'stoptime.sampling', "
-             "'stoptime.experiment', 'stoptime.fuzz'})); "
+             "'stoptime.experiment', 'stoptime.fuzz', 'dataclasses', "
+             "'inspect'})); "
              "from stoptime.sampling import sample_counts; "
              "from stoptime.experiment import run_experiment; "
              "print(callable(sample_counts) and callable(run_experiment))")
@@ -235,18 +248,39 @@ def test_the_package_root_loads_no_numpy():
     assert done.stdout.splitlines() == ["[]", "True"]
 
 
-def test_the_cli_loads_no_process_pool_and_no_random_module():
+def test_the_cli_loads_no_process_pool_and_no_random_module(tmp_path):
     # the exact commands never draw and never start a pool: fuzz loads
-    # concurrent.futures only with a pool, and numpy.random loads on first use
-    probe = ("import sys, stoptime.cli; "
-             "print(sorted(set(sys.modules) & {'concurrent.futures', "
-             "'numpy.random'}))")
+    # concurrent.futures only with a pool, and sample and fuzz load numpy
+    # only when they run; the parser reads config's Records, not dataclasses
+    paths = {}
+    for name, doc in (("space", space_to_dict(demo.coin_space())),
+                      ("mixed", stopping_time_to_dict(demo.coin_mixed())),
+                      ("delta", stopping_time_to_dict(
+                          demo.coin_uniform_delta())),
+                      ("reward", {"values": {"w1": ["0", "1"],
+                                             "w2": ["0", "1"]}})):
+        paths[name] = str(tmp_path / f"{name}.json")
+        dump_json(doc, paths[name])
+    space, mixed, delta, reward = paths.values()
+    commands = [
+        ["validate", mixed, "--space", space],
+        ["convert", mixed, "--to", "randomized", "--space", space,
+         "-o", str(tmp_path / "out.json")],
+        ["equiv", mixed, delta, "--space", space],
+        ["payoff", "--space", space, "--reward", reward, "--stop", mixed],
+        ["game", "--space", space, "--x", reward, "--y", reward, "--z",
+         reward, "--p1", mixed, "--p2", delta]]
+    probe = ("import json, sys, stoptime.cli; "
+             "codes = [stoptime.cli.main(argv) "
+             "for argv in json.loads(sys.argv[1])]; "
+             "print(codes, sorted(set(sys.modules) & {'concurrent.futures', "
+             "'numpy', 'numpy.random', 'dataclasses'}))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True,
-                          timeout=60)
-    assert done.stdout.splitlines() == ["[]"]
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
+                          env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
 
 
 def _absolute_imports(path: Path) -> set:
