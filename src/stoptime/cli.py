@@ -152,14 +152,13 @@ def cmd_game(args) -> int:
 
 def cmd_sample(args) -> int:
     from . import sampling
-    from .experiment import _rng_for
     space = _load_space(args.space)
     eta = _load_valid_stop(args.stop, space)
     reference = None
     if args.ref:
         reference = convert.to_distribution(
             space, _load_valid_stop(args.ref, space))
-    rng = _rng_for(_seed(args))
+    rng = sampling._rng_for(_seed(args))
     try:
         counts = sampling.sample_counts(space, eta, rng, args.n)
     except MemoryError:  # draws come in chunks: this guards the count array

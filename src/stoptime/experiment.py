@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
-import numpy as np
-
 from . import convert, demo, fuzz, games, problems, sampling
 from .config import MAX_CELLS, ExperimentConfig, FuzzBounds
+from .sampling import _rng_for
 from .space import AdaptedProcess
 from .times import (embed_pure, validate, validate_mixed_product,
                     validate_mixed_sections)
@@ -58,12 +57,6 @@ class ExperimentReport:
     @property
     def ok(self) -> bool:
         return self.n_failed == 0
-
-
-def _rng_for(seed: int, *stream: int) -> np.random.Generator:
-    """The campaign's seed rule; `stoptime sample` draws with no stream."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream)))
 
 
 def draw(config: ExperimentConfig, index: int):

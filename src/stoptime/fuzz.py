@@ -147,20 +147,33 @@ def random_process(rng: np.random.Generator, space: FilteredSpace,
     """A bounded rational table, not adapted: each value a numerator over
     a denominator from 1 to 8, as an int over DRAW_DENOMINATOR.  The (den,
     num) pairs of all n outcomes come level by level from one broadcast
-    call, the stream of one scalar call per entry, so row i is drawn[i::n]."""
+    call, the stream of one scalar call per entry, so row i is drawn[i::n];
+    random_instance draws its four tables the same way, in one call."""
+    return _draw_tables(rng, space, bounds, 1)[0]
+
+
+def _draw_tables(rng: np.random.Generator, space: FilteredSpace,
+                 bounds: FuzzBounds, count: int) -> list:
+    """count tables of random_process from one broadcast call, which draws
+    their pairs in the order of count successive calls: table t is the
+    t-th slice of k = n * n_times values."""
     m, n = bounds.max_denominator, len(space.outcomes)
     k = n * space.n_times
-    draws = rng.integers([1, -m] * k, [8, m] * k, endpoint=True).tolist()
+    draws = rng.integers([1, -m] * (count * k), [8, m] * (count * k),
+                         endpoint=True).tolist()
     drawn = [num * (DRAW_DENOMINATOR // den)
              for den, num in zip(draws[::2], draws[1::2])]
-    return AdaptedProcess.from_rows(
-        {w: (drawn[i::n], DRAW_DENOMINATOR)
+    return [AdaptedProcess.from_rows(
+        {w: (drawn[t + i:t + k:n], DRAW_DENOMINATOR)
          for i, w in enumerate(space.outcomes)})
+        for t in range(0, count * k, k)]
 
 
 def random_instance(rng: np.random.Generator,
                     bounds: FuzzBounds = FuzzBounds(),
                     min_outcomes: int = 1) -> Instance:
+    """An instance on a random space; its reward, x, y and z tables come
+    from one broadcast call, the stream of four random_process calls."""
     space = random_space(rng, bounds, min_outcomes=min_outcomes)
     rho = random_randomized(rng, space, bounds)
     delta = delta_of_randomized(space, rho)
@@ -169,19 +182,11 @@ def random_instance(rng: np.random.Generator,
     rho2 = random_randomized(rng, space, bounds)
     mu2 = shuffle_sections(rng, space, mixed_of_randomized(space, rho2),
                            bounds.max_breaks)
-    return Instance(
-        space=space,
-        pure=random_pure(rng, space),
-        mixed=mu,
-        randomized=rho,
-        distribution=delta,
-        reward=random_process(rng, space, bounds),
-        x=random_process(rng, space, bounds),
-        y=random_process(rng, space, bounds),
-        z=random_process(rng, space, bounds),
-        mixed2=mu2,
-        randomized2=rho2,
-    )
+    pure = random_pure(rng, space)
+    reward, x, y, z = _draw_tables(rng, space, bounds, 4)
+    return Instance(space=space, pure=pure, mixed=mu, randomized=rho,
+                    distribution=delta, reward=reward, x=x, y=y, z=z,
+                    mixed2=mu2, randomized2=rho2)
 
 
 def corrupt_mixed(space: FilteredSpace, mu: MixedST):

@@ -34,6 +34,12 @@ from .times import (DistributionST, MixedST, PureST, RandomizedST, embed_pure,
 _CHUNK = 1 << 14
 
 
+def _rng_for(seed: int, *stream: int) -> np.random.Generator:
+    """The campaign's seed rule; `stoptime sample` draws with no stream."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream)))
+
+
 class EmptySamples(ValueError):
     pass
 

@@ -163,11 +163,11 @@ class FilteredSpace(Record):
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "partitions", partitions)
 
-    @property
+    @cached_property
     def n_times(self) -> int:
         return len(self.grid)
 
-    @property
+    @cached_property
     def last_index(self) -> int:
         return len(self.grid) - 1
 

@@ -20,16 +20,17 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import lcm
-from operator import lt, mul, ne
+from operator import lt, mul, ne, sub
 
 from .space import (CanonicalRows, FilteredSpace, Record, Violation,
                     reduced, row_violations, unadapted_blocks)
 
 
 # ---------------------------------------------------------------------------
-# exact-arithmetic kernel: int numerators, one normalisation per result
+# exact-arithmetic kernel: int numerators, one normalisation per result;
+# per_object makes one pass, calling its fn once per distinct object
 
 def int_dot(xs, ys) -> int:
     """sum(x * y) over two int rows of equal length."""
@@ -93,7 +94,7 @@ class RStepFunction(Record):
         """(value, a, b) per interval [a, b), ints over a multiple d of the
         breaks' denominator, sorted: {r : value <= j} is the prefix below j + 1."""
         nums, k = self.break_ints
-        scaled = [n * (d // k) for n in nums]
+        scaled = list(map(mul, nums, repeat(d // k)))
         return sorted(zip(self.values, scaled, scaled[1:]))
 
     def cdf_row(self, n_times: int) -> tuple:
@@ -118,11 +119,15 @@ class RStepFunction(Record):
 
 
 def per_object(table: Mapping, fn) -> dict:
-    """{k: fn(v)} for every entry, fn called once per distinct value object:
-    a lifted mixed time repeats one section object per opponent stop."""
-    ids = list(map(id, table.values()))
-    done = {i: fn(v) for i, v in dict(zip(ids, table.values())).items()}
-    return dict(zip(table, map(done.__getitem__, ids)))
+    """{k: fn(v)} for every entry, in key order, in one pass that calls fn
+    once per distinct value object (the table holds each, so its id stays
+    its own): a lifted mixed time repeats one section per opponent stop."""
+    done, out = {}, {}
+    for k, v in table.items():
+        if (i := id(v)) not in done:
+            done[i] = fn(v)
+        out[k] = done[i]
+    return out
 
 
 def common_refinement(sections: Mapping) -> tuple:
@@ -131,7 +136,7 @@ def common_refinement(sections: Mapping) -> tuple:
     breaks' denominators, and starts[w][i], the index of the cut at which
     section w's interval i (carrying values[i]) opens."""
     d = lcm(*(s.break_ints[1] for s in sections.values()))
-    keys = {w: [n * (d // k) for n in nums] for w, (nums, k)
+    keys = {w: list(map(mul, nums, repeat(d // k))) for w, (nums, k)
             in zip(sections, (s.break_ints for s in sections.values()))}
     cuts = sorted(set(chain(*keys.values())))
     index = {k: i for i, k in enumerate(cuts)}
@@ -177,7 +182,7 @@ class RandomizedST(CanonicalRows):
         """{w: (row, d)}: each path's increments, the jump at time 0 included,
         as ints over the path's denominator d, once per distinct row."""
         return per_object(self.rows, lambda row: (
-            [x - prev for prev, x in zip((0,) + row[0], row[0])], row[1]))
+            list(map(sub, row[0], (0,) + row[0])), row[1]))
 
 
 class DistributionST(CanonicalRows):

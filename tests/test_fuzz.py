@@ -1,7 +1,7 @@
-"""The fuzz generators that write int rows, or draw a table in one
-broadcast call, against copies of the Fraction and scalar-draw bodies they
-replace: equal values, and the same draws from the RNG, so a seed still
-gives the same instances."""
+"""The fuzz generators that write int rows, or draw a table (or an
+instance's four tables) in one broadcast call, against copies of the
+Fraction and scalar-draw bodies they replace: equal values, and the same
+draws from the RNG, so a seed still gives the same instances."""
 
 import hashlib
 from fractions import Fraction
@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stoptime import build_space, experiment, fuzz
+from stoptime import build_space, experiment, fuzz, mixed_of_randomized
 
 BOUNDS = [fuzz.FuzzBounds(),
           fuzz.FuzzBounds(max_outcomes=1, max_grid_points=1, max_breaks=1,
@@ -157,6 +157,28 @@ def test_random_process_matches_the_fraction_body(spaces, bounds):
         # int_dot reads these: a numpy.int64 would overflow silently
         assert all(type(x) is int for nums, d in proc.rows.values()
                    for x in (*nums, d))
+
+
+@pytest.mark.parametrize("bounds", [fuzz.FuzzBounds(), EXACT_32x8],
+                         ids=["default", "32x8"])
+def test_random_instance_tables_are_four_random_process_calls(bounds):
+    # random_instance draws reward, x, y and z in one broadcast call: the
+    # pairs of four successive random_process calls, in their order, which
+    # leave the generator where that call does
+    for seed in range(50):
+        rng, twin = _twin_rngs(seed)
+        twin.bit_generator.state = rng.bit_generator.state
+        inst = fuzz.random_instance(rng, bounds)
+        space = fuzz.random_space(twin, bounds)  # the draws before the tables
+        for _ in range(2):
+            rho = fuzz.random_randomized(twin, space, bounds)
+            fuzz.shuffle_sections(twin, space, mixed_of_randomized(space, rho),
+                                  bounds.max_breaks)
+        assert fuzz.random_pure(twin, space) == inst.pure
+        for name in ("reward", "x", "y", "z"):
+            table = fuzz.random_process(twin, space, bounds)
+            assert getattr(inst, name) == table, (seed, name)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def _layout_digest(n_instances: int) -> str:

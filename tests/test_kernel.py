@@ -329,6 +329,46 @@ def test_lifted_paths_are_converted_once(monkeypatch):
         lifted.space)
 
 
+def _per_object_cases():
+    """(table, fn) pairs: a lifted mixed time's sections (one section object
+    per base outcome, repeated once per atom), equal but distinct values,
+    and an fn whose results are falsy."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    inst = next(i for i in (fuzz.random_instance(rng, fuzz.FuzzBounds(
+        max_outcomes=32, max_grid_points=8, max_breaks=16))
+        for _ in range(200)) if len(i.space.outcomes) >= 16)
+    lifted = games.lift_mixed(inst.mixed, _lifted(inst).space).sections
+    assert len({id(s) for s in lifted.values()}) < len(lifted)
+    twins = {f"w{i}": [i % 3, 1] for i in range(9)}  # == but not the same
+    shared = (), 0, [0], ""
+    falsy = {i: shared[i % 4] for i in range(10)}
+    return [pytest.param(lifted, lambda s: s.spans(s.break_ints[1]),
+                         id="lifted"),
+            pytest.param(twins, lambda v: [sum(v)], id="equal-list"),
+            pytest.param(twins, len, id="equal-int"),
+            pytest.param(falsy, lambda v: v, id="falsy-values"),
+            pytest.param(falsy, lambda v: v and 0, id="falsy-results"),
+            pytest.param({}, len, id="empty")]
+
+
+@pytest.mark.parametrize("table, fn", _per_object_cases())
+def test_per_object_matches_the_comprehension_with_one_call_per_object(
+        table, fn):
+    calls = []
+
+    def counted(v):
+        calls.append(id(v))
+        return fn(v)
+    out = times.per_object(table, counted)
+    expected = {k: fn(v) for k, v in table.items()}
+    assert out == expected and list(out) == list(table)
+    assert sorted(calls) == sorted({id(v) for v in table.values()})
+    # the entries of one value object share one result object
+    firsts = {}
+    for k, v in table.items():
+        assert out[k] is firsts.setdefault(id(v), out[k])
+
+
 # ---------------------------------------------------------------------------
 # step functions: the common refinement and integer rows
 

@@ -146,8 +146,10 @@ def test_campaign_instances_drawn_only_by_experiment_draw():
 
 
 def test_campaign_streams_made_only_by_the_campaign_and_sample():
-    # the seed rule is the campaign's; `stoptime sample` reads it unstreamed
-    assert _uses(r"\b_rng_for\(", {"experiment.py", "cli.py"}) == []
+    # the seed rule is the campaign's, kept beside the sampler; `stoptime
+    # sample` reads it unstreamed
+    assert _uses(r"\b_rng_for\(",
+                 {"sampling.py", "experiment.py", "cli.py"}) == []
 
 
 def test_documents_load_and_print_without_a_fraction_per_cell(monkeypatch):
@@ -225,6 +227,16 @@ ROOT_MODULES = ("__init__.py", "space.py", "times.py", "convert.py",
                 "problems.py", "games.py")
 
 
+def _probe(code: str, *argv: str) -> list:
+    """The stdout lines of code run in a fresh interpreter on src/."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    return done.stdout.splitlines()
+
+
 def test_the_package_root_loads_no_numpy():
     # the root is the exact core; the sampler and the campaign, which draw,
     # load numpy only when they are imported by their module.  Its records
@@ -240,12 +252,7 @@ def test_the_package_root_loads_no_numpy():
              "from stoptime.sampling import sample_counts; "
              "from stoptime.experiment import run_experiment; "
              "print(callable(sample_counts) and callable(run_experiment))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True,
-                          timeout=60)
-    assert done.stdout.splitlines() == ["[]", "True"]
+    assert _probe(probe) == ["[]", "True"]
 
 
 def test_the_cli_loads_no_process_pool_and_no_random_module(tmp_path):
@@ -275,12 +282,21 @@ def test_the_cli_loads_no_process_pool_and_no_random_module(tmp_path):
              "for argv in json.loads(sys.argv[1])]; "
              "print(codes, sorted(set(sys.modules) & {'concurrent.futures', "
              "'numpy', 'numpy.random', 'dataclasses'}))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
-                          env=env, capture_output=True, text=True,
-                          check=True, timeout=60)
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+    assert _probe(probe, json.dumps(commands))[-1] == "[0, 0, 0, 0, 0] []"
+
+
+def test_sample_loads_neither_the_campaign_nor_dataclasses(tmp_path):
+    # `stoptime sample` draws from the campaign's seed rule, which lives
+    # beside the sampler, so the campaign's modules stay unloaded
+    space, mixed = str(tmp_path / "space.json"), str(tmp_path / "mixed.json")
+    dump_json(space_to_dict(demo.coin_space()), space)
+    dump_json(stopping_time_to_dict(demo.coin_mixed()), mixed)
+    probe = ("import sys, stoptime.cli; "
+             "code = stoptime.cli.main(sys.argv[1:]); "
+             "print(code, sorted(set(sys.modules) & {'stoptime.experiment', "
+             "'stoptime.fuzz', 'dataclasses'}))")
+    assert _probe(probe, "sample", "--space", space, "--stop", mixed,
+                  "--n", "1000")[-1] == "0 []"
 
 
 def _absolute_imports(path: Path) -> set:
@@ -297,4 +313,4 @@ def _absolute_imports(path: Path) -> set:
 def test_only_the_modules_that_draw_import_numpy():
     assert [path.name for path in sorted(SRC.glob("*.py"))
             if "numpy" in _absolute_imports(path)] == [
-                "experiment.py", "fuzz.py", "sampling.py"]
+                "fuzz.py", "sampling.py"]
