@@ -127,13 +127,9 @@ def equivalent(space: FilteredSpace, a, b) -> bool:
 def first_difference(space: FilteredSpace, a, b):
     """The first differing (outcome, time, mass_a, mass_b), or None: the laws
     given w cross-multiplied once per distinct row pair, walked in outcome
-    order (two masses: their own rows), the witness masses P(w) * x / d."""
-    if isinstance(a, DistributionST) and isinstance(b, DistributionST):
-        ga, gb = (to_distribution(space, x).rows for x in (a, b))
-        probs, k = [1] * len(space.outcomes), 1  # the rows hold P(w) already
-    else:
-        ga, gb = _given(space, a), _given(space, b)
-        probs, k = space.prob_row
+    order, the witness masses P(w) * x / d (for a mass, its own entry)."""
+    ga, gb = _given(space, a), _given(space, b)
+    probs, k = space.prob_row
     outcomes = space.outcomes
     la, lb = (list(map(g.__getitem__, outcomes)) for g in (ga, gb))
     pairs = list(zip(map(id, la), map(id, lb)))

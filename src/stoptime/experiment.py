@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
 from . import convert, demo, fuzz, games, problems, sampling
 from .config import MAX_CELLS, ExperimentConfig, FuzzBounds
 from .sampling import _rng_for
-from .space import AdaptedProcess
+from .space import AdaptedProcess, Record
 from .times import (embed_pure, validate, validate_mixed_product,
                     validate_mixed_sections)
 
@@ -31,16 +30,14 @@ CSV_HEADER = "instance,check,status,witness"
 MC_STREAM = 1 << 32
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(Record):
     instance: str
     check: str
     status: str  # "pass" | "fail"
     witness: str = ""
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(Record):
     rows: tuple
     n_failed: int
 

@@ -16,7 +16,6 @@ All randomness flows through a numpy Generator supplied by the caller.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .config import FuzzBounds
 from .convert import delta_of_randomized, mixed_of_randomized
-from .space import AdaptedProcess, FilteredSpace, build_space
+from .space import AdaptedProcess, FilteredSpace, Record, build_space
 from .times import (DistributionST, MixedST, PureST, RStepFunction,
                     RandomizedST, common_refinement)
 
@@ -33,8 +32,7 @@ from .times import (DistributionST, MixedST, PureST, RStepFunction,
 DRAW_DENOMINATOR = 840
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """One fuzzed scenario: a space with an equivalent stopping-time
     family, an independent pure time, a reward, and game data."""
 

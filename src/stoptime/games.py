@@ -35,13 +35,10 @@ class StoppingGame(Record):
     """x pays when Player 1 stops strictly first, y when Player 2 does and z
     on simultaneous stops."""
 
-    def __init__(self, space: FilteredSpace, x: AdaptedProcess,
-                 y: AdaptedProcess, z: AdaptedProcess):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-        self.__post_init__()
+    space: FilteredSpace
+    x: AdaptedProcess
+    y: AdaptedProcess
+    z: AdaptedProcess
 
     def __post_init__(self):
         for name, table in (("x", self.x), ("y", self.y), ("z", self.z)):

@@ -18,10 +18,8 @@ from .times import (DistributionST, MixedST, PureST, RandomizedST,
 
 
 class StoppingProblem(Record):
-    def __init__(self, space: FilteredSpace, reward: AdaptedProcess):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "reward", reward)
-        self.__post_init__()
+    space: FilteredSpace
+    reward: AdaptedProcess
 
     def __post_init__(self):
         require_rows(self.space, self.reward, "reward")

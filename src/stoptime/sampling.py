@@ -18,9 +18,9 @@ are tuple subclasses, which a collection never untracks.
 from __future__ import annotations
 
 import gc
+from collections import namedtuple
 from itertools import chain, islice, repeat
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,10 +44,7 @@ class EmptySamples(ValueError):
     pass
 
 
-class SampleRecord(NamedTuple):
-    outcome: object
-    grid_index: int
-    replicate: int
+SampleRecord = namedtuple("SampleRecord", "outcome grid_index replicate")
 
 
 def sample_many(space: FilteredSpace, eta, rng: np.random.Generator,

@@ -10,9 +10,9 @@ a joint mass in times) are CanonicalRows: each row is held once as Python
 ints over one reduced denominator, and their Fraction views are built only
 for output.  So every check in this package is exact.
 
-The package's frozen values are Records, not dataclasses: importing
-those (with inspect) and generating their methods took about 10 of the
-24 ms of `import stoptime`, which every CLI command pays.
+The package's frozen values are Records, each declaring its fields once
+(SampleRecord, a tuple, is a namedtuple); none is a dataclass, whose import
+(with inspect) cost about 10 ms of `import stoptime`, paid by every CLI.
 """
 
 from __future__ import annotations
@@ -25,19 +25,31 @@ from operator import attrgetter
 
 
 class Record:
-    """A frozen record of the fields its first __init__ takes, in order.
+    """A frozen record of the fields its class annotates, in order, the
+    class attributes of those names being their defaults.
 
-    That __init__ checks them and stores each with object.__setattr__, as a
-    dataclass's does, so they stay inline (vars(self) would build a dict per
-    record); ==, hash and repr read them as a frozen dataclass's do (one
-    field compared and hashed as itself), and no attribute is set after.
+    Its __init__ is built once, from a template, as namedtuple's is: it
+    stores each field with object.__setattr__, so they stay inline (vars(self)
+    would build a dict per record), then runs __post_init__'s checks, if
+    any.  A class that normalises its fields writes its own __init__.  ==,
+    hash and repr read the fields as a frozen dataclass's do (one field
+    compared and hashed as itself), and no attribute is set after.
     """
 
     def __init_subclass__(cls):
-        if not hasattr(cls, "_fields"):  # a subclass keeps its record's
-            code = cls.__init__.__code__
-            cls._fields = code.co_varnames[1:code.co_argcount]
-            cls._key = attrgetter(*cls._fields)
+        fields = tuple(vars(cls).get("__annotations__", ()))
+        if fields:  # else a subclass keeps its record's fields and __init__
+            cls._fields, cls._key = fields, attrgetter(*fields)
+        if fields and "__init__" not in vars(cls):
+            params = ", ".join(f"{f}=_cls.{f}" if f in vars(cls) else f
+                               for f in fields)
+            body = "".join(f"\n _set(self, {f!r}, {f})" for f in fields)
+            if hasattr(cls, "__post_init__"):
+                body += "\n self.__post_init__()"
+            scope = {"_cls": cls, "_set": object.__setattr__}
+            exec(f"def __init__(self, {params}):{body}", scope)
+            cls.__init__ = scope["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -60,9 +72,8 @@ class Record:
 class Violation(Record):
     """One violated invariant, with a machine-readable code."""
 
-    def __init__(self, code: str, detail: str):
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "detail", detail)
+    code: str
+    detail: str
 
     def __str__(self):
         return f"{self.code}: {self.detail}"
@@ -156,12 +167,10 @@ class FilteredSpace(Record):
     """Outcomes with exact atom probabilities, a time grid, and a
     refining chain of partitions (one per grid time)."""
 
-    def __init__(self, outcomes: tuple, probs: tuple, grid: tuple,
-                 partitions: tuple):
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "partitions", partitions)
+    outcomes: tuple
+    probs: tuple
+    grid: tuple
+    partitions: tuple
 
     @cached_property
     def n_times(self) -> int:

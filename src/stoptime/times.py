@@ -66,6 +66,9 @@ class RStepFunction(Record):
     are equality of functions.  breaks is the Fraction view, for output only.
     """
 
+    break_ints: tuple
+    values: tuple
+
     def __init__(self, break_ints: tuple, values: tuple):
         nums, d = break_ints
         if len(nums) != len(values) + 1:
@@ -155,13 +158,11 @@ def symdiff_measure(xs, ys) -> int:
 # the four kinds
 
 class PureST(Record):
-    def __init__(self, stop_index: Mapping):
-        object.__setattr__(self, "stop_index", stop_index)
+    stop_index: Mapping
 
 
 class MixedST(Record):
-    def __init__(self, sections: Mapping):
-        object.__setattr__(self, "sections", sections)
+    sections: Mapping
 
     def cumulative(self, n_times: int) -> "RandomizedST":
         """The cumulative stop paths lambda{r : section <= t_j}: each

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from bisect import bisect_right
 from fractions import Fraction
@@ -102,10 +101,10 @@ def permute(inst, order):
     indices) and each level's blocks in reverse: the times and tables are
     unchanged, so no verdict, payoff or game value may read either order."""
     space = inst.space
-    return dataclasses.replace(inst, space=build_space(
+    return fuzz.Instance(**{**vars(inst), "space": build_space(
         outcomes=[space.outcomes[i] for i in order],
         probs=[space.probs[i] for i in order], grid=space.grid,
-        partitions=[part[::-1] for part in space.partitions]))
+        partitions=[part[::-1] for part in space.partitions])})
 
 
 @pytest.fixture

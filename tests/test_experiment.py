@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import hashlib
 import tracemalloc
 import types
@@ -427,9 +426,10 @@ def _planted_distribution():
     config = ExperimentConfig(seed=5, max_outcomes=32, max_grid_points=8)
     index, _ = _first_instance(config, lambda i: len(i.space.outcomes) >= 16)
     inst, rng = draw(config, index)
-    return config, inst, dataclasses.replace(inst, distribution=DistributionST(
-        {w: tuple(2 * m for m in row)
-         for w, row in inst.distribution.mass.items()})), rng
+    return config, inst, fuzz.Instance(**{
+        **vars(inst), "distribution": DistributionST(
+            {w: tuple(2 * m for m in row)
+             for w, row in inst.distribution.mass.items()})}), rng
 
 
 def test_game_strategy_equivalence_fails_on_a_planted_distribution():

@@ -8,7 +8,7 @@ partitions are indexed only in space.py (and by the fuzz generators), so
 a bypass of either fails here too.  Library callers of
 the sampler tally draws as counts, never as one record per draw.  Only
 the modules that draw import numpy, and the package root loads none of
-them, nor dataclasses; the exact CLI commands load neither."""
+them; no module imports dataclasses, and no CLI command loads it."""
 
 import ast
 import importlib
@@ -222,11 +222,6 @@ def test_fuzz_instances_build_no_fraction_per_cell(monkeypatch):
     assert inside == [] and built
 
 
-# the modules `import stoptime` runs: the root and what it imports
-ROOT_MODULES = ("__init__.py", "space.py", "times.py", "convert.py",
-                "problems.py", "games.py")
-
-
 def _probe(code: str, *argv: str) -> list:
     """The stdout lines of code run in a fresh interpreter on src/."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -239,12 +234,13 @@ def _probe(code: str, *argv: str) -> list:
 
 def test_the_package_root_loads_no_numpy():
     # the root is the exact core; the sampler and the campaign, which draw,
-    # load numpy only when they are imported by their module.  Its records
-    # stand on space.Record: no dataclasses, inspect or typing is imported
-    # (site may load typing before the probe, so the sources are read)
-    assert {name for path in ROOT_MODULES
-            for name in _absolute_imports(SRC / path)} & {
-                "dataclasses", "inspect", "typing"} == set()
+    # load numpy only when they are imported by their module.  Every
+    # module's records stand on space.Record: none imports dataclasses,
+    # inspect or typing (site may load typing before the probe, so the
+    # sources are read)
+    assert {path.name: names for path in sorted(SRC.glob("*.py"))
+            if (names := _absolute_imports(path) & {
+                "dataclasses", "inspect", "typing"})} == {}
     probe = ("import sys, stoptime; "
              "print(sorted(set(sys.modules) & {'numpy', 'stoptime.sampling', "
              "'stoptime.experiment', 'stoptime.fuzz', 'dataclasses', "
@@ -283,6 +279,18 @@ def test_the_cli_loads_no_process_pool_and_no_random_module(tmp_path):
              "print(codes, sorted(set(sys.modules) & {'concurrent.futures', "
              "'numpy', 'numpy.random', 'dataclasses'}))")
     assert _probe(probe, json.dumps(commands))[-1] == "[0, 0, 0, 0, 0] []"
+
+
+def test_fuzz_loads_no_dataclasses(tmp_path):
+    # the campaign's rows, report and instances are Records too (numpy or
+    # site loads inspect and typing, so only dataclasses is probed)
+    probe = ("import sys, stoptime.cli; "
+             "code = stoptime.cli.main(sys.argv[1:]); "
+             "print(code, 'dataclasses' in sys.modules)")
+    # (ten draws are checked against a wide tolerance, so every row passes)
+    assert _probe(probe, "fuzz", "--instances", "2", "--samples", "10",
+                  "--tv-tolerance", "1", "-o",
+                  str(tmp_path / "report.csv"))[-1] == "0 False"
 
 
 def test_sample_loads_neither_the_campaign_nor_dataclasses(tmp_path):

@@ -1,26 +1,31 @@
-"""The seven records of the package root and the campaign's two settings
-keep a frozen dataclass's contract: positional and keyword construction, the checks their
-constructors run, == and hash over the fields in order (a record holding
-a dict or a table is unhashable), the repr text a dataclass prints (failing
-witnesses embed Violation reprs) and no assignment or deletion."""
+"""The seven records of the package root, the campaign's two settings, its
+rows, report and instances keep a frozen dataclass's contract: positional
+and keyword construction, the checks their constructors run, == and hash
+over the fields in order (a record holding a dict or a table is
+unhashable), the repr text a dataclass prints (failing witnesses embed
+Violation reprs) and no assignment or deletion.  Every record the package
+defines has a case here."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import stoptime
 from stoptime import (AdaptedProcess, FilteredSpace, IncompatibleSpaces,
                       MixedST, PureST, RStepFunction, StoppingGame,
                       StoppingProblem, Violation, build_space, demo)
-from stoptime.experiment import ExperimentConfig
-from stoptime.fuzz import FuzzBounds
-from stoptime.space import _pull_back
+from stoptime.experiment import CheckRow, ExperimentConfig, ExperimentReport
+from stoptime.fuzz import FuzzBounds, Instance
+from stoptime.space import Record, _pull_back
 
 F = Fraction
 
 # the field type that makes each unhashable record so
 UNHASHABLE = {PureST: "dict", MixedST: "dict",
               StoppingProblem: "AdaptedProcess",
-              StoppingGame: "AdaptedProcess"}
+              StoppingGame: "AdaptedProcess", Instance: "dict"}
 
 
 def _lifted():
@@ -53,6 +58,15 @@ def _cases():
         "partitions=((frozenset({'w1'}), frozenset({'w2'})), "
         "(frozenset({'w1'}), frozenset({'w2'}))))")
     section_text = "RStepFunction(break_ints=((0, 1, 2), 2), values=(0, 1))"
+    row = CheckRow("3", "validators", "fail", "w1")
+    row_text = ("CheckRow(instance='3', check='validators', status='fail', "
+                "witness='w1')")
+    instance = {"space": space, "pure": PureST({"w1": 0, "w2": 1}),
+                "mixed": demo.coin_mixed(),
+                "randomized": demo.coin_randomized(),
+                "distribution": demo.coin_uniform_delta(), "reward": reward,
+                "x": x, "y": y, "z": z, "mixed2": demo.coin_mixed(),
+                "randomized2": demo.coin_randomized()}
     return [
         (Violation("X", "y"), {"code": "X", "detail": "y"},
          "Violation(code='X', detail='y')"),
@@ -83,6 +97,15 @@ def _cases():
          "ExperimentConfig(seed=7, n_instances=200, n_samples=100000, "
          "max_outcomes=8, max_grid_points=6, max_breaks=8, "
          "max_denominator=64, tv_tolerance=0.5, jobs=1)"),
+        (CheckRow("3", "validators", "pass"),
+         {"instance": "3", "check": "validators", "status": "pass",
+          "witness": ""},
+         "CheckRow(instance='3', check='validators', status='pass', "
+         "witness='')"),
+        (ExperimentReport((row,), 1), {"rows": (row,), "n_failed": 1},
+         f"ExperimentReport(rows=({row_text},), n_failed=1)"),
+        (Instance(**instance), instance, "Instance(" + ", ".join(
+            f"{name}={value!r}" for name, value in instance.items()) + ")"),
     ]
 
 
@@ -112,6 +135,18 @@ def test_records_keep_the_frozen_dataclass_contract(record, fields, text):
     with pytest.raises(AttributeError):
         record.unknown = 1
     assert tuple(getattr(record, name) for name in fields) == values
+
+
+def test_every_record_of_the_package_has_a_case():
+    for module in pkgutil.iter_modules(stoptime.__path__):
+        importlib.import_module(f"stoptime.{module.name}")
+    records, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("stoptime."):
+                records.add(cls)
+    assert records and records <= {type(record) for record, _, _ in CASES}
 
 
 def test_record_constructors_keep_their_checks():
