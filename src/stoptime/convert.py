@@ -126,18 +126,16 @@ def equivalent(space: FilteredSpace, a, b) -> bool:
 
 def first_difference(space: FilteredSpace, a, b):
     """The first differing (outcome, time, mass_a, mass_b), or None: the laws
-    given w cross-multiplied once per distinct row pair, walked in outcome
-    order, the witness masses P(w) * x / d (for a mass, its own entry)."""
+    given w walked once in outcome order, cross-multiplied once per distinct
+    row pair, the witness masses P(w) * x / d (for a mass, its own entry)."""
     ga, gb = _given(space, a), _given(space, b)
     probs, k = space.prob_row
-    outcomes = space.outcomes
-    la, lb = (list(map(g.__getitem__, outcomes)) for g in (ga, gb))
-    pairs = list(zip(map(id, la), map(id, lb)))
-    # each distinct pair in order of its first outcome, read at its last
-    for pair, i in dict(zip(pairs, range(len(pairs)))).items():
-        (na, da), (nb, db) = la[i], lb[i]
-        for t, x, y in zip(space.grid, na, nb):
-            if x * db != y * da:
-                p = probs[i := pairs.index(pair)]
-                return outcomes[i], t, Fraction(p * x, k * da), Fraction(p * y, k * db)
+    seen = set()
+    for w, p in zip(space.outcomes, probs):
+        (na, da), (nb, db) = ra, rb = ga[w], gb[w]
+        if (pair := (id(ra), id(rb))) not in seen:
+            seen.add(pair)
+            for t, x, y in zip(space.grid, na, nb):
+                if x * db != y * da:
+                    return w, t, Fraction(p * x, k * da), Fraction(p * y, k * db)
     return None

@@ -28,7 +28,7 @@ from .times import (DistributionST, MixedST, PureST, RStepFunction,
                     RandomizedST, common_refinement)
 
 
-# lcm(1, ..., 8): random_process's values are ints over it
+# lcm(1, ..., 8): one table's values are ints over it
 DRAW_DENOMINATOR = 840
 
 
@@ -140,21 +140,11 @@ def shuffle_sections(rng: np.random.Generator, space: FilteredSpace,
         for w, s in mu.sections.items()})
 
 
-def random_process(rng: np.random.Generator, space: FilteredSpace,
-                   bounds: FuzzBounds) -> AdaptedProcess:
-    """A bounded rational table, not adapted: each value a numerator over
-    a denominator from 1 to 8, as an int over DRAW_DENOMINATOR.  The (den,
-    num) pairs of all n outcomes come level by level from one broadcast
-    call, the stream of one scalar call per entry, so row i is drawn[i::n];
-    random_instance draws its four tables the same way, in one call."""
-    return _draw_tables(rng, space, bounds, 1)[0]
-
-
 def _draw_tables(rng: np.random.Generator, space: FilteredSpace,
                  bounds: FuzzBounds, count: int) -> list:
-    """count tables of random_process from one broadcast call, which draws
-    their pairs in the order of count successive calls: table t is the
-    t-th slice of k = n * n_times values."""
+    """count unadapted tables of num / den, den in 1..8, as ints over
+    DRAW_DENOMINATOR: one table's draw is its (den, num) pairs level by level,
+    so row i is drawn[i::n]; table t is the t-th slice of k = n * n_times."""
     m, n = bounds.max_denominator, len(space.outcomes)
     k = n * space.n_times
     draws = rng.integers([1, -m] * (count * k), [8, m] * (count * k),
@@ -171,7 +161,7 @@ def random_instance(rng: np.random.Generator,
                     bounds: FuzzBounds = FuzzBounds(),
                     min_outcomes: int = 1) -> Instance:
     """An instance on a random space; its reward, x, y and z tables come
-    from one broadcast call, the stream of four random_process calls."""
+    from one broadcast call, the stream of four tables' draws in turn."""
     space = random_space(rng, bounds, min_outcomes=min_outcomes)
     rho = random_randomized(rng, space, bounds)
     delta = delta_of_randomized(space, rho)

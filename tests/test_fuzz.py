@@ -150,7 +150,7 @@ def test_random_randomized_matches_the_fraction_body(spaces, bounds):
 def test_random_process_matches_the_fraction_body(spaces, bounds):
     for rng, twin, space in spaces():
         twin.bit_generator.state = rng.bit_generator.state
-        proc = fuzz.random_process(rng, space, bounds)
+        proc = fuzz._draw_tables(rng, space, bounds, 1)[0]
         expected = seed_random_process(twin, space, bounds)
         assert proc.values == expected
         assert rng.bit_generator.state == twin.bit_generator.state
@@ -163,7 +163,7 @@ def test_random_process_matches_the_fraction_body(spaces, bounds):
                          ids=["default", "32x8"])
 def test_random_instance_tables_are_four_random_process_calls(bounds):
     # random_instance draws reward, x, y and z in one broadcast call: the
-    # pairs of four successive random_process calls, in their order, which
+    # pairs of four successive one-table draws, in their order, which
     # leave the generator where that call does
     for seed in range(50):
         rng, twin = _twin_rngs(seed)
@@ -176,7 +176,7 @@ def test_random_instance_tables_are_four_random_process_calls(bounds):
                                   bounds.max_breaks)
         assert fuzz.random_pure(twin, space) == inst.pure
         for name in ("reward", "x", "y", "z"):
-            table = fuzz.random_process(twin, space, bounds)
+            table = fuzz._draw_tables(twin, space, bounds, 1)[0]
             assert getattr(inst, name) == table, (seed, name)
         assert rng.bit_generator.state == twin.bit_generator.state
 
