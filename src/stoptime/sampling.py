@@ -122,10 +122,8 @@ def _search(guide: tuple, x: np.ndarray, rows=0) -> np.ndarray:
     """np.searchsorted of each x in its row (one per x, or one for all) plus
     the row's first edge position: the guide's bounds, then a binary search."""
     edges, low, high, scale, start, before = guide
-    slot = (x * scale[rows]).astype(np.intp)
-    slot += start[rows]
+    slot = start[rows] + (x * scale[rows]).astype(np.intp)
     lo, hi = low[slot], high[slot]
-    del slot  # only lo, hi and the open draws' arrays live in the loop
     open_ = np.flatnonzero(lo < hi)
     while open_.size:
         a, b = lo[open_], hi[open_]

@@ -456,27 +456,6 @@ def test_sample_counts_draws_in_bounded_memory(coin_space, coin_mixed):
     assert peak < 2 * 2**20
 
 
-def test_a_chunk_at_32_outcomes_holds_under_six_and_a_third_arrays():
-    # one draw array of a chunk is CHUNK float64s, 128 KiB; on this 32 x 8
-    # instance a chunk peaked at 6.77-6.88 of them for every kind while the
-    # stop search kept its bucket slots alive through the binary search
-    # beside lo and hi, and peaks at 5.77-5.88 with them dropped once read
-    inst = fuzz.random_instance(rng(2), fuzz.FuzzBounds(
-        max_outcomes=32, max_grid_points=8, max_breaks=16), min_outcomes=32)
-    space = inst.space
-    assert (len(space.outcomes), space.n_times) == (32, 8)
-    for eta in (inst.pure, inst.mixed, inst.randomized, inst.distribution):
-        sample_counts(space, eta, rng(1), 10)  # first-call allocations
-        tracemalloc.start()
-        try:
-            counts = sample_counts(space, eta, rng(1), CHUNK)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert counts.sum() == CHUNK
-        assert peak < 6.3 * CHUNK * 8, type(eta).__name__
-
-
 class Reads(dict):
     """A dict that counts the reads of each key."""
 
